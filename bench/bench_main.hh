@@ -23,6 +23,7 @@
 #ifndef SPECFETCH_BENCH_BENCH_MAIN_HH_
 #define SPECFETCH_BENCH_BENCH_MAIN_HH_
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -59,11 +60,15 @@ class BenchMain
     /**
      * Parse the shared options. Returns false when the caller should
      * exit: on --help (parseFailed stays false, exit 0) or on a real
-     * error (parseFailed set, exit 1).
+     * error (parseFailed set, exit 1). @p persistence registers the
+     * result-store and fault options (--store, --retries,
+     * --run-timeout, --fault-inject and SPECFETCH_FAULT_INJECT), which
+     * only bench_suite acts on.
      */
     bool
     parse(int argc, const char *const *argv, const std::string &name,
-          const std::string &what, uint64_t fallbackBudget = kDefaultBudget)
+          const std::string &what, uint64_t fallbackBudget = kDefaultBudget,
+          bool persistence = false)
     {
         OptionParser opts(name, what);
         opts.addCount("budget", benchBudget(fallbackBudget),
@@ -79,23 +84,20 @@ class BenchMain
                        "invariant-audit level: off, cheap or paranoid");
         opts.addCount("checkpoint-interval", 100'000,
                       "paranoid-audit checkpoint spacing, instructions");
-        opts.addString("ledger", "",
-                       "journal completed runs to this write-ahead "
-                       "ledger (enables --resume)");
-        opts.addString("store", "",
-                       "submit the grid to a sweep_serve daemon at this "
-                       "Unix socket instead of simulating locally");
-        opts.addFlag("resume",
-                     "skip runs already journaled in --ledger and "
-                     "re-run only the remainder");
-        opts.addCount("retries", 3,
-                      "attempts per run before quarantine (1.."
-                      + std::to_string(kMaxRetries) + ")");
-        opts.addDouble("run-timeout", 0.0,
-                       "per-run watchdog budget in seconds (0 = off)");
-        opts.addString("fault-inject", "",
-                       "fault-injection spec, e.g. throw@5x2,crash@9 "
-                       "(default honours SPECFETCH_FAULT_INJECT)");
+        if (persistence) {
+            opts.addString("store", "",
+                           "resumable result store: a directory (runs "
+                           "in-process, skipping stored runs) or the "
+                           "Unix socket of a sweep_serve daemon");
+            opts.addCount("retries", 3,
+                          "attempts per run before quarantine (1.."
+                          + std::to_string(kMaxRetries) + ")");
+            opts.addDouble("run-timeout", 0.0,
+                           "per-run watchdog budget in seconds (0 = off)");
+            opts.addString("fault-inject", "",
+                           "fault-injection spec, e.g. throw@5x2,crash@9 "
+                           "(default honours SPECFETCH_FAULT_INJECT)");
+        }
         opts.addCount("sample-interval", 0,
                       "emit one timeseries epoch every N retired "
                       "instructions (0 = off; needs --json)");
@@ -129,97 +131,31 @@ class BenchMain
             return false;
         }
         budget = opts.getCount("budget");
-        if (budget == 0) {
-            std::fprintf(stderr,
-                         "error: --budget must be a positive "
-                         "instruction count (got 0)\n");
-            parseFailed = true;
-            return false;
-        }
+        if (budget == 0)
+            return reject("--budget must be a positive instruction count "
+                          "(got 0)");
         parallelism = static_cast<unsigned>(opts.getCount("parallelism"));
         if (opts.wasSet("parallelism") && parallelism == 0) {
-            std::fprintf(stderr,
-                         "error: --parallelism 0 is ambiguous; omit the "
-                         "option to use hardware concurrency\n");
-            parseFailed = true;
-            return false;
+            return reject("--parallelism 0 is ambiguous; omit the option "
+                          "to use hardware concurrency");
         }
         if (!parseCheckLevel(opts.getString("check"), checkLevel)) {
-            std::fprintf(stderr,
-                         "error: --check expects off, cheap or paranoid "
-                         "(got '%s')\n",
-                         opts.getString("check").c_str());
-            parseFailed = true;
-            return false;
+            return reject("--check expects off, cheap or paranoid (got "
+                          "'%s')",
+                          opts.getString("check").c_str());
         }
         checkpointInterval = opts.getCount("checkpoint-interval");
         if (checkpointInterval == 0) {
-            std::fprintf(stderr,
-                         "error: --checkpoint-interval expects a "
-                         "positive instruction count (got 0)\n");
-            parseFailed = true;
-            return false;
+            return reject("--checkpoint-interval expects a positive "
+                          "instruction count (got 0)");
         }
-        ledgerPath = opts.getString("ledger");
-        storeSocket = opts.getString("store");
-        if (!storeSocket.empty() && !ledgerPath.empty()) {
-            std::fprintf(stderr,
-                         "error: --store and --ledger are alternative "
-                         "persistence paths; pick one\n");
-            parseFailed = true;
+        if (persistence && !parsePersistence(opts))
             return false;
-        }
-        resume = opts.getFlag("resume");
-        if (resume && ledgerPath.empty()) {
-            std::fprintf(stderr,
-                         "error: --resume needs --ledger to say which "
-                         "ledger to resume from\n");
-            parseFailed = true;
-            return false;
-        }
-        uint64_t retriesRaw = opts.getCount("retries");
-        if (retriesRaw < 1 || retriesRaw > kMaxRetries) {
-            std::fprintf(stderr,
-                         "error: --retries must be in [1, %llu] (got "
-                         "%llu)\n",
-                         static_cast<unsigned long long>(kMaxRetries),
-                         static_cast<unsigned long long>(retriesRaw));
-            parseFailed = true;
-            return false;
-        }
-        retries = static_cast<unsigned>(retriesRaw);
-        runTimeoutSeconds = opts.getDouble("run-timeout");
-        if (runTimeoutSeconds < 0.0) {
-            std::fprintf(stderr,
-                         "error: --run-timeout must be non-negative "
-                         "seconds (got %g)\n",
-                         runTimeoutSeconds);
-            parseFailed = true;
-            return false;
-        }
-        std::string injectError;
-        if (opts.wasSet("fault-inject")) {
-            if (!FaultInjector::parse(opts.getString("fault-inject"),
-                                      injector, &injectError)) {
-                std::fprintf(stderr, "error: --fault-inject: %s\n",
-                             injectError.c_str());
-                parseFailed = true;
-                return false;
-            }
-        } else if (!FaultInjector::fromEnv(injector, &injectError)) {
-            std::fprintf(stderr, "error: %s: %s\n",
-                         kFaultInjectEnv, injectError.c_str());
-            parseFailed = true;
-            return false;
-        }
         if (!opts.getString("json").empty() &&
             opts.getString("json") == opts.getString("csv")) {
-            std::fprintf(stderr,
-                         "error: --json and --csv name the same path "
-                         "(%s); the sinks would interleave\n",
-                         opts.getString("json").c_str());
-            parseFailed = true;
-            return false;
+            return reject("--json and --csv name the same path (%s); the "
+                          "sinks would interleave",
+                          opts.getString("json").c_str());
         }
         if (!opts.getString("json").empty() &&
             !openJson(opts.getString("json"))) {
@@ -228,12 +164,8 @@ class BenchMain
         }
         if (!opts.getString("csv").empty()) {
             csv = std::make_unique<CsvReportWriter>(opts.getString("csv"));
-            if (!csv->ok()) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             csv->path().c_str());
-                parseFailed = true;
-                return false;
-            }
+            if (!csv->ok())
+                return reject("cannot write %s", csv->path().c_str());
         }
         if (opts.getFlag("list-stats")) {
             listStats();
@@ -241,84 +173,45 @@ class BenchMain
         }
         sampleInterval = opts.getCount("sample-interval");
         heatmap = opts.getFlag("heatmap");
-        if ((sampleInterval > 0 || heatmap) && !storeSocket.empty()) {
-            // Same replay argument as --ledger below: the store keeps
-            // exactly one record per run key.
-            std::fprintf(stderr,
-                         "error: --sample-interval/--heatmap cannot be "
-                         "combined with --store (observation rows are "
-                         "not stored)\n");
-            parseFailed = true;
-            return false;
-        }
-        if ((sampleInterval > 0 || heatmap) && !ledgerPath.empty()) {
-            // The ledger journals exactly one record per run key and
-            // resume replays it verbatim; side-channel timeseries/
+        if ((sampleInterval > 0 || heatmap) && !storePath.empty()) {
+            // The store keeps exactly one record per run key and a
+            // rerun replays it verbatim; side-channel timeseries/
             // heatmap rows would not survive a resume byte-identically.
-            std::fprintf(stderr,
-                         "error: --sample-interval/--heatmap cannot be "
-                         "combined with --ledger (observation rows are "
-                         "not journaled; a resumed sweep would drop "
-                         "them)\n");
-            parseFailed = true;
-            return false;
+            return reject("--sample-interval/--heatmap cannot be combined "
+                          "with --store (observation rows are not "
+                          "stored)");
         }
-        if (opts.wasSet("adaptive")) {
-            if (!parseSelectorKind(opts.getString("adaptive"),
-                                   adaptiveSelector) ||
-                adaptiveSelector == SelectorKind::Off) {
-                std::fprintf(stderr,
-                             "error: --adaptive expects static, "
-                             "threshold or bandit (got '%s')\n",
-                             opts.getString("adaptive").c_str());
-                parseFailed = true;
-                return false;
-            }
+        if (opts.wasSet("adaptive") &&
+            (!parseSelectorKind(opts.getString("adaptive"),
+                                adaptiveSelector) ||
+             adaptiveSelector == SelectorKind::Off)) {
+            return reject("--adaptive expects static, threshold or bandit "
+                          "(got '%s')",
+                          opts.getString("adaptive").c_str());
         }
         if ((opts.wasSet("adaptive-interval") ||
              opts.wasSet("adaptive-seed")) &&
             adaptiveSelector == SelectorKind::Off) {
-            std::fprintf(stderr,
-                         "error: --adaptive-interval/--adaptive-seed "
-                         "need --adaptive to pick a selector\n");
-            parseFailed = true;
-            return false;
+            return reject("--adaptive-interval/--adaptive-seed need "
+                          "--adaptive to pick a selector");
         }
         adaptiveInterval = opts.getCount("adaptive-interval");
         if (adaptiveInterval == 0) {
-            std::fprintf(stderr,
-                         "error: --adaptive-interval must be a positive "
-                         "instruction count (got 0)\n");
-            parseFailed = true;
-            return false;
+            return reject("--adaptive-interval must be a positive "
+                          "instruction count (got 0)");
         }
         adaptiveSeed = opts.getCount("adaptive-seed");
-        if (adaptiveSelector != SelectorKind::Off &&
-            !storeSocket.empty()) {
-            std::fprintf(stderr,
-                         "error: --adaptive cannot be combined with "
-                         "--store (choice-log rows are not stored)\n");
-            parseFailed = true;
-            return false;
-        }
-        if (adaptiveSelector != SelectorKind::Off && !ledgerPath.empty()) {
+        if (adaptiveSelector != SelectorKind::Off && !storePath.empty()) {
             // Same reason as --sample-interval: adaptive choice-log
-            // rows are side-channel records the ledger cannot replay.
-            std::fprintf(stderr,
-                         "error: --adaptive cannot be combined with "
-                         "--ledger (choice-log rows are not journaled; "
-                         "a resumed sweep would drop them)\n");
-            parseFailed = true;
-            return false;
+            // rows are side-channel records the store cannot replay.
+            return reject("--adaptive cannot be combined with --store "
+                          "(choice-log rows are not stored)");
         }
         progressInterval = opts.getDouble("progress-interval");
         if (progressInterval <= 0.0) {
-            std::fprintf(stderr,
-                         "error: --progress-interval must be positive "
-                         "seconds (got %g)\n",
-                         progressInterval);
-            parseFailed = true;
-            return false;
+            return reject("--progress-interval must be positive seconds "
+                          "(got %g)",
+                          progressInterval);
         }
         progress = opts.getFlag("progress");
         progressFile = opts.getString("progress-file");
@@ -498,11 +391,10 @@ class BenchMain
     bool parseFailed = false;
     std::unique_ptr<JsonlWriter> json;
     std::unique_ptr<CsvReportWriter> csv;
-    /** @name Fault-tolerance options (DESIGN.md §10, §15) @{ */
-    std::string ledgerPath;
-    /** Unix socket of a sweep_serve daemon (--store client mode). */
-    std::string storeSocket;
-    bool resume = false;
+    /** @name Persistence and fault options, bench_suite only
+     *  (DESIGN.md §10, §15) @{ */
+    /** Result store directory, or a sweep_serve daemon's socket. */
+    std::string storePath;
     unsigned retries = 3;
     double runTimeoutSeconds = 0.0;
     FaultInjector injector;
@@ -524,6 +416,49 @@ class BenchMain
     std::string benchName;
 
   private:
+    /** Read and check the options parse(persistence) registered. */
+    bool
+    parsePersistence(const OptionParser &opts)
+    {
+        storePath = opts.getString("store");
+        uint64_t retriesRaw = opts.getCount("retries");
+        if (retriesRaw < 1 || retriesRaw > kMaxRetries) {
+            return reject("--retries must be in [1, %llu] (got %llu)",
+                          static_cast<unsigned long long>(kMaxRetries),
+                          static_cast<unsigned long long>(retriesRaw));
+        }
+        retries = static_cast<unsigned>(retriesRaw);
+        runTimeoutSeconds = opts.getDouble("run-timeout");
+        if (runTimeoutSeconds < 0.0) {
+            return reject("--run-timeout must be non-negative seconds "
+                          "(got %g)",
+                          runTimeoutSeconds);
+        }
+        std::string error;
+        if (opts.wasSet("fault-inject")) {
+            if (!FaultInjector::parse(opts.getString("fault-inject"),
+                                      injector, &error))
+                return reject("--fault-inject: %s", error.c_str());
+        } else if (!FaultInjector::fromEnv(injector, &error)) {
+            return reject("%s: %s", kFaultInjectEnv, error.c_str());
+        }
+        return true;
+    }
+
+    /** Print "error: <message>" to stderr and fail the parse. */
+    __attribute__((format(printf, 2, 3))) bool
+    reject(const char *format, ...)
+    {
+        std::va_list args;
+        va_start(args, format);
+        std::fputs("error: ", stderr);
+        std::vfprintf(stderr, format, args);
+        std::fputc('\n', stderr);
+        va_end(args);
+        parseFailed = true;
+        return false;
+    }
+
     static bool
     wantedHelp(int argc, const char *const *argv)
     {

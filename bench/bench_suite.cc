@@ -9,22 +9,25 @@
  *
  *   ./build/bench/bench_suite --json out.json
  *   ./build/bench/bench_suite                 # writes BENCH_results.json
+ *   ./build/bench/bench_suite --store runs/   # resumable: rerun resumes
  *
  * The output is what `BENCH_*.json` trajectory tracking consumes: 130
  * records whose counters are bit-reproducible for a given budget and
  * seed, with only the `timing` member varying between machines.
  */
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <thread>
 #include <utility>
 
 #include "adaptive/oracle.hh"
 #include "bench_support.hh"
 #include "core/miss_classifier.hh"
-#include "fault/resilient_sweep.hh"
+#include "serve/result_store.hh"
 #include "serve/socket.hh"
 #include "util/logging.hh"
 #include "workload/workload.hh"
@@ -37,79 +40,106 @@ namespace {
 /** Small default so the full grid stays CI-friendly. */
 constexpr uint64_t kSuiteBudget = 500'000;
 
-/**
- * Fault-tolerant mode (--ledger [+ --resume]): the grid runs through
- * runResilientSweep — every completed run journaled, failing runs
- * quarantined, resumable after a crash. Records deliberately omit the
- * timing member (the lone nondeterministic part), so an interrupted +
- * resumed sweep's JSONL output is byte-identical to a clean one.
- */
-int
-runLedgered(const std::vector<RunSpec> &specs,
-            const std::vector<Classification> &classifications,
-            size_t perProfile)
+/** The command that reruns the grid against the same store. */
+std::string
+rerunCommand()
 {
-    ResilientSweepOptions options;
-    options.ledgerPath = benchMain().ledgerPath;
-    options.resume = benchMain().resume;
-    options.maxAttempts = benchMain().retries;
-    options.runTimeoutSeconds = benchMain().runTimeoutSeconds;
-    options.parallelism = benchMain().parallelism;
-    if (!benchMain().injector.empty())
-        options.injector = &benchMain().injector;
-    options.makeRecord = [&](size_t index, const SimResults &results) {
-        return makeRunRecord(results, specs[index].config, nullptr,
-                             &classifications[index / perProfile]);
-    };
-    std::string rerun = "bench_suite --ledger=" + options.ledgerPath +
-        " --resume --budget=" + std::to_string(benchMain().budget);
-    options.rerunCommand = [rerun](size_t) { return rerun; };
+    return "bench_suite --store=" + benchMain().storePath +
+           " --budget=" + std::to_string(benchMain().budget);
+}
 
-    benchMain().beginProgress(specs.size());
-    ResilientSweepResult sweep = runResilientSweep(specs, options);
-    benchMain().endProgress();
-
-    for (size_t i = 0; i < specs.size(); ++i) {
-        if (sweep.completed[i])
-            benchMain().emit(sweep.records[i]);
+/**
+ * Emit a --store grid: the run records in grid order (JSON null = no
+ * record), then a trailing manifest naming what ran and what failed.
+ * Both are free of timing and resumed-run counts, so a clean sweep, a
+ * resumed one and a daemon-served one write identical bytes.
+ */
+void
+emitGrid(const std::vector<RunSpec> &specs,
+         const std::vector<JsonValue> &records,
+         const std::vector<SweepFailure> &failures)
+{
+    for (const JsonValue &record : records) {
+        if (!record.isNull())
+            benchMain().emit(record);
     }
-
-    // Trailing manifest record: what ran and what was quarantined.
-    // Deliberately free of timing and resumed-run counts so a clean
-    // and a resumed sweep write identical bytes.
-    JsonValue manifest = JsonValue::object();
-    manifest.set("schema_version", JsonValue::integer(kReportSchemaVersion));
-    manifest.set("record", JsonValue::string("sweep_manifest"));
-    manifest.set("runs", JsonValue::integer(specs.size()));
-    manifest.set("completed",
-                 JsonValue::integer(specs.size() - sweep.failures.size()));
-    JsonValue failures = JsonValue::array();
-    for (const SweepFailure &failure : sweep.failures) {
+    JsonValue entries = JsonValue::array();
+    for (const SweepFailure &failure : failures) {
         JsonValue entry = JsonValue::object();
         entry.set("index", JsonValue::integer(failure.index));
         entry.set("benchmark", JsonValue::string(failure.benchmark));
         entry.set("config", JsonValue::string(failure.config));
         entry.set("cause", JsonValue::string(failure.cause));
         entry.set("attempts", JsonValue::integer(failure.attempts));
-        entry.set("rerun", JsonValue::string(failure.rerunCommand));
-        failures.push(entry);
+        entry.set("rerun", JsonValue::string(rerunCommand()));
+        entries.push(entry);
     }
-    manifest.set("failures", failures);
+    JsonValue manifest = JsonValue::object();
+    manifest.set("schema_version", JsonValue::integer(kReportSchemaVersion));
+    manifest.set("record", JsonValue::string("sweep_manifest"));
+    manifest.set("runs", JsonValue::integer(specs.size()));
+    manifest.set("completed",
+                 JsonValue::integer(specs.size() - failures.size()));
+    manifest.set("failures", entries);
     benchMain().emit(manifest);
+}
 
+/**
+ * Store-directory mode (--store DIR): the grid runs in-process against
+ * a ResultStore. Stored runs are emitted as stored; the rest run behind
+ * the guard (--retries, --run-timeout, --fault-inject) and are put the
+ * moment they complete, so a killed sweep rerun with the same command
+ * picks up where it died and writes the same bytes.
+ */
+int
+runStoreDir(const std::vector<RunSpec> &specs,
+            const std::vector<Classification> &classifications,
+            size_t perProfile)
+{
+    BenchMain &bm = benchMain();
+    const FaultInjector *injector =
+        bm.injector.empty() ? nullptr : &bm.injector;
+    ResultStore::Options storeOptions;
+    storeOptions.dir = bm.storePath;
+    storeOptions.injector = injector;
+    ResultStore store;
+    std::string error;
+    if (!store.open(storeOptions, &error)) {
+        std::fprintf(stderr, "bench_suite: --store: %s\n", error.c_str());
+        return 1;
+    }
+
+    SweepOptions options;
+    options.parallelism = bm.parallelism;
+    SweepGuard &guard = options.guard.emplace();
+    guard.maxAttempts = bm.retries;
+    guard.runTimeoutSeconds = bm.runTimeoutSeconds;
+    guard.injector = injector;
+    bm.beginProgress(specs.size());
+    StoreSweepResult sweep = runStoreSweep(
+        store, specs, options,
+        [&](size_t index, const SimResults &results) {
+            return makeRunRecord(results, specs[index].config, nullptr,
+                                 &classifications[index / perProfile]);
+        });
+    bm.endProgress();
+
+    emitGrid(specs, sweep.records, sweep.failures);
     std::printf("\n%zu runs (%zu resumed from %s, %zu executed), "
                 "%zu quarantined; %zu records -> %s\n",
-                specs.size(), sweep.resumedRuns,
-                options.ledgerPath.c_str(), sweep.executedRuns,
-                sweep.failures.size(),
-                benchMain().json->recordsWritten(),
-                benchMain().json->path().c_str());
+                specs.size(), sweep.resumedRuns, bm.storePath.c_str(),
+                sweep.executedRuns, sweep.failures.size(),
+                bm.json->recordsWritten(), bm.json->path().c_str());
     for (const SweepFailure &failure : sweep.failures) {
         std::printf("  quarantined run %zu (%s): %s after %u attempts\n"
                     "    rerun: %s\n",
                     failure.index, failure.benchmark.c_str(),
                     failure.cause.c_str(), failure.attempts,
-                    failure.rerunCommand.c_str());
+                    rerunCommand().c_str());
+    }
+    if (!store.close(&error)) {
+        std::fprintf(stderr, "bench_suite: --store: %s\n", error.c_str());
+        return 1;
     }
     // Quarantine is the success path of fault tolerance: the sweep
     // finished and said exactly what it could not do.
@@ -117,49 +147,39 @@ runLedgered(const std::vector<RunSpec> &specs,
 }
 
 /**
- * Service-client mode (--store <socket>): the grid is submitted to a
+ * Service-client mode (--store SOCKET): the grid is submitted to a
  * running sweep_serve daemon instead of simulating locally. Responses
  * come back in request order; every `ok` response's run record is
  * emitted verbatim, so — because the daemon builds records exactly
- * like runLedgered (no timing) — the JSONL output of a fully
- * successful pass is byte-identical to a clean `--ledger` run of the
- * same grid, whether the daemon simulated the runs or served them
+ * like runStoreDir (no timing) — the JSONL output of a fully
+ * successful pass is byte-identical to a clean store-directory run of
+ * the same grid, whether the daemon simulated the runs or served them
  * from its store.
  */
 int
 runStoreClient(const std::vector<RunSpec> &specs)
 {
-    const std::string &socketPath = benchMain().storeSocket;
+    const std::string &socketPath = benchMain().storePath;
 
     // Run records indexed by spec so the final emission is in grid
     // order no matter how many submission rounds it took.
     std::vector<JsonValue> runs(specs.size());
-    std::vector<bool> haveRun(specs.size(), false);
-    std::map<size_t, JsonValue> failuresByIndex;
+    std::vector<SweepFailure> failures;
     size_t cachedRuns = 0;
 
     auto recordFailure = [&](size_t index, const JsonValue *detail) {
-        JsonValue entry = JsonValue::object();
-        entry.set("index", JsonValue::integer(index));
-        entry.set("benchmark",
-                  JsonValue::string(specs[index].benchmark));
-        entry.set("config",
-                  JsonValue::string(specs[index].config.describe()));
-        std::string cause = "service error";
-        uint64_t attempts = 0;
+        SweepFailure failure;
+        failure.index = index;
+        failure.benchmark = specs[index].benchmark;
+        failure.config = specs[index].config.describe();
+        failure.cause = "service error";
         if (detail) {
             if (const JsonValue *message = detail->find("message"))
-                cause = message->asString();
+                failure.cause = message->asString();
             if (const JsonValue *tried = detail->find("attempts"))
-                attempts = tried->asUint();
+                failure.attempts = static_cast<unsigned>(tried->asUint());
         }
-        entry.set("cause", JsonValue::string(cause));
-        entry.set("attempts", JsonValue::integer(attempts));
-        entry.set("rerun",
-                  JsonValue::string("bench_suite --store=" + socketPath +
-                                    " --budget=" +
-                                    std::to_string(benchMain().budget)));
-        failuresByIndex[index] = std::move(entry);
+        failures.push_back(std::move(failure));
     };
 
     // Backpressure is an answer, not a failure: `overloaded` and
@@ -220,7 +240,6 @@ runStoreClient(const std::vector<RunSpec> &specs)
                 const JsonValue *run = response.find("run");
                 panic_if(!run, "ok response without a run record");
                 runs[index] = *run;
-                haveRun[index] = true;
                 const JsonValue *cached = response.find("cached");
                 if (cached && cached->asBool())
                     ++cachedRuns;
@@ -255,30 +274,18 @@ runStoreClient(const std::vector<RunSpec> &specs)
         }
     }
 
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (haveRun[i])
-            benchMain().emit(runs[i]);
-
-    JsonValue failures = JsonValue::array();
-    for (auto &entry : failuresByIndex)
-        failures.push(std::move(entry.second));
-    size_t failureCount = failures.size();
-    JsonValue manifest = JsonValue::object();
-    manifest.set("schema_version",
-                 JsonValue::integer(kReportSchemaVersion));
-    manifest.set("record", JsonValue::string("sweep_manifest"));
-    manifest.set("runs", JsonValue::integer(specs.size()));
-    manifest.set("completed",
-                 JsonValue::integer(specs.size() - failureCount));
-    manifest.set("failures", failures);
-    benchMain().emit(manifest);
+    std::sort(failures.begin(), failures.end(),
+              [](const SweepFailure &a, const SweepFailure &b) {
+                  return a.index < b.index;
+              });
+    emitGrid(specs, runs, failures);
 
     std::printf("\n%zu runs via %s (%zu served from the store, "
                 "%zu failed); %zu records -> %s\n",
                 specs.size(), socketPath.c_str(), cachedRuns,
-                failureCount, benchMain().json->recordsWritten(),
+                failures.size(), benchMain().json->recordsWritten(),
                 benchMain().json->path().c_str());
-    // Like quarantine in runLedgered, a failed run is a reported
+    // Like quarantine in runStoreDir, a failed run is a reported
     // outcome, not a client crash.
     return 0;
 }
@@ -409,7 +416,7 @@ main(int argc, char **argv)
 {
     if (!benchMain().parse(argc, argv, "bench_suite",
                            "full policy/prefetch grid with JSONL export",
-                           kSuiteBudget)) {
+                           kSuiteBudget, /*persistence=*/true)) {
         return parseExitCode();
     }
     if (!benchMain().json && !benchMain().openJson("BENCH_results.json"))
@@ -447,14 +454,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (!benchMain().ledgerPath.empty()) {
-        return runLedgered(specs, classifications,
-                           allPolicies().size() * 2);
+    const std::string &store = benchMain().storePath;
+    if (!store.empty()) {
+        // A socket is a sweep_serve daemon; anything else a directory.
+        struct stat info;
+        if (stat(store.c_str(), &info) == 0 && S_ISSOCK(info.st_mode))
+            return runStoreClient(specs);
+        return runStoreDir(specs, classifications, allPolicies().size() * 2);
     }
-    if (!benchMain().storeSocket.empty())
-        return runStoreClient(specs);
     if (!benchMain().injector.empty()) {
-        warn("fault injection is active but no --ledger was given; "
+        warn("fault injection is active but no --store was given; "
              "directives are ignored in the unguarded path");
     }
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -144,15 +145,13 @@ prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
  * Paranoid sweeps cross-validate the whole fast path: every run is
  * repeated serially *through the live executor* (never a replay) and
  * must be bit-identical. Any divergence is either cross-thread state
- * leakage or a snapshot record/replay defect. Quarantined runs (when
- * @p completed is non-null) are excluded — they have no result to
- * validate.
+ * leakage or a snapshot record/replay defect. Quarantined runs are
+ * excluded — they have no result to validate.
  */
 void
 paranoidCrossValidate(const std::vector<RunSpec> &specs,
-                      const std::vector<SimResults> &results,
-                      const SweepShared &shared,
-                      const std::vector<uint8_t> *completed)
+                      const SweepOutcome &outcome,
+                      const SweepShared &shared)
 {
     bool paranoid =
         std::any_of(specs.begin(), specs.end(), [](const RunSpec &s) {
@@ -164,9 +163,9 @@ paranoidCrossValidate(const std::vector<RunSpec> &specs,
     std::vector<SimResults> checkedResults;
     std::vector<SimResults> serial;
     for (size_t i = 0; i < specs.size(); ++i) {
-        if (completed && !(*completed)[i])
+        if (!outcome.completed[i])
             continue;
-        checkedResults.push_back(results[i]);
+        checkedResults.push_back(outcome.results[i]);
         serial.push_back(runSimulation(
             *shared.workloads.at(specs[i].benchmark), specs[i].config));
     }
@@ -197,7 +196,20 @@ resolveWorkers(unsigned parallelism)
         : std::max(1u, std::thread::hardware_concurrency());
 }
 
-/** Outcome of one guarded run. */
+/** One run: replays @p snapshot and fills @p obs when given. */
+SimResults
+simulate(const Workload &workload, const SimConfig &config,
+         const TraceSnapshot *snapshot, RunObservations *obs)
+{
+    if (obs) {
+        return snapshot ? runSimulation(workload, config, *snapshot, *obs)
+                        : runSimulation(workload, config, *obs);
+    }
+    return snapshot ? runSimulation(workload, config, *snapshot)
+                    : runSimulation(workload, config);
+}
+
+/** Outcome of one run. */
 struct GuardedRun
 {
     bool ok = false;
@@ -212,8 +224,8 @@ struct GuardedRun
  */
 GuardedRun
 runOneGuarded(const Workload &workload, const RunSpec &spec,
-              const TraceSnapshot *snapshot, const SweepGuard &guard,
-              size_t index)
+              const TraceSnapshot *snapshot, RunObservations *obs,
+              const SweepGuard &guard, size_t index)
 {
     GuardedRun out;
     unsigned attempts = std::max(1u, guard.maxAttempts);
@@ -258,6 +270,7 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
             }
 
             ScopedThrowOnError boundary;
+            std::optional<Watchdog> watchdog;
             if (guard.runTimeoutSeconds > 0.0 || expireNow) {
                 // Generous runaway tripwire: well past anything a
                 // budget-respecting run can retire.
@@ -265,16 +278,10 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
                                     spec.config.instructionBudget) *
                         2 +
                     1'000'000;
-                Watchdog watchdog(guard.runTimeoutSeconds, ceiling,
-                                  expireNow);
-                out.results = snap
-                    ? runSimulation(workload, spec.config, *snap)
-                    : runSimulation(workload, spec.config);
-            } else {
-                out.results = snap
-                    ? runSimulation(workload, spec.config, *snap)
-                    : runSimulation(workload, spec.config);
+                watchdog.emplace(guard.runTimeoutSeconds, ceiling,
+                                 expireNow);
             }
+            out.results = simulate(workload, spec.config, snap, obs);
             out.ok = true;
             return out;
         } catch (const std::exception &e) {
@@ -288,72 +295,22 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
 
 } // namespace
 
-std::vector<SimResults>
-runSweep(const std::vector<RunSpec> &specs, unsigned parallelism,
-         SweepTiming *timing, std::vector<RunObservations> *observations)
+SweepOutcome
+runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
 {
     SweepClock::time_point sweepStart = SweepClock::now();
+    SweepTiming *timing = options.timing;
     if (timing) {
         *timing = SweepTiming{};
         timing->perRunSeconds.assign(specs.size(), 0.0);
     }
+    std::vector<RunObservations> *observations = options.observations;
     if (observations) {
         observations->clear();
         observations->resize(specs.size());
     }
 
-    unsigned workers = resolveWorkers(parallelism);
-    SweepShared shared = prepareShared(specs, workers, timing, sweepStart);
-
-    std::vector<SimResults> results(specs.size());
-
-    SweepClock::time_point runStart = SweepClock::now();
-    // SPECFETCH-ALLOW(error-boundary): the plain sweep aborts on panic by contract; use runSweepGuarded to quarantine
-    parallelFor(specs.size(), workers, [&](size_t index) {
-        const RunSpec &spec = specs[index];
-        const Workload &workload = *shared.workloads.at(spec.benchmark);
-        TraceSpan span("simulate", "run", runSpanDetail(spec));
-        SweepClock::time_point start = SweepClock::now();
-        auto snap = shared.snapshots.find(
-            StreamKey{spec.benchmark, spec.config.runSeed});
-        // Each index is claimed by exactly one worker, so the per-run
-        // slots (results, timing, observations) need no
-        // synchronization.
-        if (observations) {
-            RunObservations &obs = (*observations)[index];
-            results[index] = snap != shared.snapshots.end()
-                ? runSimulation(workload, spec.config, *snap->second, obs)
-                : runSimulation(workload, spec.config, obs);
-        } else {
-            results[index] = snap != shared.snapshots.end()
-                ? runSimulation(workload, spec.config, *snap->second)
-                : runSimulation(workload, spec.config);
-        }
-        if (timing)
-            timing->perRunSeconds[index] = secondsSince(start);
-        ProgressReporter::global().runCompleted();
-    });
-
-    if (timing) {
-        timing->runSeconds = secondsSince(runStart);
-        timing->totalSeconds = secondsSince(sweepStart);
-    }
-
-    paranoidCrossValidate(specs, results, shared, nullptr);
-    return results;
-}
-
-SweepOutcome
-runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
-                unsigned parallelism, SweepTiming *timing)
-{
-    SweepClock::time_point sweepStart = SweepClock::now();
-    if (timing) {
-        *timing = SweepTiming{};
-        timing->perRunSeconds.assign(specs.size(), 0.0);
-    }
-
-    unsigned workers = resolveWorkers(parallelism);
+    unsigned workers = resolveWorkers(options.parallelism);
     SweepShared shared = prepareShared(specs, workers, timing, sweepStart);
 
     SweepOutcome outcome;
@@ -362,26 +319,37 @@ runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
     std::mutex failuresMutex;
 
     SweepClock::time_point runStart = SweepClock::now();
-    // SPECFETCH-ALLOW(error-boundary): lookups cannot fail after prepareShared validated every spec; runs go through runOneGuarded
+    // SPECFETCH-ALLOW(error-boundary): an unguarded sweep aborts on panic by contract; a guarded one runs every spec through runOneGuarded
     parallelFor(specs.size(), workers, [&](size_t index) {
         const RunSpec &spec = specs[index];
         const Workload &workload = *shared.workloads.at(spec.benchmark);
-        SweepClock::time_point start = SweepClock::now();
         auto snap = shared.snapshots.find(
             StreamKey{spec.benchmark, spec.config.runSeed});
         const TraceSnapshot *snapshot =
             snap != shared.snapshots.end() ? snap->second.get() : nullptr;
-
-        GuardedRun run =
-            runOneGuarded(workload, spec, snapshot, guard, index);
+        // Each index is claimed by exactly one worker, so the per-run
+        // slots (results, timing, observations) need no
+        // synchronization.
+        RunObservations *obs =
+            observations ? &(*observations)[index] : nullptr;
+        SweepClock::time_point start = SweepClock::now();
+        GuardedRun run;
+        if (options.guard) {
+            run = runOneGuarded(workload, spec, snapshot, obs,
+                                *options.guard, index);
+        } else {
+            TraceSpan span("simulate", "run", runSpanDetail(spec));
+            run.results = simulate(workload, spec.config, snapshot, obs);
+            run.ok = true;
+        }
         if (timing)
             timing->perRunSeconds[index] = secondsSince(start);
 
         if (run.ok) {
             outcome.results[index] = std::move(run.results);
             outcome.completed[index] = 1;
-            if (guard.onRunComplete)
-                guard.onRunComplete(index, outcome.results[index]);
+            if (options.onRunComplete)
+                options.onRunComplete(index, outcome.results[index]);
             ProgressReporter::global().runCompleted();
             return;
         }
@@ -392,7 +360,7 @@ runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
         failure.benchmark = spec.benchmark;
         failure.config = spec.config.describe();
         failure.cause = run.cause;
-        failure.attempts = std::max(1u, guard.maxAttempts);
+        failure.attempts = std::max(1u, options.guard->maxAttempts);
         std::lock_guard<std::mutex> lock(failuresMutex);
         outcome.failures.push_back(std::move(failure));
     });
@@ -408,8 +376,7 @@ runSweepGuarded(const std::vector<RunSpec> &specs, const SweepGuard &guard,
                   return a.index < b.index;
               });
 
-    paranoidCrossValidate(specs, outcome.results, shared,
-                          &outcome.completed);
+    paranoidCrossValidate(specs, outcome, shared);
     return outcome;
 }
 

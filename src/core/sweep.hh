@@ -9,6 +9,7 @@
 #define SPECFETCH_CORE_SWEEP_HH_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,34 +56,9 @@ struct SweepTiming
 constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
 
 /**
- * Execute every spec and return results in the same order.
- *
- * Shared work is hoisted out of the per-spec runs: each benchmark's
- * workload is built (or fetched from the process-wide store) once,
- * and each distinct (benchmark, run seed) correct-path stream that
- * more than one spec consumes is recorded once into a TraceSnapshot
- * and replayed by all of them — the identical stream, so results are
- * bit-identical to live execution at any parallelism.
- *
- * @param specs        Requests.
- * @param parallelism  Worker threads; 0 = hardware concurrency.
- * @param timing       When non-null, filled with per-stage and
- *                     per-spec wall-clock times.
- * @param observations When non-null, resized to specs.size() and
- *                     filled with each run's armed-collector output
- *                     (src/obs), in submission order — identical at
- *                     any parallelism.
- */
-std::vector<SimResults>
-runSweep(const std::vector<RunSpec> &specs, unsigned parallelism = 0,
-         SweepTiming *timing = nullptr,
-         std::vector<RunObservations> *observations = nullptr);
-
-/**
  * One quarantined run: the sweep completed without it after
- * exhausting its retry budget. Enough context to reproduce the
- * failure standalone is carried along (the bench layer fills in
- * rerunCommand with an exact command line).
+ * exhausting its retry budget, with enough context to reproduce the
+ * failure standalone.
  */
 struct SweepFailure
 {
@@ -95,16 +71,9 @@ struct SweepFailure
     std::string cause;
     /** Attempts consumed (== the guard's maxAttempts). */
     unsigned attempts = 0;
-    /** Exact command to reproduce the run standalone. */
-    std::string rerunCommand;
 };
 
-/**
- * Per-run fault-tolerance policy for runSweepGuarded. The zero-cost
- * default (maxAttempts 1, no timeout, no injector) degenerates to
- * plain runSweep behaviour except that a failing run is quarantined
- * instead of killing the process.
- */
+/** Per-run fault-tolerance policy (SweepOptions::guard). */
 struct SweepGuard
 {
     /** Attempts per run before quarantine (>= 1). */
@@ -115,17 +84,45 @@ struct SweepGuard
     double runTimeoutSeconds = 0.0;
     /** Borrowed; may be null. Forces faults at chosen run indices. */
     const FaultInjector *injector = nullptr;
+};
+
+/** How runSweep executes a grid. Every member is optional. */
+struct SweepOptions
+{
+    /** Worker threads; 0 = hardware concurrency. */
+    unsigned parallelism = 0;
+    /**
+     * Unset: each run executes bare, and a panic in any run aborts
+     * the process. Set: each run executes behind an exception
+     * boundary (panic/fatal throw instead of killing the process), an
+     * optional cooperative watchdog, and a retry loop with
+     * exponential backoff. The first attempt may replay the shared
+     * correct-path snapshot (after verifying its content digest);
+     * every retry degrades to the live executor. A run that exhausts
+     * maxAttempts is quarantined into SweepOutcome::failures and the
+     * sweep carries on. Completed runs are bit-identical either way.
+     */
+    std::optional<SweepGuard> guard;
+    /** When non-null, filled with per-stage and per-spec wall-clock
+     *  times. */
+    SweepTiming *timing = nullptr;
+    /**
+     * When non-null, resized to specs.size() and filled with each
+     * run's armed-collector output (src/obs), in submission order —
+     * identical at any parallelism.
+     */
+    std::vector<RunObservations> *observations = nullptr;
     /**
      * Invoked — possibly from a sweep worker thread, never twice for
-     * one index — the moment a run completes. The fault-tolerant
-     * bench layer journals the run's record to the write-ahead ledger
-     * here, so a crash an instant later loses nothing.
+     * one index — the moment a run completes. The store-backed grid
+     * persists the run's record here, so a crash an instant later
+     * loses nothing.
      */
     std::function<void(size_t index, const SimResults &results)>
         onRunComplete;
 };
 
-/** What a guarded sweep produced: results plus the failure ledger. */
+/** What a sweep produced: results plus the quarantined runs. */
 struct SweepOutcome
 {
     /** Indexed like specs; quarantined slots hold default results. */
@@ -139,22 +136,30 @@ struct SweepOutcome
 };
 
 /**
- * Fault-tolerant variant of runSweep: each run executes behind an
- * exception boundary (panic/fatal throw instead of killing the
- * process), an optional cooperative watchdog, and a retry loop with
- * exponential backoff. The first attempt may replay the shared
- * correct-path snapshot (after verifying its content digest); every
- * retry degrades to the live executor. A run that exhausts
- * guard.maxAttempts is quarantined into the outcome's failures array
- * and the sweep carries on.
+ * Execute every spec and return results in the same order.
  *
- * Completed runs are bit-identical to an unguarded sweep's — the
- * guard only adds recovery, never perturbs simulation state.
+ * Shared work is hoisted out of the per-spec runs: each benchmark's
+ * workload is built (or fetched from the process-wide store) once,
+ * and each distinct (benchmark, run seed) correct-path stream that
+ * more than one spec consumes is recorded once into a TraceSnapshot
+ * and replayed by all of them — the identical stream, so results are
+ * bit-identical to live execution at any parallelism.
  */
-SweepOutcome runSweepGuarded(const std::vector<RunSpec> &specs,
-                             const SweepGuard &guard,
-                             unsigned parallelism = 0,
-                             SweepTiming *timing = nullptr);
+SweepOutcome runSweep(const std::vector<RunSpec> &specs,
+                      const SweepOptions &options);
+
+/** Unguarded runSweep: results only, a failing run aborts. */
+inline std::vector<SimResults>
+runSweep(const std::vector<RunSpec> &specs, unsigned parallelism = 0,
+         SweepTiming *timing = nullptr,
+         std::vector<RunObservations> *observations = nullptr)
+{
+    SweepOptions options;
+    options.parallelism = parallelism;
+    options.timing = timing;
+    options.observations = observations;
+    return runSweep(specs, options).results;
+}
 
 /**
  * Convenience grid: every listed benchmark under every policy with

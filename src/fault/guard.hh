@@ -1,10 +1,9 @@
 /**
  * @file
- * Per-run execution guards for the fault-tolerant sweep: a
- * cooperative RAII watchdog (wall-clock deadline + hard instruction
- * ceiling) that the fetch engine polls on a coarse cadence, the typed
- * errors the guard boundary distinguishes, and the retry/backoff
- * arithmetic.
+ * Per-run execution guards for the guarded sweep: a cooperative RAII
+ * watchdog (wall-clock deadline + hard instruction ceiling) that the
+ * fetch engine polls on a coarse cadence, the typed errors the guard
+ * boundary distinguishes, and the retry/backoff arithmetic.
  *
  * The watchdog is cooperative by design: runs execute on sweep worker
  * threads, and POSIX offers no safe way to preempt a thread mid-run,
@@ -12,8 +11,8 @@
  * instructions (a steady_clock read per poll — noise against the
  * hundreds of microseconds the instructions themselves cost). A run
  * that blows its deadline or its instruction ceiling unwinds with
- * RunTimeout to the per-run guard in runSweepGuarded, which retries
- * or quarantines it. When no watchdog is armed the engine's fast path
+ * RunTimeout to runSweep's per-run guard (SweepOptions::guard), which
+ * retries or quarantines it. When no watchdog is armed the engine's fast path
  * is untouched (one branch per outer loop iteration).
  */
 

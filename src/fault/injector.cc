@@ -21,7 +21,7 @@ kindFromName(const std::string &name, FaultKind &out)
     } else if (name == "crash") {
         out = FaultKind::Crash;
     } else if (name == "tear") {
-        out = FaultKind::TearLedger;
+        out = FaultKind::Tear;
     } else if (name == "shortwrite") {
         out = FaultKind::ShortWrite;
     } else if (name == "enospc") {
@@ -50,7 +50,7 @@ toString(FaultKind kind)
       case FaultKind::Timeout:         return "timeout";
       case FaultKind::CorruptSnapshot: return "corrupt";
       case FaultKind::Crash:           return "crash";
-      case FaultKind::TearLedger:      return "tear";
+      case FaultKind::Tear:            return "tear";
       case FaultKind::ShortWrite:      return "shortwrite";
       case FaultKind::Enospc:          return "enospc";
     }

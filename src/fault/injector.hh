@@ -1,9 +1,9 @@
 /**
  * @file
- * Deterministic fault injection for the fault-tolerant sweep
- * (DESIGN.md §10). Every recovery path — retry, live-executor
- * fallback, quarantine, ledger replay — is exercised by *forcing* the
- * corresponding fault at a chosen run index, so the failure domain is
+ * Deterministic fault injection for the guarded sweep and the result
+ * store (DESIGN.md §10). Every recovery path — retry, live-executor
+ * fallback, quarantine, store recovery — is exercised by *forcing* the
+ * corresponding fault at a chosen ordinal, so the failure domain is
  * tested in CI rather than trusted on faith.
  *
  * A spec is a comma-separated list of directives:
@@ -13,18 +13,21 @@
  *   throw@5x*        ... on every attempt (the run is quarantined)
  *   timeout@2        run 2's watchdog expires immediately on attempt 1
  *   corrupt@7        run 7's snapshot is bit-flipped before attempt 1
- *   crash@9          the process _Exit()s right after run 9 is journaled
- *   tear@9           like crash@9, but the ledger line is half-written
- *   shortwrite@4     append 4 persists only a prefix of its line, then
+ *   crash@9          the process _Exit()s right after store put 9 is
+ *                    durable, before it is acknowledged
+ *   tear@9           put 9 persists only half its frame, then the
+ *                    process _Exit()s
+ *   shortwrite@4     put 4 persists only a prefix of its frame, then
  *                    the write fails (torn frame, process survives)
- *   enospc@4         append 4 fails before writing a byte (disk full)
+ *   enospc@4         put 4 fails before writing a byte (disk full)
  *   flaky=1/8:99     seeded pseudo-random throws: attempt 1 of run r
  *                    fails iff hash64(seed=99, r) mod 8 < 1
  *
  * Run indices refer to submission order within the sweep actually
- * executed (after any --resume pruning). Directives are pure functions
- * of (kind, index, attempt): no internal state mutates while firing,
- * so concurrent sweep workers can consult one shared injector.
+ * executed (store hits are not executed); put ordinals count the
+ * store's append attempts since it was opened. Directives are pure
+ * functions of (kind, index, attempt): no internal state mutates while
+ * firing, so concurrent sweep workers can consult one shared injector.
  *
  * Activation: pass a spec via --fault-inject, or set the
  * SPECFETCH_FAULT_INJECT environment variable (CI uses the latter so
@@ -46,13 +49,16 @@ enum class FaultKind : uint8_t
     Throw,           ///< per-run guard boundary: an exception mid-run
     Timeout,         ///< watchdog wall-clock expiry
     CorruptSnapshot, ///< bit-flip the run's replay snapshot
-    Crash,           ///< hard process death after journaling a run
-    TearLedger,      ///< crash with a half-written ledger line
+    Crash,           ///< hard process death after a durable put
+    Tear,            ///< crash with a half-written store frame
     ShortWrite,      ///< persist only a prefix of an append, then fail
     Enospc,          ///< fail an append before writing anything
 };
 
 const char *toString(FaultKind kind);
+
+/** Exit code of an injected crash/tear (mirrors SIGKILL's 128+9). */
+constexpr int kCrashExitCode = 137;
 
 /** Environment variable consulted by fromEnv(). */
 constexpr const char *kFaultInjectEnv = "SPECFETCH_FAULT_INJECT";

@@ -62,16 +62,16 @@ void
 ProgressReporter::emitLocked(bool final)
 {
     uint64_t done = completed.load(std::memory_order_relaxed);
-    uint64_t fromLedger = resumed.load(std::memory_order_relaxed);
+    uint64_t fromStore = resumed.load(std::memory_order_relaxed);
     uint64_t retries = retried.load(std::memory_order_relaxed);
     uint64_t bad = quarantined.load(std::memory_order_relaxed);
     double elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - started).count();
-    // ETA extrapolates from throughput so far; ledger-resumed runs are
+    // ETA extrapolates from throughput so far; store-resumed runs are
     // nearly free, so exclude them from the rate estimate when any
     // simulated run has finished.
     double eta = 0.0;
-    uint64_t simulated = done - fromLedger;
+    uint64_t simulated = done - fromStore;
     uint64_t remaining = total > done ? total - done : 0;
     if (remaining > 0 && simulated > 0) {
         eta = elapsed / static_cast<double>(simulated)
@@ -85,7 +85,7 @@ ProgressReporter::emitLocked(bool final)
                      sweepLabel.c_str(),
                      static_cast<unsigned long long>(done),
                      static_cast<unsigned long long>(total),
-                     static_cast<unsigned long long>(fromLedger),
+                     static_cast<unsigned long long>(fromStore),
                      static_cast<unsigned long long>(retries),
                      static_cast<unsigned long long>(bad), elapsed,
                      final ? " done\n"
@@ -98,7 +98,7 @@ ProgressReporter::emitLocked(bool final)
             .set("sweep", JsonValue::string(sweepLabel))
             .set("completed", JsonValue::integer(done))
             .set("total", JsonValue::integer(total))
-            .set("resumed", JsonValue::integer(fromLedger))
+            .set("resumed", JsonValue::integer(fromStore))
             .set("retried", JsonValue::integer(retries))
             .set("quarantined", JsonValue::integer(bad))
             .set("elapsed_seconds", JsonValue::number(elapsed))

@@ -2,10 +2,10 @@
  * @file
  * Sweep progress heartbeat (DESIGN.md §11).
  *
- * A 130-run resilient sweep can spend minutes between its first line
+ * A 130-run sweep can spend minutes between its first line
  * of output and BENCH_results.json. ProgressReporter makes that window
  * observable: worker threads bump atomic counters (completed,
- * resumed-from-ledger, retried, quarantined) and a heartbeat thread
+ * resumed-from-store, retried, quarantined) and a heartbeat thread
  * periodically renders them — a human line on stderr and/or a
  * schema-v1 `progress` JSONL row to a file — with an ETA extrapolated
  * from throughput so far.
@@ -74,7 +74,7 @@ class ProgressReporter
             completed.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** A run satisfied from the resume ledger without simulating. */
+    /** A run satisfied from the result store without simulating. */
     void
     runResumed()
     {

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 
-#include "fault/resilient_sweep.hh"
 #include "report/record.hh"
+#include "util/checksum.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 #include "workload/registry.hh"
 
 namespace specfetch {
@@ -21,6 +22,14 @@ reject(ServiceError &error, ServiceErrorType type,
 }
 
 } // namespace
+
+std::string
+sweepRunKey(const RunSpec &spec)
+{
+    // The manifest serialization is byte-deterministic (report/json),
+    // so the digest is stable across processes and machines.
+    return spec.benchmark + ":" + hexString(hash64(toJson(spec.config).dump()));
+}
 
 bool
 parseServiceRequest(const std::string &line, ServiceRequest &out,

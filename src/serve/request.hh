@@ -14,10 +14,19 @@
 #include <string>
 
 #include "core/config.hh"
+#include "core/sweep.hh"
 #include "report/json.hh"
 #include "report/serve_record.hh"
 
 namespace specfetch {
+
+/**
+ * Content-addressed identity of one run: benchmark name plus a hash
+ * of the serialized configuration manifest. Stable across processes
+ * and machines; two specs collide only if they would produce the
+ * same results anyway. Keys the result store.
+ */
+std::string sweepRunKey(const RunSpec &spec);
 
 /** One validated, canonicalized request. */
 struct ServiceRequest

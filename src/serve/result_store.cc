@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,13 +15,49 @@
 #include <vector>
 
 #include "fault/injector.hh"
-#include "fault/ledger.hh"
-#include "fault/resilient_sweep.hh"
 #include "metrics/metrics.hh"
+#include "obs/progress.hh"
+#include "obs/trace_event.hh"
 #include "report/record.hh"
+#include "serve/request.hh"
+#include "util/checksum.hh"
 #include "util/logging.hh"
 
 namespace specfetch {
+
+std::string
+frameLine(const JsonValue &payload)
+{
+    std::string text = payload.dump();
+    return crcHex(crc32(text)) + " " + text;
+}
+
+bool
+parseFrameLine(const std::string &line, JsonValue &payload,
+               std::string &reason)
+{
+    // "<8 hex chars><space><json>"
+    if (line.size() < 10 || line[8] != ' ') {
+        reason = "malformed framing";
+        return false;
+    }
+    uint32_t stored = 0;
+    if (!parseCrcHex(line.substr(0, 8), stored)) {
+        reason = "unparsable checksum";
+        return false;
+    }
+    std::string text = line.substr(9);
+    if (crc32(text) != stored) {
+        reason = "checksum mismatch";
+        return false;
+    }
+    std::string parseError;
+    if (!JsonValue::parse(text, payload, &parseError)) {
+        reason = "checksummed payload is not JSON: " + parseError;
+        return false;
+    }
+    return true;
+}
 
 namespace {
 
@@ -129,6 +166,23 @@ syncDirectory(const std::string &dir)
     ::close(fd);
 }
 
+/** Durably cut @p path to its first @p size bytes (remove it when 0:
+ *  a tail without its header frame is no segment). */
+void
+truncateFile(const std::string &path, size_t size)
+{
+    if (size == 0) {
+        std::remove(path.c_str());
+        return;
+    }
+    int fd = ::open(path.c_str(), O_WRONLY);
+    if (fd < 0)
+        return;
+    if (ftruncate(fd, static_cast<off_t>(size)) == 0)
+        fsync(fd);
+    ::close(fd);
+}
+
 bool
 readWholeFile(const std::string &path, std::string &content)
 {
@@ -234,6 +288,15 @@ ResultStore::~ResultStore()
     // close() is indistinguishable from a crash, which is exactly what
     // crash tests (and crashed services) need.
     closeTail();
+    unlockDirectory();
+}
+
+void
+ResultStore::unlockDirectory()
+{
+    if (dirLock >= 0)
+        ::close(dirLock); // closing the descriptor drops its flock
+    dirLock = -1;
 }
 
 bool
@@ -259,9 +322,27 @@ ResultStore::open(const Options &options, std::string *error)
         }
         return false;
     }
-    std::vector<std::string> names;
-    if (!listDirectory(opts.dir, names, error))
+    // One writer per directory: two handles appending to the same
+    // tail would interleave (and truncate) each other's frames. The
+    // lock lives on the directory's own descriptor, so it needs no
+    // extra file and dies with the process.
+    dirLock = ::open(opts.dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dirLock < 0 || flock(dirLock, LOCK_EX | LOCK_NB) != 0) {
+        if (error) {
+            *error = "result store " + opts.dir +
+                     (errno == EWOULDBLOCK
+                          ? " is already open in another handle or process"
+                          : ": cannot lock: " +
+                                std::string(std::strerror(errno)));
+        }
+        unlockDirectory();
         return false;
+    }
+    std::vector<std::string> names;
+    if (!listDirectory(opts.dir, names, error)) {
+        unlockDirectory();
+        return false;
+    }
 
     std::map<uint64_t, std::string> bases;
     std::map<uint64_t, std::map<uint64_t, std::string>> tails;
@@ -389,6 +470,7 @@ ResultStore::loadSegment(const std::string &name,
     size_t start = 0;
     size_t lineNumber = 0;
     while (start < content.size()) {
+        size_t lineStart = start;
         size_t end = content.find('\n', start);
         bool unterminated = end == std::string::npos;
         std::string line = content.substr(
@@ -403,10 +485,13 @@ ResultStore::loadSegment(const std::string &name,
         if (!parseFrameLine(line, payload, reason)) {
             if (unterminated && lastTail) {
                 // The crash-mid-append signature: at most the put in
-                // flight is lost, exactly as advertised.
+                // flight is lost, exactly as advertised. Cut the stub
+                // off so it cannot become an interior frame once a
+                // newer tail exists.
                 state.tornTail = true;
                 warn("result store %s: dropping torn tail line (%s)",
                      name.c_str(), reason.c_str());
+                truncateFile(path, lineStart);
             } else {
                 quarantineFrame(name, lineNumber, reason, line);
             }
@@ -596,7 +681,7 @@ ResultStore::put(const std::string &key, const JsonValue &record,
             *error = "injected short write";
         return false;
     }
-    if (injector && injector->fires(FaultKind::TearLedger, ordinal)) {
+    if (injector && injector->fires(FaultKind::Tear, ordinal)) {
         writeFrame(tail, line.substr(0, 10 + line.size() / 2), false);
         warn("injected fault: tearing the store at put %llu",
              static_cast<unsigned long long>(ordinal));
@@ -740,6 +825,7 @@ ResultStore::close(std::string *error)
         std::fclose(file);
     }
     syncDirectory(opts.dir);
+    unlockDirectory();
     opened = false;
     if (!ok && error)
         *error = "cannot write clean-shutdown marker " + path;
@@ -798,6 +884,51 @@ ResultStore::forEach(
     std::lock_guard<std::mutex> lock(mutex);
     for (const auto &[key, record] : index)
         visit(key, record);
+}
+
+StoreSweepResult
+runStoreSweep(ResultStore &store, const std::vector<RunSpec> &specs,
+              SweepOptions options, const RecordMaker &makeRecord)
+{
+    StoreSweepResult result;
+    result.records.resize(specs.size());
+    std::vector<std::string> keys(specs.size());
+    std::vector<size_t> misses;
+    std::vector<RunSpec> missSpecs;
+    {
+        TraceSpan span("store_resume", "fault");
+        for (size_t i = 0; i < specs.size(); ++i) {
+            keys[i] = sweepRunKey(specs[i]);
+            if (store.get(keys[i], result.records[i])) {
+                ++result.resumedRuns;
+                ProgressReporter::global().runResumed();
+            } else {
+                misses.push_back(i);
+                missSpecs.push_back(specs[i]);
+            }
+        }
+    }
+
+    // Each miss index completes once, on one worker: its record slot
+    // needs no lock, and the store serializes the puts.
+    // SPECFETCH-ALLOW(error-boundary): put() reports I/O failure by return value; the flagged chain is MetricGauge::set name-matched to ProgramImage::set
+    options.onRunComplete = [&](size_t miss, const SimResults &results) {
+        size_t index = misses[miss];
+        result.records[index] = makeRecord(index, results);
+        std::string error;
+        if (!store.put(keys[index], result.records[index], &error)) {
+            warn("result store: run %zu not persisted (%s); a rerun "
+                 "executes it again",
+                 index, error.c_str());
+        }
+    };
+    SweepOutcome outcome = runSweep(missSpecs, options);
+    result.executedRuns = misses.size() - outcome.failures.size();
+    for (SweepFailure &failure : outcome.failures) {
+        failure.index = misses[failure.index];
+        result.failures.push_back(std::move(failure));
+    }
+    return result;
 }
 
 } // namespace specfetch

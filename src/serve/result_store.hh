@@ -2,9 +2,9 @@
  * @file
  * Persistent content-addressed result store (DESIGN.md §15).
  *
- * The store promotes the sweep ledger's write-ahead discipline into a
- * durable segment log keyed by sweepRunKey (benchmark:hash64(config)).
- * On disk a store is a directory:
+ * A durable, write-ahead segment log of run records keyed by
+ * sweepRunKey (benchmark:hash64(config)). On disk a store is a
+ * directory:
  *
  *   base-<G>.log       compacted snapshot of generation G: a header
  *                      frame, one data frame per record (key-sorted),
@@ -19,15 +19,17 @@
  *                      deleted at open; its absence means the previous
  *                      process died and this open is a recovery scan.
  *
- * Every frame is one self-checking text line (fault/ledger.hh framing:
- * crc32 hex + space + compact JSON), so `tools/store_fsck.py` and a
- * human with `less` both understand a store. Durability rules:
+ * Every frame is one self-checking text line (frameLine: crc32 hex +
+ * space + compact JSON), so `tools/store_fsck.py` and a human with
+ * `less` both understand a store. Durability rules:
  *
  *   - put() returns only after the record is fsync'd. A crash at any
  *     instant loses at most the put in flight.
- *   - A torn final line of the newest tail is dropped at open (the
+ *   - A torn final line of the newest tail is cut off at open (the
  *     crash-mid-append signature); any other unparseable frame is
  *     quarantined and skipped.
+ *   - One open handle per directory: open() takes an exclusive flock
+ *     on the directory, held until close() or destruction.
  *   - Compaction is generation-stamped and crash-safe at every step:
  *     the new base is written to a .tmp, fsync'd, atomically renamed,
  *     and only then are the old generation's files unlinked. A crash
@@ -47,10 +49,26 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "core/sweep.hh"
 #include "report/json.hh"
 
 namespace specfetch {
+
+/**
+ * Frame @p payload as one self-checking line (sans newline):
+ * "<crc32 hex, 8 chars> <compact JSON>".
+ */
+std::string frameLine(const JsonValue &payload);
+
+/**
+ * Validate one framed line (sans newline) back into @p payload.
+ * Returns false with a human-readable @p reason when the line fails
+ * its CRC or the checksummed text does not parse.
+ */
+bool parseFrameLine(const std::string &line, JsonValue &payload,
+                    std::string &reason);
 
 class FaultInjector;
 class MetricsRegistry;
@@ -110,8 +128,9 @@ class ResultStore
     };
 
     ResultStore() = default;
-    /** Closes the tail file without writing the clean-shutdown marker
-     *  (destruction without close() models a crash). */
+    /** Closes the tail file and drops the directory lock without
+     *  writing the clean-shutdown marker (destruction without close()
+     *  models a crash). */
     ~ResultStore();
 
     ResultStore(const ResultStore &) = delete;
@@ -120,8 +139,9 @@ class ResultStore
     /**
      * Open (or create) the store at @p options.dir, rebuilding the
      * in-memory index by scanning segments. Returns false only when
-     * the directory itself is unusable; corruption inside it is
-     * tolerated, quarantined, and reported through stats().
+     * the directory itself is unusable or another handle holds it
+     * open; corruption inside it is tolerated, quarantined, and
+     * reported through stats().
      */
     bool open(const Options &options, std::string *error = nullptr);
 
@@ -168,6 +188,7 @@ class ResultStore
                                  const JsonValue &record)> &visit) const;
 
   private:
+    void unlockDirectory();
     bool ensureTail(std::string *error);
     void closeTail();
     bool writeFrame(std::FILE *file, const std::string &line,
@@ -180,6 +201,8 @@ class ResultStore
     mutable std::mutex mutex;
     Options opts;
     bool opened = false;
+    /** The store directory's descriptor, flock'ed while open. */
+    int dirLock = -1;
     std::map<std::string, JsonValue> index;
     Stats state;
     /** Highest generation any store file ever named; the next
@@ -209,6 +232,41 @@ class ResultStore
 /** Serialize store stats as metrics-record members ("records",
  *  "generation", ..., "torn_tail", "recovered"). */
 JsonValue toJson(const ResultStore::Stats &stats);
+
+/** Builds the stored record of run @p index; must be deterministic
+ *  (no timing), or a rerun could not reproduce a clean run's bytes.
+ *  Called from sweep worker threads. */
+using RecordMaker =
+    std::function<JsonValue(size_t index, const SimResults &results)>;
+
+/** What runStoreSweep produced. */
+struct StoreSweepResult
+{
+    /** Records indexed like specs; JSON null where quarantined. */
+    std::vector<JsonValue> records;
+    /** Quarantined runs (indices into specs), in submission order. */
+    std::vector<SweepFailure> failures;
+    /** Runs answered from the store without executing. */
+    size_t resumedRuns = 0;
+    /** Runs executed (and put) by this call. */
+    size_t executedRuns = 0;
+};
+
+/**
+ * The store-backed grid. Every spec whose sweepRunKey is in @p store
+ * is answered with the stored record; the misses run through
+ * runSweep(@p options) — whose onRunComplete is replaced, and whose
+ * timing and observations describe the misses only — and each
+ * completed run's record is put the moment it completes. Killed at
+ * any instant and rerun, the grid's records come back byte-identical
+ * (simulation is deterministic, records carry no timing); rerun
+ * against a complete store, it executes nothing. A store from another
+ * grid simply never hits.
+ */
+StoreSweepResult runStoreSweep(ResultStore &store,
+                               const std::vector<RunSpec> &specs,
+                               SweepOptions options,
+                               const RecordMaker &makeRecord);
 
 /** The marker filename (exposed for tests and fsck). */
 constexpr const char *kStoreCleanMarker = "CLEAN";

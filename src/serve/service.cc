@@ -7,7 +7,6 @@
 #include "core/sweep.hh"
 #include "fault/guard.hh"
 #include "fault/injector.hh"
-#include "fault/resilient_sweep.hh"
 #include "metrics/metrics.hh"
 #include "obs/trace_event.hh"
 #include "report/metrics_record.hh"
@@ -434,7 +433,9 @@ SweepService::executeJob(Job &job)
     if (opts.testBeforeExecute)
         opts.testBeforeExecute();
 
-    SweepGuard guard;
+    SweepOptions sweep;
+    sweep.parallelism = 1;
+    SweepGuard &guard = sweep.guard.emplace();
     guard.maxAttempts = opts.maxAttempts;
     guard.backoffBaseSeconds = opts.backoffBaseSeconds;
     guard.runTimeoutSeconds = opts.runTimeoutSeconds;
@@ -451,7 +452,7 @@ SweepService::executeJob(Job &job)
 
     std::vector<RunSpec> specs{
         RunSpec{job.request.benchmark, job.request.config}};
-    SweepOutcome outcome = runSweepGuarded(specs, guard, /*parallelism=*/1);
+    SweepOutcome outcome = runSweep(specs, sweep);
 
     if (outcome.allCompleted()) {
         const Classification &classification =

@@ -1,7 +1,7 @@
 /**
  * @file
  * The sweep service (DESIGN.md §15): a long-running front end over the
- * ResultStore and runSweepGuarded.
+ * ResultStore and the guarded runSweep.
  *
  * Request lifecycle:
  *
@@ -13,7 +13,7 @@
  *               -> single-flight dedupe (same-key requests ride the
  *                  first one's execution instead of re-simulating)
  *               -> bounded worker pool executes the miss behind
- *                  runSweepGuarded's boundary/watchdog/retry stack
+ *                  runSweep's boundary/watchdog/retry guard
  *               -> durable store.put, then the response
  *
  * Robustness properties:

@@ -158,12 +158,13 @@ OptionParser::parse(int argc, const char *const *argv)
             it->second.set = true;
             continue;
         }
-        if (i + 1 >= argc) {
+        if (it != options.end() && i + 1 >= argc) {
             std::fprintf(stderr, "%s: option --%s needs a value\n",
                          program.c_str(), body.c_str());
             return false;
         }
-        if (!assign(body, argv[++i]))
+        // An unknown name fails in assign() whatever its value.
+        if (!assign(body, i + 1 < argc ? argv[++i] : ""))
             return false;
     }
     return true;

@@ -21,6 +21,7 @@
 #include "core/miss_classifier.hh"
 #include "core/results.hh"
 #include "report/json.hh"
+#include "temp_path.hh"
 
 namespace specfetch {
 namespace {
@@ -365,7 +366,7 @@ TEST(AuditReport, CarriesSchemaManifestAndViolations)
 
 TEST(AuditReport, EmitReportAppendsToEnvNamedFile)
 {
-    std::string path = ::testing::TempDir() + "audit_report_test.jsonl";
+    std::string path = test::tempPath("audit_report.jsonl");
     std::remove(path.c_str());
     ASSERT_EQ(setenv(InvariantAuditor::kReportPathEnv, path.c_str(), 1), 0);
 

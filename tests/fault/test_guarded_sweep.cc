@@ -1,10 +1,10 @@
 /**
  * @file
- * runSweepGuarded contract tests: a guarded sweep must be bit-exact
- * with the plain sweep when nothing fails, heal transient injected
- * faults (throw, timeout, corrupt snapshot) through its retry loop,
- * and quarantine persistent failures without losing the rest of the
- * grid.
+ * Guarded runSweep contract tests: with SweepOptions::guard set, a
+ * sweep must be bit-exact with the unguarded sweep when nothing fails,
+ * heal transient injected faults (throw, timeout, corrupt snapshot)
+ * through its retry loop, and quarantine persistent failures without
+ * losing the rest of the grid.
  */
 
 #include <gtest/gtest.h>
@@ -37,13 +37,18 @@ smallGrid()
     return specs;
 }
 
-SweepGuard
-fastGuard()
+/** Two workers, two attempts, no real backoff, faults from
+ *  @p injector (may be null). */
+SweepOptions
+guardedOptions(const FaultInjector *injector = nullptr)
 {
-    SweepGuard guard;
+    SweepOptions options;
+    options.parallelism = 2;
+    SweepGuard &guard = options.guard.emplace();
     guard.maxAttempts = 2;
-    guard.backoffBaseSeconds = 0.0;    // tests need no real backoff
-    return guard;
+    guard.backoffBaseSeconds = 0.0;
+    guard.injector = injector;
+    return options;
 }
 
 } // namespace
@@ -52,7 +57,7 @@ TEST(GuardedSweep, MatchesPlainSweepWhenNothingFails)
 {
     std::vector<RunSpec> specs = smallGrid();
     std::vector<SimResults> plain = runSweep(specs, 2);
-    SweepOutcome guarded = runSweepGuarded(specs, fastGuard(), 2);
+    SweepOutcome guarded = runSweep(specs, guardedOptions());
 
     EXPECT_TRUE(guarded.allCompleted());
     EXPECT_TRUE(guarded.failures.empty());
@@ -68,11 +73,9 @@ TEST(GuardedSweep, TransientThrowHealsViaRetry)
     std::vector<RunSpec> specs = smallGrid();
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("throw@2", injector));
-    SweepGuard guard = fastGuard();
-    guard.injector = &injector;
 
     std::vector<SimResults> plain = runSweep(specs, 2);
-    SweepOutcome guarded = runSweepGuarded(specs, guard, 2);
+    SweepOutcome guarded = runSweep(specs, guardedOptions(&injector));
 
     EXPECT_TRUE(guarded.allCompleted());
     for (size_t i = 0; i < specs.size(); ++i)
@@ -85,11 +88,9 @@ TEST(GuardedSweep, TransientTimeoutHealsViaRetry)
     std::vector<RunSpec> specs = smallGrid();
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("timeout@1", injector));
-    SweepGuard guard = fastGuard();
-    guard.injector = &injector;
 
     std::vector<SimResults> plain = runSweep(specs, 2);
-    SweepOutcome guarded = runSweepGuarded(specs, guard, 2);
+    SweepOutcome guarded = runSweep(specs, guardedOptions(&injector));
 
     EXPECT_TRUE(guarded.allCompleted());
     for (size_t i = 0; i < specs.size(); ++i)
@@ -105,12 +106,11 @@ TEST(GuardedSweep, CorruptSnapshotDegradesToLiveExecution)
     std::vector<RunSpec> specs = smallGrid();
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("corrupt@0", injector));
-    SweepGuard guard = fastGuard();
-    guard.maxAttempts = 1;    // prove no retry is needed
-    guard.injector = &injector;
+    SweepOptions options = guardedOptions(&injector);
+    options.guard->maxAttempts = 1;    // prove no retry is needed
 
     std::vector<SimResults> plain = runSweep(specs, 2);
-    SweepOutcome guarded = runSweepGuarded(specs, guard, 2);
+    SweepOutcome guarded = runSweep(specs, options);
 
     EXPECT_TRUE(guarded.allCompleted());
     for (size_t i = 0; i < specs.size(); ++i)
@@ -122,18 +122,16 @@ TEST(GuardedSweep, PersistentFailureIsQuarantined)
     std::vector<RunSpec> specs = smallGrid();
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("throw@3x*", injector));
-    SweepGuard guard = fastGuard();
-    guard.injector = &injector;
 
     std::vector<SimResults> plain = runSweep(specs, 2);
-    SweepOutcome guarded = runSweepGuarded(specs, guard, 2);
+    SweepOutcome guarded = runSweep(specs, guardedOptions(&injector));
 
     EXPECT_FALSE(guarded.allCompleted());
     ASSERT_EQ(guarded.failures.size(), 1u);
     const SweepFailure &failure = guarded.failures.front();
     EXPECT_EQ(failure.index, 3u);
     EXPECT_EQ(failure.benchmark, specs[3].benchmark);
-    EXPECT_EQ(failure.attempts, guard.maxAttempts);
+    EXPECT_EQ(failure.attempts, 2u);
     EXPECT_NE(failure.cause.find("injected fault"), std::string::npos);
     EXPECT_FALSE(failure.config.empty());
 
@@ -153,18 +151,17 @@ TEST(GuardedSweep, OnRunCompleteFiresOncePerCompletedRun)
     std::vector<RunSpec> specs = smallGrid();
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("throw@5x*", injector));
-    SweepGuard guard = fastGuard();
-    guard.injector = &injector;
+    SweepOptions options = guardedOptions(&injector);
 
     std::vector<int> calls(specs.size(), 0);
     std::mutex mutex;
-    guard.onRunComplete = [&](size_t index, const SimResults &results) {
+    options.onRunComplete = [&](size_t index, const SimResults &results) {
         std::lock_guard<std::mutex> lock(mutex);
         ++calls[index];
         EXPECT_EQ(results.workload, specs[index].benchmark);
     };
 
-    SweepOutcome guarded = runSweepGuarded(specs, guard, 2);
+    SweepOutcome guarded = runSweep(specs, options);
     for (size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(calls[i], i == 5 ? 0 : 1) << "spec " << i;
     EXPECT_EQ(guarded.failures.size(), 1u);
@@ -172,7 +169,7 @@ TEST(GuardedSweep, OnRunCompleteFiresOncePerCompletedRun)
 
 TEST(GuardedSweep, EmptyGridIsANoOp)
 {
-    SweepOutcome guarded = runSweepGuarded({}, fastGuard(), 2);
+    SweepOutcome guarded = runSweep({}, guardedOptions());
     EXPECT_TRUE(guarded.allCompleted());
     EXPECT_TRUE(guarded.results.empty());
 }

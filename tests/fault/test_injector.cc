@@ -59,7 +59,7 @@ TEST(FaultInjectorParse, AllKindsAndCommaLists)
     EXPECT_TRUE(injector.fires(FaultKind::Timeout, 2));
     EXPECT_TRUE(injector.fires(FaultKind::CorruptSnapshot, 3));
     EXPECT_TRUE(injector.fires(FaultKind::Crash, 4));
-    EXPECT_TRUE(injector.fires(FaultKind::TearLedger, 5));
+    EXPECT_TRUE(injector.fires(FaultKind::Tear, 5));
     EXPECT_FALSE(injector.fires(FaultKind::Crash, 5));
 }
 

@@ -20,6 +20,7 @@
 #include "report/json.hh"
 #include "report/metrics_record.hh"
 #include "report/record.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -28,8 +29,7 @@ namespace {
 std::string
 tempPath(const char *tag)
 {
-    return std::string(::testing::TempDir()) + "specfetch_metrics_" +
-           tag + "_" + std::to_string(::getpid()) + ".jsonl";
+    return test::tempPath(std::string(tag) + ".jsonl");
 }
 
 } // namespace

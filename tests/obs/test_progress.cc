@@ -15,6 +15,7 @@
 #include "report/json.hh"
 #include "report/report.hh"
 #include "util/logging.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -23,7 +24,7 @@ namespace {
 std::string
 tempProgressPath(const char *tag)
 {
-    return testing::TempDir() + "specfetch_progress_" + tag + ".jsonl";
+    return test::tempPath(std::string(tag) + ".jsonl");
 }
 
 ProgressReporter::Options

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
 #include "core/miss_classifier.hh"
 #include "report/record.hh"
 #include "report/report.hh"
+#include "temp_path.hh"
 
 using namespace specfetch;
 
@@ -199,7 +201,7 @@ TEST(Record, FlattenUsesDottedKeys)
 
 TEST(Record, JsonlWriterRoundTrip)
 {
-    std::string path = testing::TempDir() + "/specfetch_records.jsonl";
+    std::string path = test::tempPath("records.jsonl");
     JsonValue first = makeRunRecord(sampleResults(), sampleConfig());
     SimResults other = sampleResults();
     other.workload = "li";
@@ -218,11 +220,12 @@ TEST(Record, JsonlWriterRoundTrip)
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0], first);
     EXPECT_EQ(records[1], second);
+    std::remove(path.c_str());
 }
 
 TEST(Record, CsvWriterEmitsHeaderAndRows)
 {
-    std::string path = testing::TempDir() + "/specfetch_records.csv";
+    std::string path = test::tempPath("records.csv");
     {
         CsvReportWriter writer(path);
         ASSERT_TRUE(writer.ok());
@@ -240,6 +243,7 @@ TEST(Record, CsvWriterEmitsHeaderAndRows)
     EXPECT_NE(header.find("config.icache.size_bytes"), std::string::npos);
     EXPECT_NE(row1.find("100000"), std::string::npos);
     EXPECT_EQ(row1, row2);
+    std::remove(path.c_str());
 }
 
 TEST(Record, StatsTreeExport)

@@ -1,8 +1,9 @@
 /**
  * @file
  * ResultStore tests (DESIGN.md §15): durability round trips, clean
- * vs. recovered opens, torn-tail and corrupt-frame handling, segment
- * rotation, injected write failures, and kill-anywhere compaction
+ * vs. recovered opens, the one-handle directory lock, torn-tail and
+ * corrupt-frame handling, segment rotation, injected write failures,
+ * a SIGTERM losing no acknowledged put, and kill-anywhere compaction
  * (death tests at every crash point assert reopen loses nothing).
  */
 
@@ -10,8 +11,10 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -19,43 +22,22 @@
 #include <vector>
 
 #include "fault/injector.hh"
-#include "fault/ledger.hh"
 #include "serve/result_store.hh"
+#include "serve/store_test_support.hh"
 
 using namespace specfetch;
 
 namespace {
 
-class ResultStoreTest : public ::testing::Test
+class ResultStoreTest : public test::StoreDirTest
 {
   protected:
-    void
-    SetUp() override
-    {
-        dir = ::testing::TempDir() + "result_store_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
-        removeAll();
-    }
-
-    void TearDown() override { removeAll(); }
-
-    void
-    removeAll()
-    {
-        for (const std::string &name : listFiles())
-            std::remove((dir + "/" + name).c_str());
-        rmdir(dir.c_str());
-    }
+    using Keys = std::vector<std::string>;
 
     std::vector<std::string>
     listFiles() const
     {
         std::vector<std::string> names;
-        // Readdir via a shell-free scan: reuse opendir through the
-        // store's own observable behaviour instead would be circular,
-        // so go straight at the directory.
         if (DIR *handle = opendir(dir.c_str())) {
             while (struct dirent *entry = readdir(handle)) {
                 std::string name = entry->d_name;
@@ -74,6 +56,36 @@ class ResultStoreTest : public ::testing::Test
         return stat((dir + "/" + name).c_str(), &info) == 0;
     }
 
+    /** The first append segment: where seed() puts its records. */
+    std::string tailPath() const { return dir + "/tail-1-1.log"; }
+
+    static std::string
+    slurp(const std::string &path)
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        return buffer.str();
+    }
+
+    static void
+    spill(const std::string &path, const std::string &content)
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << content;
+    }
+
+    /** The keys @p store holds, in key order. */
+    static Keys
+    keysOf(const ResultStore &store)
+    {
+        Keys keys;
+        store.forEach([&](const std::string &key, const JsonValue &) {
+            keys.push_back(key);
+        });
+        return keys;
+    }
+
     JsonValue
     record(uint64_t value)
     {
@@ -84,10 +96,11 @@ class ResultStoreTest : public ::testing::Test
     }
 
     ResultStore::Options
-    options()
+    options(const FaultInjector *injector = nullptr)
     {
         ResultStore::Options opts;
         opts.dir = dir;
+        opts.injector = injector;
         return opts;
     }
 
@@ -103,8 +116,6 @@ class ResultStoreTest : public ::testing::Test
         }
         ASSERT_TRUE(store.close());
     }
-
-    std::string dir;
 };
 
 TEST_F(ResultStoreTest, PutGetRoundTrip)
@@ -165,18 +176,10 @@ TEST_F(ResultStoreTest, ReopenWithoutCloseIsRecovery)
 TEST_F(ResultStoreTest, TornTailLineIsDropped)
 {
     seed(3);
-    // Append a half-written frame to the newest tail, as a crash
-    // mid-append would leave it.
-    std::string tailPath;
-    for (const std::string &name : listFiles()) {
-        if (name.rfind("tail-", 0) == 0)
-            tailPath = dir + "/" + name;
-    }
-    ASSERT_FALSE(tailPath.empty());
-    {
-        std::ofstream out(tailPath, std::ios::binary | std::ios::app);
-        out << "deadbeef {\"key\":\"torn\",\"rec";
-    }
+    // Append a half-written frame to the tail, as a crash mid-append
+    // would leave it.
+    spill(tailPath(),
+          slurp(tailPath()) + "deadbeef {\"key\":\"torn\",\"rec");
     std::remove((dir + "/CLEAN").c_str());
 
     ResultStore store;
@@ -194,26 +197,11 @@ TEST_F(ResultStoreTest, CorruptInteriorFrameIsQuarantined)
 {
     seed(3);
     // Flip a byte inside the middle record's JSON.
-    std::string tailPath;
-    for (const std::string &name : listFiles()) {
-        if (name.rfind("tail-", 0) == 0)
-            tailPath = dir + "/" + name;
-    }
-    ASSERT_FALSE(tailPath.empty());
-    std::string content;
-    {
-        std::ifstream in(tailPath, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        content = buffer.str();
-    }
+    std::string content = slurp(tailPath());
     size_t key1 = content.find("key1");
     ASSERT_NE(key1, std::string::npos);
     content[key1 + 3] = '?';
-    {
-        std::ofstream out(tailPath, std::ios::binary | std::ios::trunc);
-        out << content;
-    }
+    spill(tailPath(), content);
 
     ResultStore store;
     ASSERT_TRUE(store.open(options()));
@@ -234,6 +222,31 @@ TEST_F(ResultStoreTest, CorruptInteriorFrameIsQuarantined)
     EXPECT_NE(parsed.find("reason"), nullptr);
     EXPECT_NE(parsed.find("raw"), nullptr);
     EXPECT_TRUE(store.close());
+}
+
+TEST_F(ResultStoreTest, OpenFailsOnLockedDirectory)
+{
+    // Two handles on one directory would interleave their appends and
+    // lose acknowledged puts: the second open is refused, naming the
+    // directory, until the first handle closes.
+    ResultStore first;
+    ASSERT_TRUE(first.open(options()));
+    ResultStore second;
+    std::string error;
+    EXPECT_FALSE(second.open(options(), &error));
+    EXPECT_NE(error.find(dir), std::string::npos) << error;
+    EXPECT_TRUE(first.put("k1", record(1)));
+    ASSERT_TRUE(first.close());
+    {
+        // Destruction without close() (a crash) releases it too.
+        ResultStore crashed;
+        ASSERT_TRUE(crashed.open(options()));
+        EXPECT_TRUE(crashed.put("k2", record(2)));
+    }
+    ASSERT_TRUE(second.open(options(), &error)) << error;
+    EXPECT_EQ(second.size(), 2u);
+    EXPECT_EQ(second.stats().corruptFrames, 0u);
+    EXPECT_TRUE(second.close());
 }
 
 TEST_F(ResultStoreTest, SegmentRotation)
@@ -310,11 +323,7 @@ TEST_F(ResultStoreTest, ForEachVisitsKeySorted)
     seed(3);
     ResultStore store;
     ASSERT_TRUE(store.open(options()));
-    std::vector<std::string> keys;
-    store.forEach([&](const std::string &key, const JsonValue &) {
-        keys.push_back(key);
-    });
-    EXPECT_EQ(keys, (std::vector<std::string>{"key0", "key1", "key2"}));
+    EXPECT_EQ(keysOf(store), (Keys{"key0", "key1", "key2"}));
     EXPECT_TRUE(store.close());
 }
 
@@ -322,10 +331,8 @@ TEST_F(ResultStoreTest, InjectedEnospcFailsCleanly)
 {
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("enospc@1", injector));
-    ResultStore::Options opts = options();
-    opts.injector = &injector;
     ResultStore store;
-    ASSERT_TRUE(store.open(opts));
+    ASSERT_TRUE(store.open(options(&injector)));
     EXPECT_TRUE(store.put("a", record(1)));
     std::string error;
     EXPECT_FALSE(store.put("b", record(2), &error));
@@ -346,10 +353,8 @@ TEST_F(ResultStoreTest, InjectedShortWriteResyncs)
 {
     FaultInjector injector;
     ASSERT_TRUE(FaultInjector::parse("shortwrite@1", injector));
-    ResultStore::Options opts = options();
-    opts.injector = &injector;
     ResultStore store;
-    ASSERT_TRUE(store.open(opts));
+    ASSERT_TRUE(store.open(options(&injector)));
     EXPECT_TRUE(store.put("a", record(1)));
     std::string error;
     EXPECT_FALSE(store.put("b", record(2), &error));
@@ -369,6 +374,269 @@ TEST_F(ResultStoreTest, InjectedShortWriteResyncs)
     EXPECT_TRUE(reopened.close());
 }
 
+// The store as the ledger of a sweep's finished runs: what each kind of
+// damage to its log leaves readable at the next open.
+using LedgerTest = ResultStoreTest;
+
+TEST_F(LedgerTest, AppendLoadRoundTrip)
+{
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_TRUE(store.put("k0", record(10)));
+        EXPECT_TRUE(store.put("k1", record(11)));
+        EXPECT_EQ(store.stats().appendAttempts, 2u);
+        ASSERT_TRUE(store.close());
+    }
+    ResultStore load;
+    ASSERT_TRUE(load.open(options()));
+    EXPECT_EQ(keysOf(load), (Keys{"k0", "k1"}));
+    JsonValue out;
+    ASSERT_TRUE(load.get("k0", out));
+    EXPECT_EQ(out, record(10));
+    ASSERT_TRUE(load.get("k1", out));
+    EXPECT_EQ(out, record(11));
+    EXPECT_EQ(load.stats().corruptFrames, 0u);
+    EXPECT_FALSE(load.stats().tornTail);
+    EXPECT_FALSE(load.stats().recovered);
+    EXPECT_TRUE(load.close());
+}
+
+TEST_F(LedgerTest, MissingFileFailsWithReason)
+{
+    ResultStore::Options opts = options();
+    opts.dir = dir + "/no/such/parent";
+    ResultStore store;
+    std::string error;
+    EXPECT_FALSE(store.open(opts, &error));
+    EXPECT_NE(error.find("cannot create"), std::string::npos) << error;
+    EXPECT_NE(error.find(opts.dir), std::string::npos) << error;
+}
+
+TEST_F(LedgerTest, EmptyFileLoadsEmpty)
+{
+    // A crash between creating a segment and writing its header frame
+    // leaves an empty file: no records, and no damage either.
+    ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
+    spill(tailPath(), "");
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_EQ(store.size(), 0u);
+        EXPECT_EQ(store.stats().segmentsLoaded, 1u);
+        EXPECT_TRUE(store.stats().recovered);
+        EXPECT_FALSE(store.stats().tornTail);
+        EXPECT_EQ(store.stats().corruptFrames, 0u);
+        EXPECT_TRUE(store.put("k0", record(10)));
+        ASSERT_TRUE(store.close());
+    }
+    ResultStore store;
+    ASSERT_TRUE(store.open(options()));
+    EXPECT_EQ(keysOf(store), (Keys{"k0"}));
+    EXPECT_TRUE(store.close());
+}
+
+TEST_F(LedgerTest, TornTailIsDroppedNotFatal)
+{
+    seed(1);
+    std::string intact = slurp(tailPath());
+    // Half of the next frame, as a kill during its append leaves it.
+    JsonValue payload = JsonValue::object();
+    payload.set("key", JsonValue::string("key1")).set("record", record(1));
+    std::string frame = frameLine(payload);
+    spill(tailPath(), intact + frame.substr(0, frame.size() / 2));
+    std::remove((dir + "/" + kStoreCleanMarker).c_str());
+
+    ResultStore store;
+    ASSERT_TRUE(store.open(options()));
+    EXPECT_EQ(keysOf(store), (Keys{"key0"}));
+    EXPECT_TRUE(store.stats().tornTail);
+    EXPECT_EQ(store.stats().corruptFrames, 0u);
+    // The recovery open cut the stub off the segment.
+    EXPECT_EQ(slurp(tailPath()), intact);
+    EXPECT_TRUE(store.close());
+}
+
+TEST_F(LedgerTest, FlippedByteFailsTheLineOnly)
+{
+    std::vector<std::string> lines;
+    for (uint64_t i = 0; i < 3; ++i)
+        lines.push_back(frameLine(record(i)));
+    JsonValue payload;
+    std::string reason;
+    // A flipped bit anywhere in the middle line, checksum and
+    // separator included, fails that line...
+    for (size_t at = 0; at < lines[1].size(); ++at) {
+        std::string flipped = lines[1];
+        flipped[at] ^= 0x04;
+        EXPECT_FALSE(parseFrameLine(flipped, payload, reason))
+            << "undetected flip at byte " << at;
+    }
+    // ...and only that line.
+    ASSERT_TRUE(parseFrameLine(lines[0], payload, reason)) << reason;
+    EXPECT_EQ(payload, record(0));
+    ASSERT_TRUE(parseFrameLine(lines[2], payload, reason)) << reason;
+    EXPECT_EQ(payload, record(2));
+}
+
+TEST_F(LedgerTest, GarbageLinesAreSkipped)
+{
+    seed(1);
+    spill(tailPath(), "not a ledger line\nzz\n" + slurp(tailPath()) +
+                          "deadbeef {\"key\":\"x\"}\n");
+
+    ResultStore store;
+    ASSERT_TRUE(store.open(options()));
+    EXPECT_EQ(keysOf(store), (Keys{"key0"}));
+    EXPECT_EQ(store.stats().corruptFrames, 3u);
+    EXPECT_FALSE(store.stats().tornTail);
+    EXPECT_TRUE(store.close());
+}
+
+TEST_F(LedgerTest, ChecksummedButMisshapenEntryIsRejected)
+{
+    // Frames whose CRC is honest but whose payload lacks the
+    // {key: string, record: object} shape: rejected on shape, not
+    // crashed on downstream.
+    seed(1);
+    std::string content = slurp(tailPath());
+    for (const char *text :
+         {"[1,2,3]", "{\"key\":\"x\"}", "{\"key\":7,\"record\":{}}",
+          "{\"key\":\"x\",\"record\":\"not an object\"}"}) {
+        JsonValue payload;
+        ASSERT_TRUE(JsonValue::parse(text, payload));
+        content += frameLine(payload) + "\n";
+    }
+    spill(tailPath(), content);
+
+    ResultStore store;
+    ASSERT_TRUE(store.open(options()));
+    EXPECT_EQ(keysOf(store), (Keys{"key0"}));
+    EXPECT_EQ(store.stats().corruptFrames, 4u);
+    std::ifstream sidecar(dir + "/" + kStoreQuarantineFile);
+    size_t rows = 0;
+    for (std::string row; std::getline(sidecar, row); ++rows)
+        EXPECT_NE(row.find("lacks a known shape"), std::string::npos) << row;
+    EXPECT_EQ(rows, 4u);
+    EXPECT_TRUE(store.close());
+}
+
+TEST_F(LedgerTest, UnwritablePathReportsNotOk)
+{
+    // A plain file where the store directory should be.
+    spill(dir, "not a directory");
+    ResultStore store;
+    std::string error;
+    EXPECT_FALSE(store.open(options(), &error));
+    EXPECT_NE(error.find(dir), std::string::npos) << error;
+    EXPECT_FALSE(store.isOpen());
+    EXPECT_FALSE(store.put("k", record(1)));
+}
+
+TEST_F(LedgerTest, InjectedEnospcFailsWithoutCorrupting)
+{
+    FaultInjector injector;
+    ASSERT_TRUE(FaultInjector::parse("enospc@1", injector));
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options(&injector)));
+        EXPECT_TRUE(store.put("k0", record(0)));
+        EXPECT_FALSE(store.put("k1", record(1))); // injected
+        EXPECT_TRUE(store.put("k2", record(2)));
+        EXPECT_EQ(store.size(), 2u);
+        ASSERT_TRUE(store.close());
+    }
+    ResultStore load;
+    ASSERT_TRUE(load.open(options()));
+    EXPECT_EQ(keysOf(load), (Keys{"k0", "k2"}));
+    EXPECT_EQ(load.stats().corruptFrames, 0u);
+    EXPECT_FALSE(load.stats().tornTail);
+    EXPECT_TRUE(load.close());
+    EXPECT_EQ(test::strictFsck(dir), 0);
+}
+
+TEST_F(LedgerTest, InjectedShortWriteResyncsNextAppend)
+{
+    FaultInjector injector;
+    ASSERT_TRUE(FaultInjector::parse("shortwrite@1", injector));
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options(&injector)));
+        EXPECT_TRUE(store.put("k0", record(0)));
+        EXPECT_FALSE(store.put("k1", record(1))); // torn prefix
+        // The resync newline fences the torn frame off from this one.
+        EXPECT_TRUE(store.put("k2", record(2)));
+        ASSERT_TRUE(store.close());
+    }
+    ResultStore load;
+    ASSERT_TRUE(load.open(options()));
+    EXPECT_EQ(keysOf(load), (Keys{"k0", "k2"}));
+    EXPECT_EQ(load.stats().corruptFrames, 1u); // the fenced torn prefix
+    EXPECT_FALSE(load.stats().tornTail);
+    std::string row = slurp(dir + "/" + kStoreQuarantineFile);
+    EXPECT_NE(row.find("k1"), std::string::npos) << row;
+    EXPECT_TRUE(load.close());
+}
+
+TEST_F(LedgerTest, ShortWriteAtTailIsDroppedAsTorn)
+{
+    FaultInjector injector;
+    ASSERT_TRUE(FaultInjector::parse("shortwrite@1", injector));
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options(&injector)));
+        EXPECT_TRUE(store.put("k0", record(0)));
+        EXPECT_FALSE(store.put("k1", record(1)));
+        // Destroyed without close(): the process died here, and the
+        // torn frame is the final line.
+    }
+    {
+        ResultStore load;
+        ASSERT_TRUE(load.open(options()));
+        EXPECT_EQ(keysOf(load), (Keys{"k0"}));
+        EXPECT_TRUE(load.stats().recovered);
+        EXPECT_TRUE(load.stats().tornTail);
+        EXPECT_EQ(load.stats().corruptFrames, 0u);
+        EXPECT_TRUE(load.close());
+    }
+    // Healed: the next open finds nothing torn.
+    ResultStore load;
+    ASSERT_TRUE(load.open(options()));
+    EXPECT_FALSE(load.stats().tornTail);
+    EXPECT_EQ(load.stats().corruptFrames, 0u);
+    EXPECT_TRUE(load.close());
+}
+
+TEST_F(LedgerTest, SigtermFlushKeepsJournaledRuns)
+{
+    // An orchestrator SIGTERM must not lose runs that already
+    // completed. There is nothing to flush: put() returns only once
+    // the record is fsync'd, so the default disposition may kill the
+    // process at once.
+    pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ResultStore store;
+        store.open(options());
+        for (uint64_t i = 0; i < 5; ++i)
+            store.put("k" + std::to_string(i), record(i));
+        std::raise(SIGTERM);
+        _exit(0); // unreachable: SIGTERM terminates the process
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGTERM);
+
+    ResultStore load;
+    ASSERT_TRUE(load.open(options()));
+    EXPECT_EQ(load.size(), 5u);
+    EXPECT_TRUE(load.stats().recovered);
+    EXPECT_EQ(load.stats().corruptFrames, 0u);
+    EXPECT_FALSE(load.stats().tornTail);
+    EXPECT_TRUE(load.close());
+}
+
 using ResultStoreDeathTest = ResultStoreTest;
 
 TEST_F(ResultStoreDeathTest, InjectedTearLosesOnlyInFlightPut)
@@ -378,24 +646,38 @@ TEST_F(ResultStoreDeathTest, InjectedTearLosesOnlyInFlightPut)
         {
             FaultInjector injector;
             FaultInjector::parse("tear@1", injector);
-            ResultStore::Options opts = options();
-            opts.injector = &injector;
             ResultStore store;
-            store.open(opts);
+            store.open(options(&injector));
             store.put("a", record(1));
             store.put("b", record(2)); // tears + dies
         },
         ::testing::ExitedWithCode(137), "");
 
-    ResultStore store;
-    ASSERT_TRUE(store.open(options()));
-    EXPECT_TRUE(store.stats().recovered);
-    EXPECT_TRUE(store.stats().tornTail);
-    EXPECT_EQ(store.size(), 1u);
-    JsonValue out;
-    EXPECT_TRUE(store.get("a", out));
-    EXPECT_FALSE(store.get("b", out));
-    EXPECT_TRUE(store.close());
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_TRUE(store.stats().recovered);
+        EXPECT_TRUE(store.stats().tornTail);
+        EXPECT_EQ(store.size(), 1u);
+        JsonValue out;
+        EXPECT_TRUE(store.get("a", out));
+        EXPECT_FALSE(store.get("b", out));
+        // The retry lands in a new tail, behind the torn one.
+        EXPECT_TRUE(store.put("b", record(2)));
+        EXPECT_TRUE(store.close());
+    }
+    // The recovery open cut the stub off: left in place, it would read
+    // as a corrupt interior frame on every later open.
+    for (int reopen = 0; reopen < 2; ++reopen) {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_FALSE(store.stats().tornTail);
+        EXPECT_EQ(store.stats().corruptFrames, 0u);
+        EXPECT_EQ(store.size(), 2u);
+        EXPECT_TRUE(store.close());
+    }
+    EXPECT_FALSE(fileExists(kStoreQuarantineFile));
+    EXPECT_EQ(test::strictFsck(dir), 0);
 }
 
 TEST_F(ResultStoreDeathTest, InjectedCrashAfterPutKeepsRecord)
@@ -405,10 +687,8 @@ TEST_F(ResultStoreDeathTest, InjectedCrashAfterPutKeepsRecord)
         {
             FaultInjector injector;
             FaultInjector::parse("crash@1", injector);
-            ResultStore::Options opts = options();
-            opts.injector = &injector;
             ResultStore store;
-            store.open(opts);
+            store.open(options(&injector));
             store.put("a", record(1));
             store.put("b", record(2)); // durable, then dies unacked
         },

@@ -8,11 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <condition_variable>
 #include <mutex>
 #include <string>
@@ -23,6 +21,7 @@
 #include "serve/result_store.hh"
 #include "serve/service.hh"
 #include "serve/socket.hh"
+#include "serve/store_test_support.hh"
 
 using namespace specfetch;
 
@@ -89,20 +88,13 @@ errorTypeOf(const JsonValue &response)
     return type ? type->asString() : "";
 }
 
-class ServiceTest : public ::testing::Test
+class ServiceTest : public test::StoreDirTest
 {
   protected:
     void
     SetUp() override
     {
-        dir = ::testing::TempDir() + "service_store_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
-        // A previous run (ctest re-executes each test in its own
-        // process) may have left store segments behind; a stale hit
-        // would turn the first miss of this test into a cache hit.
-        wipe();
+        StoreDirTest::SetUp();
         ResultStore::Options storeOptions;
         storeOptions.dir = dir;
         ASSERT_TRUE(store.open(storeOptions));
@@ -112,25 +104,10 @@ class ServiceTest : public ::testing::Test
     TearDown() override
     {
         store.close();
-        wipe();
-    }
-
-    void
-    wipe()
-    {
-        if (DIR *handle = opendir(dir.c_str())) {
-            while (struct dirent *entry = readdir(handle)) {
-                std::string name = entry->d_name;
-                if (name != "." && name != "..")
-                    std::remove((dir + "/" + name).c_str());
-            }
-            closedir(handle);
-        }
-        rmdir(dir.c_str());
+        StoreDirTest::TearDown();
     }
 
     ResultStore store;
-    std::string dir;
 };
 
 TEST_F(ServiceTest, TypedErrorsNeverCrash)

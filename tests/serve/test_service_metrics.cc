@@ -13,12 +13,9 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -27,6 +24,7 @@
 #include "metrics/metrics.hh"
 #include "serve/result_store.hh"
 #include "serve/service.hh"
+#include "serve/store_test_support.hh"
 
 using namespace specfetch;
 
@@ -92,17 +90,13 @@ outcomeSumOf(const JsonValue &service)
            member(service, "failed") + member(service, "rejected");
 }
 
-class ServiceMetricsTest : public ::testing::Test
+class ServiceMetricsTest : public test::StoreDirTest
 {
   protected:
     void
     SetUp() override
     {
-        dir = ::testing::TempDir() + "service_metrics_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
-        wipe();
+        StoreDirTest::SetUp();
         ResultStore::Options storeOptions;
         storeOptions.dir = dir;
         storeOptions.metrics = &registry;
@@ -113,26 +107,11 @@ class ServiceMetricsTest : public ::testing::Test
     TearDown() override
     {
         store.close();
-        wipe();
-    }
-
-    void
-    wipe()
-    {
-        if (DIR *handle = opendir(dir.c_str())) {
-            while (struct dirent *entry = readdir(handle)) {
-                std::string name = entry->d_name;
-                if (name != "." && name != "..")
-                    std::remove((dir + "/" + name).c_str());
-            }
-            closedir(handle);
-        }
-        rmdir(dir.c_str());
+        StoreDirTest::TearDown();
     }
 
     MetricsRegistry registry;
     ResultStore store;
-    std::string dir;
 };
 
 } // namespace

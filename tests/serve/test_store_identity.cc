@@ -10,21 +10,18 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/miss_classifier.hh"
 #include "core/simulator.hh"
-#include "fault/resilient_sweep.hh"
 #include "metrics/metrics.hh"
 #include "report/record.hh"
+#include "serve/request.hh"
 #include "serve/result_store.hh"
 #include "serve/service.hh"
+#include "serve/store_test_support.hh"
 #include "workload/registry.hh"
 #include "workload/workload.hh"
 
@@ -35,42 +32,13 @@ namespace {
 /** Small budget: the grid is 130 runs, simulated twice. */
 constexpr uint64_t kBudget = 20'000;
 
-void
-wipeDir(const std::string &dir)
-{
-    if (DIR *handle = opendir(dir.c_str())) {
-        while (struct dirent *entry = readdir(handle)) {
-            std::string name = entry->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        closedir(handle);
-    }
-    rmdir(dir.c_str());
-}
+using StoreIdentity = test::StoreDirTest;
 
-TEST(StoreIdentity, GridRecordsMatchSerialSimulation)
+TEST_F(StoreIdentity, GridRecordsMatchSerialSimulation)
 {
-    std::string dir = ::testing::TempDir() + "identity_store";
-    wipeDir(dir); // stale segments from a prior run would mask misses
+    std::vector<RunSpec> specs = test::suiteGrid(kBudget);
     SimConfig base;
     base.instructionBudget = kBudget;
-
-    // The bench_suite grid: profile-major, policy-minor, prefetch
-    // innermost.
-    const std::vector<std::string> &names = benchmarkNames();
-    std::vector<RunSpec> specs;
-    for (const std::string &name : names) {
-        for (FetchPolicy policy : allPolicies()) {
-            for (bool prefetch : {false, true}) {
-                SimConfig config = base;
-                config.policy = policy;
-                config.nextLinePrefetch = prefetch;
-                specs.push_back(RunSpec{name, config});
-            }
-        }
-    }
-    ASSERT_EQ(specs.size(), names.size() * allPolicies().size() * 2);
 
     // Reference records: fresh serial simulation, one run at a time,
     // exactly as the report layer would export them.
@@ -97,12 +65,12 @@ TEST(StoreIdentity, GridRecordsMatchSerialSimulation)
     // telemetry armed: instrumentation must never change a stored or
     // served byte (DESIGN.md §16).
     MetricsRegistry registry;
-    ResultStore store;
     ResultStore::Options storeOptions;
     storeOptions.dir = dir;
     storeOptions.metrics = &registry;
-    ASSERT_TRUE(store.open(storeOptions));
     {
+        ResultStore store;
+        ASSERT_TRUE(store.open(storeOptions));
         SweepService::Options serviceOptions;
         serviceOptions.workers = 4;
         serviceOptions.queueBound = specs.size();
@@ -121,6 +89,16 @@ TEST(StoreIdentity, GridRecordsMatchSerialSimulation)
         // identical below.
         ASSERT_EQ(service.statsSnapshot().accepted,
                   service.statsSnapshot().outcomeSum());
+
+        // 1) Stored bytes == fresh serial bytes.
+        for (size_t i = 0; i < specs.size(); ++i) {
+            JsonValue record;
+            ASSERT_TRUE(store.get(keys[i], record)) << keys[i];
+            EXPECT_EQ(record.dump(), expected[i])
+                << specs[i].benchmark << " run " << i;
+        }
+        // Leaving the scope destroys the store without close(): the
+        // same as a crash.
     }
     {
         MetricsSnapshot snapshot = registry.snapshot();
@@ -132,15 +110,7 @@ TEST(StoreIdentity, GridRecordsMatchSerialSimulation)
         ASSERT_EQ(putCount, specs.size());
     }
 
-    // 1) Stored bytes == fresh serial bytes.
-    for (size_t i = 0; i < specs.size(); ++i) {
-        JsonValue record;
-        ASSERT_TRUE(store.get(keys[i], record)) << keys[i];
-        EXPECT_EQ(record.dump(), expected[i])
-            << specs[i].benchmark << " run " << i;
-    }
-
-    // 2) Identity survives a crash-recovery reopen (no close()).
+    // 2) Identity survives a crash-recovery reopen.
     ResultStore recovered;
     ASSERT_TRUE(recovered.open(storeOptions));
     EXPECT_TRUE(recovered.stats().recovered);

@@ -17,6 +17,7 @@
 #include "workload/executor.hh"
 #include "workload/registry.hh"
 #include "workload/workload.hh"
+#include "temp_path.hh"
 
 namespace specfetch {
 namespace {
@@ -27,7 +28,7 @@ class TraceRoundTrip : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "roundtrip.sftrace";
+        path = test::tempPath("roundtrip.sftrace");
     }
 
     void TearDown() override { std::remove(path.c_str()); }
@@ -178,7 +179,7 @@ TEST(TraceDeath, MissingFileThrows)
 
 TEST(TraceDeath, NonContiguousAppendPanics)
 {
-    std::string path = ::testing::TempDir() + "bad.sftrace";
+    std::string path = test::tempPath("bad.sftrace");
     ProgramImage image(0x1000, 8);
     TraceWriter writer(path, image, 0x1000);
     writer.append(DynInst{0x1000, InstClass::Plain, false, 0});

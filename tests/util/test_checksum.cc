@@ -2,7 +2,7 @@
  * @file
  * Checksum-layer tests: the CRC-32 must match the standard IEEE
  * check value (interoperability with any external tool reading the
- * ledger), hash64 must be deterministic, seed-separable and
+ * result store), hash64 must be deterministic, seed-separable and
  * avalanche-sensitive, and the hex tag must round-trip.
  */
 

@@ -84,6 +84,10 @@ TEST(Options, UnknownOptionFails)
     OptionParser opts = makeParser();
     const char *argv[] = {"prog", "--bogus=1"};
     EXPECT_FALSE(opts.parse(2, argv));
+    // A bare unknown name is unknown too, last on the line or not.
+    OptionParser bare = makeParser();
+    const char *bareArgv[] = {"prog", "--bogus"};
+    EXPECT_FALSE(bare.parse(2, bareArgv));
 }
 
 TEST(Options, BadCountFails)

@@ -17,8 +17,8 @@ graph with its can-throw fixed point (see project.functions):
   - a call to a function whose can-throw bit is set, at a call site
     that is not itself guarded.
 
-Sweeps that *intend* to abort on panic (the plain, non-guarded
-runSweep contract) carry SPECFETCH-ALLOW(error-boundary) with that
+Sweeps that *intend* to abort on panic (the unguarded runSweep
+contract) carry SPECFETCH-ALLOW(error-boundary) with that
 reason at the call site. A waiver on the lambda's opening line (or
 the line above it) waives the whole worker root — one reasoned allow
 per intentional-abort sweep instead of one per reachable panic.
@@ -135,7 +135,7 @@ class ErrorBoundary(Rule):
                 report(t.line,
                        f"{what} in a parallel sweep worker without an "
                        f"error boundary (declare ScopedThrowOnError or "
-                       f"route through runSweepGuarded)")
+                       f"run the sweep with a SweepOptions::guard)")
         for name, index, line in project.calls_in(
                 source, root.open + 1, root.close - 1):
             callees = [c for c in functions.get(name, ())

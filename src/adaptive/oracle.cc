@@ -17,19 +17,6 @@ PerIntervalOracle::bestStaticIndex() const
     return best;
 }
 
-namespace {
-
-uint64_t
-epochPenaltySlots(const EpochRecord &epoch)
-{
-    uint64_t lost = 0;
-    for (uint64_t component : epoch.penaltySlots)
-        lost += component;
-    return lost;
-}
-
-} // namespace
-
 PerIntervalOracle
 buildPerIntervalOracle(const std::vector<FetchPolicy> &policies,
                        std::vector<std::vector<EpochRecord>> epochs,
@@ -61,12 +48,12 @@ buildPerIntervalOracle(const std::vector<FetchPolicy> &policies,
     uint64_t total_best = 0;
     for (size_t e = 0; e < numEpochs; ++e) {
         size_t best = 0;
-        uint64_t best_slots = epochPenaltySlots(oracle.epochs[0][e]);
+        uint64_t best_slots = oracle.epochs[0][e].penalty.totalSlots();
         for (size_t p = 1; p < oracle.policies.size(); ++p) {
             panic_if(oracle.epochs[p][e].lastInstruction !=
                          oracle.epochs[0][e].lastInstruction,
                      "epoch grids diverge at epoch %zu", e);
-            uint64_t slots = epochPenaltySlots(oracle.epochs[p][e]);
+            uint64_t slots = oracle.epochs[p][e].penalty.totalSlots();
             if (slots < best_slots) {
                 best = p;
                 best_slots = slots;

@@ -128,7 +128,8 @@ counterObject(
  * ISPI decomposition (Figures 1-4): every slot since the stats reset
  * is either an issued instruction or a slot charged to exactly one
  * penalty component, so the component sum must reproduce the slot
- * clock. This is the identity behind "total ISPI = stacked bars".
+ * clock (finalSlot, which the engine counts from the stats reset).
+ * This is the identity behind "total ISPI = stacked bars".
  */
 void
 checkIspiDecomposition(const AuditContext &ctx, InvariantAuditor &auditor)
@@ -136,7 +137,7 @@ checkIspiDecomposition(const AuditContext &ctx, InvariantAuditor &auditor)
     if (!ctx.stats)
         return;
     uint64_t lost = ctx.stats->penalty.totalSlots();
-    uint64_t elapsed = static_cast<uint64_t>(ctx.now - ctx.statsBaseSlot);
+    uint64_t elapsed = static_cast<uint64_t>(ctx.stats->finalSlot);
     if (ctx.stats->instructions + lost == elapsed)
         return;
     auditor.violation(
@@ -158,10 +159,7 @@ checkBusAccounting(const AuditContext &ctx, InvariantAuditor &auditor)
         return;
     uint64_t bus_seen =
         ctx.bus->transactions.value() - ctx.busBaseTransactions;
-    uint64_t prefetches = ctx.prefetchesIssuedNow - ctx.prefetchBaseline;
-    uint64_t accounted = ctx.stats->demandFills + ctx.stats->wrongFills +
-                         prefetches;
-    if (bus_seen == accounted)
+    if (bus_seen == ctx.stats->memoryTransactions())
         return;
     auditor.violation(
         "bus-accounting",
@@ -169,7 +167,7 @@ checkBusAccounting(const AuditContext &ctx, InvariantAuditor &auditor)
         counterObject({{"bus_transactions", bus_seen},
                        {"demand_fills", ctx.stats->demandFills},
                        {"wrong_fills", ctx.stats->wrongFills},
-                       {"prefetches_issued", prefetches}}));
+                       {"prefetches_issued", ctx.stats->prefetchesIssued}}));
 }
 
 /** Tag-store consistency: defer to the array's own structural audit. */

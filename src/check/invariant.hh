@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "check/check_level.hh"
-#include "isa/types.hh"
 #include "report/json.hh"
 
 namespace specfetch {
@@ -52,16 +51,8 @@ struct AuditContext
     const SimConfig *config = nullptr;
     const SimResults *stats = nullptr;
 
-    /** Current slot clock. */
-    Slot now = 0;
-    /** Slot clock at the last stats reset (warmup boundary). */
-    Slot statsBaseSlot = 0;
     /** Bus transactions at the last stats reset. */
     uint64_t busBaseTransactions = 0;
-    /** Prefetches issued at the last stats reset. */
-    uint64_t prefetchBaseline = 0;
-    /** Live prefetches-issued count (stats carry it only at the end). */
-    uint64_t prefetchesIssuedNow = 0;
 
     const ICache *icache = nullptr;
     const LineBuffer *resumeBuffer = nullptr;

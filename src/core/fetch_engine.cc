@@ -139,15 +139,12 @@ FetchEngine::runAudit(bool end_of_run)
     // (at the next control instruction); an audit must observe the
     // same predictor state as the eager schedule would.
     drainResolves();
+    syncStats();
 
     AuditContext ctx;
     ctx.config = &config;
     ctx.stats = &stats;
-    ctx.now = now;
-    ctx.statsBaseSlot = statsBaseSlot;
     ctx.busBaseTransactions = busBaseline;
-    ctx.prefetchBaseline = prefetchBaseline;
-    ctx.prefetchesIssuedNow = prefetcher.issuedCount();
     ctx.icache = &cache;
     ctx.resumeBuffer = &resumeBuffer;
     ctx.prefetcher = &prefetcher;
@@ -169,7 +166,8 @@ FetchEngine::runAudit(bool end_of_run)
 void
 FetchEngine::onAdaptiveBoundary()
 {
-    adaptiveTicker->onBoundary(stats, now, prefetcher.issuedCount());
+    syncStats();
+    adaptiveTicker->onBoundary(stats);
     const EpochRecord &closed = adaptiveTicker->epochs().back();
     adaptiveLog.choices.push_back(
         AdaptiveChoice{closed.epoch, config.policy,
@@ -566,8 +564,9 @@ FetchEngine::runLoop(Source &source)
     // epochs cover exactly the measured region. Disabled runs take the
     // same never-taken branch the watchdog does.
     uint64_t next_sample = UINT64_MAX;
+    syncStats();
     if (sampler) {
-        sampler->begin(stats, now, prefetcher.issuedCount());
+        sampler->begin(stats);
         next_sample = sampler->interval();
     }
 
@@ -577,7 +576,7 @@ FetchEngine::runLoop(Source &source)
     // always runs under the configured base policy.
     uint64_t next_adaptive = UINT64_MAX;
     if (selector) {
-        adaptiveTicker->begin(stats, now, prefetcher.issuedCount());
+        adaptiveTicker->begin(stats);
         adaptiveLog.interval = config.adaptiveInterval;
         adaptiveLog.basePolicy = config.policy;
         next_adaptive = config.adaptiveInterval;
@@ -611,8 +610,8 @@ FetchEngine::runLoop(Source &source)
             if (got > 0) {
                 fetchPlainRun<P, PF>(run_pc, got);
                 if (stats.instructions >= next_sample) {
-                    sampler->onBoundary(stats, now,
-                                        prefetcher.issuedCount());
+                    syncStats();
+                    sampler->onBoundary(stats);
                     next_sample += sampler->interval();
                 }
                 if (stats.instructions >= next_adaptive) {
@@ -635,7 +634,8 @@ FetchEngine::runLoop(Source &source)
             break;
         fetchOne<P, PF>(inst);
         if (stats.instructions >= next_sample) {
-            sampler->onBoundary(stats, now, prefetcher.issuedCount());
+            syncStats();
+            sampler->onBoundary(stats);
             next_sample += sampler->interval();
         }
         if (stats.instructions >= next_adaptive) {
@@ -655,14 +655,13 @@ FetchEngine::runLoop(Source &source)
     // Apply any training still due by the final slot so the predictor
     // ends the run in the same state the eager drain schedule left it.
     drainResolves();
-    stats.finalSlot = now;
-    stats.prefetchesIssued = prefetcher.issuedCount() - prefetchBaseline;
+    syncStats();
     if (sampler)
-        sampler->finish(stats, now, prefetcher.issuedCount());
+        sampler->finish(stats);
     if (selector) {
         // Close a final partial epoch (runs whose budget is not a
         // multiple of the interval, or that exhausted their source).
-        adaptiveTicker->finish(stats, now, prefetcher.issuedCount());
+        adaptiveTicker->finish(stats);
         const std::vector<EpochRecord> &ticks = adaptiveTicker->epochs();
         if (ticks.size() > adaptiveLog.choices.size()) {
             const EpochRecord &last = ticks.back();

@@ -210,6 +210,19 @@ class FetchEngine
     void resetStats();
 
     /**
+     * Bring the two stats the engine keeps outside SimResults up to
+     * date — the slot clock and the prefetch unit's issue count, both
+     * counted from the stats reset — before stats is handed to the
+     * sampler, the adaptive ticker, the auditor or the caller.
+     */
+    void
+    syncStats()
+    {
+        stats.finalSlot = now - statsBaseSlot;
+        stats.prefetchesIssued = prefetcher.issuedCount() - prefetchBaseline;
+    }
+
+    /**
      * Adaptive decision point (config.adaptiveSelector != Off): close
      * the epoch that just ended, log the policy that governed it, and
      * apply the selector's choice for the next epoch. Called only at
@@ -251,7 +264,7 @@ class FetchEngine
     SimResults stats;
     /** Prefetch count at the last stats reset (warmup boundary). */
     uint64_t prefetchBaseline = 0;
-    /** Slot clock at the last stats reset (audit identity base). */
+    /** Slot clock at the last stats reset (finalSlot counts from it). */
     Slot statsBaseSlot = 0;
     /** Bus transactions at the last stats reset. */
     uint64_t busBaseline = 0;

@@ -72,20 +72,7 @@ class PenaltyBreakdown
 
     PenaltyBreakdown &operator+=(const PenaltyBreakdown &other);
 
-    bool
-    operator==(const PenaltyBreakdown &other) const
-    {
-        for (size_t i = 0; i < kNumPenaltyKinds; ++i) {
-            if (slotsLost[i] != other.slotsLost[i])
-                return false;
-        }
-        return true;
-    }
-    bool
-    operator!=(const PenaltyBreakdown &other) const
-    {
-        return !(*this == other);
-    }
+    bool operator==(const PenaltyBreakdown &other) const = default;
 
     void reset();
 

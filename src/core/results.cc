@@ -1,6 +1,5 @@
 #include "core/results.hh"
 
-#include "stats/stat_group.hh"
 #include "stats/stats.hh"
 #include "util/string_utils.hh"
 
@@ -16,14 +15,6 @@ double
 SimResults::wrongMissRatePercent() const
 {
     return 100.0 * ratioOf(wrongMisses, instructions);
-}
-
-double
-SimResults::condAccuracy() const
-{
-    return condBranches == 0
-        ? 1.0
-        : 1.0 - ratioOf(dirMispredicts, condBranches);
 }
 
 double
@@ -52,19 +43,7 @@ operator==(const SimResults &a, const SimResults &b)
            a.misfetchSlots == b.misfetchSlots &&
            a.mispredictSlots == b.mispredictSlots &&
            a.finalSlot == b.finalSlot && a.penalty == b.penalty &&
-           a.controlInsts == b.controlInsts &&
-           a.condBranches == b.condBranches &&
-           a.misfetches == b.misfetches &&
-           a.dirMispredicts == b.dirMispredicts &&
-           a.targetMispredicts == b.targetMispredicts &&
-           a.demandAccesses == b.demandAccesses &&
-           a.demandMisses == b.demandMisses &&
-           a.demandFills == b.demandFills &&
-           a.bufferHits == b.bufferHits &&
-           a.wrongAccesses == b.wrongAccesses &&
-           a.wrongMisses == b.wrongMisses &&
-           a.wrongFills == b.wrongFills &&
-           a.prefetchesIssued == b.prefetchesIssued;
+           static_cast<const RunCounters &>(a) == b;
 }
 
 std::string
@@ -101,86 +80,47 @@ SimResults::summary() const
 namespace {
 
 /**
- * Build the transient stat tree over @p r's raw values and hand it to
- * @p fn; the counters live on the stack only for the duration of the
- * call. Shared by statsDump() and visitStats() so the two can never
- * disagree about what stats exist.
+ * Call fn(name, value, description, is_counter) for every statistic of
+ * @p r in dump order: the frontend block, then per group the
+ * counter-table rows followed by the group's derived values. Shared by
+ * statsDump() and visitStats() so the two can never disagree about
+ * what stats exist.
  */
 template <typename Fn>
 void
-withStatTree(const SimResults &r, Fn &&fn)
+forEachStat(const SimResults &r, Fn &&fn)
 {
-    Counter insts, slots;
-    insts += r.instructions;
-    slots += static_cast<uint64_t>(r.finalSlot);
+    auto tableRows = [&r, &fn](const std::string &group) {
+        for (const CounterField &field : kCounterFields) {
+            if (group == field.group) {
+                fn("sim." + group + "." + field.key,
+                   static_cast<double>(r.*field.member), field.description,
+                   true);
+            }
+        }
+    };
 
-    Counter control, cond, misfetch, dir_misp, tgt_misp;
-    control += r.controlInsts;
-    cond += r.condBranches;
-    misfetch += r.misfetches;
-    dir_misp += r.dirMispredicts;
-    tgt_misp += r.targetMispredicts;
-
-    Counter d_acc, d_miss, d_fill, b_hits, w_acc, w_miss, w_fill, pf;
-    d_acc += r.demandAccesses;
-    d_miss += r.demandMisses;
-    d_fill += r.demandFills;
-    b_hits += r.bufferHits;
-    w_acc += r.wrongAccesses;
-    w_miss += r.wrongMisses;
-    w_fill += r.wrongFills;
-    pf += r.prefetchesIssued;
-
-    StatGroup front("frontend");
-    front.addCounter("instructions", insts, "correct-path instructions");
-    front.addCounter("slots", slots, "total issue slots elapsed");
-    front.addFormula("ispi", [&r] { return r.ispi(); },
-                     "issue slots lost per instruction");
+    fn("sim.frontend.instructions", static_cast<double>(r.instructions),
+       "correct-path instructions", true);
+    fn("sim.frontend.slots", static_cast<double>(r.finalSlot),
+       "total issue slots elapsed", true);
+    fn("sim.frontend.ispi", r.ispi(), "issue slots lost per instruction",
+       false);
     for (PenaltyKind kind : allPenaltyKinds()) {
-        front.addFormula("ispi_" + toString(kind),
-                         [&r, kind] { return r.ispiOf(kind); },
-                         "component ISPI");
+        fn("sim.frontend.ispi_" + toString(kind), r.ispiOf(kind),
+           "component ISPI", false);
     }
 
-    StatGroup branches("branch");
-    branches.addCounter("control", control, "control-flow instructions");
-    branches.addCounter("conditional", cond, "conditional branches");
-    branches.addCounter("misfetches", misfetch, "8-slot redirects");
-    branches.addCounter("dir_mispredicts", dir_misp,
-                        "direction mispredicts");
-    branches.addCounter("target_mispredicts", tgt_misp,
-                        "indirect-target mispredicts");
-    branches.addFormula("cond_accuracy",
-                        [&r] { return r.condAccuracy(); },
-                        "PHT direction accuracy");
+    tableRows("branch");
+    fn("sim.branch.cond_accuracy", r.condAccuracy(),
+       "PHT direction accuracy", false);
 
-    StatGroup icache("icache");
-    icache.addCounter("demand_accesses", d_acc,
-                      "correct-path line accesses");
-    icache.addCounter("demand_misses", d_miss, "correct-path misses");
-    icache.addCounter("demand_fills", d_fill, "fills sent to memory");
-    icache.addCounter("buffer_hits", b_hits,
-                      "served by resume/prefetch buffer");
-    icache.addCounter("wrong_accesses", w_acc, "wrong-path accesses");
-    icache.addCounter("wrong_misses", w_miss, "wrong-path misses");
-    icache.addCounter("wrong_fills", w_fill,
-                      "wrong-path misses serviced");
-    icache.addCounter("prefetches", pf, "prefetches issued");
-    icache.addFormula("miss_rate",
-                      [&r] { return r.missRatePercent() / 100.0; },
-                      "misses per instruction");
-    icache.addFormula("memory_transactions",
-                      [&r] {
-                          return static_cast<double>(
-                              r.memoryTransactions());
-                      },
-                      "fills + wrong-path fills + prefetches");
-
-    StatGroup root("sim");
-    root.addChild(front);
-    root.addChild(branches);
-    root.addChild(icache);
-    fn(root);
+    tableRows("icache");
+    fn("sim.icache.miss_rate", r.missRatePercent() / 100.0,
+       "misses per instruction", false);
+    fn("sim.icache.memory_transactions",
+       static_cast<double>(r.memoryTransactions()),
+       "fills + wrong-path fills + prefetches", false);
 }
 
 } // namespace
@@ -189,8 +129,17 @@ std::string
 SimResults::statsDump() const
 {
     std::string out;
-    withStatTree(*this, [&out](const StatGroup &root) {
-        out = root.dump();
+    forEachStat(*this, [&out](const std::string &name, double value,
+                              const char *description, bool) {
+        std::string value_text;
+        if (value == static_cast<double>(static_cast<uint64_t>(value)))
+            value_text = std::to_string(static_cast<uint64_t>(value));
+        else
+            value_text = formatFixed(value, 6);
+        out += name;
+        if (name.size() < 40)
+            out += std::string(40 - name.size(), ' ');
+        out += " " + value_text + "   # " + description + "\n";
     });
     return out;
 }
@@ -200,12 +149,9 @@ SimResults::visitStats(
     const std::function<void(const std::string &, const std::string &,
                              bool)> &fn) const
 {
-    withStatTree(*this, [&fn](const StatGroup &root) {
-        root.visitEntries([&fn](const std::string &qualified,
-                                const Counter *counter, double,
-                                const std::string &description) {
-            fn(qualified, description, counter != nullptr);
-        });
+    forEachStat(*this, [&fn](const std::string &name, double,
+                             const char *description, bool isCounter) {
+        fn(name, description, isCounter);
     });
 }
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 
+#include "core/counters.hh"
 #include "core/penalty.hh"
 #include "core/policy.hh"
 #include "isa/types.hh"
@@ -16,11 +17,13 @@
 namespace specfetch {
 
 /**
- * Everything one simulation run produces. Counts are raw; derived
- * metrics (ISPI, miss ratios, traffic) are methods so callers cannot
- * desynchronize numerators and denominators.
+ * Everything one simulation run produces: the event counters
+ * (RunCounters, core/counters.hh) plus the run's identity, slot clock
+ * and penalty breakdown. Counts are raw; derived metrics (ISPI, miss
+ * ratios, traffic) are methods so callers cannot desynchronize
+ * numerators and denominators.
  */
-struct SimResults
+struct SimResults : RunCounters
 {
     std::string workload;
     FetchPolicy policy = FetchPolicy::Oracle;
@@ -30,44 +33,13 @@ struct SimResults
     uint64_t instructions = 0;
     /** Slot penalties of the simulated machine (filled by the engine;
      *  8/16 on the paper baseline). */
-    // SPECFETCH-ALLOW(stat-conservation): machine parameters echoed from config, not accumulated stats
     uint64_t misfetchSlots = 8;
-    // SPECFETCH-ALLOW(stat-conservation): machine parameter, not an accumulated stat
     uint64_t mispredictSlots = 16;
-    /** Final slot clock (instructions + all lost slots). */
+    /** Slots elapsed since the stats reset (instructions + all lost
+     *  slots). */
     Slot finalSlot = 0;
 
     PenaltyBreakdown penalty;
-
-    /** @name Branch outcomes on the correct path @{ */
-    uint64_t controlInsts = 0;
-    uint64_t condBranches = 0;
-    uint64_t misfetches = 0;        ///< 8-slot redirects (BTB)
-    uint64_t dirMispredicts = 0;    ///< 16-slot direction (PHT)
-    uint64_t targetMispredicts = 0; ///< 16-slot indirect target (BTB)
-    /** @} */
-
-    /** @name Correct-path cache behavior @{ */
-    uint64_t demandAccesses = 0;    ///< line-granular fetch accesses
-    uint64_t demandMisses = 0;      ///< missed in array and buffers
-    uint64_t demandFills = 0;       ///< fills actually sent to memory
-    uint64_t bufferHits = 0;        ///< satisfied by resume/prefetch buffer
-    /** @} */
-
-    /** @name Wrong-path cache behavior @{ */
-    uint64_t wrongAccesses = 0;
-    uint64_t wrongMisses = 0;       ///< wrong-path misses observed
-    uint64_t wrongFills = 0;        ///< ... that were serviced
-    /** @} */
-
-    uint64_t prefetchesIssued = 0;
-
-    /** Total memory transactions this run generated. */
-    uint64_t
-    memoryTransactions() const
-    {
-        return demandFills + wrongFills + prefetchesIssued;
-    }
 
     /** Total ISPI (paper Figures 1-2, Tables 5-6). */
     double ispi() const { return penalty.totalIspi(instructions); }
@@ -86,9 +58,6 @@ struct SimResults
     /** Wrong-path miss ratio in percent of correct-path instructions
      *  (paper Table 4 "WP" convention). */
     double wrongMissRatePercent() const;
-
-    /** Conditional-branch direction accuracy (PHT quality). */
-    double condAccuracy() const;
 
     /** ISPI due to PHT direction mispredicts only (Table 3). */
     double phtMispredictIspi() const;
@@ -120,11 +89,6 @@ struct SimResults
  *  derived metrics need no comparison since they are pure functions of
  *  the raw fields. */
 bool operator==(const SimResults &a, const SimResults &b);
-inline bool
-operator!=(const SimResults &a, const SimResults &b)
-{
-    return !(a == b);
-}
 
 } // namespace specfetch
 

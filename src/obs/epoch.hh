@@ -15,14 +15,16 @@
 
 #include <cstdint>
 
+#include "core/counters.hh"
 #include "core/penalty.hh"
-#include "isa/types.hh"
-#include "stats/stats.hh"
 
 namespace specfetch {
 
-/** Statistics delta over one sampling window. */
-struct EpochRecord
+/**
+ * Statistics delta over one sampling window: the difference of two
+ * snapshots of the run's counters, penalty breakdown and slot clock.
+ */
+struct EpochRecord : RunCounters
 {
     /** Zero-based epoch index within the run. */
     uint64_t epoch = 0;
@@ -33,26 +35,7 @@ struct EpochRecord
     /** Issue slots elapsed during the epoch. */
     uint64_t slots = 0;
     /** Lost slots charged to each penalty component this epoch. */
-    uint64_t penaltySlots[kNumPenaltyKinds] = {};
-
-    /** @name Correct-path branch outcomes this epoch @{ */
-    uint64_t controlInsts = 0;
-    uint64_t condBranches = 0;
-    uint64_t misfetches = 0;
-    uint64_t dirMispredicts = 0;
-    uint64_t targetMispredicts = 0;
-    /** @} */
-
-    /** @name Cache/bus behaviour this epoch @{ */
-    uint64_t demandAccesses = 0;
-    uint64_t demandMisses = 0;
-    uint64_t demandFills = 0;
-    uint64_t bufferHits = 0;
-    uint64_t wrongAccesses = 0;
-    uint64_t wrongMisses = 0;
-    uint64_t wrongFills = 0;
-    uint64_t prefetchesIssued = 0;
-    /** @} */
+    PenaltyBreakdown penalty;
 
     /** True only for a final epoch cut short by the end of the run. */
     bool partial = false;
@@ -64,38 +47,14 @@ struct EpochRecord
         return lastInstruction - firstInstruction;
     }
 
-    /** Memory transactions initiated this epoch. */
-    uint64_t
-    memoryTransactions() const
-    {
-        return demandFills + wrongFills + prefetchesIssued;
-    }
-
     /** Lost slots per instruction over this epoch alone. */
-    double
-    ispi() const
-    {
-        uint64_t lost = 0;
-        for (uint64_t component : penaltySlots)
-            lost += component;
-        return ratioOf(lost, instructions());
-    }
+    double ispi() const { return penalty.totalIspi(instructions()); }
 
     /** One component's ISPI over this epoch. */
     double
     ispiOf(PenaltyKind kind) const
     {
-        return ratioOf(penaltySlots[static_cast<size_t>(kind)],
-                       instructions());
-    }
-
-    /** Conditional-branch direction accuracy within the epoch. */
-    double
-    condAccuracy() const
-    {
-        return condBranches == 0
-            ? 1.0
-            : 1.0 - ratioOf(dirMispredicts, condBranches);
+        return penalty.ispi(kind, instructions());
     }
 
     /** Correct-path misses per instruction this epoch, in percent. */
@@ -109,8 +68,7 @@ struct EpochRecord
     double
     busWaitFraction() const
     {
-        return ratioOf(penaltySlots[static_cast<size_t>(PenaltyKind::Bus)],
-                       slots);
+        return ratioOf(penalty.slots(PenaltyKind::Bus), slots);
     }
 };
 

@@ -11,69 +11,39 @@ IntervalSampler::IntervalSampler(uint64_t interval)
 }
 
 void
-IntervalSampler::begin(const SimResults &stats, Slot now,
-                       uint64_t prefetchesIssued)
+IntervalSampler::begin(const SimResults &stats)
 {
     series.clear();
     prev = stats;
-    prevSlot = now;
-    prevPrefetches = prefetchesIssued;
 }
 
 void
-IntervalSampler::append(const SimResults &stats, Slot now,
-                        uint64_t prefetchesIssued, bool partial)
+IntervalSampler::onBoundary(const SimResults &stats)
 {
     EpochRecord epoch;
+    static_cast<RunCounters &>(epoch) = stats - prev;
     epoch.epoch = series.size();
     epoch.firstInstruction = prev.instructions;
     epoch.lastInstruction = stats.instructions;
-    epoch.slots = static_cast<uint64_t>(now - prevSlot);
+    epoch.slots = static_cast<uint64_t>(stats.finalSlot - prev.finalSlot);
     for (PenaltyKind kind : allPenaltyKinds()) {
-        epoch.penaltySlots[static_cast<size_t>(kind)] =
-            stats.penalty.slots(kind) - prev.penalty.slots(kind);
+        epoch.penalty.charge(
+            kind, stats.penalty.slots(kind) - prev.penalty.slots(kind));
     }
-
-    epoch.controlInsts = stats.controlInsts - prev.controlInsts;
-    epoch.condBranches = stats.condBranches - prev.condBranches;
-    epoch.misfetches = stats.misfetches - prev.misfetches;
-    epoch.dirMispredicts = stats.dirMispredicts - prev.dirMispredicts;
-    epoch.targetMispredicts =
-        stats.targetMispredicts - prev.targetMispredicts;
-
-    epoch.demandAccesses = stats.demandAccesses - prev.demandAccesses;
-    epoch.demandMisses = stats.demandMisses - prev.demandMisses;
-    epoch.demandFills = stats.demandFills - prev.demandFills;
-    epoch.bufferHits = stats.bufferHits - prev.bufferHits;
-    epoch.wrongAccesses = stats.wrongAccesses - prev.wrongAccesses;
-    epoch.wrongMisses = stats.wrongMisses - prev.wrongMisses;
-    epoch.wrongFills = stats.wrongFills - prev.wrongFills;
-    epoch.prefetchesIssued = prefetchesIssued - prevPrefetches;
-    epoch.partial = partial;
-
     series.push_back(epoch);
     prev = stats;
-    prevSlot = now;
-    prevPrefetches = prefetchesIssued;
 }
 
 void
-IntervalSampler::onBoundary(const SimResults &stats, Slot now,
-                            uint64_t prefetchesIssued)
-{
-    append(stats, now, prefetchesIssued, /*partial=*/false);
-}
-
-void
-IntervalSampler::finish(const SimResults &stats, Slot now,
-                        uint64_t prefetchesIssued)
+IntervalSampler::finish(const SimResults &stats)
 {
     // Nothing retired since the last boundary: the series is complete.
     if (stats.instructions == prev.instructions)
         return;
     bool partial =
         stats.instructions - prev.instructions < epochInterval;
-    append(stats, now, prefetchesIssued, partial);
+    onBoundary(stats);
+    series.back().partial = partial;
 }
 
 } // namespace specfetch

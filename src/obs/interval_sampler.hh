@@ -6,8 +6,10 @@
  * correct-path instructions (the engine aligns its batched fast path
  * so boundaries land exactly); the sampler differences the cumulative
  * SimResults against the previous boundary and appends one
- * EpochRecord. finish() closes the series with a partial epoch when
- * the run ends off-boundary.
+ * EpochRecord. The engine brings the slot clock (finalSlot) and the
+ * prefetch count up to date before every call, so each epoch is the
+ * difference of two snapshots of the run's stats. finish() closes the
+ * series with a partial epoch when the run ends off-boundary.
  *
  * The sampler never mutates simulation state and reads only the stats
  * structure the run already maintains, so sampled and unsampled runs
@@ -36,28 +38,21 @@ class IntervalSampler
     uint64_t interval() const { return epochInterval; }
 
     /**
-     * (Re)start the series: @p stats and @p now become the baseline the
-     * first epoch is differenced against. The engine calls this after
-     * its warmup stats reset so epochs cover only the measured region.
+     * (Re)start the series: @p stats becomes the baseline the first
+     * epoch is differenced against. The engine calls this after its
+     * warmup stats reset so epochs cover only the measured region.
      */
-    void begin(const SimResults &stats, Slot now,
-               uint64_t prefetchesIssued);
+    void begin(const SimResults &stats);
 
-    /**
-     * Record the epoch ending at the current boundary. @p stats holds
-     * cumulative values; @p prefetchesIssued is the run's prefetch
-     * count so far (the engine computes it from the prefetch unit,
-     * since SimResults only carries it at end of run).
-     */
-    void onBoundary(const SimResults &stats, Slot now,
-                    uint64_t prefetchesIssued);
+    /** Record the epoch ending at the current boundary; @p stats holds
+     *  cumulative values. */
+    void onBoundary(const SimResults &stats);
 
     /**
      * Close the series at end of run: appends a final epoch marked
      * partial when instructions were retired past the last boundary.
      */
-    void finish(const SimResults &stats, Slot now,
-                uint64_t prefetchesIssued);
+    void finish(const SimResults &stats);
 
     const std::vector<EpochRecord> &epochs() const { return series; }
 
@@ -65,15 +60,10 @@ class IntervalSampler
     std::vector<EpochRecord> takeEpochs() { return std::move(series); }
 
   private:
-    void append(const SimResults &stats, Slot now,
-                uint64_t prefetchesIssued, bool partial);
-
     uint64_t epochInterval = 0;
     std::vector<EpochRecord> series;
     /** Cumulative values at the previous boundary. */
     SimResults prev;
-    Slot prevSlot = 0;
-    uint64_t prevPrefetches = 0;
 };
 
 } // namespace specfetch

@@ -61,13 +61,6 @@ distributionJson(const std::vector<uint64_t> &values)
 JsonValue
 toJson(const EpochRecord &epoch)
 {
-    JsonValue penalty = JsonValue::object();
-    for (PenaltyKind kind : allPenaltyKinds()) {
-        penalty.set(toString(kind),
-                    JsonValue::integer(
-                        epoch.penaltySlots[static_cast<size_t>(kind)]));
-    }
-
     JsonValue components = JsonValue::object();
     for (PenaltyKind kind : allPenaltyKinds())
         components.set(toString(kind), JsonValue::number(epoch.ispiOf(kind)));
@@ -85,24 +78,10 @@ toJson(const EpochRecord &epoch)
         .set("first_instruction", JsonValue::integer(epoch.firstInstruction))
         .set("last_instruction", JsonValue::integer(epoch.lastInstruction))
         .set("slots", JsonValue::integer(epoch.slots))
-        .set("penalty_slots", std::move(penalty))
-        .set("control_insts", JsonValue::integer(epoch.controlInsts))
-        .set("cond_branches", JsonValue::integer(epoch.condBranches))
-        .set("misfetches", JsonValue::integer(epoch.misfetches))
-        .set("dir_mispredicts", JsonValue::integer(epoch.dirMispredicts))
-        .set("target_mispredicts",
-             JsonValue::integer(epoch.targetMispredicts))
-        .set("demand_accesses", JsonValue::integer(epoch.demandAccesses))
-        .set("demand_misses", JsonValue::integer(epoch.demandMisses))
-        .set("demand_fills", JsonValue::integer(epoch.demandFills))
-        .set("buffer_hits", JsonValue::integer(epoch.bufferHits))
-        .set("wrong_accesses", JsonValue::integer(epoch.wrongAccesses))
-        .set("wrong_misses", JsonValue::integer(epoch.wrongMisses))
-        .set("wrong_fills", JsonValue::integer(epoch.wrongFills))
-        .set("prefetches_issued",
-             JsonValue::integer(epoch.prefetchesIssued))
-        .set("memory_transactions",
-             JsonValue::integer(epoch.memoryTransactions()))
+        .set("penalty_slots", toJson(epoch.penalty));
+    setCounterMembers(out, epoch);
+    out.set("memory_transactions",
+            JsonValue::integer(epoch.memoryTransactions()))
         .set("partial", JsonValue::boolean(epoch.partial))
         .set("derived", std::move(derived));
     return out;

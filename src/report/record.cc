@@ -25,30 +25,15 @@ indexingName(PhtIndexing indexing)
 JsonValue
 countersJson(const SimResults &r)
 {
-    JsonValue penalty = JsonValue::object();
-    for (PenaltyKind kind : allPenaltyKinds())
-        penalty.set(toString(kind), JsonValue::integer(r.penalty.slots(kind)));
-
     JsonValue counters = JsonValue::object();
     counters.set("instructions", JsonValue::integer(r.instructions))
         .set("final_slot",
-             JsonValue::integer(static_cast<uint64_t>(r.finalSlot)))
-        .set("control_insts", JsonValue::integer(r.controlInsts))
-        .set("cond_branches", JsonValue::integer(r.condBranches))
-        .set("misfetches", JsonValue::integer(r.misfetches))
-        .set("dir_mispredicts", JsonValue::integer(r.dirMispredicts))
-        .set("target_mispredicts", JsonValue::integer(r.targetMispredicts))
-        .set("demand_accesses", JsonValue::integer(r.demandAccesses))
-        .set("demand_misses", JsonValue::integer(r.demandMisses))
-        .set("demand_fills", JsonValue::integer(r.demandFills))
-        .set("buffer_hits", JsonValue::integer(r.bufferHits))
-        .set("wrong_accesses", JsonValue::integer(r.wrongAccesses))
-        .set("wrong_misses", JsonValue::integer(r.wrongMisses))
-        .set("wrong_fills", JsonValue::integer(r.wrongFills))
-        .set("prefetches_issued", JsonValue::integer(r.prefetchesIssued))
+             JsonValue::integer(static_cast<uint64_t>(r.finalSlot)));
+    setCounterMembers(counters, r);
+    counters
         .set("memory_transactions",
              JsonValue::integer(r.memoryTransactions()))
-        .set("penalty_slots", std::move(penalty));
+        .set("penalty_slots", toJson(r.penalty));
     return counters;
 }
 
@@ -84,6 +69,22 @@ recordShell(const char *kind)
 }
 
 } // namespace
+
+void
+setCounterMembers(JsonValue &out, const RunCounters &counters)
+{
+    for (const CounterField &field : kCounterFields)
+        out.set(field.key, JsonValue::integer(counters.*field.member));
+}
+
+JsonValue
+toJson(const PenaltyBreakdown &penalty)
+{
+    JsonValue out = JsonValue::object();
+    for (PenaltyKind kind : allPenaltyKinds())
+        out.set(toString(kind), JsonValue::integer(penalty.slots(kind)));
+    return out;
+}
 
 JsonValue
 toJson(const SimConfig &config)
@@ -529,29 +530,6 @@ makeClassificationRecord(const Classification &classification,
         .set("config", toJson(config))
         .set("classification", toJson(classification));
     return record;
-}
-
-JsonValue
-statsToJson(const StatGroup &root)
-{
-    JsonValue out = JsonValue::object();
-    root.visitEntries([&](const std::string &qualified,
-                          const Counter *counter, double value,
-                          const std::string &) {
-        // Dotted path -> nested objects; the leaf keeps counter
-        // exactness.
-        std::vector<std::string> path = split(qualified, '.');
-        JsonValue *node = &out;
-        for (size_t i = 0; i + 1 < path.size(); ++i) {
-            if (!node->find(path[i]))
-                node->set(path[i], JsonValue::object());
-            node = const_cast<JsonValue *>(node->find(path[i]));
-        }
-        node->set(path.back(), counter
-                                   ? JsonValue::integer(counter->value())
-                                   : JsonValue::number(value));
-    });
-    return out;
 }
 
 namespace {

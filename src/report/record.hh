@@ -30,7 +30,6 @@
 #include "core/miss_classifier.hh"
 #include "core/results.hh"
 #include "report/json.hh"
-#include "stats/stat_group.hh"
 
 namespace specfetch {
 
@@ -68,6 +67,13 @@ JsonValue toJson(const SimConfig &config);
 bool configFromJson(const JsonValue &manifest, SimConfig &out,
                     std::string *error = nullptr);
 
+/** Set one integer member per counter-table row on @p out, keyed and
+ *  ordered as in kCounterFields (run and epoch records share it). */
+void setCounterMembers(JsonValue &out, const RunCounters &counters);
+
+/** Lost slots per penalty component, keyed by component name. */
+JsonValue toJson(const PenaltyBreakdown &penalty);
+
 /** Raw counters + derived metrics of one run (no manifest). */
 JsonValue toJson(const SimResults &results);
 
@@ -88,12 +94,6 @@ JsonValue makeRunRecord(const SimResults &results, const SimConfig &config,
  */
 JsonValue makeClassificationRecord(const Classification &classification,
                                    const SimConfig &config);
-
-/**
- * Export a stat tree as nested JSON: dotted group names become nested
- * objects, counters stay exact integers, formulas become doubles.
- */
-JsonValue statsToJson(const StatGroup &root);
 
 /**
  * Flatten a record for CSV: nested objects become dotted column

@@ -1,12 +1,8 @@
 /**
  * @file
- * Lightweight named-statistics framework.
- *
- * Simulator components register scalar counters (and histograms, see
- * histogram.hh) with a StatGroup. Groups nest, names are
- * dot-qualified, and the whole tree can be dumped as text or visited
- * programmatically — a miniature of gem5's stats package sized for
- * this project.
+ * Event counters and guarded ratios for the simulator's components.
+ * The run-level counters a simulation reports are declared in
+ * core/counters.hh; histogram.hh holds the distribution summaries.
  */
 
 #ifndef SPECFETCH_STATS_STATS_HH_
@@ -17,10 +13,8 @@
 namespace specfetch {
 
 /**
- * A 64-bit event counter.
- *
- * Counters are value types; components own them directly and register
- * references with their StatGroup for naming/dumping.
+ * A 64-bit event counter. Counters are value types; components own
+ * them directly.
  */
 class Counter
 {

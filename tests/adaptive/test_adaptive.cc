@@ -49,7 +49,7 @@ penaltyEpoch(uint64_t index, uint64_t penalty_slots,
     epoch.epoch = index;
     epoch.firstInstruction = index * instructions;
     epoch.lastInstruction = (index + 1) * instructions;
-    epoch.penaltySlots[0] = penalty_slots;
+    epoch.penalty.charge(PenaltyKind::BranchFull, penalty_slots);
     return epoch;
 }
 
@@ -263,7 +263,7 @@ TEST(Bandit, SwitchesOnlyOnStrictlyBetterObservedValue)
                                         FetchPolicy::Resume});
     auto epoch = [](uint64_t penalty_slots) {
         EpochRecord closed = epochWith(2.0, 0.2);
-        closed.penaltySlots[0] = penalty_slots;
+        closed.penalty.charge(PenaltyKind::BranchFull, penalty_slots);
         return closed;
     };
 
@@ -288,7 +288,7 @@ TEST(Bandit, TiesKeepTheIncumbent)
                                         FetchPolicy::Resume});
     auto epoch = [] {
         EpochRecord closed = epochWith(2.0, 0.2);
-        closed.penaltySlots[0] = 300;
+        closed.penalty.charge(PenaltyKind::BranchFull, 300);
         return closed;
     };
     EXPECT_EQ(bandit.nextPolicy(epoch(), FetchPolicy::Resume),
@@ -309,7 +309,7 @@ TEST(Bandit, RecencyWeightingForgetsAColdStart)
                                1.0);
     auto epoch = [](uint64_t penalty_slots) {
         EpochRecord closed = epochWith(2.0, 0.2);
-        closed.penaltySlots[0] = penalty_slots;
+        closed.penalty.charge(PenaltyKind::BranchFull, penalty_slots);
         return closed;
     };
     EXPECT_EQ(bandit.nextPolicy(epoch(9'000), FetchPolicy::Resume),
@@ -567,10 +567,8 @@ TEST(Oracle, DominatesEveryStaticPolicyOnARealWorkload)
     // Epoch by epoch the bound is the minimum over the candidates.
     for (size_t e = 0; e < oracle.bestPolicy.size(); ++e) {
         for (size_t p = 0; p < oracle.policies.size(); ++p) {
-            uint64_t total = 0;
-            for (uint64_t slots : oracle.epochs[p][e].penaltySlots)
-                total += slots;
-            EXPECT_LE(oracle.bestPenaltySlots[e], total);
+            EXPECT_LE(oracle.bestPenaltySlots[e],
+                      oracle.epochs[p][e].penalty.totalSlots());
         }
     }
 }

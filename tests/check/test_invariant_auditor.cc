@@ -62,11 +62,10 @@ cleanContext(SimConfig &config, SimResults &stats)
 {
     stats = SimResults{};
     stats.instructions = 5;
+    stats.finalSlot = 5;
     AuditContext ctx;
     ctx.config = &config;
     ctx.stats = &stats;
-    ctx.now = 5;
-    ctx.statsBaseSlot = 0;
     return ctx;
 }
 
@@ -88,7 +87,7 @@ TEST(InvariantAuditor, CatchesSeededIspiViolation)
     AuditContext ctx = cleanContext(config, stats);
     // Lose three slots without charging any penalty component: the
     // decomposition no longer reproduces the slot clock.
-    ctx.now = 8;
+    stats.finalSlot = 8;
 
     InvariantAuditor auditor = InvariantAuditor::standard(CheckLevel::Cheap);
     ASSERT_EQ(auditor.runChecks(ctx), 1u);

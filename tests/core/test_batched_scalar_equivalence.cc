@@ -90,23 +90,11 @@ expectEpochsEqual(const std::vector<EpochRecord> &a,
         EXPECT_EQ(x.firstInstruction, y.firstInstruction) << "epoch " << i;
         EXPECT_EQ(x.lastInstruction, y.lastInstruction) << "epoch " << i;
         EXPECT_EQ(x.slots, y.slots) << "epoch " << i;
-        for (size_t k = 0; k < kNumPenaltyKinds; ++k) {
-            EXPECT_EQ(x.penaltySlots[k], y.penaltySlots[k])
-                << "epoch " << i << " penalty " << k;
+        EXPECT_EQ(x.penalty, y.penalty) << "epoch " << i;
+        for (const CounterField &field : kCounterFields) {
+            EXPECT_EQ(x.*field.member, y.*field.member)
+                << "epoch " << i << " " << field.key;
         }
-        EXPECT_EQ(x.controlInsts, y.controlInsts) << "epoch " << i;
-        EXPECT_EQ(x.condBranches, y.condBranches) << "epoch " << i;
-        EXPECT_EQ(x.misfetches, y.misfetches) << "epoch " << i;
-        EXPECT_EQ(x.dirMispredicts, y.dirMispredicts) << "epoch " << i;
-        EXPECT_EQ(x.targetMispredicts, y.targetMispredicts) << "epoch " << i;
-        EXPECT_EQ(x.demandAccesses, y.demandAccesses) << "epoch " << i;
-        EXPECT_EQ(x.demandMisses, y.demandMisses) << "epoch " << i;
-        EXPECT_EQ(x.demandFills, y.demandFills) << "epoch " << i;
-        EXPECT_EQ(x.bufferHits, y.bufferHits) << "epoch " << i;
-        EXPECT_EQ(x.wrongAccesses, y.wrongAccesses) << "epoch " << i;
-        EXPECT_EQ(x.wrongMisses, y.wrongMisses) << "epoch " << i;
-        EXPECT_EQ(x.wrongFills, y.wrongFills) << "epoch " << i;
-        EXPECT_EQ(x.prefetchesIssued, y.prefetchesIssued) << "epoch " << i;
         EXPECT_EQ(x.partial, y.partial) << "epoch " << i;
     }
 }

@@ -341,6 +341,9 @@ TEST(EngineInvariant, WarmupResetsStats)
     EXPECT_EQ(r.instructions, 16u);
     EXPECT_EQ(r.demandMisses, 2u);    // only lines 2 and 3
     EXPECT_EQ(r.penalty.slots(PenaltyKind::RtIcache), 40u);
+    // The slot clock restarts at the reset like every other stat.
+    EXPECT_EQ(static_cast<uint64_t>(r.finalSlot),
+              r.instructions + r.penalty.totalSlots());
 }
 
 } // namespace

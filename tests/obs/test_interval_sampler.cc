@@ -93,52 +93,36 @@ TEST(IntervalSampler, ExactMultipleBudgetHasNoPartialEpoch)
     }
 }
 
+/**
+ * Run li under @p config and check that its epochs sum exactly to the
+ * run's end-of-run stats: every table counter, every penalty
+ * component, the slot clock and the instruction count.
+ */
+SimResults
+expectEpochsSumToTotals(const SimConfig &config, RunObservations &obs)
+{
+    SimResults r = observe(config, obs);
+    RunCounters sum;
+    PenaltyBreakdown penalty;
+    uint64_t slots = 0;
+    for (const EpochRecord &epoch : obs.epochs) {
+        sum += epoch;
+        penalty += epoch.penalty;
+        slots += epoch.slots;
+    }
+    EXPECT_EQ(obs.epochs.empty() ? 0 : obs.epochs.back().lastInstruction,
+              r.instructions);
+    EXPECT_EQ(slots, static_cast<uint64_t>(r.finalSlot));
+    EXPECT_EQ(penalty, r.penalty);
+    for (const CounterField &field : kCounterFields)
+        EXPECT_EQ(sum.*field.member, r.*field.member) << field.key;
+    return r;
+}
+
 TEST(IntervalSampler, EpochsSumToRunTotals)
 {
     RunObservations obs;
-    SimResults r = observe(sampledConfig(kInterval), obs);
-
-    EpochRecord sum;
-    for (const EpochRecord &epoch : obs.epochs) {
-        sum.slots += epoch.slots;
-        for (size_t k = 0; k < kNumPenaltyKinds; ++k)
-            sum.penaltySlots[k] += epoch.penaltySlots[k];
-        sum.controlInsts += epoch.controlInsts;
-        sum.condBranches += epoch.condBranches;
-        sum.misfetches += epoch.misfetches;
-        sum.dirMispredicts += epoch.dirMispredicts;
-        sum.targetMispredicts += epoch.targetMispredicts;
-        sum.demandAccesses += epoch.demandAccesses;
-        sum.demandMisses += epoch.demandMisses;
-        sum.demandFills += epoch.demandFills;
-        sum.bufferHits += epoch.bufferHits;
-        sum.wrongAccesses += epoch.wrongAccesses;
-        sum.wrongMisses += epoch.wrongMisses;
-        sum.wrongFills += epoch.wrongFills;
-        sum.prefetchesIssued += epoch.prefetchesIssued;
-        sum.lastInstruction = epoch.lastInstruction;
-    }
-
-    EXPECT_EQ(sum.lastInstruction, r.instructions);
-    EXPECT_EQ(sum.slots, static_cast<uint64_t>(r.finalSlot));
-    for (PenaltyKind kind : allPenaltyKinds()) {
-        EXPECT_EQ(sum.penaltySlots[static_cast<size_t>(kind)],
-                  r.penalty.slots(kind))
-            << "penalty " << toString(kind) << " deltas do not sum";
-    }
-    EXPECT_EQ(sum.controlInsts, r.controlInsts);
-    EXPECT_EQ(sum.condBranches, r.condBranches);
-    EXPECT_EQ(sum.misfetches, r.misfetches);
-    EXPECT_EQ(sum.dirMispredicts, r.dirMispredicts);
-    EXPECT_EQ(sum.targetMispredicts, r.targetMispredicts);
-    EXPECT_EQ(sum.demandAccesses, r.demandAccesses);
-    EXPECT_EQ(sum.demandMisses, r.demandMisses);
-    EXPECT_EQ(sum.demandFills, r.demandFills);
-    EXPECT_EQ(sum.bufferHits, r.bufferHits);
-    EXPECT_EQ(sum.wrongAccesses, r.wrongAccesses);
-    EXPECT_EQ(sum.wrongMisses, r.wrongMisses);
-    EXPECT_EQ(sum.wrongFills, r.wrongFills);
-    EXPECT_EQ(sum.prefetchesIssued, r.prefetchesIssued);
+    expectEpochsSumToTotals(sampledConfig(kInterval), obs);
 }
 
 TEST(IntervalSampler, SamplingNeverPerturbsResults)
@@ -163,25 +147,19 @@ TEST(IntervalSampler, PrefetchRunEpochsCarryPrefetchDeltas)
     SimConfig config = sampledConfig(kInterval);
     config.nextLinePrefetch = true;
     RunObservations obs;
-    SimResults r = runSimulation(*sharedWorkload("li"), config, obs);
-    ASSERT_GT(r.prefetchesIssued, 0u);
-    uint64_t sum = 0;
-    for (const EpochRecord &epoch : obs.epochs)
-        sum += epoch.prefetchesIssued;
-    EXPECT_EQ(sum, r.prefetchesIssued);
+    EXPECT_GT(expectEpochsSumToTotals(config, obs).prefetchesIssued, 0u);
 }
 
 TEST(IntervalSampler, WarmupIsExcludedFromTheSeries)
 {
+    // The series is in post-warmup coordinates: it starts at zero and
+    // covers exactly the measured instructions, slots and counts.
     SimConfig config = sampledConfig(kInterval);
     config.warmupInstructions = 12'000;
     RunObservations obs;
-    SimResults r = runSimulation(*sharedWorkload("li"), config, obs);
+    expectEpochsSumToTotals(config, obs);
     ASSERT_FALSE(obs.epochs.empty());
-    // The series is in post-warmup coordinates: starts at zero and
-    // covers exactly the measured instructions.
     EXPECT_EQ(obs.epochs.front().firstInstruction, 0u);
-    EXPECT_EQ(obs.epochs.back().lastInstruction, r.instructions);
 }
 
 TEST(IntervalSampler, SnapshotReplayYieldsIdenticalEpochs)

@@ -3,13 +3,13 @@
  * Record-layer tests for the observability payloads: the schema of
  * timeseries/heatmap rows, the conditional manifest members that keep
  * disabled runs byte-identical, a serial-vs-parallel determinism pin,
- * and a golden-file regression on the full timeseries bytes.
+ * and golden-file regressions on the full timeseries and heatmap bytes.
  *
- * Regenerating the golden file after an intentional numeric or schema
+ * Regenerating the golden files after an intentional numeric or schema
  * change:
  *
  *   SPECFETCH_REGEN_GOLDEN=1 ./build/tests/test_obs \
- *       --gtest_filter='GoldenTimeseries.*'
+ *       --gtest_filter='Golden*'
  */
 
 #include "obs/obs_record.hh"
@@ -30,7 +30,7 @@ using namespace specfetch;
 
 namespace {
 
-/** Golden parameters: bound to tests/golden/timeseries_li.json. */
+/** Golden parameters: bound to tests/golden/{timeseries,heatmap}_li.json. */
 constexpr uint64_t kGoldenBudget = 100'000;
 constexpr uint64_t kGoldenInterval = 20'000;
 
@@ -43,12 +43,12 @@ goldenPolicies()
 }
 
 std::string
-goldenPath()
+goldenPath(const std::string &file)
 {
 #ifdef SPECFETCH_GOLDEN_DIR
-    return std::string(SPECFETCH_GOLDEN_DIR) + "/timeseries_li.json";
+    return std::string(SPECFETCH_GOLDEN_DIR) + "/" + file;
 #else
-    return "tests/golden/timeseries_li.json";
+    return "tests/golden/" + file;
 #endif
 }
 
@@ -74,21 +74,62 @@ goldenSpecs()
     return specs;
 }
 
-/** One timeseries record per golden spec, at @p parallelism. */
-std::vector<JsonValue>
-goldenRecords(unsigned parallelism)
+/** The golden specs' timeseries and heatmap rows, one per spec. */
+struct GoldenRows
+{
+    std::vector<JsonValue> timeseries;
+    std::vector<JsonValue> heatmap;
+};
+
+GoldenRows
+goldenRows(unsigned parallelism)
 {
     std::vector<RunSpec> specs = goldenSpecs();
     std::vector<RunObservations> observations;
     std::vector<SimResults> results =
         runSweep(specs, parallelism, nullptr, &observations);
-    std::vector<JsonValue> records;
+    GoldenRows rows;
     for (size_t i = 0; i < specs.size(); ++i) {
-        records.push_back(makeTimeseriesRecord(observations[i],
-                                               results[i],
-                                               specs[i].config));
+        rows.timeseries.push_back(makeTimeseriesRecord(
+            observations[i], results[i], specs[i].config));
+        const SetHeatmap *heatmap = observations[i].heatmap.get();
+        EXPECT_NE(heatmap, nullptr) << "golden spec " << i;
+        if (heatmap) {
+            rows.heatmap.push_back(
+                makeHeatmapRecord(*heatmap, results[i], specs[i].config));
+        }
     }
-    return records;
+    return rows;
+}
+
+/**
+ * Compare @p records with the checked-in JSONL @p file, or rewrite the
+ * file when SPECFETCH_REGEN_GOLDEN is set.
+ */
+void
+expectMatchesGolden(const std::vector<JsonValue> &records,
+                    const std::string &file, const char *kind)
+{
+    const std::string path = goldenPath(file);
+    if (regenRequested()) {
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        for (const JsonValue &record : records)
+            out << record.dump() << '\n';
+        GTEST_SKIP() << "regenerated " << path;
+    }
+
+    std::vector<JsonValue> golden;
+    std::string error;
+    ASSERT_TRUE(readJsonl(path, golden, &error))
+        << error << " — regenerate with SPECFETCH_REGEN_GOLDEN=1 "
+        << "(see file header)";
+    ASSERT_EQ(golden.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i], golden[i])
+            << kind << " row " << i << " diverged ("
+            << toString(goldenPolicies()[i]) << ")";
+    }
 }
 
 TEST(ObsRecord, TimeseriesRecordShape)
@@ -186,53 +227,30 @@ TEST(ObsRecord, ManifestMembersOnlyWhenArmed)
 
 TEST(ObsRecord, SerialAndParallelSweepsEmitIdenticalRows)
 {
-    std::vector<JsonValue> serial = goldenRecords(/*parallelism=*/1);
-    std::vector<JsonValue> parallel = goldenRecords(/*parallelism=*/4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].dump(), parallel[i].dump())
-            << "timeseries row " << i
-            << " depends on sweep parallelism";
+    GoldenRows serial = goldenRows(/*parallelism=*/1);
+    GoldenRows parallel = goldenRows(/*parallelism=*/4);
+    ASSERT_EQ(serial.timeseries.size(), parallel.timeseries.size());
+    ASSERT_EQ(serial.heatmap.size(), parallel.heatmap.size());
+    for (size_t i = 0; i < serial.timeseries.size(); ++i) {
+        EXPECT_EQ(serial.timeseries[i].dump(), parallel.timeseries[i].dump())
+            << "timeseries row " << i << " depends on sweep parallelism";
     }
-
-    // Heatmaps too: same grid, observations compared via their rows.
-    std::vector<RunSpec> specs = goldenSpecs();
-    std::vector<RunObservations> obs_serial, obs_parallel;
-    std::vector<SimResults> r1 = runSweep(specs, 1, nullptr, &obs_serial);
-    std::vector<SimResults> r2 = runSweep(specs, 4, nullptr, &obs_parallel);
-    for (size_t i = 0; i < specs.size(); ++i) {
-        ASSERT_NE(obs_serial[i].heatmap, nullptr);
-        ASSERT_NE(obs_parallel[i].heatmap, nullptr);
-        EXPECT_EQ(makeHeatmapRecord(*obs_serial[i].heatmap, r1[i],
-                                    specs[i].config).dump(),
-                  makeHeatmapRecord(*obs_parallel[i].heatmap, r2[i],
-                                    specs[i].config).dump());
+    for (size_t i = 0; i < serial.heatmap.size(); ++i) {
+        EXPECT_EQ(serial.heatmap[i].dump(), parallel.heatmap[i].dump())
+            << "heatmap row " << i << " depends on sweep parallelism";
     }
 }
 
 TEST(GoldenTimeseries, MatchesCheckedInRows)
 {
-    std::vector<JsonValue> records = goldenRecords(/*parallelism=*/1);
+    expectMatchesGolden(goldenRows(/*parallelism=*/1).timeseries,
+                        "timeseries_li.json", "timeseries");
+}
 
-    if (regenRequested()) {
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath();
-        for (const JsonValue &record : records)
-            out << record.dump() << '\n';
-        GTEST_SKIP() << "regenerated " << goldenPath();
-    }
-
-    std::vector<JsonValue> golden;
-    std::string error;
-    ASSERT_TRUE(readJsonl(goldenPath(), golden, &error))
-        << error << " — regenerate with SPECFETCH_REGEN_GOLDEN=1 "
-        << "(see file header)";
-    ASSERT_EQ(golden.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(records[i], golden[i])
-            << "timeseries row " << i << " diverged ("
-            << toString(goldenPolicies()[i]) << ")";
-    }
+TEST(GoldenHeatmap, MatchesCheckedInRows)
+{
+    expectMatchesGolden(goldenRows(/*parallelism=*/1).heatmap,
+                        "heatmap_li.json", "heatmap");
 }
 
 } // namespace

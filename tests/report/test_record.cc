@@ -248,25 +248,23 @@ TEST(Record, CsvWriterEmitsHeaderAndRows)
 
 TEST(Record, StatsTreeExport)
 {
+    // Every counter-table row reaches the record's counters as an
+    // exact integer: distinct odd values past 2^53, which a detour
+    // through double would round, survive the record's text form.
     SimResults results = sampleResults();
-    // statsToJson consumes the same transient tree statsDump renders;
-    // build a small one here to pin the nesting + exactness rules.
-    Counter insts;
-    insts += results.instructions;
-    StatGroup front("frontend");
-    front.addCounter("instructions", insts, "retired");
-    front.addFormula("ispi", [&] { return results.ispi(); }, "total");
-    StatGroup root("sim");
-    root.addChild(front);
+    uint64_t value = uint64_t{1} << 53;
+    for (const CounterField &field : kCounterFields) {
+        value += 2;
+        results.*field.member = value + 1;
+    }
 
-    JsonValue tree = statsToJson(root);
-    const JsonValue *sim = tree.find("sim");
-    ASSERT_NE(sim, nullptr);
-    const JsonValue *frontend = sim->find("frontend");
-    ASSERT_NE(frontend, nullptr);
-    ASSERT_NE(frontend->find("instructions"), nullptr);
-    EXPECT_TRUE(frontend->find("instructions")->isUint());
-    EXPECT_EQ(frontend->find("instructions")->asUint(), 100'000u);
-    ASSERT_NE(frontend->find("ispi"), nullptr);
-    EXPECT_DOUBLE_EQ(frontend->find("ispi")->asDouble(), results.ispi());
+    JsonValue record;
+    ASSERT_TRUE(JsonValue::parse(
+        makeRunRecord(results, sampleConfig()).dump(), record));
+    const JsonValue &counters = member(record, "counters");
+    for (const CounterField &field : kCounterFields) {
+        const JsonValue &count = member(counters, field.key);
+        ASSERT_TRUE(count.isUint()) << field.key;
+        EXPECT_EQ(count.asUint(), results.*field.member) << field.key;
+    }
 }

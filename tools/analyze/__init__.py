@@ -2,8 +2,8 @@
 speculative-fetch simulator.
 
 Unlike generic linters, these rules know the project's contracts —
-bit-exact determinism, stat conservation into schema-v1 records,
-sweep-worker error boundaries, content-addressed run keys — and
+bit-exact determinism, sweep-worker error boundaries,
+content-addressed run keys, per-test scratch paths — and
 enforce them across file boundaries on a real token/scope model of
 the C++ sources. See DESIGN.md §13.
 """

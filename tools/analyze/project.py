@@ -1,13 +1,13 @@
 """Project-wide model: the cross-file facts the semantic rules need.
 
 Single-file pattern rules only need tokens; the project rules
-(stat-conservation, config-plumbing, error-boundary) need to relate
-declarations in one file to uses in another. This module builds those
-relations once per run:
+(config-plumbing, error-boundary, scratch-path) need to relate
+declarations in one file to uses in another, or to read files outside
+the analyzed set. This module builds those relations once per run:
 
   - the analyzed file set (from compile_commands.json when available,
     else a tree walk);
-  - struct member extraction (SimConfig, SimResults, EpochRecord...);
+  - struct member extraction (SimConfig);
   - method names declared `virtual` anywhere under src/ headers;
   - a name-keyed call graph with a can-throw fixed point, used to ask
     whether a sweep worker can reach a panic()/throw outside an error
@@ -151,26 +151,32 @@ class Project:
                 out.append(source)
         return out
 
+    def reference_files(self, *dirs):
+        """SourceFiles under the given directories, sorted by path
+        (the directories need not be part of the analyzed file set —
+        bench/, examples/ and tests/ serve as reference corpora)."""
+        out = []
+        for d in dirs:
+            base = os.path.join(self.root, d)
+            for dirpath, dirnames, names in os.walk(base):
+                dirnames.sort()
+                for name in sorted(names):
+                    if not name.endswith(SOURCE_SUFFIXES):
+                        continue
+                    source = self.file(_norm(os.path.relpath(
+                        os.path.join(dirpath, name), self.root)))
+                    if source is not None:
+                        out.append(source)
+        return out
+
     def reference_idents(self, *dirs):
-        """Every identifier appearing under the given directories
-        (which need not be part of the analyzed file set — bench/ and
-        examples/ serve as reference corpora for plumbing rules)."""
+        """Every identifier appearing under the given directories (see
+        reference_files)."""
         key = tuple(dirs)
         if key not in self._reference_idents:
             idents = set()
-            for d in dirs:
-                base = os.path.join(self.root, d)
-                if not os.path.isdir(base):
-                    continue
-                for dirpath, _, names in os.walk(base):
-                    for name in sorted(names):
-                        if not name.endswith(SOURCE_SUFFIXES):
-                            continue
-                        rel = _norm(os.path.relpath(
-                            os.path.join(dirpath, name), self.root))
-                        source = self.file(rel)
-                        if source is not None:
-                            idents |= source.idents()
+            for source in self.reference_files(*dirs):
+                idents |= source.idents()
             self._reference_idents[key] = idents
         return self._reference_idents[key]
 
@@ -179,8 +185,8 @@ class Project:
 
     def struct_fields(self, rel_path, struct_name):
         """Data members of @p struct_name declared in @p rel_path, as
-        (name, type_text, line, has_initializer). Member functions,
-        using-declarations and access specifiers are skipped."""
+        (name, line). Member functions, using-declarations and access
+        specifiers are skipped."""
         source = self.file(rel_path)
         if source is None:
             return []
@@ -237,12 +243,7 @@ class Project:
                         "static_assert", "enum", "class", "struct"):
             return None
         # Split off a default initializer.
-        if "=" in texts:
-            head = decl[:texts.index("=")]
-            has_init = True
-        else:
-            head = decl
-            has_init = False
+        head = decl[:texts.index("=")] if "=" in texts else decl
         head_texts = [t.text for t in head]
         # A parameter list before any '=' marks a member function.
         if "(" in head_texts:
@@ -250,13 +251,10 @@ class Project:
         # Array members: name precedes the '['.
         if "[" in head_texts:
             head = head[:head_texts.index("[")]
-        if not head or head[-1].kind != tok.IDENT:
+        # A member has a type, then its name.
+        if len(head) < 2 or head[-1].kind != tok.IDENT:
             return None
-        name_tok = head[-1]
-        type_text = " ".join(t.text for t in head[:-1])
-        if not type_text:
-            return None
-        return (name_tok.text, type_text, name_tok.line, has_init)
+        return (head[-1].text, head[-1].line)
 
     @property
     def virtual_names(self):

@@ -17,9 +17,9 @@ class Rule:
 
 def all_rules():
     from . import (config_plumbing, determinism, error_boundary,
-                   hot_path, shared_state, stat_conservation)
+                   hot_path, scratch_path, shared_state)
     rules = []
-    for module in (determinism, hot_path, stat_conservation,
-                   error_boundary, shared_state, config_plumbing):
+    for module in (determinism, hot_path, error_boundary, shared_state,
+                   config_plumbing, scratch_path):
         rules.extend(module.RULES)
     return rules

@@ -46,7 +46,7 @@ class ConfigPlumbing(Rule):
         serializer = project.file(SERIALIZER)
         ser_idents = serializer.idents() if serializer else None
         harness_idents = project.reference_idents(*HARNESS_DIRS)
-        for name, _type_text, line, _has_init in fields:
+        for name, line in fields:
             if ser_idents is not None and name not in ser_idents:
                 findings.append(Finding(
                     self.rule_id, CONFIG_HEADER, line,

@@ -4,8 +4,8 @@
 The original line-regex lint lived here; its rules (wall-clock,
 libc-random, unordered, uninit-counter, loop-alloc, loop-virtual) were
 ported to the token/scope-based framework in tools/analyze, which adds
-the project-wide rules (stat-conservation, error-boundary,
-shared-state, config-plumbing), suppression auditing, a baseline and
+the project-wide rules (error-boundary, shared-state,
+config-plumbing, scratch-path), suppression auditing, a baseline and
 SARIF output. This wrapper keeps the historical CLI working:
 
     tools/lint.py [--root DIR]    lint the tree (exit 1 on findings)

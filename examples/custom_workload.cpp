@@ -128,7 +128,7 @@ main(int argc, char **argv)
         cfg_run.policy = policy;
         Executor executor(cfg, 42);
         FetchEngine engine(cfg_run, image);
-        SimResults r = engine.run(executor);
+        SimResults r = engine.runWith(executor);
         double indirect_rate = 100.0 *
             ratioOf(r.targetMispredicts, r.controlInsts);
         table.addRow({toString(policy), formatFixed(r.ispi(), 3),

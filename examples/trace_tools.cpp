@@ -13,10 +13,7 @@
 #include <cstring>
 
 #include "core/fetch_engine.hh"
-#include "trace/format.hh"
-#include "trace/reader.hh"
-#include "trace/replay_source.hh"
-#include "trace/writer.hh"
+#include "trace/trace_file.hh"
 #include "util/options.hh"
 #include "util/string_utils.hh"
 #include "workload/executor.hh"
@@ -35,17 +32,11 @@ record(const OptionParser &opts)
     Workload w = buildWorkload(getProfile(opts.getString("benchmark")));
 
     Executor executor(w.cfg, opts.getCount("seed"));
-    DynInst inst;
-    executor.next(inst);
-    TraceWriter writer(path, w.image, inst.pc);
-    writer.append(inst);
-    for (uint64_t i = 1; i < budget; ++i) {
-        executor.next(inst);
-        writer.append(inst);
-    }
-    writer.close();
+    TraceSnapshot snapshot = TraceSnapshot::record(executor, budget);
+    writeTraceFile(path, w.image, snapshot);
     std::printf("wrote %s: %s instructions, image %zu instructions\n",
-                path.c_str(), formatWithCommas(budget).c_str(),
+                path.c_str(),
+                formatWithCommas(snapshot.instructionCount()).c_str(),
                 w.image.size());
     return 0;
 }
@@ -53,28 +44,29 @@ record(const OptionParser &opts)
 int
 info(const OptionParser &opts)
 {
-    TraceReader reader(opts.getString("trace"));
+    TraceFile trace = readTraceFile(opts.getString("trace"));
     std::printf("image: base 0x%llx, %zu instructions (%.1f KB), "
                 "%zu control\n",
-                static_cast<unsigned long long>(reader.image().base()),
-                reader.image().size(),
-                static_cast<double>(reader.image().size() * 4) / 1024.0,
-                reader.image().controlCount());
+                static_cast<unsigned long long>(trace.image.base()),
+                trace.image.size(),
+                static_cast<double>(trace.image.size() * 4) / 1024.0,
+                trace.image.controlCount());
     std::printf("start pc: 0x%llx\n",
-                static_cast<unsigned long long>(reader.startPc()));
+                static_cast<unsigned long long>(trace.snapshot.startPc()));
 
-    uint64_t counts[6] = {};
-    uint64_t taken = 0;
+    constexpr size_t kClasses =
+        static_cast<size_t>(InstClass::IndirectCall) + 1;
+    uint64_t counts[kClasses] = {};
+    SnapshotReplaySource replay(trace.snapshot);
     DynInst inst;
     uint64_t total = 0;
-    while (reader.next(inst)) {
+    while (replay.next(inst)) {
         ++counts[static_cast<size_t>(inst.cls)];
-        taken += isControl(inst.cls) && inst.taken;
         ++total;
     }
     std::printf("dynamic stream: %s instructions\n",
                 formatWithCommas(total).c_str());
-    for (size_t c = 0; c < 6; ++c) {
+    for (size_t c = 0; c < kClasses; ++c) {
         if (counts[c] == 0)
             continue;
         std::printf("  %-7s %s (%.2f%%)\n",
@@ -95,16 +87,16 @@ simulate(const OptionParser &opts)
         return 1;
     }
 
-    TraceReader reader(opts.getString("trace"));
-    ReplaySource source(reader);
+    TraceFile trace = readTraceFile(opts.getString("trace"));
+    SnapshotReplaySource source(trace.snapshot);
 
     SimConfig config;
     config.policy = policy;
     config.instructionBudget = opts.getCount("budget");
     config.nextLinePrefetch = opts.getFlag("prefetch");
 
-    FetchEngine engine(config, reader.image());
-    SimResults results = engine.run(source);
+    FetchEngine engine(config, trace.image);
+    SimResults results = engine.runWith(source);
     results.workload = opts.getString("trace");
     std::fputs(results.summary().c_str(), stdout);
     return 0;

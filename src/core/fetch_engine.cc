@@ -1,6 +1,7 @@
 #include "core/fetch_engine.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "adaptive/selector.hh"
 #include "check/invariant.hh"
@@ -543,9 +544,9 @@ FetchEngine::runLoop(Source &source)
     uint64_t next_watchdog =
         watchdog_armed ? kWatchdogPollInterval : UINT64_MAX;
 
-    // Statically bound when Source is a final class; the generic
-    // InstructionSource instantiation keeps the virtual dispatch.
-    // lint: allow(loop-virtual)
+    // Source is final (runWith asserts it), so next() is statically
+    // bound; the analyzer flags it because it matches the name only.
+    // SPECFETCH-ALLOW(loop-virtual): final source, name match only
     while (retired_warmup < warmup && source.next(inst)) {
         fetchOne<P, PF>(inst);
         ++retired_warmup;
@@ -629,7 +630,7 @@ FetchEngine::runLoop(Source &source)
                 continue;
             }
         }
-        // lint: allow(loop-virtual)
+        // SPECFETCH-ALLOW(loop-virtual): final source, name match only
         if (!source.next(inst))
             break;
         fetchOne<P, PF>(inst);
@@ -679,6 +680,9 @@ template <typename Source>
 SimResults
 FetchEngine::runWith(Source &source)
 {
+    static_assert(std::is_final_v<Source>,
+                  "runWith needs a final source so next() binds "
+                  "statically");
     // Resolve the policy and prefetch slots once, here, and enter a
     // runLoop instantiation where both are compile-time constants.
     // The prefetch unit's kind never changes mid-run, so PF is always
@@ -711,16 +715,8 @@ FetchEngine::runWith(Source &source)
     return runLoop<Source, kDynamic, kDynamic>(source);
 }
 
-template SimResults
-FetchEngine::runWith<InstructionSource>(InstructionSource &);
 template SimResults FetchEngine::runWith<Executor>(Executor &);
 template SimResults
 FetchEngine::runWith<SnapshotReplaySource>(SnapshotReplaySource &);
-
-SimResults
-FetchEngine::run(InstructionSource &source)
-{
-    return runWith<InstructionSource>(source);
-}
 
 } // namespace specfetch

@@ -60,17 +60,11 @@ class FetchEngine
 
     /**
      * Run until the configured instruction budget is retired or the
-     * source is exhausted.
-     */
-    SimResults run(InstructionSource &source);
-
-    /**
-     * Typed variant of run(): when @p Source is a final concrete
-     * class (Executor, SnapshotReplaySource) the per-instruction
-     * source step is statically bound and inlined instead of being a
-     * virtual call per instruction. Results are identical to run().
-     * Instantiated in fetch_engine.cc for InstructionSource,
-     * Executor, and SnapshotReplaySource.
+     * source is exhausted. @p Source is a final concrete class, so
+     * the per-instruction source step is statically bound and inlined
+     * instead of being a virtual call per instruction. Instantiated
+     * in fetch_engine.cc for exactly two sources: Executor (live) and
+     * SnapshotReplaySource (replay).
      *
      * Internally this is a dispatcher (DESIGN.md §14): for a static
      * run it switches once on (config.policy, prefetch on/off) and
@@ -89,7 +83,7 @@ class FetchEngine
 
     /**
      * Move whatever the armed collectors gathered (epoch series,
-     * heatmap) out of the engine. Call after run(); a disarmed engine
+     * heatmap) out of the engine. Call after runWith(); a disarmed engine
      * yields an empty object.
      */
     void takeObservations(RunObservations &out);

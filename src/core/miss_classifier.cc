@@ -93,7 +93,7 @@ classifyMisses(const Workload &workload, const SimConfig &config,
     Executor executor(workload.cfg, cfg.runSeed);
     FetchEngine engine(cfg, workload.image);
     engine.setObserver(&shadow);
-    SimResults results = engine.run(executor);
+    SimResults results = engine.runWith(executor);
 
     Classification out;
     out.workload = workload.profile.name;

@@ -69,7 +69,7 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
         } else {
             snap.recs.push_back(ControlRecord{
                 inst.target, static_cast<uint32_t>(plain_run),
-                wireClass(inst.cls),
+                static_cast<uint8_t>(inst.cls),
                 static_cast<uint8_t>(inst.taken ? 1 : 0), 0});
             plain_run = 0;
         }
@@ -109,20 +109,25 @@ TraceSnapshot::verify(std::string *error) const
 bool
 TraceSnapshot::validate(std::string *error) const
 {
+    if (start % kInstBytes != 0)
+        return refuse(error, "start pc " + hexString(start) + " misaligned");
+    auto bad = [error](size_t i, const std::string &what) {
+        return refuse(error, "record " + std::to_string(i) + " " + what);
+    };
     uint64_t population = 0;
     for (size_t i = 0; i < recs.size(); ++i) {
         const ControlRecord &rec = recs[i];
         bool run_only = rec.cls == kRunOnly;
         if (!run_only &&
-            rec.cls > static_cast<uint8_t>(InstClass::IndirectCall)) {
-            return refuse(error, "record " + std::to_string(i) +
-                                     " carries invalid class " +
-                                     std::to_string(rec.cls));
-        }
-        if (rec.pad != 0) {
-            return refuse(error, "record " + std::to_string(i) +
-                                     " has nonzero padding");
-        }
+            (rec.cls == static_cast<uint8_t>(InstClass::Plain) ||
+             rec.cls > static_cast<uint8_t>(InstClass::IndirectCall)))
+            return bad(i, "carries invalid class " + std::to_string(rec.cls));
+        if (run_only && rec.plainBefore == 0)
+            return bad(i, "is a run of zero plains");
+        if (!run_only && rec.target % kInstBytes != 0)
+            return bad(i, "target " + hexString(rec.target) + " misaligned");
+        if (rec.pad != 0)
+            return bad(i, "has nonzero padding");
         population += rec.plainBefore + (run_only ? 0 : 1);
     }
     if (population != count) {

@@ -10,15 +10,16 @@
  * from one architectural-executor pass so every subsequent run can
  * replay it instead of re-interpreting the CFG.
  *
- * The encoding exploits the same correct-path property as the on-disk
- * trace format (trace/format.hh): PCs never need to be stored, because
- * the next correct-path PC is always the previous instruction's
- * nextPc(). A snapshot is therefore just the start PC plus one packed
- * 16-byte ControlRecord per control instruction, each carrying the
- * run of sequential plain instructions preceding it. At the paper
- * workloads' ~20-25% branch fractions this costs ~3-4 bytes per
- * dynamic instruction, and replay is a branch-predictable run-length
- * walk that is much cheaper than CFG interpretation.
+ * The encoding exploits a correct-path property: PCs never need to be
+ * stored, because the next correct-path PC is always the previous
+ * instruction's nextPc(). A snapshot is therefore just the start PC
+ * plus one packed 16-byte ControlRecord per control instruction, each
+ * carrying the run of sequential plain instructions preceding it. At
+ * the paper workloads' ~20-25% branch fractions this costs ~3-4 bytes
+ * per dynamic instruction, and replay is a branch-predictable
+ * run-length walk that is much cheaper than CFG interpretation. A
+ * trace file (trace/trace_file.hh) stores the serialized form after
+ * the program image.
  */
 
 #ifndef SPECFETCH_TRACE_SNAPSHOT_HH_
@@ -26,10 +27,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "isa/instruction.hh"
-#include "trace/format.hh"
 #include "workload/executor.hh"
 
 namespace specfetch {
@@ -58,7 +59,7 @@ class TraceSnapshot
         Addr target = 0;
         /** Sequential plain instructions preceding this control. */
         uint32_t plainBefore = 0;
-        /** 3-bit wire encoding (trace/format.hh), or kRunOnly. */
+        /** The InstClass value, or kRunOnly. */
         uint8_t cls = 0;
         /** Dynamic direction (always 1 for unconditional control). */
         uint8_t taken = 0;
@@ -127,10 +128,14 @@ class TraceSnapshot
     bool verify(std::string *error = nullptr) const;
 
     /**
-     * Structural sanity independent of the digest: every record's
-     * class is a valid wire class or kRunOnly, and the per-record
-     * populations add up to instructionCount(). Catches logic bugs
-     * that a correctly-rehashed mutation would not.
+     * Structural sanity independent of the digest: every record is
+     * either a control record of a control class or a run-only record
+     * carrying at least one plain, the start PC and every control
+     * target are instruction aligned, and the per-record populations
+     * add up to instructionCount(). Catches damage that a correctly
+     * rehashed mutation would not, so replay only ever sees a stream
+     * record() could have written (a misaligned PC would stall the
+     * wrong-path walker).
      */
     bool validate(std::string *error = nullptr) const;
 
@@ -224,9 +229,9 @@ class SnapshotReplaySource final : public InstructionSource
                 return false;
             if (controlPending) {
                 controlPending = false;
-                // Direct cast, not classFromWire(): records never
-                // cross a process boundary, record() wrote a genuine
-                // InstClass, and this is the per-control hot path.
+                // Direct cast on the per-control hot path: record()
+                // wrote a genuine InstClass, and deserialize() has
+                // validated every class read from outside.
                 out = DynInst{pc, static_cast<InstClass>(cur->cls),
                               cur->taken != 0, cur->target};
                 pc = cur->taken ? cur->target : pc + kInstBytes;

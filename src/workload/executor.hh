@@ -24,8 +24,12 @@
 
 namespace specfetch {
 
-/** Abstract source of the correct-path stream (executor, trace
- *  replay, or scripted test input). */
+/**
+ * A correct-path stream as TraceSnapshot::record() reads it: the
+ * executor, a snapshot cursor, or a scripted test input. The engine
+ * never runs a source through this base; FetchEngine::runWith takes
+ * the final Executor or SnapshotReplaySource directly.
+ */
 class InstructionSource
 {
   public:

@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared helpers for fetch-engine tests: a scripted instruction
- * source and builders for tiny hand-laid-out programs whose slot
- * accounting can be computed by hand.
+ * Shared helpers for fetch-engine tests: builders for tiny
+ * hand-laid-out programs whose slot accounting can be computed by
+ * hand, run the way every replayed grid run is run — recorded into a
+ * TraceSnapshot and replayed through SnapshotReplaySource.
  */
 
 #ifndef SPECFETCH_TESTS_CORE_ENGINE_TEST_SUPPORT_HH_
@@ -12,12 +13,13 @@
 
 #include "core/fetch_engine.hh"
 #include "isa/program_image.hh"
+#include "trace/snapshot.hh"
 #include "workload/executor.hh"
 
 namespace specfetch {
 namespace test {
 
-/** Feeds a fixed vector of instructions. */
+/** Feeds a fixed vector of instructions (to TraceSnapshot::record). */
 class ScriptedSource : public InstructionSource
 {
   public:
@@ -95,7 +97,15 @@ class ProgramScript
             image_.set(addr + i * kInstBytes, StaticInst{});
     }
 
-    ScriptedSource source() const { return ScriptedSource(script_); }
+    /** The script as a replayable stream; @p max_plain_run = 1 makes
+     *  every plain its own single-instruction run record. */
+    TraceSnapshot
+    snapshot(uint32_t max_plain_run = TraceSnapshot::kMaxPlainRun) const
+    {
+        ScriptedSource source(script_);
+        return TraceSnapshot::record(source, script_.size(), max_plain_run);
+    }
+
     const ProgramImage &image() const { return image_; }
     size_t scriptLength() const { return script_.size(); }
 
@@ -116,7 +126,8 @@ scriptConfig(const ProgramScript &script, FetchPolicy policy)
     return config;
 }
 
-/** Run a policy over a script and return the results. */
+/** Run a policy over a script's replayed snapshot and return the
+ *  results. */
 inline SimResults
 runScript(const ProgramScript &script, FetchPolicy policy,
           SimConfig *config_out = nullptr)
@@ -124,9 +135,10 @@ runScript(const ProgramScript &script, FetchPolicy policy,
     SimConfig config = scriptConfig(script, policy);
     if (config_out)
         config = *config_out;
+    TraceSnapshot snap = script.snapshot();
+    SnapshotReplaySource source(snap);
     FetchEngine engine(config, script.image());
-    ScriptedSource source = script.source();
-    return engine.run(source);
+    return engine.runWith(source);
 }
 
 /**

@@ -7,10 +7,12 @@
  * probe batches. The contract is that this is *unobservable*: every
  * counter, penalty slot, epoch record, heatmap bucket and adaptive
  * choice must be bit-identical to the instruction-at-a-time path.
- * The scalar reference is obtained by replaying the same snapshot
- * through the InstructionSource base interface, which does not expose
- * takePlainRun, so the engine's run loop falls back to one next() per
- * instruction.
+ * The scalar reference is the live Executor on the snapshot's seed:
+ * it offers no takePlainRun, so the engine's run loop takes one
+ * next() and one fetchOne per instruction. Scripted programs have no
+ * executor; for them the reference is the same script recorded with
+ * max_plain_run = 1, which SingleInstructionRuns ties to the live
+ * scalar path.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@ namespace specfetch {
 namespace {
 
 constexpr uint64_t kBudget = 20'000;
+constexpr uint64_t kSeed = 42;
 
 constexpr FetchPolicy kPolicies[] = {
     FetchPolicy::Oracle, FetchPolicy::Optimistic, FetchPolicy::Resume,
@@ -51,31 +54,28 @@ runBatched(const ProgramImage &image, const SimConfig &config,
 }
 
 /**
- * Replay @p snap one instruction at a time. Erasing the source's
- * static type hides takePlainRun from the run loop's requires-clause,
- * so this exercises exactly the scalar fetchOne path.
+ * Run @p w live, one instruction at a time: the executor offers no
+ * takePlainRun, so this exercises exactly the scalar fetchOne path
+ * over the stream recordSnapshot() captures.
  */
 SimResults
-runScalar(const ProgramImage &image, const SimConfig &config,
-          const TraceSnapshot &snap, RunObservations *obs = nullptr)
+runScalar(const Workload &w, const SimConfig &config,
+          RunObservations *obs = nullptr)
 {
-    SnapshotReplaySource source(snap);
-    InstructionSource &erased = source;
-    FetchEngine engine(config, image);
-    SimResults results = engine.runWith(erased);
+    Executor executor(w.cfg, kSeed);
+    FetchEngine engine(config, w.image);
+    SimResults results = engine.runWith(executor);
     if (obs)
         engine.takeObservations(*obs);
     return results;
 }
 
 TraceSnapshot
-recordSnapshot(const Workload &w, uint64_t length, uint64_t seed = 42,
-               unsigned max_plain_run = 0)
+recordSnapshot(const Workload &w, uint64_t length,
+               uint32_t max_plain_run = TraceSnapshot::kMaxPlainRun)
 {
-    Executor recorder(w.cfg, seed);
-    return max_plain_run > 0
-               ? TraceSnapshot::record(recorder, length, max_plain_run)
-               : TraceSnapshot::record(recorder, length);
+    Executor recorder(w.cfg, kSeed);
+    return TraceSnapshot::record(recorder, length, max_plain_run);
 }
 
 void
@@ -151,7 +151,7 @@ TEST(BatchedScalar, AllBenchmarksAllPoliciesAllPrefetch)
                 config.prefetchKind = prefetch ? PrefetchKind::NextLine
                                                : PrefetchKind::None;
                 SimResults batched = runBatched(w.image, config, snap);
-                SimResults scalar = runScalar(w.image, config, snap);
+                SimResults scalar = runScalar(w, config);
                 EXPECT_EQ(batched, scalar)
                     << name << " " << toString(policy)
                     << (prefetch ? " +prefetch" : "");
@@ -179,7 +179,7 @@ TEST(BatchedScalar, SamplerEpochsAndHeatmapIdentical)
 
         RunObservations obs_b, obs_s;
         SimResults batched = runBatched(w.image, config, snap, &obs_b);
-        SimResults scalar = runScalar(w.image, config, snap, &obs_s);
+        SimResults scalar = runScalar(w, config, &obs_s);
         EXPECT_EQ(batched, scalar) << name;
         expectEpochsEqual(obs_b.epochs, obs_s.epochs);
         expectHeatmapsEqual(obs_b.heatmap.get(), obs_s.heatmap.get());
@@ -207,7 +207,7 @@ TEST(BatchedScalar, AdaptiveSelectionIdentical)
 
             RunObservations obs_b, obs_s;
             SimResults batched = runBatched(w.image, config, snap, &obs_b);
-            SimResults scalar = runScalar(w.image, config, snap, &obs_s);
+            SimResults scalar = runScalar(w, config, &obs_s);
             EXPECT_EQ(batched, scalar) << name;
             expectAdaptiveEqual(obs_b.adaptive, obs_s.adaptive);
         }
@@ -233,7 +233,7 @@ TEST(BatchedScalar, ParanoidAuditedRunsIdentical)
         config.checkpointInterval = 2'000;
 
         SimResults batched = runBatched(w.image, config, snap);
-        SimResults scalar = runScalar(w.image, config, snap);
+        SimResults scalar = runScalar(w, config);
         EXPECT_EQ(batched, scalar) << name;
     }
 }
@@ -242,21 +242,22 @@ TEST(BatchedScalar, ParanoidAuditedRunsIdentical)
  * Degenerate runs: a snapshot recorded with max_plain_run = 1 turns
  * every plain into its own single-instruction run record. The batch
  * path must survive a stream of length-1 batches and still match
- * both the scalar path and the unchunked snapshot.
+ * both the live scalar path and the unchunked snapshot. This ties the
+ * scripted tests' reference (a max_plain_run = 1 recording) to the
+ * scalar path.
  */
 TEST(BatchedScalar, SingleInstructionRuns)
 {
     const Workload &w = *sharedWorkload("gcc");
     TraceSnapshot whole = recordSnapshot(w, kBudget);
-    TraceSnapshot chunked = recordSnapshot(w, kBudget, 42,
-                                           /*max_plain_run=*/1);
+    TraceSnapshot chunked = recordSnapshot(w, kBudget, /*max_plain_run=*/1);
     SimConfig config;
     config.policy = FetchPolicy::Resume;
     config.instructionBudget = kBudget;
 
     SimResults batched_whole = runBatched(w.image, config, whole);
     SimResults batched_chunked = runBatched(w.image, config, chunked);
-    SimResults scalar = runScalar(w.image, config, whole);
+    SimResults scalar = runScalar(w, config);
     EXPECT_EQ(batched_whole, scalar);
     EXPECT_EQ(batched_chunked, scalar);
 }
@@ -287,15 +288,13 @@ TEST(BatchedScalar, RunStraddlesLineSetAndWrapBoundaries)
     SimConfig config;
     config.instructionBudget = script.scriptLength();
     config.sampleInterval = 777;    // epoch boundaries mid-line
+    const TraceSnapshot whole = script.snapshot();
+    const TraceSnapshot single = script.snapshot(/*max_plain_run=*/1);
     for (FetchPolicy policy : kPolicies) {
         config.policy = policy;
-        test::ScriptedSource recorder = script.source();
-        TraceSnapshot snap =
-            TraceSnapshot::record(recorder, script.scriptLength());
-
         RunObservations obs_b, obs_s;
-        SimResults batched = runBatched(script.image(), config, snap, &obs_b);
-        SimResults scalar = runScalar(script.image(), config, snap, &obs_s);
+        SimResults batched = runBatched(script.image(), config, whole, &obs_b);
+        SimResults scalar = runBatched(script.image(), config, single, &obs_s);
         EXPECT_EQ(batched, scalar) << toString(policy);
         expectEpochsEqual(obs_b.epochs, obs_s.epochs);
     }
@@ -313,14 +312,12 @@ TEST(BatchedScalar, BudgetCutsBatchMidRun)
 
     SimConfig config;
     config.instructionBudget = 1'234;   // mid-run, mid-line
+    const TraceSnapshot whole = script.snapshot();
+    const TraceSnapshot single = script.snapshot(/*max_plain_run=*/1);
     for (FetchPolicy policy : kPolicies) {
         config.policy = policy;
-        test::ScriptedSource recorder = script.source();
-        TraceSnapshot snap =
-            TraceSnapshot::record(recorder, script.scriptLength());
-
-        SimResults batched = runBatched(script.image(), config, snap);
-        SimResults scalar = runScalar(script.image(), config, snap);
+        SimResults batched = runBatched(script.image(), config, whole);
+        SimResults scalar = runBatched(script.image(), config, single);
         EXPECT_EQ(batched, scalar) << toString(policy);
         EXPECT_EQ(batched.instructions, config.instructionBudget);
     }

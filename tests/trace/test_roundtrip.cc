@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace write/read round-trip tests: the replayed stream must be
- * bit-identical to the live execution, and a simulation driven from
- * the trace must produce identical results.
+ * Trace-file round-trip tests: the image and the correct-path stream
+ * read back from a file must be identical to what was recorded, and a
+ * simulation driven from the file must produce the live results.
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +10,8 @@
 #include <cstdio>
 
 #include "core/fetch_engine.hh"
-#include "trace/format.hh"
-#include "trace/reader.hh"
-#include "trace/replay_source.hh"
-#include "trace/writer.hh"
+#include "trace/trace_file.hh"
 #include "workload/executor.hh"
-#include "workload/registry.hh"
 #include "workload/workload.hh"
 #include "temp_path.hh"
 
@@ -47,56 +43,48 @@ smallWorkload()
     return buildWorkload(profile);
 }
 
+/** Record @p n instructions of @p w and write them with its image. */
+TraceSnapshot
+writeTrace(const std::string &path, const Workload &w, uint64_t n)
+{
+    Executor source(w.cfg, 42);
+    TraceSnapshot snap = TraceSnapshot::record(source, n);
+    writeTraceFile(path, w.image, snap);
+    return snap;
+}
+
 TEST_F(TraceRoundTrip, StreamIsIdentical)
 {
     Workload w = smallWorkload();
     const uint64_t n = 100000;
+    writeTrace(path, w, n);
 
-    Executor executor(w.cfg, 42);
-    DynInst first;
-    std::vector<DynInst> reference;
-    {
-        Executor source(w.cfg, 42);
-        DynInst inst;
-        source.next(inst);
-        TraceWriter writer(path, w.image, inst.pc);
-        writer.append(inst);
-        reference.push_back(inst);
-        for (uint64_t i = 1; i < n; ++i) {
-            source.next(inst);
-            writer.append(inst);
-            reference.push_back(inst);
-        }
-    }
-
-    TraceReader reader(path);
-    EXPECT_EQ(reader.startPc(), reference.front().pc);
-    DynInst inst;
+    TraceFile trace = readTraceFile(path);
+    Executor live(w.cfg, 42);
+    SnapshotReplaySource replay(trace.snapshot);
+    DynInst expected, got;
     for (uint64_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(reader.next(inst)) << "record " << i;
-        ASSERT_EQ(inst.pc, reference[i].pc) << "record " << i;
-        ASSERT_EQ(inst.cls, reference[i].cls) << "record " << i;
-        ASSERT_EQ(inst.taken, reference[i].taken) << "record " << i;
-        if (isControl(inst.cls)) {
-            ASSERT_EQ(inst.target, reference[i].target) << i;
+        ASSERT_TRUE(live.next(expected));
+        if (i == 0) {
+            EXPECT_EQ(trace.snapshot.startPc(), expected.pc);
+        }
+        ASSERT_TRUE(replay.next(got)) << "record " << i;
+        ASSERT_EQ(got.pc, expected.pc) << "record " << i;
+        ASSERT_EQ(got.cls, expected.cls) << "record " << i;
+        ASSERT_EQ(got.taken, expected.taken) << "record " << i;
+        if (isControl(got.cls)) {
+            ASSERT_EQ(got.target, expected.target) << i;
         }
     }
-    EXPECT_FALSE(reader.next(inst));
-    EXPECT_EQ(reader.recordsRead(), n);
+    EXPECT_FALSE(replay.next(got));
 }
 
 TEST_F(TraceRoundTrip, ImageIsIdentical)
 {
     Workload w = smallWorkload();
-    {
-        Executor source(w.cfg, 42);
-        DynInst inst;
-        source.next(inst);
-        TraceWriter writer(path, w.image, inst.pc);
-        writer.append(inst);
-    }
-    TraceReader reader(path);
-    const ProgramImage &restored = reader.image();
+    writeTrace(path, w, 1);
+    TraceFile trace = readTraceFile(path);
+    const ProgramImage &restored = trace.image;
     ASSERT_EQ(restored.size(), w.image.size());
     ASSERT_EQ(restored.base(), w.image.base());
     for (size_t i = 0; i < restored.size(); ++i) {
@@ -111,18 +99,7 @@ TEST_F(TraceRoundTrip, SimulationFromTraceMatchesLive)
 {
     Workload w = smallWorkload();
     const uint64_t n = 150000;
-
-    {
-        Executor source(w.cfg, 42);
-        DynInst inst;
-        source.next(inst);
-        TraceWriter writer(path, w.image, inst.pc);
-        writer.append(inst);
-        for (uint64_t i = 1; i < n; ++i) {
-            source.next(inst);
-            writer.append(inst);
-        }
-    }
+    writeTrace(path, w, n);
 
     SimConfig config;
     config.policy = FetchPolicy::Resume;
@@ -131,36 +108,24 @@ TEST_F(TraceRoundTrip, SimulationFromTraceMatchesLive)
     // Live run.
     Executor live(w.cfg, 42);
     FetchEngine live_engine(config, w.image);
-    SimResults live_results = live_engine.run(live);
+    SimResults live_results = live_engine.runWith(live);
 
-    // Replay run.
-    TraceReader reader(path);
-    ReplaySource replay(reader);
-    FetchEngine replay_engine(config, reader.image());
-    SimResults replay_results = replay_engine.run(replay);
+    // Replay run, image and stream both from the file.
+    TraceFile trace = readTraceFile(path);
+    SnapshotReplaySource replay(trace.snapshot);
+    FetchEngine replay_engine(config, trace.image);
+    SimResults replay_results = replay_engine.runWith(replay);
 
-    EXPECT_EQ(replay_results.instructions, live_results.instructions);
-    EXPECT_EQ(replay_results.finalSlot, live_results.finalSlot);
-    EXPECT_EQ(replay_results.demandMisses, live_results.demandMisses);
-    EXPECT_EQ(replay_results.dirMispredicts,
-              live_results.dirMispredicts);
-    EXPECT_EQ(replay_results.penalty.totalSlots(),
-              live_results.penalty.totalSlots());
+    EXPECT_EQ(replay_results, live_results);
 }
 
 TEST_F(TraceRoundTrip, WriterCountsRecords)
 {
     Workload w = smallWorkload();
-    Executor source(w.cfg, 42);
-    DynInst inst;
-    source.next(inst);
-    TraceWriter writer(path, w.image, inst.pc);
-    writer.append(inst);
-    for (int i = 1; i < 1000; ++i) {
-        source.next(inst);
-        writer.append(inst);
-    }
-    EXPECT_EQ(writer.recordsWritten(), 1000u);
+    TraceSnapshot written = writeTrace(path, w, 1000);
+    TraceFile trace = readTraceFile(path);
+    EXPECT_EQ(trace.snapshot.instructionCount(), 1000u);
+    EXPECT_EQ(trace.snapshot.contentHash(), written.contentHash());
 }
 
 TEST_F(TraceRoundTrip, ReaderRejectsGarbage)
@@ -168,25 +133,12 @@ TEST_F(TraceRoundTrip, ReaderRejectsGarbage)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     std::fputs("not a trace file at all, sorry", f);
     std::fclose(f);
-    EXPECT_THROW({ TraceReader reader(path); }, TraceError);
+    EXPECT_THROW(readTraceFile(path), TraceError);
 }
 
 TEST(TraceDeath, MissingFileThrows)
 {
-    EXPECT_THROW({ TraceReader reader("/nonexistent/nope.trace"); },
-                 TraceError);
-}
-
-TEST(TraceDeath, NonContiguousAppendPanics)
-{
-    std::string path = test::tempPath("bad.sftrace");
-    ProgramImage image(0x1000, 8);
-    TraceWriter writer(path, image, 0x1000);
-    writer.append(DynInst{0x1000, InstClass::Plain, false, 0});
-    EXPECT_DEATH(
-        writer.append(DynInst{0x2000, InstClass::Plain, false, 0}),
-        "contiguous");
-    std::remove(path.c_str());
+    EXPECT_THROW(readTraceFile("/nonexistent/nope.trace"), TraceError);
 }
 
 } // namespace

@@ -26,11 +26,9 @@
 
 #include "adaptive/oracle.hh"
 #include "bench_support.hh"
-#include "core/miss_classifier.hh"
 #include "serve/result_store.hh"
 #include "serve/socket.hh"
 #include "util/logging.hh"
-#include "workload/workload.hh"
 
 using namespace specfetch;
 using namespace specfetch::bench;
@@ -92,9 +90,7 @@ emitGrid(const std::vector<RunSpec> &specs,
  * picks up where it died and writes the same bytes.
  */
 int
-runStoreDir(const std::vector<RunSpec> &specs,
-            const std::vector<Classification> &classifications,
-            size_t perProfile)
+runStoreDir(const std::vector<RunSpec> &specs)
 {
     BenchMain &bm = benchMain();
     const FaultInjector *injector =
@@ -118,9 +114,10 @@ runStoreDir(const std::vector<RunSpec> &specs,
     bm.beginProgress(specs.size());
     StoreSweepResult sweep = runStoreSweep(
         store, specs, options,
-        [&](size_t index, const SimResults &results) {
+        [&](size_t index, const SimResults &results,
+            const Classification &classification) {
             return makeRunRecord(results, specs[index].config, nullptr,
-                                 &classifications[index / perProfile]);
+                                 &classification);
         });
     bm.endProgress();
 
@@ -431,15 +428,6 @@ main(int argc, char **argv)
 
     const auto &names = benchmarkNames();
 
-    // One Table-4 classification per profile (policy-independent), so
-    // every record of that profile can carry the taxonomy.
-    std::vector<Classification> classifications;
-    classifications.reserve(names.size());
-    for (const std::string &name : names) {
-        Workload w = buildWorkload(getProfile(name));
-        classifications.push_back(classifyMisses(w, base));
-    }
-
     // Profile-major, policy-minor, prefetch-innermost grid.
     std::vector<RunSpec> specs;
     specs.reserve(names.size() * allPolicies().size() * 2);
@@ -460,7 +448,7 @@ main(int argc, char **argv)
         struct stat info;
         if (stat(store.c_str(), &info) == 0 && S_ISSOCK(info.st_mode))
             return runStoreClient(specs);
-        return runStoreDir(specs, classifications, allPolicies().size() * 2);
+        return runStoreDir(specs);
     }
     if (!benchMain().injector.empty()) {
         warn("fault injection is active but no --store was given; "
@@ -470,26 +458,33 @@ main(int argc, char **argv)
     benchMain().applyObsConfig(specs);
     benchMain().applyAdaptiveConfig(specs);
     benchMain().beginProgress(specs.size());
+    // Every record of a profile carries the profile's Table-4
+    // classification, which the sweep computes once per profile.
     SweepTiming timing;
     std::vector<RunObservations> observations;
-    bool collect =
-        benchMain().observing() || benchMain().adaptiveArmed();
-    std::vector<SimResults> results =
-        runSweep(specs, benchMain().parallelism, &timing,
-                 collect ? &observations : nullptr);
+    std::vector<Classification> classifications;
+    SweepOptions options;
+    options.parallelism = benchMain().parallelism;
+    options.timing = &timing;
+    if (benchMain().observing() || benchMain().adaptiveArmed())
+        options.observations = &observations;
+    options.classifications = &classifications;
+    std::vector<SimResults> results = runSweep(specs, options).results;
     benchMain().endProgress();
 
-    for (size_t i = 0; i < specs.size(); ++i) {
-        RunTiming rt;
-        rt.runSeconds = timing.perRunSeconds[i];
-        rt.workloadBuildSeconds = timing.workloadBuildSeconds;
-        rt.snapshotRecordSeconds = timing.snapshotRecordSeconds;
-        rt.sweepTotalSeconds = timing.totalSeconds;
-        size_t profileIndex = i / (allPolicies().size() * 2);
-        benchMain().emit(makeRunRecord(results[i], specs[i].config, &rt,
-                                       &classifications[profileIndex]));
+    {
+        TraceSpan span("emit", "bench");
+        for (size_t i = 0; i < specs.size(); ++i) {
+            RunTiming rt;
+            rt.runSeconds = timing.perRunSeconds[i];
+            rt.workloadBuildSeconds = timing.workloadBuildSeconds;
+            rt.snapshotRecordSeconds = timing.snapshotRecordSeconds;
+            rt.sweepTotalSeconds = timing.totalSeconds;
+            benchMain().emit(makeRunRecord(results[i], specs[i].config,
+                                           &rt, &classifications[i]));
+        }
+        benchMain().emitObservations(specs, results, observations);
     }
-    benchMain().emitObservations(specs, results, observations);
 
     // Human-readable digest: suite-average ISPI per (policy, prefetch).
     TextTable table;
@@ -512,13 +507,20 @@ main(int argc, char **argv)
     }
     emitTable(table);
 
-    runAdaptiveColumn(names, base);
+    auto columnStart = std::chrono::steady_clock::now();
+    {
+        TraceSpan span("adaptive_column", "bench");
+        runAdaptiveColumn(names, base);
+    }
+    std::chrono::duration<double> column =
+        std::chrono::steady_clock::now() - columnStart;
 
     std::printf("\n%zu runs in %.2fs (workload build %.2fs, "
-                "snapshot record %.2fs); %zu records -> %s\n",
+                "snapshot record %.2fs, classify %.2fs, runs %.2fs), "
+                "adaptive column %.2fs; %zu records -> %s\n",
                 specs.size(), timing.totalSeconds,
-                timing.workloadBuildSeconds,
-                timing.snapshotRecordSeconds,
+                timing.workloadBuildSeconds, timing.snapshotRecordSeconds,
+                timing.classifySeconds, timing.runSeconds, column.count(),
                 benchMain().json->recordsWritten(),
                 benchMain().json->path().c_str());
     return 0;

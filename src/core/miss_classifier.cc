@@ -3,6 +3,7 @@
 #include "check/invariant.hh"
 #include "core/fetch_engine.hh"
 #include "stats/stats.hh"
+#include "trace/snapshot.hh"
 #include "util/logging.hh"
 #include "workload/executor.hh"
 
@@ -75,25 +76,18 @@ class ShadowObserver : public AccessObserver
     ICache oracle;
 };
 
-} // namespace
-
+/** Both classifyMisses overloads: one Optimistic run of @p source
+ *  under classificationConfig(@p config) with the shadow attached. */
+template <typename Source>
 Classification
-classifyMisses(const Workload &workload, const SimConfig &config,
-               SimResults *timed_results)
+classifyWith(const Workload &workload, const SimConfig &config,
+             Source &source, SimResults *timed_results)
 {
-    SimConfig cfg = config;
-    cfg.policy = FetchPolicy::Optimistic;
-    cfg.nextLinePrefetch = false;
-    cfg.prefetchKind = PrefetchKind::None;
-    // The shadow observer counts from the first access; a warmup
-    // would desynchronize its counts from the stats denominator.
-    cfg.warmupInstructions = 0;
-
+    SimConfig cfg = classificationConfig(config);
     ShadowObserver shadow(cfg.icache);
-    Executor executor(workload.cfg, cfg.runSeed);
     FetchEngine engine(cfg, workload.image);
     engine.setObserver(&shadow);
-    SimResults results = engine.runWith(executor);
+    SimResults results = engine.runWith(source);
 
     Classification out;
     out.workload = workload.profile.name;
@@ -119,6 +113,38 @@ classifyMisses(const Workload &workload, const SimConfig &config,
     if (timed_results)
         *timed_results = results;
     return out;
+}
+
+} // namespace
+
+SimConfig
+classificationConfig(const SimConfig &config)
+{
+    SimConfig cfg = config;
+    cfg.policy = FetchPolicy::Optimistic;
+    cfg.nextLinePrefetch = false;
+    cfg.prefetchKind = PrefetchKind::None;
+    cfg.warmupInstructions = 0;
+    cfg.adaptiveSelector = SelectorKind::Off;
+    cfg.sampleInterval = 0;
+    cfg.setHeatmap = false;
+    return cfg;
+}
+
+Classification
+classifyMisses(const Workload &workload, const SimConfig &config,
+               SimResults *timed_results)
+{
+    Executor executor(workload.cfg, config.runSeed);
+    return classifyWith(workload, config, executor, timed_results);
+}
+
+Classification
+classifyMisses(const Workload &workload, const SimConfig &config,
+               const TraceSnapshot &snapshot)
+{
+    SnapshotReplaySource source(snapshot);
+    return classifyWith(workload, config, source, nullptr);
 }
 
 } // namespace specfetch

@@ -31,6 +31,7 @@
 namespace specfetch {
 
 struct SimResults;
+class TraceSnapshot;
 
 /** Table 4 results for one workload. */
 struct Classification
@@ -61,13 +62,27 @@ struct Classification
 
     /** Optimistic/Oracle miss (= memory traffic) ratio. */
     double trafficRatio() const;
+
+    bool operator==(const Classification &) const = default;
 };
 
 /**
- * Classify misses for @p workload under @p config's cache geometry
- * and branch architecture. The policy and prefetch fields of @p
- * config are ignored (the comparison is Optimistic vs Oracle without
- * prefetching, as in the paper).
+ * The configuration the classification of @p config simulates: the
+ * one place that states which members the taxonomy ignores. The
+ * comparison is Optimistic vs Oracle without prefetching, as in the
+ * paper, so the policy becomes Optimistic and every prefetcher is
+ * off. The shadow observer counts from the first access, so warmup
+ * is 0 (a warmup would desynchronize its counts from the stats
+ * denominator). The adaptive selector is off, or it would switch the
+ * run away from Optimistic, and the sampler and heatmap are off
+ * because nothing reads them. checkLevel and every other member are
+ * kept.
+ */
+SimConfig classificationConfig(const SimConfig &config);
+
+/**
+ * Classify misses for @p workload under classificationConfig(@p
+ * config), executing the correct path live.
  *
  * When config.checkLevel != Off, the taxonomy is audited against the
  * timed run's counters (Table 4 conservation) before returning; a
@@ -78,6 +93,16 @@ struct Classification
 Classification classifyMisses(const Workload &workload,
                               const SimConfig &config,
                               SimResults *timed_results = nullptr);
+
+/**
+ * The same classification, replaying @p snapshot — the recorded
+ * (workload, config.runSeed) stream, at least
+ * config.instructionBudget long — instead of executing live.
+ * Bit-identical to the live overload.
+ */
+Classification classifyMisses(const Workload &workload,
+                              const SimConfig &config,
+                              const TraceSnapshot &snapshot);
 
 } // namespace specfetch
 

@@ -18,6 +18,7 @@
 #include "fault/injector.hh"
 #include "obs/progress.hh"
 #include "obs/trace_event.hh"
+#include "report/record.hh"
 #include "trace/snapshot.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -70,19 +71,66 @@ parallelFor(size_t count, unsigned workers,
 /** Identity of one correct-path stream: program + dynamic seed. */
 using StreamKey = std::pair<std::string, uint64_t>;
 
+/** One classification of the classify stage: a distinct (benchmark,
+ *  classificationConfig) among the specs. */
+struct ClassifyJob
+{
+    std::string benchmark;
+    SimConfig config;
+    Classification result;
+};
+
+/** The classify stage's work: the distinct rows, and each spec's. */
+struct ClassifyPlan
+{
+    std::vector<ClassifyJob> jobs;
+    /** Indexed like specs: the job classifying that spec's row. */
+    std::vector<size_t> jobOf;
+};
+
+/** Group @p specs into classification rows. A row's identity is the
+ *  manifest of its classification config, as a stored run's is. */
+ClassifyPlan
+planClassifications(const std::vector<RunSpec> &specs)
+{
+    ClassifyPlan plan;
+    plan.jobOf.reserve(specs.size());
+    std::map<std::pair<std::string, std::string>, size_t> rows;
+    for (const RunSpec &spec : specs) {
+        SimConfig config = classificationConfig(spec.config);
+        auto [row, added] = rows.try_emplace(
+            {spec.benchmark, toJson(config).dump()}, plan.jobs.size());
+        if (added)
+            plan.jobs.push_back(ClassifyJob{spec.benchmark, config, {}});
+        plan.jobOf.push_back(row->second);
+    }
+    return plan;
+}
+
 /** The work every sweep hoists out of its per-spec runs. */
 struct SweepShared
 {
     std::map<std::string, std::shared_ptr<const Workload>> workloads;
     std::map<StreamKey, std::shared_ptr<const TraceSnapshot>> snapshots;
+
+    /** The recorded stream of (@p benchmark, @p seed), or null. */
+    const TraceSnapshot *
+    snapshotOf(const std::string &benchmark, uint64_t seed) const
+    {
+        auto snap = snapshots.find(StreamKey{benchmark, seed});
+        return snap != snapshots.end() ? snap->second.get() : nullptr;
+    }
 };
 
 /**
  * Build the distinct workloads and record the shared correct-path
- * snapshots (record-once/replay-many; see runSweep's contract).
+ * snapshots (record-once/replay-many; see runSweep's contract). The
+ * runs of @p specs and the classifications of @p jobs all consume
+ * their (benchmark, seed) streams.
  */
 SweepShared
-prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
+prepareShared(const std::vector<RunSpec> &specs,
+              const std::vector<ClassifyJob> &jobs, unsigned workers,
               SweepTiming *timing, SweepClock::time_point sweepStart)
 {
     SweepShared shared;
@@ -100,21 +148,27 @@ prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
     if (timing)
         timing->workloadBuildSeconds = secondsSince(sweepStart);
 
-    // Record-once/replay-many: every spec sharing (benchmark, seed)
-    // consumes the identical correct-path stream, so record it in one
-    // executor pass — long enough for the hungriest consumer — and
-    // replay it across all of them. Streams with a single consumer
-    // (or beyond the memory cap) stay on live execution.
+    // Record-once/replay-many: every run and classification sharing
+    // (benchmark, seed) consumes the identical correct-path stream, so
+    // record it in one executor pass — long enough for the hungriest
+    // consumer — and replay it across all of them. Streams with a
+    // single consumer (or beyond the memory cap) stay on live
+    // execution.
     SweepClock::time_point recordStart = SweepClock::now();
     std::map<StreamKey, uint64_t> streamLength;
     std::map<StreamKey, size_t> streamUses;
-    for (const RunSpec &spec : specs) {
-        StreamKey key{spec.benchmark, spec.config.runSeed};
+    auto consume = [&](const std::string &benchmark,
+                       const SimConfig &config) {
+        StreamKey key{benchmark, config.runSeed};
         uint64_t length =
-            spec.config.warmupInstructions + spec.config.instructionBudget;
+            config.warmupInstructions + config.instructionBudget;
         streamLength[key] = std::max(streamLength[key], length);
         ++streamUses[key];
-    }
+    };
+    for (const RunSpec &spec : specs)
+        consume(spec.benchmark, spec.config);
+    for (const ClassifyJob &job : jobs)
+        consume(job.benchmark, job.config);
     std::vector<std::pair<StreamKey, uint64_t>> toRecord;
     for (const auto &[key, length] : streamLength) {
         if (streamUses.at(key) >= 2 &&
@@ -142,15 +196,47 @@ prepareShared(const std::vector<RunSpec> &specs, unsigned workers,
 }
 
 /**
+ * The classify stage: every job in parallel, replaying its stream's
+ * snapshot when one was recorded. A guarded sweep replays only a
+ * snapshot whose content digest verifies and otherwise classifies
+ * live, as runOneGuarded does for runs.
+ */
+void
+classifyRows(std::vector<ClassifyJob> &jobs, const SweepShared &shared,
+             bool guarded, unsigned workers)
+{
+    // SPECFETCH-ALLOW(error-boundary): like the snapshot record, classification precedes every run; a failure aborts before anything could be quarantined
+    parallelFor(jobs.size(), workers, [&](size_t i) {
+        ClassifyJob &job = jobs[i];
+        TraceSpan span("classify", "sweep", job.benchmark);
+        const Workload &workload = *shared.workloads.at(job.benchmark);
+        const TraceSnapshot *snapshot =
+            shared.snapshotOf(job.benchmark, job.config.runSeed);
+        std::string why;
+        if (snapshot && guarded && !snapshot->verify(&why)) {
+            warn("sweep classification %zu: %s; refusing replay, "
+                 "classifying live",
+                 i, why.c_str());
+            snapshot = nullptr;
+        }
+        job.result = snapshot
+            ? classifyMisses(workload, job.config, *snapshot)
+            : classifyMisses(workload, job.config);
+    });
+}
+
+/**
  * Paranoid sweeps cross-validate the whole fast path: every run is
  * repeated serially *through the live executor* (never a replay) and
- * must be bit-identical. Any divergence is either cross-thread state
- * leakage or a snapshot record/replay defect. Quarantined runs are
- * excluded — they have no result to validate.
+ * must be bit-identical, and so is every classification. Any
+ * divergence is either cross-thread state leakage or a snapshot
+ * record/replay defect. Quarantined runs are excluded — they have no
+ * result to validate.
  */
 void
 paranoidCrossValidate(const std::vector<RunSpec> &specs,
                       const SweepOutcome &outcome,
+                      const std::vector<ClassifyJob> &jobs,
                       const SweepShared &shared)
 {
     bool paranoid =
@@ -176,6 +262,14 @@ paranoidCrossValidate(const std::vector<RunSpec> &specs,
         panic("parallel sweep diverged from its serial re-run "
               "(%zu of %zu runs differ)",
               auditor.violations().size(), checkedResults.size());
+    }
+    for (const ClassifyJob &job : jobs) {
+        if (classifyMisses(*shared.workloads.at(job.benchmark),
+                           job.config) != job.result) {
+            panic("sweep classification of '%s' (%s) diverged from its "
+                  "live re-run",
+                  job.benchmark.c_str(), job.config.describe().c_str());
+        }
     }
 }
 
@@ -311,7 +405,24 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     }
 
     unsigned workers = resolveWorkers(options.parallelism);
-    SweepShared shared = prepareShared(specs, workers, timing, sweepStart);
+    ClassifyPlan plan;
+    if (options.classifications)
+        plan = planClassifications(specs);
+    SweepShared shared =
+        prepareShared(specs, plan.jobs, workers, timing, sweepStart);
+
+    // Classify before any run starts, so every spec's classification
+    // is ready when its onRunComplete fires.
+    SweepClock::time_point classifyStart = SweepClock::now();
+    classifyRows(plan.jobs, shared, options.guard.has_value(), workers);
+    if (options.classifications) {
+        options.classifications->clear();
+        options.classifications->reserve(specs.size());
+        for (size_t job : plan.jobOf)
+            options.classifications->push_back(plan.jobs[job].result);
+    }
+    if (timing)
+        timing->classifySeconds = secondsSince(classifyStart);
 
     SweepOutcome outcome;
     outcome.results.resize(specs.size());
@@ -323,10 +434,8 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     parallelFor(specs.size(), workers, [&](size_t index) {
         const RunSpec &spec = specs[index];
         const Workload &workload = *shared.workloads.at(spec.benchmark);
-        auto snap = shared.snapshots.find(
-            StreamKey{spec.benchmark, spec.config.runSeed});
         const TraceSnapshot *snapshot =
-            snap != shared.snapshots.end() ? snap->second.get() : nullptr;
+            shared.snapshotOf(spec.benchmark, spec.config.runSeed);
         // Each index is claimed by exactly one worker, so the per-run
         // slots (results, timing, observations) need no
         // synchronization.
@@ -376,7 +485,7 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
                   return a.index < b.index;
               });
 
-    paranoidCrossValidate(specs, outcome, shared);
+    paranoidCrossValidate(specs, outcome, plan.jobs, shared);
     return outcome;
 }
 

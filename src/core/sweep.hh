@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/miss_classifier.hh"
 #include "core/results.hh"
 #include "obs/observations.hh"
 
@@ -40,9 +41,12 @@ struct SweepTiming
     /** Recording the distinct correct-path snapshots (shared across
      *  each benchmark's specs; see trace/snapshot.hh). */
     double snapshotRecordSeconds = 0.0;
+    /** Classifying the distinct rows (SweepOptions::classifications;
+     *  0 when none were asked for). */
+    double classifySeconds = 0.0;
     /** Executing all runs (wall clock of the parallel stage). */
     double runSeconds = 0.0;
-    /** The whole sweep, build + record + runs. */
+    /** The whole sweep, build + record + classify + runs. */
     double totalSeconds = 0.0;
     /** Per-spec simulation seconds, in submission order. */
     std::vector<double> perRunSeconds;
@@ -113,6 +117,18 @@ struct SweepOptions
      */
     std::vector<RunObservations> *observations = nullptr;
     /**
+     * When non-null, resized to specs.size() and filled with each
+     * spec's Table-4 classification, in submission order. Specs with
+     * the same benchmark and classificationConfig() form one row and
+     * share one classification, computed once in the parallel
+     * classify stage — after the snapshot record, before the first
+     * run, so it is complete before any onRunComplete fires. A
+     * classification is one more consumer of its (benchmark, run
+     * seed) stream and replays the shared snapshot; in a guarded
+     * sweep only after the snapshot's digest verifies, else live.
+     */
+    std::vector<Classification> *classifications = nullptr;
+    /**
      * Invoked — possibly from a sweep worker thread, never twice for
      * one index — the moment a run completes. The store-backed grid
      * persists the run's record here, so a crash an instant later
@@ -141,9 +157,9 @@ struct SweepOutcome
  * Shared work is hoisted out of the per-spec runs: each benchmark's
  * workload is built (or fetched from the process-wide store) once,
  * and each distinct (benchmark, run seed) correct-path stream that
- * more than one spec consumes is recorded once into a TraceSnapshot
- * and replayed by all of them — the identical stream, so results are
- * bit-identical to live execution at any parallelism.
+ * more than one run or classification consumes is recorded once into
+ * a TraceSnapshot and replayed by all of them — the identical stream,
+ * so results are bit-identical to live execution at any parallelism.
  */
 SweepOutcome runSweep(const std::vector<RunSpec> &specs,
                       const SweepOptions &options);

@@ -910,11 +910,15 @@ runStoreSweep(ResultStore &store, const std::vector<RunSpec> &specs,
     }
 
     // Each miss index completes once, on one worker: its record slot
-    // needs no lock, and the store serializes the puts.
+    // needs no lock, and the store serializes the puts. The sweep
+    // classifies every row before its first run completes.
+    std::vector<Classification> classifications;
+    options.classifications = &classifications;
     // SPECFETCH-ALLOW(error-boundary): put() reports I/O failure by return value; the flagged chain is MetricGauge::set name-matched to ProgramImage::set
     options.onRunComplete = [&](size_t miss, const SimResults &results) {
         size_t index = misses[miss];
-        result.records[index] = makeRecord(index, results);
+        result.records[index] =
+            makeRecord(index, results, classifications[miss]);
         std::string error;
         if (!store.put(keys[index], result.records[index], &error)) {
             warn("result store: run %zu not persisted (%s); a rerun "

@@ -233,11 +233,13 @@ class ResultStore
  *  "generation", ..., "torn_tail", "recovered"). */
 JsonValue toJson(const ResultStore::Stats &stats);
 
-/** Builds the stored record of run @p index; must be deterministic
- *  (no timing), or a rerun could not reproduce a clean run's bytes.
- *  Called from sweep worker threads. */
-using RecordMaker =
-    std::function<JsonValue(size_t index, const SimResults &results)>;
+/** Builds the stored record of run @p index from its results and its
+ *  row's Table-4 classification; must be deterministic (no timing), or
+ *  a rerun could not reproduce a clean run's bytes. Called from sweep
+ *  worker threads. */
+using RecordMaker = std::function<JsonValue(
+    size_t index, const SimResults &results,
+    const Classification &classification)>;
 
 /** What runStoreSweep produced. */
 struct StoreSweepResult
@@ -255,9 +257,11 @@ struct StoreSweepResult
 /**
  * The store-backed grid. Every spec whose sweepRunKey is in @p store
  * is answered with the stored record; the misses run through
- * runSweep(@p options) — whose onRunComplete is replaced, and whose
- * timing and observations describe the misses only — and each
- * completed run's record is put the moment it completes. Killed at
+ * runSweep(@p options) — whose onRunComplete and classifications are
+ * replaced, and whose timing and observations describe the misses
+ * only — and each completed run's record is put the moment it
+ * completes. Only the misses' rows are classified, so a rerun against
+ * a complete store classifies nothing. Killed at
  * any instant and rerun, the grid's records come back byte-identical
  * (simulation is deterministic, records carry no timing); rerun
  * against a complete store, it executes nothing. A store from another

@@ -12,8 +12,6 @@
 #include "report/metrics_record.hh"
 #include "report/record.hh"
 #include "util/logging.hh"
-#include "workload/registry.hh"
-#include "workload/workload.hh"
 
 namespace specfetch {
 
@@ -371,35 +369,6 @@ SweepService::submit(const std::string &line, Responder respond)
         makeServiceErrorResponse(job.request.id, job.request.key, error));
 }
 
-const Classification &
-SweepService::classificationFor(const ServiceRequest &request)
-{
-    // classifyMisses is policy/prefetch-independent by construction
-    // (core/miss_classifier.hh), so neutralize exactly the members the
-    // manifest varies across a grid — every (policy, prefetch) request
-    // of a benchmark shares one cached classification, computed the
-    // way bench_suite computes its per-profile column.
-    SimConfig neutral = request.config;
-    neutral.policy = FetchPolicy::Resume;
-    neutral.nextLinePrefetch = false;
-    neutral.prefetchKind = PrefetchKind::None;
-    neutral.adaptiveSelector = SelectorKind::Off;
-    std::string cacheKey = request.benchmark + "|" + toJson(neutral).dump();
-    {
-        std::lock_guard<std::mutex> lock(classificationMutex);
-        auto it = classifications.find(cacheKey);
-        if (it != classifications.end())
-            return it->second;
-    }
-    // Compute outside the lock: a duplicate race wastes a little work
-    // but produces byte-identical values (first insert wins).
-    Workload workload = buildWorkload(getProfile(request.benchmark));
-    Classification classification = classifyMisses(workload, neutral);
-    std::lock_guard<std::mutex> lock(classificationMutex);
-    return classifications.emplace(cacheKey, std::move(classification))
-        .first->second;
-}
-
 void
 SweepService::executeJob(Job &job)
 {
@@ -450,16 +419,39 @@ SweepService::executeJob(Job &job)
         guard.injector = &localInjector;
     }
 
+    // Every request of a row shares one classification. On a miss the
+    // sweep classifies the row too: it then records the stream once
+    // and replays it for both the run and the classification.
+    const std::string classificationKey =
+        job.request.benchmark + "|" +
+        toJson(classificationConfig(job.request.config)).dump();
+    const Classification *classification = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(classificationMutex);
+        auto cached = classifications.find(classificationKey);
+        if (cached != classifications.end())
+            classification = &cached->second;
+    }
+    std::vector<Classification> classified;
+    if (!classification)
+        sweep.classifications = &classified;
+
     std::vector<RunSpec> specs{
         RunSpec{job.request.benchmark, job.request.config}};
     SweepOutcome outcome = runSweep(specs, sweep);
+    if (!classified.empty()) {
+        // A racing miss of the same row computed identical values;
+        // the first insert wins.
+        std::lock_guard<std::mutex> lock(classificationMutex);
+        classification =
+            &classifications.emplace(classificationKey, classified[0])
+                 .first->second;
+    }
 
     if (outcome.allCompleted()) {
-        const Classification &classification =
-            classificationFor(job.request);
         JsonValue record =
             makeRunRecord(outcome.results[0], job.request.config, nullptr,
-                          &classification);
+                          classification);
         std::string storeError;
         if (!store.put(key, record, &storeError)) {
             error.type = ServiceErrorType::StoreWriteFailed;

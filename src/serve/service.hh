@@ -227,7 +227,6 @@ class SweepService
      *  (ok from the store, or the same @p error), release the key. */
     void finishKey(Job &leader, const JsonValue &response, bool ok,
                    const ServiceError *error);
-    const Classification &classificationFor(const ServiceRequest &request);
     double backoffHint(unsigned attempt) const;
 
     ResultStore &store;
@@ -248,6 +247,9 @@ class SweepService
     /** warn() once, not per snapshot, if the invariant ever breaks. */
     mutable bool conservationWarned = false;
 
+    /** Table-4 classifications by benchmark + classificationConfig()
+     *  manifest: every request of one row shares one. A miss asks its
+     *  run's sweep for the row's classification. */
     std::mutex classificationMutex;
     std::map<std::string, Classification> classifications;
 

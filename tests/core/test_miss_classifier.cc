@@ -115,6 +115,24 @@ TEST(MissClassifier, PercentagesUseInstructionDenominator)
     EXPECT_NEAR(c.trafficRatio(), 40.0 / 30.0, 1e-12);
 }
 
+TEST(MissClassifier, ArmedSelectorLeavesTaxonomyUnchanged)
+{
+    // The taxonomy compares Optimistic with Oracle; a per-epoch
+    // selector left armed would switch the classification run to other
+    // policies mid-stream.
+    Workload w = benchWorkload("gcc");
+    SimConfig config;
+    config.instructionBudget = 500'000;
+    Classification reference = classifyMisses(w, config);
+
+    config.adaptiveSelector = SelectorKind::Bandit;
+    config.adaptiveEpsilon = 0.3;
+    config.adaptiveInterval = 20'000;
+    EXPECT_EQ(classifyMisses(w, config), reference);
+    EXPECT_EQ(classificationConfig(config).adaptiveSelector,
+              SelectorKind::Off);
+}
+
 TEST(MissClassifier, DeterministicAcrossCalls)
 {
     Workload w = benchWorkload("idl");

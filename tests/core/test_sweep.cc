@@ -10,8 +10,10 @@
 
 #include <cstdlib>
 
+#include "core/miss_classifier.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "workload/registry.hh"
 
 using namespace specfetch;
 
@@ -132,6 +134,63 @@ TEST(Sweep, MixedWarmupSharesTheLongestSnapshot)
                   runBenchmark(specs[i].benchmark, specs[i].config))
             << "warmup " << specs[i].config.warmupInstructions;
     }
+}
+
+TEST(Sweep, ClassificationsMatchLiveClassifier)
+{
+    // Every profile under variants the taxonomy ignores (the first
+    // kSharedRow, one row) and two it does not (a row each). Each
+    // stream has run and classification consumers, so the sweep
+    // records it and the classify stage replays it.
+    SimConfig base;
+    base.instructionBudget = 20'000;
+    std::vector<SimConfig> variants(7, base);
+    variants[1].warmupInstructions = 5'000;
+    variants[2].nextLinePrefetch = true;
+    variants[3].sampleInterval = 5'000;
+    variants[3].setHeatmap = true;
+    variants[4].adaptiveSelector = SelectorKind::Bandit;
+    variants[4].adaptiveInterval = 5'000;
+    variants[4].adaptiveEpsilon = 0.3;
+    variants[5].icache.sizeBytes = 16 * 1024;
+    variants[5].icache.ways = 2;
+    variants[6].missPenaltyCycles = 20;
+    constexpr size_t kSharedRow = 5;
+
+    std::vector<RunSpec> specs;
+    for (const std::string &name : benchmarkNames()) {
+        for (const SimConfig &config : variants)
+            specs.push_back(RunSpec{name, config});
+    }
+    std::vector<Classification> classifications;
+    SweepOptions options;
+    options.parallelism = 4;
+    options.classifications = &classifications;
+    runSweep(specs, options);
+    ASSERT_EQ(classifications.size(), specs.size());
+
+    for (size_t row = 0; row < specs.size(); row += variants.size()) {
+        Workload workload = buildWorkload(getProfile(specs[row].benchmark));
+        for (size_t v = 0; v < variants.size(); ++v) {
+            const RunSpec &spec = specs[row + v];
+            EXPECT_EQ(classifications[row + v],
+                      classifyMisses(workload, spec.config))
+                << spec.benchmark << " variant " << v
+                << ": replayed classification diverged from live";
+            if (v < kSharedRow) {
+                EXPECT_EQ(classifications[row + v], classifications[row])
+                    << spec.benchmark << " variant " << v
+                    << " left its row";
+            }
+        }
+    }
+
+    // A guarded sweep verifies each snapshot before replaying it.
+    std::vector<Classification> guarded;
+    options.classifications = &guarded;
+    options.guard.emplace();
+    runSweep(specs, options);
+    EXPECT_EQ(guarded, classifications);
 }
 
 TEST(Sweep, TimingCoversEverySpec)

@@ -46,11 +46,14 @@ class StoreSweep : public test::StoreDirTest
         guard.maxAttempts = attempts;
         guard.backoffBaseSeconds = 0.0;
         guard.injector = injector;
-        // Deterministic record: results + config, no timing.
+        // Deterministic record: results + config + classification, no
+        // timing.
         StoreSweepResult result = runStoreSweep(
             store, specs, options,
-            [this](size_t index, const SimResults &results) {
-                return makeRunRecord(results, specs[index].config);
+            [this](size_t index, const SimResults &results,
+                   const Classification &classification) {
+                return makeRunRecord(results, specs[index].config, nullptr,
+                                     &classification);
             });
         EXPECT_TRUE(store.close());
         return result;

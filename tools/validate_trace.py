@@ -17,9 +17,13 @@ the sink's invariants actually held:
   - with --require-span NAME (repeatable), at least one span with
     that name exists: the CI smoke job uses this to assert the
     instrumented stages really fired
+  - with --min-coverage F, the union of all spans, over every lane,
+    covers at least F of the timeline, from the sink's origin (ts 0)
+    to the last span's end: the untraced residual is at most 1 - F
 
 Usage:
     tools/validate_trace.py TRACE.json [--require-span simulate ...]
+                            [--min-coverage 0.95]
     tools/validate_trace.py --self-test
 
 Exit code 0 when the file is valid, 1 otherwise.
@@ -95,7 +99,24 @@ def check_nesting(events, errors):
             stack.append((start, end, span["name"]))
 
 
-def validate(document, required_spans=()):
+def coverage(events):
+    """Share of [0, last span end) covered by the union of all spans;
+    overlapping spans, on one lane or on several, count once."""
+    intervals = sorted((e["ts"], e["ts"] + e["dur"]) for e in events)
+    if not intervals:
+        return 0.0
+    timeline = max(end for _, end in intervals)
+    if timeline == 0:
+        return 0.0
+    covered, reach = 0, 0
+    for start, end in intervals:
+        if end > reach:
+            covered += end - max(start, reach)
+            reach = end
+    return covered / timeline
+
+
+def validate(document, required_spans=(), min_coverage=None):
     """Return a list of problems; empty means the trace is valid."""
     errors = []
     if not isinstance(document, dict):
@@ -113,10 +134,15 @@ def validate(document, required_spans=()):
         if name not in names:
             fail(errors, f"required span '{name}' not found "
                  f"(present: {', '.join(sorted(names)) or 'none'})")
+    if min_coverage is not None:
+        covered = coverage(usable)
+        if covered < min_coverage:
+            fail(errors, f"spans cover {covered:.1%} of the timeline, "
+                 f"below the required {min_coverage:.1%}")
     return errors
 
 
-def validate_file(path, required_spans=()):
+def validate_file(path, required_spans=(), min_coverage=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -124,7 +150,7 @@ def validate_file(path, required_spans=()):
         return [f"cannot read {path}: {err}"]
     except json.JSONDecodeError as err:
         return [f"{path}: malformed JSON: {err}"]
-    return validate(document, required_spans)
+    return validate(document, required_spans, min_coverage)
 
 
 def self_test():
@@ -186,6 +212,29 @@ def self_test():
     check("present required span accepted",
           validate(good, required_spans=["run"]) == [])
 
+    # Coverage: [0, 40) and [60, 100) leave a 20% gap.
+    gap = {"traceEvents": [span("a", 0, 40), span("b", 60, 40)]}
+    check("gap measured", coverage(gap["traceEvents"]) == 0.8)
+    errors = validate(gap, min_coverage=0.95)
+    check("gap below min coverage rejected",
+          any("cover 80.0%" in e for e in errors))
+    check("gap within min coverage accepted",
+          validate(gap, min_coverage=0.8) == [])
+
+    # Overlapping lanes count once: two tids both busy over [0, 60)
+    # plus [90, 100) cover 70%, not 130%.
+    lanes = {"traceEvents": [span("a", 0, 60), span("b", 0, 60, tid=2),
+                             span("c", 20, 10, tid=2),
+                             span("d", 90, 10)]}
+    check("overlapping lanes counted once",
+          coverage(lanes["traceEvents"]) == 0.7)
+    check("overlapping lanes cannot fill a gap",
+          validate(lanes, min_coverage=0.95) != [])
+    check("nested and overlapping spans reach full coverage",
+          coverage(good["traceEvents"]) == 1.0)
+    check("empty trace has no coverage",
+          validate({"traceEvents": []}, min_coverage=0.5) != [])
+
     return checker.finish()
 
 
@@ -197,6 +246,9 @@ def main(argv=None):
                         metavar="NAME",
                         help="fail unless a span with this name exists "
                              "(repeatable)")
+    parser.add_argument("--min-coverage", type=float, metavar="F",
+                        help="fail unless the spans cover at least this "
+                             "share (0..1) of the timeline")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in unit tests and exit")
     args = parser.parse_args(argv)
@@ -206,7 +258,8 @@ def main(argv=None):
     if args.trace is None:
         parser.error("TRACE is required (or use --self-test)")
 
-    errors = validate_file(args.trace, args.require_span)
+    errors = validate_file(args.trace, args.require_span,
+                           args.min_coverage)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:

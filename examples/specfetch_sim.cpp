@@ -20,53 +20,10 @@
 #include "report/record.hh"
 #include "report/report.hh"
 #include "util/options.hh"
-#include "util/string_utils.hh"
 #include "workload/registry.hh"
 #include "workload/reorder.hh"
 
 using namespace specfetch;
-
-namespace {
-
-bool
-parsePrefetchKind(const std::string &text, PrefetchKind &out)
-{
-    std::string t = toLower(trim(text));
-    if (t == "none")
-        out = PrefetchKind::None;
-    else if (t == "next-line" || t == "nextline")
-        out = PrefetchKind::NextLine;
-    else if (t == "target")
-        out = PrefetchKind::Target;
-    else if (t == "combined")
-        out = PrefetchKind::Combined;
-    else if (t == "stream")
-        out = PrefetchKind::Stream;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseIndexing(const std::string &text, PhtIndexing &out)
-{
-    std::string t = toLower(trim(text));
-    if (t == "gshare")
-        out = PhtIndexing::Gshare;
-    else if (t == "global")
-        out = PhtIndexing::GlobalOnly;
-    else if (t == "pc")
-        out = PhtIndexing::PcOnly;
-    else if (t == "local")
-        out = PhtIndexing::Local;
-    else if (t == "combining")
-        out = PhtIndexing::Combining;
-    else
-        return false;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -134,8 +91,8 @@ main(int argc, char **argv)
                      opts.getString("prefetch-kind").c_str());
         return 1;
     }
-    if (!parseIndexing(opts.getString("pht-indexing"),
-                       config.predictor.phtIndexing)) {
+    if (!parsePhtIndexing(opts.getString("pht-indexing"),
+                          config.predictor.phtIndexing)) {
         std::fprintf(stderr, "unknown PHT indexing '%s'\n",
                      opts.getString("pht-indexing").c_str());
         return 1;

@@ -2,8 +2,37 @@
 
 #include "util/bit_ops.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 
 namespace specfetch {
+
+std::string
+toString(PhtIndexing indexing)
+{
+    switch (indexing) {
+      case PhtIndexing::Gshare:     return "gshare";
+      case PhtIndexing::GlobalOnly: return "global";
+      case PhtIndexing::PcOnly:     return "pc";
+      case PhtIndexing::Local:      return "local";
+      case PhtIndexing::Combining:  return "combining";
+    }
+    return "unknown";
+}
+
+bool
+parsePhtIndexing(const std::string &text, PhtIndexing &out)
+{
+    std::string t = toLower(trim(text));
+    for (PhtIndexing indexing :
+         {PhtIndexing::Gshare, PhtIndexing::GlobalOnly, PhtIndexing::PcOnly,
+          PhtIndexing::Local, PhtIndexing::Combining}) {
+        if (t == toString(indexing)) {
+            out = indexing;
+            return true;
+        }
+    }
+    return false;
+}
 
 Pht::Pht(unsigned _entries, unsigned counter_bits, PhtIndexing _indexing,
          unsigned local_entries)

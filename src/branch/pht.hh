@@ -15,6 +15,7 @@
 #define SPECFETCH_BRANCH_PHT_HH_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "isa/types.hh"
@@ -37,6 +38,13 @@ enum class PhtIndexing : uint8_t
                 ///< a PC-indexed chooser that learns, per branch,
                 ///< which component to trust
 };
+
+/** Display name ("gshare", "global", "pc", "local", "combining"). */
+std::string toString(PhtIndexing indexing);
+
+/** Parse a scheme name (case-insensitive, surrounding spaces ignored).
+ *  False on unknown names. */
+bool parsePhtIndexing(const std::string &text, PhtIndexing &out);
 
 /**
  * Global-history pattern table with resolve-time updates.

@@ -1,5 +1,7 @@
 #include "cache/prefetch_unit.hh"
 
+#include "util/string_utils.hh"
+
 namespace specfetch {
 
 std::string
@@ -13,6 +15,23 @@ toString(PrefetchKind kind)
       case PrefetchKind::Stream: return "stream";
     }
     return "?";
+}
+
+bool
+parsePrefetchKind(const std::string &text, PrefetchKind &out)
+{
+    std::string t = toLower(trim(text));
+    if (t == "nextline")
+        t = "next-line";
+    for (PrefetchKind kind :
+         {PrefetchKind::None, PrefetchKind::NextLine, PrefetchKind::Target,
+          PrefetchKind::Combined, PrefetchKind::Stream}) {
+        if (t == toString(kind)) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
 }
 
 } // namespace specfetch

@@ -30,6 +30,11 @@ enum class PrefetchKind : uint8_t
 /** Display name ("none", "next-line", ...). */
 std::string toString(PrefetchKind kind);
 
+/** Parse a mechanism name (case-insensitive, surrounding spaces
+ *  ignored; "nextline" is accepted for "next-line"). False on unknown
+ *  names. */
+bool parsePrefetchKind(const std::string &text, PrefetchKind &out);
+
 /**
  * Facade over the individual prefetchers with one shared buffer.
  */

@@ -106,7 +106,7 @@ JsonValue::set(const std::string &key, JsonValue value)
 }
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (valueKind != Kind::Object)
         return nullptr;
@@ -342,8 +342,18 @@ class Parser
             return fail("unexpected end of input");
         char c = text[pos];
         switch (c) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            if (depth == JsonValue::kMaxNesting) {
+                return fail("nesting deeper than " +
+                            std::to_string(JsonValue::kMaxNesting) +
+                            " levels");
+            }
+            ++depth;
+            bool parsed = c == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return parsed;
+          }
           case '"': return parseString(out);
           case 't': return literal("true", JsonValue::boolean(true), out);
           case 'f': return literal("false", JsonValue::boolean(false), out);
@@ -560,6 +570,8 @@ class Parser
     const std::string &text;
     std::string *error;
     size_t pos = 0;
+    /** Arrays and objects open around pos. */
+    unsigned depth = 0;
 };
 
 } // namespace

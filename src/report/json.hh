@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -74,7 +75,7 @@ class JsonValue
     /** Append (or overwrite) a member; returns *this for chaining. */
     JsonValue &set(const std::string &key, JsonValue value);
     /** Member lookup; nullptr when absent (or not an object). */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
     /** Drop a member if present; true when something was removed. */
     bool remove(const std::string &key);
     const std::vector<std::pair<std::string, JsonValue>> &
@@ -97,10 +98,15 @@ class JsonValue
     /** Compact deterministic serialization (no whitespace). */
     std::string dump() const;
 
+    /** Deepest array/object nesting parse() accepts. The parser
+     *  recurses once per level, so this bounds its stack; the repo's
+     *  own documents nest about 5 deep. */
+    static constexpr unsigned kMaxNesting = 512;
+
     /**
      * Parse one JSON document (leading/trailing whitespace allowed,
      * nothing else may follow). Returns false and fills @p error (when
-     * given) on malformed input.
+     * given) on malformed input, including nesting past kMaxNesting.
      */
     static bool parse(const std::string &text, JsonValue &out,
                       std::string *error = nullptr);

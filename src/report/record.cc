@@ -1,26 +1,12 @@
 #include "report/record.hh"
 
 #include <cstdint>
-
-#include "cache/prefetch_unit.hh"
-#include "util/string_utils.hh"
+#include <limits>
+#include <type_traits>
 
 namespace specfetch {
 
 namespace {
-
-std::string
-indexingName(PhtIndexing indexing)
-{
-    switch (indexing) {
-      case PhtIndexing::Gshare:     return "gshare";
-      case PhtIndexing::GlobalOnly: return "global";
-      case PhtIndexing::PcOnly:     return "pc";
-      case PhtIndexing::Local:      return "local";
-      case PhtIndexing::Combining:  return "combining";
-    }
-    return "unknown";
-}
 
 JsonValue
 countersJson(const SimResults &r)
@@ -86,374 +72,255 @@ toJson(const PenaltyBreakdown &penalty)
     return out;
 }
 
-JsonValue
-toJson(const SimConfig &config)
-{
-    JsonValue icache = JsonValue::object();
-    icache.set("size_bytes", JsonValue::integer(config.icache.sizeBytes))
-        .set("line_bytes", JsonValue::integer(config.icache.lineBytes))
-        .set("ways", JsonValue::integer(config.icache.ways));
-
-    JsonValue predictor = JsonValue::object();
-    predictor
-        .set("btb_entries", JsonValue::integer(config.predictor.btbEntries))
-        .set("btb_ways", JsonValue::integer(config.predictor.btbWays))
-        .set("pht_entries", JsonValue::integer(config.predictor.phtEntries))
-        .set("pht_counter_bits",
-             JsonValue::integer(config.predictor.phtCounterBits))
-        .set("pht_indexing",
-             JsonValue::string(indexingName(config.predictor.phtIndexing)))
-        .set("pht_local_entries",
-             JsonValue::integer(config.predictor.phtLocalEntries))
-        .set("ras_depth", JsonValue::integer(config.predictor.rasDepth));
-
-    JsonValue manifest = JsonValue::object();
-    manifest.set("policy", JsonValue::string(toString(config.policy)))
-        .set("issue_width", JsonValue::integer(config.issueWidth))
-        .set("max_unresolved", JsonValue::integer(config.maxUnresolved))
-        .set("decode_cycles", JsonValue::integer(config.decodeCycles))
-        .set("resolve_cycles", JsonValue::integer(config.resolveCycles))
-        .set("icache", std::move(icache))
-        .set("miss_penalty_cycles",
-             JsonValue::integer(config.missPenaltyCycles))
-        .set("memory_channels", JsonValue::integer(config.memoryChannels))
-        .set("l2_enabled", JsonValue::boolean(config.l2Enabled));
-    // The L2 geometry and hit/miss latencies matter only when the L2
-    // exists; they appear only then so records of single-level runs
-    // stay byte-identical to schema v1 golden files.
-    if (config.l2Enabled) {
-        JsonValue l2 = JsonValue::object();
-        l2.set("size_bytes", JsonValue::integer(config.l2Cache.sizeBytes))
-            .set("line_bytes", JsonValue::integer(config.l2Cache.lineBytes))
-            .set("ways", JsonValue::integer(config.l2Cache.ways));
-        manifest.set("l2_cache", std::move(l2))
-            .set("l2_hit_cycles", JsonValue::integer(config.l2HitCycles))
-            .set("l2_miss_cycles", JsonValue::integer(config.l2MissCycles));
-    }
-    manifest.set("victim_entries", JsonValue::integer(config.victimEntries));
-    if (config.victimEntries > 0) {
-        manifest.set("victim_hit_cycles",
-                     JsonValue::integer(config.victimHitCycles));
-    }
-    manifest
-        .set("prefetch_kind",
-             JsonValue::string(toString(config.effectivePrefetchKind())))
-        .set("target_table_entries",
-             JsonValue::integer(config.targetTableEntries))
-        .set("predictor", std::move(predictor))
-        .set("instruction_budget",
-             JsonValue::integer(config.instructionBudget))
-        .set("warmup_instructions",
-             JsonValue::integer(config.warmupInstructions))
-        .set("run_seed", JsonValue::integer(config.runSeed));
-    // Auditing never changes results; the members appear only when
-    // enabled so records of unaudited runs stay byte-identical to
-    // schema v1 golden files.
-    if (config.checkLevel != CheckLevel::Off) {
-        manifest
-            .set("check_level",
-                 JsonValue::string(toString(config.checkLevel)))
-            .set("checkpoint_interval",
-                 JsonValue::integer(config.checkpointInterval));
-    }
-    // Observability likewise never changes results and its members
-    // likewise appear only when armed.
-    if (config.sampleInterval > 0) {
-        manifest.set("sample_interval",
-                     JsonValue::integer(config.sampleInterval));
-    }
-    if (config.setHeatmap)
-        manifest.set("set_heatmap", JsonValue::boolean(true));
-    // Adaptive selection *does* change results, but the members still
-    // appear only when armed: every pre-adaptive record (and every
-    // run with selection off) stays byte-identical to its golden.
-    if (config.adaptiveSelector != SelectorKind::Off) {
-        manifest
-            .set("adaptive_selector",
-                 JsonValue::string(toString(config.adaptiveSelector)))
-            .set("adaptive_interval",
-                 JsonValue::integer(config.adaptiveInterval));
-        if (config.adaptiveSelector == SelectorKind::Bandit) {
-            manifest
-                .set("adaptive_seed",
-                     JsonValue::integer(config.adaptiveSeed))
-                .set("adaptive_epsilon",
-                     JsonValue::number(config.adaptiveEpsilon));
-        }
-    }
-    manifest.set("description", JsonValue::string(config.describe()));
-    return manifest;
-}
-
 namespace {
 
-bool
-indexingFromName(const std::string &name, PhtIndexing &out)
+/**
+ * The run manifest, declared once as a visit order: each level's
+ * members in record order, each with the condition under which it is
+ * written. toJson(SimConfig) and configFromJson are its two visitors.
+ * A visitor's member(key, field, written) takes a scalar, an enum, a
+ * nested level (an object, visited by its own overload) or a callable
+ * (a write-only echo); `written` defaults to true, and the reader
+ * ignores it. A subsystem that is off leaves its members out, so
+ * records of runs without it stay byte-identical to the schema-v1
+ * goldens; auditing and observability never change results, adaptive
+ * selection does.
+ */
+template <class Visitor>
+void
+visitManifest(Visitor &v, ICacheConfig &geometry)
 {
-    if (name == "gshare") {
-        out = PhtIndexing::Gshare;
-    } else if (name == "global") {
-        out = PhtIndexing::GlobalOnly;
-    } else if (name == "pc") {
-        out = PhtIndexing::PcOnly;
-    } else if (name == "local") {
-        out = PhtIndexing::Local;
-    } else if (name == "combining") {
-        out = PhtIndexing::Combining;
-    } else {
-        return false;
-    }
-    return true;
+    v.member("size_bytes", geometry.sizeBytes);
+    v.member("line_bytes", geometry.lineBytes);
+    v.member("ways", geometry.ways);
 }
 
-bool
-prefetchKindFromName(const std::string &name, PrefetchKind &out)
+template <class Visitor>
+void
+visitManifest(Visitor &v, PredictorConfig &predictor)
 {
-    for (PrefetchKind kind :
-         {PrefetchKind::None, PrefetchKind::NextLine, PrefetchKind::Target,
-          PrefetchKind::Combined, PrefetchKind::Stream}) {
-        if (name == toString(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
+    v.member("btb_entries", predictor.btbEntries);
+    v.member("btb_ways", predictor.btbWays);
+    v.member("pht_entries", predictor.phtEntries);
+    v.member("pht_counter_bits", predictor.phtCounterBits);
+    v.member("pht_indexing", predictor.phtIndexing);
+    v.member("pht_local_entries", predictor.phtLocalEntries);
+    v.member("ras_depth", predictor.rasDepth);
 }
 
-/** Collects the first manifest-parse failure; later sets are no-ops. */
-struct ParseFailure
+template <class Visitor>
+void
+visitManifest(Visitor &v, SimConfig &c)
 {
-    std::string message;
-    bool failed = false;
+    const bool audited = c.checkLevel != CheckLevel::Off;
+    const bool adaptive = c.adaptiveSelector != SelectorKind::Off;
+    const bool bandit = c.adaptiveSelector == SelectorKind::Bandit;
+    v.member("policy", c.policy);
+    v.member("issue_width", c.issueWidth);
+    v.member("max_unresolved", c.maxUnresolved);
+    v.member("decode_cycles", c.decodeCycles);
+    v.member("resolve_cycles", c.resolveCycles);
+    v.member("icache", c.icache);
+    v.member("miss_penalty_cycles", c.missPenaltyCycles);
+    v.member("memory_channels", c.memoryChannels);
+    v.member("l2_enabled", c.l2Enabled);
+    v.member("l2_cache", c.l2Cache, c.l2Enabled);
+    v.member("l2_hit_cycles", c.l2HitCycles, c.l2Enabled);
+    v.member("l2_miss_cycles", c.l2MissCycles, c.l2Enabled);
+    v.member("victim_entries", c.victimEntries);
+    v.member("victim_hit_cycles", c.victimHitCycles, c.victimEntries > 0);
+    // The writer folds nextLinePrefetch in first (see toJson).
+    v.member("prefetch_kind", c.prefetchKind);
+    v.member("target_table_entries", c.targetTableEntries);
+    v.member("predictor", c.predictor);
+    v.member("instruction_budget", c.instructionBudget);
+    v.member("warmup_instructions", c.warmupInstructions);
+    v.member("run_seed", c.runSeed);
+    v.member("check_level", c.checkLevel, audited);
+    v.member("checkpoint_interval", c.checkpointInterval, audited);
+    v.member("sample_interval", c.sampleInterval, c.sampleInterval > 0);
+    v.member("set_heatmap", c.setHeatmap, c.setHeatmap);
+    v.member("adaptive_selector", c.adaptiveSelector, adaptive);
+    v.member("adaptive_interval", c.adaptiveInterval, adaptive);
+    v.member("adaptive_seed", c.adaptiveSeed, bandit);
+    v.member("adaptive_epsilon", c.adaptiveEpsilon, bandit);
+    v.member("description", [&c] { return c.describe(); });
+}
 
-    bool
-    fail(const std::string &why)
+/** Emits each member whose write condition holds. */
+struct ManifestWriter
+{
+    JsonValue out = JsonValue::object();
+
+    template <class T>
+    void
+    member(const char *key, T &&field, bool written = true)
     {
-        if (!failed) {
-            message = why;
-            failed = true;
+        using F = std::remove_cvref_t<T>;
+        if (!written)
+            return;
+        if constexpr (std::is_invocable_v<F>) {
+            out.set(key, JsonValue::string(field()));
+        } else if constexpr (std::is_class_v<F>) {
+            ManifestWriter inner;
+            visitManifest(inner, field);
+            out.set(key, std::move(inner.out));
+        } else if constexpr (std::is_enum_v<F>) {
+            out.set(key, JsonValue::string(toString(field)));
+        } else if constexpr (std::is_same_v<F, bool>) {
+            out.set(key, JsonValue::boolean(field));
+        } else if constexpr (std::is_same_v<F, double>) {
+            out.set(key, JsonValue::number(field));
+        } else {
+            out.set(key, JsonValue::integer(field));
         }
-        return false;
     }
 };
 
-bool
-readUint(const JsonValue &value, const char *name, uint64_t &dst,
-         ParseFailure &failure)
+/** Answers whether a level declares @p key. */
+struct KeyProbe
 {
-    if (!value.isUint()) {
-        return failure.fail(std::string("config.") + name +
-                            " must be an unsigned integer");
+    const std::string &key;
+    bool found = false;
+
+    template <class... Rest>
+    void
+    member(const char *name, Rest &&...)
+    {
+        found = found || key == name;
     }
-    dst = value.asUint();
-    return true;
+};
+
+/** The parser beside each manifest enum's type. */
+template <class E>
+bool
+parseName(const std::string &text, E &out)
+{
+    if constexpr (std::is_same_v<E, FetchPolicy>)
+        return parsePolicy(text, out);
+    else if constexpr (std::is_same_v<E, PhtIndexing>)
+        return parsePhtIndexing(text, out);
+    else if constexpr (std::is_same_v<E, PrefetchKind>)
+        return parsePrefetchKind(text, out);
+    else if constexpr (std::is_same_v<E, CheckLevel>)
+        return parseCheckLevel(text, out);
+    else
+        return parseSelectorKind(text, out);
 }
 
-bool
-readUnsigned(const JsonValue &value, const char *name, unsigned &dst,
-             ParseFailure &failure)
+/**
+ * The strict reader of one manifest level. It reads every member
+ * present and keeps the first refusal, naming the member's full path:
+ * a wrong JSON kind, an unsigned value past the field's range, an
+ * unknown enum spelling, a nested member that is not an object, or a
+ * member the level does not declare. It counts the members it takes
+ * and looks for an undeclared one only when the count falls short, so
+ * a well-formed manifest costs no allocation per member.
+ */
+struct ManifestReader
 {
-    uint64_t wide = 0;
-    if (!readUint(value, name, wide, failure))
-        return false;
-    if (wide > UINT32_MAX) {
-        return failure.fail(std::string("config.") + name +
-                            " is out of range");
-    }
-    dst = static_cast<unsigned>(wide);
-    return true;
-}
+    const JsonValue &level;
+    const char *name;
+    const ManifestReader *parent;
+    std::string &error;
+    size_t taken = 0;
 
-bool
-readBool(const JsonValue &value, const char *name, bool &dst,
-         ParseFailure &failure)
-{
-    if (!value.isBool()) {
-        return failure.fail(std::string("config.") + name +
-                            " must be a boolean");
-    }
-    dst = value.asBool();
-    return true;
-}
-
-bool
-readCacheGeometry(const JsonValue &value, const char *name,
-                  ICacheConfig &dst, ParseFailure &failure)
-{
-    if (!value.isObject()) {
-        return failure.fail(std::string("config.") + name +
-                            " must be an object");
-    }
-    for (const auto &[member, inner] : value.members()) {
-        if (member == "size_bytes") {
-            readUint(inner, "size_bytes", dst.sizeBytes, failure);
-        } else if (member == "line_bytes") {
-            readUnsigned(inner, "line_bytes", dst.lineBytes, failure);
-        } else if (member == "ways") {
-            readUnsigned(inner, "ways", dst.ways, failure);
-        } else {
-            failure.fail(std::string("config.") + name +
-                         ": unknown member '" + member + "'");
+    template <class Level>
+    void
+    read(Level &fields)
+    {
+        visitManifest(*this, fields);
+        if (taken == level.members().size())
+            return;
+        for (const auto &[key, value] : level.members()) {
+            KeyProbe probe{key};
+            visitManifest(probe, fields);
+            if (!probe.found)
+                return fail(key.c_str(), "is not a manifest member");
         }
     }
-    return !failure.failed;
-}
 
-bool
-readPredictor(const JsonValue &value, PredictorConfig &dst,
-              ParseFailure &failure)
-{
-    if (!value.isObject())
-        return failure.fail("config.predictor must be an object");
-    for (const auto &[member, inner] : value.members()) {
-        if (member == "btb_entries") {
-            readUnsigned(inner, "btb_entries", dst.btbEntries, failure);
-        } else if (member == "btb_ways") {
-            readUnsigned(inner, "btb_ways", dst.btbWays, failure);
-        } else if (member == "pht_entries") {
-            readUnsigned(inner, "pht_entries", dst.phtEntries, failure);
-        } else if (member == "pht_counter_bits") {
-            readUnsigned(inner, "pht_counter_bits", dst.phtCounterBits,
-                         failure);
-        } else if (member == "pht_indexing") {
-            if (!inner.isString() ||
-                !indexingFromName(inner.asString(), dst.phtIndexing)) {
-                failure.fail("config.predictor.pht_indexing names no "
-                             "known indexing scheme");
-            }
-        } else if (member == "pht_local_entries") {
-            readUnsigned(inner, "pht_local_entries", dst.phtLocalEntries,
-                         failure);
-        } else if (member == "ras_depth") {
-            readUnsigned(inner, "ras_depth", dst.rasDepth, failure);
+    template <class T>
+    void
+    member(const char *key, T &&field, bool = true)
+    {
+        using F = std::remove_cvref_t<T>;
+        const JsonValue *value = level.find(key);
+        if (!value)
+            return;
+        ++taken;
+        if constexpr (std::is_invocable_v<F>) {
+            // A derived echo: accepted, never parsed.
+        } else if constexpr (std::is_class_v<F>) {
+            if (!value->isObject())
+                fail(key, "must be an object");
+            else
+                ManifestReader{*value, key, this, error}.read(field);
+        } else if constexpr (std::is_enum_v<F>) {
+            if (!value->isString())
+                fail(key, "must be a string");
+            else if (!parseName(value->asString(), field))
+                fail(key, "names no known value");
+        } else if constexpr (std::is_same_v<F, bool>) {
+            if (!value->isBool())
+                fail(key, "must be a boolean");
+            else
+                field = value->asBool();
+        } else if constexpr (std::is_same_v<F, double>) {
+            if (!value->isNumber())
+                fail(key, "must be a number");
+            else
+                field = value->asDouble();
+        } else if (!value->isUint()) {
+            fail(key, "must be an unsigned integer");
+        } else if (value->asUint() > std::numeric_limits<F>::max()) {
+            fail(key, "is out of range");
         } else {
-            failure.fail("config.predictor: unknown member '" + member +
-                         "'");
+            field = static_cast<F>(value->asUint());
         }
     }
-    return !failure.failed;
-}
+
+    std::string
+    path(const char *key) const
+    {
+        return (parent ? parent->path(name) : std::string(name)) + "." + key;
+    }
+
+    void
+    fail(const char *key, const char *why)
+    {
+        if (error.empty())
+            error = path(key) + " " + why;
+    }
+};
 
 } // namespace
+
+JsonValue
+toJson(const SimConfig &config)
+{
+    // The manifest carries the effective mechanism, so a reader lands
+    // it solely on prefetchKind.
+    SimConfig folded = config;
+    folded.prefetchKind = config.effectivePrefetchKind();
+    folded.nextLinePrefetch = false;
+    ManifestWriter writer;
+    visitManifest(writer, folded);
+    return std::move(writer.out);
+}
 
 bool
 configFromJson(const JsonValue &manifest, SimConfig &out, std::string *error)
 {
-    ParseFailure failure;
-    if (!manifest.isObject()) {
-        failure.fail("config manifest is not an object");
-        if (error)
-            *error = failure.message;
-        return false;
-    }
-
+    std::string why;
     SimConfig config;
-    for (const auto &[name, value] : manifest.members()) {
-        if (name == "policy") {
-            if (!value.isString() ||
-                !parsePolicy(value.asString(), config.policy)) {
-                failure.fail("config.policy names no known fetch policy");
-            }
-        } else if (name == "issue_width") {
-            readUnsigned(value, "issue_width", config.issueWidth, failure);
-        } else if (name == "max_unresolved") {
-            readUnsigned(value, "max_unresolved", config.maxUnresolved,
-                         failure);
-        } else if (name == "decode_cycles") {
-            readUnsigned(value, "decode_cycles", config.decodeCycles,
-                         failure);
-        } else if (name == "resolve_cycles") {
-            readUnsigned(value, "resolve_cycles", config.resolveCycles,
-                         failure);
-        } else if (name == "icache") {
-            readCacheGeometry(value, "icache", config.icache, failure);
-        } else if (name == "miss_penalty_cycles") {
-            readUnsigned(value, "miss_penalty_cycles",
-                         config.missPenaltyCycles, failure);
-        } else if (name == "memory_channels") {
-            readUnsigned(value, "memory_channels", config.memoryChannels,
-                         failure);
-        } else if (name == "l2_enabled") {
-            readBool(value, "l2_enabled", config.l2Enabled, failure);
-        } else if (name == "l2_cache") {
-            readCacheGeometry(value, "l2_cache", config.l2Cache, failure);
-        } else if (name == "l2_hit_cycles") {
-            readUnsigned(value, "l2_hit_cycles", config.l2HitCycles,
-                         failure);
-        } else if (name == "l2_miss_cycles") {
-            readUnsigned(value, "l2_miss_cycles", config.l2MissCycles,
-                         failure);
-        } else if (name == "victim_entries") {
-            readUnsigned(value, "victim_entries", config.victimEntries,
-                         failure);
-        } else if (name == "victim_hit_cycles") {
-            readUnsigned(value, "victim_hit_cycles",
-                         config.victimHitCycles, failure);
-        } else if (name == "prefetch_kind") {
-            // The serializer folds nextLinePrefetch into the effective
-            // kind, so parsing lands solely on prefetchKind.
-            config.nextLinePrefetch = false;
-            if (!value.isString() ||
-                !prefetchKindFromName(value.asString(),
-                                      config.prefetchKind)) {
-                failure.fail("config.prefetch_kind names no known "
-                             "prefetch mechanism");
-            }
-        } else if (name == "target_table_entries") {
-            readUnsigned(value, "target_table_entries",
-                         config.targetTableEntries, failure);
-        } else if (name == "predictor") {
-            readPredictor(value, config.predictor, failure);
-        } else if (name == "instruction_budget") {
-            readUint(value, "instruction_budget", config.instructionBudget,
-                     failure);
-        } else if (name == "warmup_instructions") {
-            readUint(value, "warmup_instructions",
-                     config.warmupInstructions, failure);
-        } else if (name == "run_seed") {
-            readUint(value, "run_seed", config.runSeed, failure);
-        } else if (name == "check_level") {
-            if (!value.isString() ||
-                !parseCheckLevel(value.asString(), config.checkLevel)) {
-                failure.fail("config.check_level names no known audit "
-                             "level");
-            }
-        } else if (name == "checkpoint_interval") {
-            readUint(value, "checkpoint_interval",
-                     config.checkpointInterval, failure);
-        } else if (name == "sample_interval") {
-            readUint(value, "sample_interval", config.sampleInterval,
-                     failure);
-        } else if (name == "set_heatmap") {
-            readBool(value, "set_heatmap", config.setHeatmap, failure);
-        } else if (name == "adaptive_selector") {
-            if (!value.isString() ||
-                !parseSelectorKind(value.asString(),
-                                   config.adaptiveSelector)) {
-                failure.fail("config.adaptive_selector names no known "
-                             "selector");
-            }
-        } else if (name == "adaptive_interval") {
-            readUint(value, "adaptive_interval", config.adaptiveInterval,
-                     failure);
-        } else if (name == "adaptive_seed") {
-            readUint(value, "adaptive_seed", config.adaptiveSeed, failure);
-        } else if (name == "adaptive_epsilon") {
-            if (!value.isNumber()) {
-                failure.fail("config.adaptive_epsilon must be a number");
-            } else {
-                config.adaptiveEpsilon = value.asDouble();
-            }
-        } else if (name == "description") {
-            // A describe() echo; derived, never parsed.
-        } else {
-            failure.fail("config: unknown member '" + name + "'");
-        }
-    }
-
-    if (failure.failed) {
+    if (!manifest.isObject())
+        why = "config must be an object";
+    else
+        ManifestReader{manifest, "config", nullptr, why}.read(config);
+    if (!why.empty()) {
         if (error)
-            *error = failure.message;
+            *error = why;
         return false;
     }
     out = config;

@@ -50,19 +50,22 @@ struct RunTiming
     double sweepTotalSeconds = 0.0;
 };
 
-/** Configuration manifest (every knob that defines the machine/run). */
+/** Configuration manifest (every knob that defines the machine/run).
+ *  Its members are declared once, in record.cc's visitManifest. */
 JsonValue toJson(const SimConfig &config);
 
 /**
  * Parse a configuration manifest produced by toJson(SimConfig) back
- * into a SimConfig. Strict by design — an unknown member or a
- * wrong-typed value fails with @p error naming it — so a service can
- * reject a request it does not fully understand instead of silently
- * simulating something else. Members absent from the manifest keep
- * their defaults, mirroring the serializer's omit-when-disabled
- * convention; the "description" echo is ignored. For any manifest the
- * serializer emitted, toJson(parsed manifest) reproduces it
- * byte-for-byte.
+ * into a SimConfig. Strict by design — an unknown member, a wrong
+ * JSON kind, an out-of-range value or an unknown enum spelling fails
+ * with @p error naming the member's full path (config.icache.ways) —
+ * so a service can reject a request it does not fully understand
+ * instead of silently simulating something else. Members absent from
+ * the manifest keep their defaults, mirroring the serializer's
+ * omit-when-disabled convention; a member present while its write
+ * condition is off is still read; the "description" echo is ignored.
+ * For any manifest the serializer emitted, toJson(parsed manifest)
+ * reproduces it byte-for-byte.
  */
 bool configFromJson(const JsonValue &manifest, SimConfig &out,
                     std::string *error = nullptr);

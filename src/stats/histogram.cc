@@ -85,8 +85,11 @@ Histogram::render(const std::string &name) const
         if (i == bins.size() - 1) {
             label = ">=" + std::to_string(i * width);
         } else {
-            label = "[" + std::to_string(i * width) + "," +
-                    std::to_string((i + 1) * width) + ")";
+            label.append("[")
+                .append(std::to_string(i * width))
+                .append(",")
+                .append(std::to_string((i + 1) * width))
+                .append(")");
         }
         out += "  " + label + ": " + std::to_string(bins[i]) + "\n";
     }

@@ -91,9 +91,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range(0, 4),    // prefetch kind
                        ::testing::Range(0, 4)),   // memory features
     [](const auto &param_info) {
-        return "p" + std::to_string(std::get<0>(param_info.param)) + "_pf" +
-               std::to_string(std::get<1>(param_info.param)) + "_m" +
-               std::to_string(std::get<2>(param_info.param));
+        std::string name = "p";
+        name.append(std::to_string(std::get<0>(param_info.param)))
+            .append("_pf")
+            .append(std::to_string(std::get<1>(param_info.param)))
+            .append("_m")
+            .append(std::to_string(std::get<2>(param_info.param)));
+        return name;
     });
 
 TEST(FeatureMatrix, ReorderedWorkloadComposesWithEverything)

@@ -131,6 +131,21 @@ TEST(Json, ParseRejectsMalformedInput)
             << "accepted: " << bad;
         EXPECT_FALSE(error.empty());
     }
+
+    // Nesting past the limit is malformed input, not a stack overflow:
+    // the refusal names the limit, and a document exactly at the limit
+    // still parses.
+    auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    std::string error;
+    EXPECT_FALSE(JsonValue::parse("{\"id\":" + nested(100'000) + "}", out,
+                                  &error));
+    EXPECT_NE(error.find(std::to_string(JsonValue::kMaxNesting)),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(JsonValue::parse(nested(JsonValue::kMaxNesting + 1), out));
+    EXPECT_TRUE(JsonValue::parse(nested(JsonValue::kMaxNesting), out));
 }
 
 TEST(Json, EqualityIsStructural)

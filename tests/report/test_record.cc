@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <set>
 
 #include "core/miss_classifier.hh"
+#include "report/armed_configs.hh"
 #include "report/record.hh"
 #include "report/report.hh"
+#include "serve/request.hh"
 #include "temp_path.hh"
 
 using namespace specfetch;
@@ -64,6 +68,16 @@ member(const JsonValue &object, const std::string &key)
     EXPECT_NE(value, nullptr) << "missing member: " << key;
     static JsonValue fallback;
     return value ? *value : fallback;
+}
+
+/** Parse @p text as a manifest; false (with @p error) on refusal. */
+bool
+readManifest(const std::string &text, SimConfig &out, std::string &error)
+{
+    JsonValue manifest;
+    if (!JsonValue::parse(text, manifest, &error))
+        return false;
+    return configFromJson(manifest, out, &error);
 }
 
 } // namespace
@@ -175,6 +189,146 @@ TEST(Record, RoundTripThroughText)
     std::string error;
     ASSERT_TRUE(JsonValue::parse(record.dump(), parsed, &error)) << error;
     EXPECT_EQ(parsed, record);
+}
+
+TEST(Record, ManifestRoundTripsEveryMember)
+{
+    // Together the armed configs write every conditional member and
+    // spell every value of both manifest enums.
+    std::set<std::string> written;
+    std::set<std::string> spelled;
+    for (const SimConfig &config : test::armedConfigs()) {
+        const JsonValue manifest = toJson(config);
+        const std::string text = manifest.dump();
+        SimConfig parsed;
+        std::string error;
+        ASSERT_TRUE(readManifest(text, parsed, error)) << error << text;
+        EXPECT_EQ(toJson(parsed).dump(), text);
+        EXPECT_EQ(sweepRunKey({"gcc", parsed}), sweepRunKey({"gcc", config}));
+        for (const auto &[name, value] : manifest.members())
+            written.insert(name);
+        spelled.insert(manifest.find("prefetch_kind")->asString());
+        spelled.insert(
+            manifest.find("predictor")->find("pht_indexing")->asString());
+    }
+    for (const char *conditional :
+         {"l2_cache", "l2_hit_cycles", "l2_miss_cycles", "victim_hit_cycles",
+          "check_level", "checkpoint_interval", "sample_interval",
+          "set_heatmap", "adaptive_selector", "adaptive_interval",
+          "adaptive_seed", "adaptive_epsilon"}) {
+        EXPECT_TRUE(written.count(conditional)) << conditional;
+    }
+    for (const char *name : {"none", "next-line", "target", "combined",
+                             "stream", "gshare", "global", "pc", "local",
+                             "combining"}) {
+        EXPECT_TRUE(spelled.count(name)) << name;
+    }
+
+    // A member present while its write condition is off is still read.
+    SimConfig parsed;
+    std::string error;
+    ASSERT_TRUE(readManifest(
+        "{\"l2_enabled\":false,\"l2_hit_cycles\":9,\"l2_cache\":"
+        "{\"ways\":8},\"victim_entries\":0,\"victim_hit_cycles\":3,"
+        "\"check_level\":\"off\",\"checkpoint_interval\":77,"
+        "\"sample_interval\":0,\"set_heatmap\":false,"
+        "\"adaptive_selector\":\"static\",\"adaptive_epsilon\":0.5}",
+        parsed, error))
+        << error;
+    EXPECT_FALSE(parsed.l2Enabled);
+    EXPECT_EQ(parsed.l2HitCycles, 9u);
+    EXPECT_EQ(parsed.l2Cache.ways, 8u);
+    EXPECT_EQ(parsed.victimHitCycles, 3u);
+    EXPECT_EQ(parsed.checkpointInterval, 77u);
+    EXPECT_EQ(parsed.adaptiveSelector, SelectorKind::Static);
+    EXPECT_EQ(parsed.adaptiveEpsilon, 0.5);
+
+    // Enum spellings ignore case and surrounding spaces, and
+    // prefetch_kind keeps the "nextline" alias; the manifest written
+    // back uses the canonical spelling.
+    ASSERT_TRUE(readManifest(
+        "{\"prefetch_kind\":\" NextLine \","
+        "\"predictor\":{\"pht_indexing\":\"GShare \"}}",
+        parsed, error))
+        << error;
+    EXPECT_EQ(parsed.prefetchKind, PrefetchKind::NextLine);
+    EXPECT_EQ(parsed.predictor.phtIndexing, PhtIndexing::Gshare);
+    EXPECT_NE(toJson(parsed).dump().find("\"prefetch_kind\":\"next-line\""),
+              std::string::npos);
+}
+
+TEST(Record, ManifestReaderRefusesMalformedMembers)
+{
+    struct Case
+    {
+        const char *manifest;
+        const char *path;  ///< the full path the refusal must name
+        const char *why;   ///< the refusal kind
+    };
+    const Case cases[] = {
+        // A wrong JSON kind.
+        {R"({"issue_width":"4"})", "config.issue_width", "unsigned"},
+        {R"({"l2_enabled":1})", "config.l2_enabled", "boolean"},
+        {R"({"adaptive_epsilon":"0.1"})", "config.adaptive_epsilon",
+         "number"},
+        {R"({"policy":3})", "config.policy", "string"},
+        {R"({"icache":{"ways":true}})", "config.icache.ways", "unsigned"},
+        {R"({"l2_cache":{"size_bytes":-1}})", "config.l2_cache.size_bytes",
+         "unsigned"},
+        {R"({"predictor":{"ras_depth":1.5}})", "config.predictor.ras_depth",
+         "unsigned"},
+        {R"({"predictor":{"pht_indexing":2}})",
+         "config.predictor.pht_indexing", "string"},
+        // An unsigned value past the member's range.
+        {R"({"miss_penalty_cycles":4294967296})",
+         "config.miss_penalty_cycles", "range"},
+        {R"({"icache":{"line_bytes":4294967296}})",
+         "config.icache.line_bytes", "range"},
+        {R"({"l2_cache":{"ways":4294967296}})", "config.l2_cache.ways",
+         "range"},
+        {R"({"predictor":{"btb_entries":4294967296}})",
+         "config.predictor.btb_entries", "range"},
+        // Past 2^64 a number is no longer an unsigned integer at all.
+        {R"({"run_seed":18446744073709551616})", "config.run_seed",
+         "unsigned"},
+        // An unknown enum spelling.
+        {R"({"policy":"eager"})", "config.policy", "no known"},
+        {R"({"prefetch_kind":"next_line"})", "config.prefetch_kind",
+         "no known"},
+        {R"({"check_level":"max"})", "config.check_level", "no known"},
+        {R"({"adaptive_selector":"greedy"})", "config.adaptive_selector",
+         "no known"},
+        {R"({"predictor":{"pht_indexing":"tage"}})",
+         "config.predictor.pht_indexing", "no known"},
+        // A nested member that is not an object.
+        {R"({"icache":8192})", "config.icache", "object"},
+        {R"({"l2_cache":[]})", "config.l2_cache", "object"},
+        {R"({"predictor":"gshare"})", "config.predictor", "object"},
+        // An unknown member at any level.
+        {R"({"bogus":1})", "config.bogus", "not a manifest member"},
+        {R"({"icache":{"sets":64}})", "config.icache.sets",
+         "not a manifest member"},
+        {R"({"l2_cache":{"size":1}})", "config.l2_cache.size",
+         "not a manifest member"},
+        {R"({"predictor":{"bht_entries":1}})",
+         "config.predictor.bht_entries", "not a manifest member"},
+        // A manifest that is not an object.
+        {"[]", "config", "object"},
+        {"7", "config", "object"},
+        {"null", "config", "object"},
+    };
+    for (const Case &c : cases) {
+        SimConfig out;
+        out.runSeed = 99; // a refusal leaves the output untouched
+        std::string error;
+        EXPECT_FALSE(readManifest(c.manifest, out, error)) << c.manifest;
+        EXPECT_EQ(error.substr(0, std::strlen(c.path) + 1),
+                  std::string(c.path) + " ")
+            << c.manifest << " -> " << error;
+        EXPECT_NE(error.find(c.why), std::string::npos)
+            << c.manifest << " -> " << error;
+        EXPECT_EQ(out.runSeed, 99u);
+    }
 }
 
 TEST(Record, FlattenUsesDottedKeys)

@@ -619,7 +619,7 @@ TEST_F(LedgerTest, SigtermFlushKeepsJournaledRuns)
         ResultStore store;
         store.open(options());
         for (uint64_t i = 0; i < 5; ++i)
-            store.put("k" + std::to_string(i), record(i));
+            store.put(std::string("k").append(std::to_string(i)), record(i));
         std::raise(SIGTERM);
         _exit(0); // unreachable: SIGTERM terminates the process
     }

@@ -127,19 +127,25 @@ TEST_F(ServiceTest, TypedErrorsNeverCrash)
     service.submit("{\"id\":12,\"benchmark\":\"gcc\","
                    "\"config\":{\"issue_width\":0}}",
                    collector.responder());
-    auto responses = collector.waitFor(6);
+    // One line nested 100,000 deep (200 KB) must not take the parser's
+    // stack with it.
+    service.submit("{\"id\":" + std::string(100'000, '[') +
+                       std::string(100'000, ']') + "}",
+                   collector.responder());
+    auto responses = collector.waitFor(7);
     EXPECT_EQ(errorTypeOf(responses[0]), "malformed_json");
     EXPECT_EQ(errorTypeOf(responses[1]), "malformed_json");
     EXPECT_EQ(errorTypeOf(responses[2]), "bad_request");
     EXPECT_EQ(errorTypeOf(responses[3]), "bad_request");
     EXPECT_EQ(errorTypeOf(responses[4]), "bad_request");
     EXPECT_EQ(errorTypeOf(responses[5]), "bad_request");
+    EXPECT_EQ(errorTypeOf(responses[6]), "malformed_json");
     // Rejections echo the id they could salvage.
     const JsonValue *id = responses[2].find("id");
     ASSERT_NE(id, nullptr);
     EXPECT_EQ(id->asUint(), 9u);
     service.drain();
-    EXPECT_EQ(service.statsSnapshot().rejected, 6u);
+    EXPECT_EQ(service.statsSnapshot().rejected, 7u);
     EXPECT_EQ(service.statsSnapshot().executed, 0u);
 }
 

@@ -29,7 +29,6 @@
 #include "fault/injector.hh"
 #include "metrics/flusher.hh"
 #include "metrics/metrics.hh"
-#include "obs/progress.hh"
 #include "obs/trace_event.hh"
 #include "serve/result_store.hh"
 #include "serve/service.hh"
@@ -76,15 +75,10 @@ main(int argc, char **argv)
                   "terminal failures before a key is quarantined");
     opts.addSize("max-segment-bytes", 4 * 1024 * 1024,
                  "rotate the store's append segment past this size");
-    opts.addFlag("compact", "compact the store after opening it");
     opts.addString("fault-inject", "",
                    "fault spec (see --help of bench_suite); indices name "
                    "executed-run ordinals for run faults and put ordinals "
                    "for store faults");
-    opts.addString("health-file", "",
-                   "append schema-v1 'health' JSONL heartbeats here");
-    opts.addDouble("health-interval", 2.0, "heartbeat period (seconds)");
-    opts.addFlag("health-stderr", "human heartbeat line on stderr");
     opts.addString("metrics-out", "",
                    "write schema-v1 'metrics' JSONL snapshots here "
                    "(counters, gauges, latency histograms)");
@@ -136,18 +130,12 @@ main(int argc, char **argv)
         return 1;
     }
     ResultStore::Stats storeStats = store.stats();
-    std::fprintf(stderr,
-                 "sweep_serve: store '%s' open: %llu records, "
-                 "generation %llu%s%s%s\n",
+    std::fprintf(stderr, "sweep_serve: store '%s' open: %llu records%s%s\n",
                  storeOptions.dir.c_str(),
                  static_cast<unsigned long long>(storeStats.records),
-                 static_cast<unsigned long long>(storeStats.generation),
                  storeStats.recovered ? ", recovered (no clean marker)"
                                       : "",
-                 storeStats.tornTail ? ", dropped a torn tail line" : "",
-                 storeStats.staleGenerationsRemoved > 0
-                     ? ", removed stale generations"
-                     : "");
+                 storeStats.tornTail ? ", dropped a torn tail line" : "");
     if (storeStats.corruptFrames > 0) {
         std::fprintf(stderr,
                      "sweep_serve: quarantined %llu corrupt frames "
@@ -155,10 +143,6 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(
                          storeStats.corruptFrames),
                      storeOptions.dir.c_str(), kStoreQuarantineFile);
-    }
-    if (opts.getFlag("compact") && !store.compact(&error)) {
-        std::fprintf(stderr, "sweep_serve: compact: %s\n", error.c_str());
-        return 1;
     }
 
     SweepService::Options serviceOptions;
@@ -195,21 +179,6 @@ main(int argc, char **argv)
             // summary, so any log starts with what the store found.
             flusher.emitRecord(store.openSummaryRecord());
         }
-    }
-
-    bool heartbeat = opts.getFlag("health-stderr") ||
-                     !opts.getString("health-file").empty();
-    if (heartbeat) {
-        ProgressReporter::Options health;
-        health.toStderr = opts.getFlag("health-stderr");
-        health.filePath = opts.getString("health-file");
-        health.intervalSeconds = opts.getDouble("health-interval");
-        health.recordName = "health";
-        health.extraMembers = [&service](JsonValue &row) {
-            service.healthMembers(row);
-        };
-        ProgressReporter::global().begin(health, /*totalRuns=*/0,
-                                         "sweep_serve");
     }
 
     std::signal(SIGTERM, stopSignalHandler);
@@ -249,8 +218,6 @@ main(int argc, char **argv)
     // Graceful drain: finish admitted work, answer it, then make the
     // store durable with its clean-shutdown marker.
     service.drain();
-    if (heartbeat)
-        ProgressReporter::global().end();
     flusher.end();
     if (!traceOut.empty())
         TraceEventSink::global().close();

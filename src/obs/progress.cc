@@ -94,7 +94,7 @@ ProgressReporter::emitLocked(bool final)
     if (file) {
         JsonValue row = JsonValue::object();
         row.set("schema_version", JsonValue::integer(kReportSchemaVersion))
-            .set("record", JsonValue::string(opts.recordName))
+            .set("record", JsonValue::string("progress"))
             .set("sweep", JsonValue::string(sweepLabel))
             .set("completed", JsonValue::integer(done))
             .set("total", JsonValue::integer(total))
@@ -104,8 +104,6 @@ ProgressReporter::emitLocked(bool final)
             .set("elapsed_seconds", JsonValue::number(elapsed))
             .set("eta_seconds", JsonValue::number(eta))
             .set("final", JsonValue::boolean(final));
-        if (opts.extraMembers)
-            opts.extraMembers(row);
         file << row.dump() << "\n";
         file.flush();
     }

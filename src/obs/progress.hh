@@ -24,14 +24,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 
 namespace specfetch {
-
-class JsonValue;
 
 /** Process-wide heartbeat over a sweep's run counters. */
 class ProgressReporter
@@ -42,13 +39,6 @@ class ProgressReporter
         bool toStderr = false;       ///< human line on stderr
         std::string filePath;        ///< JSONL sink (empty = none)
         double intervalSeconds = 2.0;
-        /** Record name of each JSONL row; the sweep service reuses
-         *  the heartbeat machinery for its "health" records. */
-        std::string recordName = "progress";
-        /** Optional hook appending caller members (queue depth, store
-         *  size, ...) to every JSONL row. Runs with the reporter lock
-         *  held — keep it cheap and non-blocking. */
-        std::function<void(JsonValue &row)> extraMembers;
     };
 
     static ProgressReporter &global();

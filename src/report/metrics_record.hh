@@ -8,7 +8,7 @@
  *   {"schema_version":1,"record":"metrics","label":"sweep_serve",
  *    "seq":3,"elapsed_seconds":6.1,"final":false,
  *    "service":{"requests":41,"accepted":38,...,"conserved":true},
- *    "store":{"records":130,"generation":2,...},
+ *    "store":{"records":130,"segments_loaded":1,...},
  *    "counters":{"socket.bytes_read":51234,...},
  *    "gauges":{"store.tail_bytes":8192,...},
  *    "histograms":{"service.execute_us.executed":

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -67,17 +66,12 @@ joinPath(const std::string &dir, const std::string &name)
     return dir + "/" + name;
 }
 
-std::string
-baseFileName(uint64_t generation)
-{
-    return "base-" + std::to_string(generation) + ".log";
-}
-
-std::string
-tmpFileName(uint64_t generation)
-{
-    return "base-" + std::to_string(generation) + ".tmp";
-}
+/**
+ * Every segment is named tail-1-<K>.log, and every segment header and
+ * CLEAN marker says "generation":1. A format constant: stores written
+ * while a compaction could raise it still open unchanged.
+ */
+constexpr uint64_t kGeneration = 1;
 
 std::string
 tailFileName(uint64_t generation, uint64_t segment)
@@ -86,6 +80,8 @@ tailFileName(uint64_t generation, uint64_t segment)
            std::to_string(segment) + ".log";
 }
 
+/** Digits past 2^64 wrap; the caller's canonical-name check refuses
+ *  them rather than let them alias a smaller number. */
 bool
 parseAllDigits(const std::string &text, uint64_t &out)
 {
@@ -99,24 +95,6 @@ parseAllDigits(const std::string &text, uint64_t &out)
     }
     out = value;
     return true;
-}
-
-/** base-<G>.log / base-<G>.tmp */
-bool
-parseBaseName(const std::string &name, uint64_t &generation, bool &isTmp)
-{
-    if (name.rfind("base-", 0) != 0)
-        return false;
-    std::string rest = name.substr(5);
-    if (rest.size() > 4 && rest.compare(rest.size() - 4, 4, ".log") == 0) {
-        isTmp = false;
-    } else if (rest.size() > 4 &&
-               rest.compare(rest.size() - 4, 4, ".tmp") == 0) {
-        isTmp = true;
-    } else {
-        return false;
-    }
-    return parseAllDigits(rest.substr(0, rest.size() - 4), generation);
 }
 
 /** tail-<G>-<K>.log */
@@ -134,6 +112,16 @@ parseTailName(const std::string &name, uint64_t &generation,
         return false;
     return parseAllDigits(body.substr(0, dash), generation) &&
            parseAllDigits(body.substr(dash + 1), segment);
+}
+
+/** base-*.log / base-*.tmp: what an older build's compaction wrote. */
+bool
+isBaseName(const std::string &name)
+{
+    if (name.rfind("base-", 0) != 0 || name.size() < 9)
+        return false;
+    std::string suffix = name.substr(name.size() - 4);
+    return suffix == ".log" || suffix == ".tmp";
 }
 
 bool
@@ -196,24 +184,14 @@ readWholeFile(const std::string &path, std::string &content)
 }
 
 std::string
-headerFrame(uint64_t generation, uint64_t segment)
+headerFrame(uint64_t segment)
 {
     JsonValue header = JsonValue::object();
     header.set("schema_version", JsonValue::integer(1))
-        .set("generation", JsonValue::integer(generation))
+        .set("generation", JsonValue::integer(kGeneration))
         .set("segment", JsonValue::integer(segment));
     JsonValue payload = JsonValue::object();
     payload.set("store_header", std::move(header));
-    return frameLine(payload);
-}
-
-std::string
-commitFrame(uint64_t records)
-{
-    JsonValue commit = JsonValue::object();
-    commit.set("records", JsonValue::integer(records));
-    JsonValue payload = JsonValue::object();
-    payload.set("store_commit", std::move(commit));
     return frameLine(payload);
 }
 
@@ -223,61 +201,6 @@ dataFrame(const std::string &key, const JsonValue &record)
     JsonValue payload = JsonValue::object();
     payload.set("key", JsonValue::string(key)).set("record", record);
     return frameLine(payload);
-}
-
-/**
- * Is this base segment complete — header first, commit last, every
- * line valid, commit count matching? A base is written in one pass and
- * renamed into place, so anything less means bit rot or an impossible
- * interleaving; the caller falls back to an older generation.
- */
-bool
-baseIsComplete(const std::string &content, uint64_t generation)
-{
-    size_t start = 0;
-    size_t frames = 0;
-    uint64_t dataFrames = 0;
-    bool sawCommitLast = false;
-    uint64_t commitRecords = 0;
-    while (start < content.size()) {
-        size_t end = content.find('\n', start);
-        if (end == std::string::npos)
-            return false; // torn tail: a base never ends mid-line
-        std::string line = content.substr(start, end - start);
-        start = end + 1;
-        if (line.empty())
-            continue;
-        JsonValue payload;
-        std::string reason;
-        if (!parseFrameLine(line, payload, reason))
-            return false;
-        ++frames;
-        sawCommitLast = false;
-        if (frames == 1) {
-            const JsonValue *header = payload.find("store_header");
-            if (!header || !header->isObject())
-                return false;
-            const JsonValue *gen = header->find("generation");
-            if (!gen || !gen->isUint() || gen->asUint() != generation)
-                return false;
-            continue;
-        }
-        if (const JsonValue *commit = payload.find("store_commit")) {
-            const JsonValue *records =
-                commit->isObject() ? commit->find("records") : nullptr;
-            if (!records || !records->isUint())
-                return false;
-            commitRecords = records->asUint();
-            sawCommitLast = true;
-            continue;
-        }
-        const JsonValue *key = payload.find("key");
-        const JsonValue *record = payload.find("record");
-        if (!key || !key->isString() || !record || !record->isObject())
-            return false;
-        ++dataFrames;
-    }
-    return frames >= 2 && sawCommitLast && commitRecords == dataFrames;
 }
 
 } // namespace
@@ -311,7 +234,6 @@ ResultStore::open(const Options &options, std::string *error)
     opts = options;
     index.clear();
     state = Stats{};
-    maxSeenGeneration = 1;
     nextTailIndex = 1;
     dirty = false;
 
@@ -344,33 +266,41 @@ ResultStore::open(const Options &options, std::string *error)
         return false;
     }
 
-    std::map<uint64_t, std::string> bases;
-    std::map<uint64_t, std::map<uint64_t, std::string>> tails;
-    bool anyStoreFile = false;
+    // Refuse before touching anything: a file this build would misread
+    // is reported by name, and the directory is left as it was found.
+    std::map<uint64_t, std::string> tails;
     bool cleanMarker = false;
     for (const std::string &name : names) {
         uint64_t generation = 0;
         uint64_t segment = 0;
-        bool isTmp = false;
-        if (parseBaseName(name, generation, isTmp)) {
-            anyStoreFile = true;
-            maxSeenGeneration = std::max(maxSeenGeneration, generation);
-            if (isTmp) {
-                // An unfinished compaction; the old generation is
-                // still authoritative.
-                std::remove(joinPath(opts.dir, name).c_str());
-            } else {
-                bases[generation] = name;
-            }
+        std::string refusal;
+        if (isBaseName(name)) {
+            refusal = "is a compacted base, which only an older build's "
+                      "compaction writes";
         } else if (parseTailName(name, generation, segment)) {
-            anyStoreFile = true;
-            maxSeenGeneration = std::max(maxSeenGeneration, generation);
-            tails[generation][segment] = name;
+            std::string canonical = tailFileName(generation, segment);
+            if (name != canonical) {
+                refusal = "is not a canonical segment name (it would "
+                          "alias " + canonical + ")";
+            } else if (generation != kGeneration) {
+                refusal = "is a segment of another generation, which only "
+                          "an older build's compaction writes";
+            } else {
+                tails[segment] = name;
+            }
         } else if (name == kStoreCleanMarker) {
             cleanMarker = true;
         }
+        if (!refusal.empty()) {
+            if (error) {
+                *error = "result store " + opts.dir +
+                         ": refusing to open: " + name + " " + refusal;
+            }
+            unlockDirectory();
+            return false;
+        }
     }
-    state.recovered = anyStoreFile && !cleanMarker;
+    state.recovered = !tails.empty() && !cleanMarker;
     if (cleanMarker)
         std::remove(joinPath(opts.dir, kStoreCleanMarker).c_str());
     if (state.recovered) {
@@ -378,85 +308,33 @@ ResultStore::open(const Options &options, std::string *error)
              "recovery scan",
              opts.dir.c_str());
     }
-
-    // Pick the newest complete base; its generation is authoritative.
-    uint64_t generation = 0;
-    bool haveCompleteBase = false;
-    for (auto it = bases.rbegin(); it != bases.rend(); ++it) {
-        std::string content;
-        if (readWholeFile(joinPath(opts.dir, it->second), content) &&
-            baseIsComplete(content, it->first)) {
-            generation = it->first;
-            haveCompleteBase = true;
-            break;
-        }
-    }
-    if (!haveCompleteBase) {
-        // No (intact) compaction yet: the newest generation any file
-        // names is live. An incomplete base there is bit rot; load it
-        // tolerantly rather than discard everything.
-        for (const auto &[gen, name] : bases)
-            generation = std::max(generation, gen);
-        for (const auto &[gen, segments] : tails)
-            generation = std::max(generation, gen);
-        if (generation == 0)
-            generation = 1;
-    }
-    state.generation = generation;
-
-    if (bases.count(generation))
-        loadSegment(bases[generation], generation, 0, false);
-    const auto &liveTails = tails[generation];
-    for (auto it = liveTails.begin(); it != liveTails.end(); ++it) {
-        bool last = std::next(it) == liveTails.end();
-        loadSegment(it->second, generation, it->first, last);
+    for (auto it = tails.begin(); it != tails.end(); ++it) {
+        loadSegment(it->second, it->first, std::next(it) == tails.end());
         nextTailIndex = it->first + 1;
     }
-
-    // Older generations are fully contained in the live one; their
-    // files are stale and only confuse the next recovery scan.
-    std::set<uint64_t> staleGenerations;
-    for (const auto &[gen, name] : bases) {
-        if (gen < generation) {
-            staleGenerations.insert(gen);
-            std::remove(joinPath(opts.dir, name).c_str());
-        }
-    }
-    for (const auto &[gen, segments] : tails) {
-        if (gen >= generation)
-            continue;
-        staleGenerations.insert(gen);
-        for (const auto &[segment, name] : segments)
-            std::remove(joinPath(opts.dir, name).c_str());
-    }
-    state.staleGenerationsRemoved = staleGenerations.size();
-    syncDirectory(opts.dir);
+    // The marker's removal, or a torn tail's, must not come back.
+    if (cleanMarker || state.tornTail)
+        syncDirectory(opts.dir);
 
     state.records = index.size();
     if (opts.metrics) {
         putLatency = &opts.metrics->histogram("store.put_us");
         getLatency = &opts.metrics->histogram("store.get_us");
         fsyncLatency = &opts.metrics->histogram("store.fsync_us");
-        compactLatency = &opts.metrics->histogram("store.compact_us");
         getHits = &opts.metrics->counter("store.get_hits");
         getMisses = &opts.metrics->counter("store.get_misses");
-        recordsGauge = &opts.metrics->gauge("store.records");
         tailBytesGauge = &opts.metrics->gauge("store.tail_bytes");
-        generationGauge = &opts.metrics->gauge("store.generation");
-        recordsGauge->set(state.records);
-        generationGauge->set(state.generation);
     } else {
-        putLatency = getLatency = fsyncLatency = compactLatency = nullptr;
+        putLatency = getLatency = fsyncLatency = nullptr;
         getHits = getMisses = nullptr;
-        recordsGauge = tailBytesGauge = generationGauge = nullptr;
+        tailBytesGauge = nullptr;
     }
     opened = true;
     return true;
 }
 
 void
-ResultStore::loadSegment(const std::string &name,
-                         uint64_t expectGeneration, uint64_t expectSegment,
+ResultStore::loadSegment(const std::string &name, uint64_t segment,
                          bool lastTail)
 {
     std::string content;
@@ -501,20 +379,16 @@ ResultStore::loadSegment(const std::string &name,
         if (const JsonValue *header = payload.find("store_header")) {
             const JsonValue *gen =
                 header->isObject() ? header->find("generation") : nullptr;
-            const JsonValue *segment =
+            const JsonValue *number =
                 header->isObject() ? header->find("segment") : nullptr;
-            if (!gen || !gen->isUint() ||
-                gen->asUint() != expectGeneration || !segment ||
-                !segment->isUint() ||
-                segment->asUint() != expectSegment) {
+            if (!gen || !gen->isUint() || gen->asUint() != kGeneration ||
+                !number || !number->isUint() || number->asUint() != segment) {
                 quarantineFrame(name, lineNumber,
                                 "header names another generation/segment",
                                 line);
             }
             continue;
         }
-        if (payload.find("store_commit"))
-            continue;
         const JsonValue *key = payload.find("key");
         const JsonValue *record = payload.find("record");
         if (!key || !key->isString() || !record || !record->isObject()) {
@@ -536,8 +410,12 @@ ResultStore::quarantineFrame(const std::string &file, size_t lineNumber,
     ++state.corruptFrames;
     warn("result store %s:%zu: quarantining frame (%s)", file.c_str(),
          lineNumber, reason.c_str());
+    // Each open skips the same frames again (nothing retires them), so
+    // its first one starts the sidecar afresh: it lists exactly what
+    // the latest open skipped, not one copy per restart.
     std::FILE *sidecar =
-        std::fopen(joinPath(opts.dir, kStoreQuarantineFile).c_str(), "ab");
+        std::fopen(joinPath(opts.dir, kStoreQuarantineFile).c_str(),
+                   state.corruptFrames == 1 ? "wb" : "ab");
     if (!sidecar)
         return;
     JsonValue row = JsonValue::object();
@@ -604,7 +482,7 @@ ResultStore::ensureTail(std::string *error)
         closeTail();
     if (tail)
         return true;
-    std::string name = tailFileName(state.generation, nextTailIndex);
+    std::string name = tailFileName(kGeneration, nextTailIndex);
     std::string path = joinPath(opts.dir, name);
     std::FILE *file = std::fopen(path.c_str(), "wb");
     if (!file) {
@@ -618,8 +496,7 @@ ResultStore::ensureTail(std::string *error)
     tailBytes = 0;
     dirty = false;
     ++nextTailIndex;
-    if (!writeFrame(tail, headerFrame(state.generation, nextTailIndex - 1),
-                    true)) {
+    if (!writeFrame(tail, headerFrame(nextTailIndex - 1), true)) {
         if (error)
             *error = "cannot write segment header of " + path;
         closeTail();
@@ -703,102 +580,6 @@ ResultStore::put(const std::string &key, const JsonValue &record,
     }
     index.emplace(key, record);
     ++state.records;
-    if (recordsGauge)
-        recordsGauge->set(state.records);
-    return true;
-}
-
-bool
-ResultStore::compact(std::string *error)
-{
-    LatencyTimer timer(compactLatency);
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!opened) {
-        if (error)
-            *error = "store is not open";
-        return false;
-    }
-    uint64_t newGeneration = maxSeenGeneration + 1;
-    std::string tmpPath = joinPath(opts.dir, tmpFileName(newGeneration));
-    std::FILE *file = std::fopen(tmpPath.c_str(), "wb");
-    if (!file) {
-        if (error)
-            *error = "cannot write " + tmpPath + ": " +
-                     std::strerror(errno);
-        return false;
-    }
-    auto writeLine = [&](const std::string &line) {
-        std::string text = line + "\n";
-        return std::fwrite(text.data(), 1, text.size(), file) ==
-               text.size();
-    };
-    bool ok = writeLine(headerFrame(newGeneration, 0));
-    for (const auto &[key, record] : index) {
-        if (!ok)
-            break;
-        ok = writeLine(dataFrame(key, record));
-    }
-    if (ok && opts.testCompactCrash == Options::CompactCrash::BeforeCommit) {
-        std::fflush(file);
-        fsync(fileno(file));
-        warn("injected fault: dying before the compaction commit frame");
-        std::_Exit(kCrashExitCode);
-    }
-    ok = ok && writeLine(commitFrame(index.size()));
-    ok = ok && std::fflush(file) == 0 && fsync(fileno(file)) == 0;
-    std::fclose(file);
-    if (!ok) {
-        std::remove(tmpPath.c_str());
-        if (error)
-            *error = "cannot write " + tmpPath + ": " +
-                     std::strerror(errno);
-        return false;
-    }
-    if (opts.testCompactCrash == Options::CompactCrash::BeforeRename) {
-        warn("injected fault: dying before the compaction rename");
-        std::_Exit(kCrashExitCode);
-    }
-    std::string basePath = joinPath(opts.dir, baseFileName(newGeneration));
-    if (std::rename(tmpPath.c_str(), basePath.c_str()) != 0) {
-        std::remove(tmpPath.c_str());
-        if (error)
-            *error = "cannot rename " + tmpPath + ": " +
-                     std::strerror(errno);
-        return false;
-    }
-    syncDirectory(opts.dir);
-    if (opts.testCompactCrash == Options::CompactCrash::BeforeCleanup) {
-        warn("injected fault: dying before the compaction cleanup");
-        std::_Exit(kCrashExitCode);
-    }
-
-    // The new base is durable; everything older is now stale.
-    closeTail();
-    std::vector<std::string> names;
-    if (listDirectory(opts.dir, names, nullptr)) {
-        for (const std::string &name : names) {
-            uint64_t generation = 0;
-            uint64_t segment = 0;
-            bool isTmp = false;
-            bool stale = false;
-            if (parseBaseName(name, generation, isTmp))
-                stale = isTmp || generation != newGeneration;
-            else if (parseTailName(name, generation, segment))
-                stale = generation != newGeneration;
-            if (stale)
-                std::remove(joinPath(opts.dir, name).c_str());
-        }
-    }
-    syncDirectory(opts.dir);
-
-    state.generation = newGeneration;
-    maxSeenGeneration = newGeneration;
-    nextTailIndex = 1;
-    ++state.compactions;
-    if (generationGauge) {
-        generationGauge->set(state.generation);
-        tailBytesGauge->set(0);
-    }
     return true;
 }
 
@@ -814,7 +595,7 @@ ResultStore::close(std::string *error)
     bool ok = file != nullptr;
     if (file) {
         JsonValue clean = JsonValue::object();
-        clean.set("generation", JsonValue::integer(state.generation))
+        clean.set("generation", JsonValue::integer(kGeneration))
             .set("records", JsonValue::integer(state.records));
         JsonValue payload = JsonValue::object();
         payload.set("clean_shutdown", std::move(clean));
@@ -863,14 +644,10 @@ toJson(const ResultStore::Stats &stats)
 {
     JsonValue out = JsonValue::object();
     out.set("records", JsonValue::integer(stats.records))
-        .set("generation", JsonValue::integer(stats.generation))
         .set("segments_loaded", JsonValue::integer(stats.segmentsLoaded))
         .set("corrupt_frames", JsonValue::integer(stats.corruptFrames))
         .set("duplicate_puts", JsonValue::integer(stats.duplicatePuts))
         .set("append_attempts", JsonValue::integer(stats.appendAttempts))
-        .set("compactions", JsonValue::integer(stats.compactions))
-        .set("stale_generations_removed",
-             JsonValue::integer(stats.staleGenerationsRemoved))
         .set("torn_tail", JsonValue::boolean(stats.tornTail))
         .set("recovered", JsonValue::boolean(stats.recovered));
     return out;

@@ -6,15 +6,14 @@
  * sweepRunKey (benchmark:hash64(config)). On disk a store is a
  * directory:
  *
- *   base-<G>.log       compacted snapshot of generation G: a header
- *                      frame, one data frame per record (key-sorted),
- *                      and a trailing commit frame naming the count.
- *   tail-<G>-<K>.log   append segment K of generation G: a header
- *                      frame then data frames, fsync'd per append.
- *   base-<G>.tmp       in-progress compaction; deleted on open.
- *   quarantine.jsonl   sidecar of frames dropped at open (file, line,
- *                      reason, raw prefix) — corruption is preserved
- *                      for forensics, never silently discarded.
+ *   tail-1-<K>.log     append segment K: a header frame then data
+ *                      frames, fsync'd per append. The "1" is a format
+ *                      constant (so is the "generation":1 that header
+ *                      frames and CLEAN carry).
+ *   quarantine.jsonl   sidecar of the frames the latest open skipped
+ *                      (file, line, reason, raw prefix): corruption is
+ *                      preserved for forensics, never silently
+ *                      discarded.
  *   CLEAN              clean-shutdown marker written by close() and
  *                      deleted at open; its absence means the previous
  *                      process died and this open is a recovery scan.
@@ -30,11 +29,10 @@
  *     quarantined and skipped.
  *   - One open handle per directory: open() takes an exclusive flock
  *     on the directory, held until close() or destruction.
- *   - Compaction is generation-stamped and crash-safe at every step:
- *     the new base is written to a .tmp, fsync'd, atomically renamed,
- *     and only then are the old generation's files unlinked. A crash
- *     between any two steps leaves either the old generation intact
- *     or the new one complete — never a mix, never data loss.
+ *   - open() refuses a directory holding a file it would misread: a
+ *     base-*.log or base-*.tmp (an older build's compaction), a tail of
+ *     another generation, or a segment under a non-canonical name
+ *     (tail-1-01.log). The error names the file; nothing is modified.
  *
  * Thread-safe; one writer mutex serializes mutation (the simulations
  * the store memoizes cost seconds, the store microseconds).
@@ -95,34 +93,19 @@ class ResultStore
         /**
          * Borrowed telemetry sink; may be null (every instrument
          * check is then one pointer test — DESIGN.md §16). open()
-         * resolves `store.*` instruments once; put/get/fsync/compact
-         * record latencies, gauges track records/tail bytes/
-         * generation.
+         * resolves `store.*` instruments once; put/get/fsync record
+         * latencies, a gauge tracks the tail's bytes.
          */
         MetricsRegistry *metrics = nullptr;
-
-        /** Test-only: die mid-compaction at a chosen step. */
-        enum class CompactCrash : uint8_t
-        {
-            None,
-            BeforeCommit,  ///< tmp written, commit frame missing
-            BeforeRename,  ///< tmp complete, rename not yet done
-            BeforeCleanup, ///< renamed, old generation not yet removed
-        };
-        CompactCrash testCompactCrash = CompactCrash::None;
     };
 
     struct Stats
     {
         uint64_t records = 0;        ///< keys in the index
-        uint64_t generation = 1;     ///< current compaction generation
         uint64_t segmentsLoaded = 0; ///< store files scanned at open
         uint64_t corruptFrames = 0;  ///< frames quarantined at open
         uint64_t duplicatePuts = 0;  ///< puts satisfied by the index
         uint64_t appendAttempts = 0; ///< put ordinals consumed
-        uint64_t compactions = 0;    ///< successful compact() calls
-        /** Distinct stale generations whose files open() removed. */
-        uint64_t staleGenerationsRemoved = 0;
         bool tornTail = false;       ///< open dropped a torn tail line
         bool recovered = false;      ///< open found no CLEAN marker
     };
@@ -138,9 +121,10 @@ class ResultStore
 
     /**
      * Open (or create) the store at @p options.dir, rebuilding the
-     * in-memory index by scanning segments. Returns false only when
-     * the directory itself is unusable or another handle holds it
-     * open; corruption inside it is tolerated, quarantined, and
+     * in-memory index by scanning segments. Returns false when the
+     * directory itself is unusable, another handle holds it open, or
+     * it holds a file the store refuses (see the file comment);
+     * corruption inside a segment is tolerated, quarantined, and
      * reported through stats().
      */
     bool open(const Options &options, std::string *error = nullptr);
@@ -160,12 +144,6 @@ class ResultStore
              std::string *error = nullptr);
 
     /**
-     * Fold base + tails into a fresh generation-stamped base. Safe to
-     * crash at any step; see the file comment for the protocol.
-     */
-    bool compact(std::string *error = nullptr);
-
-    /**
      * Flush, write the clean-shutdown marker, and close. Reopening
      * after close() is not a recovery scan.
      */
@@ -177,8 +155,8 @@ class ResultStore
     /**
      * Schema-v1 `store_open` startup summary: what the recovery scan
      * found and silently repaired (torn tail dropped, frames
-     * quarantined, stale generations removed), so operators see data
-     * loss at open time instead of inferring it from store_fsck.
+     * quarantined), so operators see data loss at open time instead of
+     * inferring it from store_fsck.
      */
     JsonValue openSummaryRecord() const;
 
@@ -195,8 +173,8 @@ class ResultStore
                     bool withNewline);
     void quarantineFrame(const std::string &file, size_t lineNumber,
                          const std::string &reason, const std::string &raw);
-    void loadSegment(const std::string &name, uint64_t expectGeneration,
-                     uint64_t expectSegment, bool lastTail);
+    void loadSegment(const std::string &name, uint64_t segment,
+                     bool lastTail);
 
     mutable std::mutex mutex;
     Options opts;
@@ -205,10 +183,6 @@ class ResultStore
     int dirLock = -1;
     std::map<std::string, JsonValue> index;
     Stats state;
-    /** Highest generation any store file ever named; the next
-     *  compaction stamps maxSeenGeneration + 1 so a stale higher-
-     *  numbered file can never shadow fresh data. */
-    uint64_t maxSeenGeneration = 1;
     uint64_t nextTailIndex = 1;
     std::FILE *tail = nullptr;
     std::string tailName;
@@ -221,16 +195,13 @@ class ResultStore
     LatencyHistogram *putLatency = nullptr;
     LatencyHistogram *getLatency = nullptr;
     LatencyHistogram *fsyncLatency = nullptr;
-    LatencyHistogram *compactLatency = nullptr;
     MetricCounter *getHits = nullptr;
     MetricCounter *getMisses = nullptr;
-    MetricGauge *recordsGauge = nullptr;
     MetricGauge *tailBytesGauge = nullptr;
-    MetricGauge *generationGauge = nullptr;
 };
 
 /** Serialize store stats as metrics-record members ("records",
- *  "generation", ..., "torn_tail", "recovered"). */
+ *  "segments_loaded", ..., "torn_tail", "recovered"). */
 JsonValue toJson(const ResultStore::Stats &stats);
 
 /** Builds the stored record of run @p index from its results and its

@@ -119,8 +119,6 @@ SweepService::SweepService(ResultStore &resultStore,
         }
         workerBusy = &opts.metrics->counter("service.worker_busy_us");
         workerIdle = &opts.metrics->counter("service.worker_idle_us");
-        queueDepthGauge = &opts.metrics->gauge("service.queue_depth");
-        inflightGauge = &opts.metrics->gauge("service.inflight");
         opts.metrics->gauge("service.workers").set(opts.workers);
     }
 }
@@ -194,8 +192,6 @@ SweepService::workerLoop(unsigned workerIndex)
             job = std::move(queue.front());
             queue.pop_front();
             ++stats.inflight;
-            if (inflightGauge)
-                inflightGauge->set(stats.inflight);
         }
         const bool traced = TraceEventSink::global().enabled();
         if (metricsOn || traced) {
@@ -236,8 +232,6 @@ SweepService::workerLoop(unsigned workerIndex)
         {
             std::lock_guard<std::mutex> lock(mutex);
             --stats.inflight;
-            if (inflightGauge)
-                inflightGauge->set(stats.inflight);
         }
         wake.notify_all();
     }
@@ -343,8 +337,6 @@ SweepService::submit(const std::string &line, Responder respond)
         } else {
             ++admitted;
             stats.queueDepth = admitted;
-            if (queueDepthGauge)
-                queueDepthGauge->set(admitted);
             auto active = followers.find(job.request.key);
             if (active != followers.end()) {
                 // Single-flight: ride the execution already admitted
@@ -522,8 +514,6 @@ SweepService::finishKey(Job &leader, const JsonValue &response, bool ok,
         followers.erase(it);
         admitted -= 1 + riders.size();
         stats.queueDepth = admitted;
-        if (queueDepthGauge)
-            queueDepthGauge->set(admitted);
         countOutcomeLocked(outcome);
         for (size_t i = 0; i < riders.size(); ++i)
             countOutcomeLocked(Outcome::Deduped);
@@ -608,29 +598,6 @@ SweepService::statsSnapshot() const
              static_cast<unsigned long long>(stats.outcomeSum()));
     }
     return stats;
-}
-
-void
-SweepService::healthMembers(JsonValue &row) const
-{
-    Stats snapshot = statsSnapshot();
-    ResultStore::Stats storeStats = store.stats();
-    row.set("requests", JsonValue::integer(snapshot.requests))
-        .set("accepted", JsonValue::integer(snapshot.accepted))
-        .set("stats_ops", JsonValue::integer(snapshot.statsOps))
-        .set("hits", JsonValue::integer(snapshot.hits))
-        .set("deduped", JsonValue::integer(snapshot.deduped))
-        .set("executed", JsonValue::integer(snapshot.executed))
-        .set("shed", JsonValue::integer(snapshot.shed))
-        .set("failed", JsonValue::integer(snapshot.failed))
-        .set("expired", JsonValue::integer(snapshot.expired))
-        .set("poisoned", JsonValue::integer(snapshot.poisoned))
-        .set("rejected", JsonValue::integer(snapshot.rejected))
-        .set("queue_depth", JsonValue::integer(snapshot.queueDepth))
-        .set("inflight", JsonValue::integer(snapshot.inflight))
-        .set("store_records", JsonValue::integer(storeStats.records))
-        .set("store_generation",
-             JsonValue::integer(storeStats.generation));
 }
 
 JsonValue

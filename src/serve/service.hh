@@ -56,7 +56,6 @@ namespace specfetch {
 class FaultInjector;
 class MetricsRegistry;
 class MetricCounter;
-class MetricGauge;
 class LatencyHistogram;
 
 class SweepService
@@ -159,10 +158,6 @@ class SweepService
 
     Stats statsSnapshot() const;
 
-    /** Append service + store counters to a heartbeat row (the
-     *  ProgressReporter extraMembers hook). */
-    void healthMembers(JsonValue &row) const;
-
     /** The registry this service reports to; null when telemetry is
      *  off (serveStream uses this for its socket counters). */
     MetricsRegistry *metricsRegistry() const { return opts.metrics; }
@@ -259,8 +254,6 @@ class SweepService
     std::array<LatencyHistogram *, kOutcomeCount> executeHistograms{};
     MetricCounter *workerBusy = nullptr;
     MetricCounter *workerIdle = nullptr;
-    MetricGauge *queueDepthGauge = nullptr;
-    MetricGauge *inflightGauge = nullptr;
 
     /**
      * Per-worker clamp for queue-wait trace spans: a span on worker

@@ -16,6 +16,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +62,26 @@ wipeDir(const std::string &dir)
         closedir(handle);
     }
     std::remove(dir.c_str()); // the directory, or a file in its place
+}
+
+/** The files in @p dir, name -> bytes (stores have no subdirectories). */
+inline std::map<std::string, std::string>
+readFiles(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    if (DIR *handle = opendir(dir.c_str())) {
+        while (struct dirent *entry = readdir(handle)) {
+            std::string name = entry->d_name;
+            if (name == "." || name == "..")
+                continue;
+            std::ifstream in(dir + "/" + name, std::ios::binary);
+            std::ostringstream bytes;
+            bytes << in.rdbuf();
+            files[name] = bytes.str();
+        }
+        closedir(handle);
+    }
+    return files;
 }
 
 /** A test owning one scratch store directory, wiped before and after

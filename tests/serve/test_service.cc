@@ -384,14 +384,14 @@ TEST_F(ServiceTest, HealthMembersExposeCounters)
     collector.waitFor(1);
     service.drain();
 
-    JsonValue row = JsonValue::object();
-    service.healthMembers(row);
+    JsonValue row = service.serviceStatsJson();
     ASSERT_NE(row.find("requests"), nullptr);
     EXPECT_EQ(row.find("requests")->asUint(), 1u);
     EXPECT_EQ(row.find("executed")->asUint(), 1u);
-    EXPECT_EQ(row.find("store_records")->asUint(), 1u);
     ASSERT_NE(row.find("queue_depth"), nullptr);
     EXPECT_EQ(row.find("queue_depth")->asUint(), 0u);
+    ASSERT_NE(row.find("inflight"), nullptr);
+    EXPECT_EQ(row.find("inflight")->asUint(), 0u);
 }
 
 TEST_F(ServiceTest, SocketRoundTripInRequestOrder)

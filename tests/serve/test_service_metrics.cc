@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -188,13 +189,8 @@ TEST_F(ServiceMetricsTest, RequestPathPopulatesInstruments)
         }
         return 0;
     };
-    auto gaugeValue = [&](const std::string &name) -> uint64_t {
-        for (const auto &[gaugeName, value] : snapshot.gauges) {
-            if (gaugeName == name)
-                return value;
-        }
-        return 0;
-    };
+    std::map<std::string, uint64_t> gauges(snapshot.gauges.begin(),
+                                           snapshot.gauges.end());
     EXPECT_EQ(histogramCount("service.execute_us.executed"), 1u);
     EXPECT_EQ(histogramCount("service.queue_wait_us.executed"), 1u);
     EXPECT_EQ(histogramCount("service.queue_wait_us.hit"), 1u);
@@ -202,8 +198,11 @@ TEST_F(ServiceMetricsTest, RequestPathPopulatesInstruments)
     EXPECT_EQ(histogramCount("store.put_us"), 1u);
     EXPECT_GE(histogramCount("store.get_us"), 2u); // hit + rider-free get
     EXPECT_GE(histogramCount("store.fsync_us"), 1u);
-    EXPECT_EQ(gaugeValue("store.records"), 1u);
-    EXPECT_EQ(gaugeValue("service.workers"), 1u);
+    // Only what no record member carries is a gauge: the pool size
+    // and the append tail's bytes.
+    EXPECT_EQ(gauges.size(), 2u);
+    EXPECT_EQ(gauges["service.workers"], 1u);
+    EXPECT_GT(gauges["store.tail_bytes"], 0u);
 
     // The worker spent measurable time on both sides of the loop.
     uint64_t busy = 0;
@@ -217,10 +216,10 @@ TEST_F(ServiceMetricsTest, RequestPathPopulatesInstruments)
     EXPECT_GT(busy, 0u);
     EXPECT_GT(idle, 0u);
 
-    JsonValue health = JsonValue::object();
-    service.healthMembers(health);
-    EXPECT_EQ(member(health, "accepted"), 3u);
-    EXPECT_EQ(member(health, "stats_ops"), 0u);
+    JsonValue body = service.telemetryBody();
+    EXPECT_EQ(member(*body.find("service"), "accepted"), 3u);
+    EXPECT_EQ(member(*body.find("service"), "stats_ops"), 0u);
+    EXPECT_EQ(member(*body.find("store"), "records"), 1u);
 }
 
 TEST_F(ServiceMetricsTest, ConservationHoldsAtEverySnapshotUnderLoad)

@@ -142,7 +142,6 @@ def render(records, charts=(), all_charts=False, out=sys.stdout):
     if store_open is not None:
         store = store_open.get("store", {})
         print(f"store open: {store.get('records', 0)} record(s), "
-              f"generation {store.get('generation', 0)}, "
               f"recovered={store.get('recovered', False)}, "
               f"torn_tail={store.get('torn_tail', False)}, "
               f"corrupt_frames={store.get('corrupt_frames', 0)}",
@@ -156,8 +155,7 @@ def render(records, charts=(), all_charts=False, out=sys.stdout):
 
     store = last.get("store", {})
     print(f"store now: {store.get('records', 0)} record(s), "
-          f"{store.get('duplicate_puts', 0)} duplicate put(s), "
-          f"{store.get('compactions', 0)} compaction(s)", file=out)
+          f"{store.get('duplicate_puts', 0)} duplicate put(s)", file=out)
     gauges = last.get("gauges", {})
     if gauges:
         print("gauges: " + ", ".join(
@@ -242,16 +240,14 @@ def self_test():
                 "label": "sweep_serve", "seq": seq,
                 "elapsed_seconds": float(seq), "final": final,
                 "service": dict(service, accepted=10),
-                "store": {"records": 3, "duplicate_puts": 0,
-                          "compactions": 1},
+                "store": {"records": 3, "duplicate_puts": 0},
                 "counters": {}, "gauges": {"service.workers": 2},
                 "histograms": {"store.put_us": {
                     "count": 10, "sum_us": 140, "buckets": buckets}}}
 
     open_record = {"schema_version": 1, "record": "store_open",
-                   "store": {"records": 0, "generation": 1,
-                             "recovered": True, "torn_tail": False,
-                             "corrupt_frames": 0}}
+                   "store": {"records": 0, "recovered": True,
+                             "torn_tail": False, "corrupt_frames": 0}}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
         code = render([open_record, metrics(0), metrics(1, final=True)],

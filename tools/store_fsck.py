@@ -2,31 +2,32 @@
 """Offline integrity check for a ResultStore directory.
 
 The store (src/serve/result_store.*) keeps schema-v1 run records in
-CRC-framed segment logs: one optional compacted `base-<G>.log`
-(header frame, key-sorted data frames, commit frame) plus appended
-`tail-<G>-<K>.log` segments (header frame, then data frames), a
-`CLEAN` clean-shutdown marker, and a `quarantine.jsonl` sidecar of
-frames the store itself refused. Every frame is
+CRC-framed append segments `tail-1-<K>.log` (header frame, then data
+frames), a `CLEAN` clean-shutdown marker, and a `quarantine.jsonl`
+sidecar of frames the store itself refused. Every frame is
 `<8-hex crc32> <compact JSON>`; the CRC is the reflected
-0xEDB88320 polynomial, i.e. zlib's.
+0xEDB88320 polynomial, i.e. zlib's. The "1" in a segment name, and
+the "generation":1 of header frames and CLEAN, is a format constant.
 
 This checker re-derives the invariants the C++ recovery scan
 enforces, so a store can be audited without (or before) opening it:
 
-  errors — the store is damaged or the writer is buggy:
+  errors — the store is damaged, the writer is buggy, or the store
+  refuses to open:
     - frame with a bad checksum or malformed framing anywhere but
-      the final line of the newest tail;
+      the final line of a tail;
     - missing/wrong header frame (generation or segment mismatch);
-    - base without a commit frame, commit count != data frames,
-      or base keys out of sorted order;
     - CLEAN marker naming a generation or record count that does
-      not match the files on disk.
+      not match the files on disk;
+    - a base-*.log or base-*.tmp, a tail of another generation, or a
+      segment under a non-canonical name (tail-1-01.log): only an
+      older build's compaction wrote the first two, and the store
+      refuses all of them by name.
 
   warnings — survivable states recovery handles by design:
-    - torn final line of the newest tail (kill -9 mid-append);
+    - torn final line of a tail (kill -9 mid-append);
     - missing CLEAN marker (crash: next open runs a recovery scan);
     - duplicate key across segments (first occurrence wins);
-    - leftover base-<G>.tmp (aborted compaction, deleted at open);
     - unrecognized file names.
 
 With --json the findings go to stdout as schema-v1 JSONL instead of
@@ -55,8 +56,11 @@ import zlib
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from common.selftest import Checker  # noqa: E402
 
-_BASE_RE = re.compile(r"^base-(\d+)\.log$")
-_TMP_RE = re.compile(r"^base-(\d+)\.tmp$")
+#: The generation every segment name, header frame and CLEAN marker
+#: carries.
+GENERATION = 1
+
+_BASE_RE = re.compile(r"^base-.*\.(log|tmp)$")
 _TAIL_RE = re.compile(r"^tail-(\d+)-(\d+)\.log$")
 
 
@@ -100,15 +104,14 @@ class Report:
         self.warnings.append(message)
 
 
-def _check_header(report, name, payload, generation, segment):
+def _check_header(report, name, payload, segment):
     header = payload.get("store_header")
     if not isinstance(header, dict):
         report.error(f"{name}:1: first frame is not a store_header")
         return
-    if header.get("generation") != generation:
+    if header.get("generation") != GENERATION:
         report.error(f"{name}:1: header generation "
-                     f"{header.get('generation')} != file name "
-                     f"{generation}")
+                     f"{header.get('generation')} != {GENERATION}")
     if header.get("segment") != segment:
         report.error(f"{name}:1: header segment "
                      f"{header.get('segment')} != file name {segment}")
@@ -125,53 +128,7 @@ def _load_lines(path):
     return lines, unterminated
 
 
-def check_base(report, directory, name, generation):
-    lines, unterminated = _load_lines(os.path.join(directory, name))
-    if unterminated:
-        report.error(f"{name}: final line is unterminated (a base is "
-                     f"renamed into place complete)")
-    if not lines:
-        report.error(f"{name}: empty base segment")
-        return
-    data_keys = []
-    commit = None
-    for lineno, line in enumerate(lines, 1):
-        payload, reason = parse_frame(line)
-        if payload is None:
-            report.error(f"{name}:{lineno}: {reason}")
-            continue
-        if lineno == 1:
-            _check_header(report, name, payload, generation, 0)
-            continue
-        if "store_commit" in payload:
-            if lineno != len(lines):
-                report.error(f"{name}:{lineno}: commit frame is not "
-                             f"the final line")
-            commit = payload["store_commit"]
-            continue
-        key = payload.get("key")
-        if not isinstance(key, str) \
-                or not isinstance(payload.get("record"), dict):
-            report.error(f"{name}:{lineno}: data frame lacks "
-                         f"key/record shape")
-            continue
-        data_keys.append(key)
-        if key in report.records:
-            report.warning(f"{name}:{lineno}: duplicate key {key!r} "
-                           f"(first seen in {report.records[key]})")
-        else:
-            report.records[key] = name
-    if commit is None:
-        report.error(f"{name}: no commit frame (incomplete compaction "
-                     f"that was never renamed should be a .tmp)")
-    elif commit.get("records") != len(data_keys):
-        report.error(f"{name}: commit says {commit.get('records')} "
-                     f"record(s) but {len(data_keys)} data frame(s)")
-    if data_keys != sorted(data_keys):
-        report.error(f"{name}: data frames are not key-sorted")
-
-
-def check_tail(report, directory, name, generation, segment):
+def check_tail(report, directory, name, segment):
     lines, unterminated = _load_lines(os.path.join(directory, name))
     if not lines:
         report.error(f"{name}: empty tail segment (a tail begins with "
@@ -191,7 +148,7 @@ def check_tail(report, directory, name, generation, segment):
                 report.error(f"{name}:{lineno}: {reason}")
             continue
         if lineno == 1:
-            _check_header(report, name, payload, generation, segment)
+            _check_header(report, name, payload, segment)
             continue
         key = payload.get("key")
         if not isinstance(key, str) \
@@ -206,7 +163,7 @@ def check_tail(report, directory, name, generation, segment):
             report.records[key] = name
 
 
-def check_clean(report, directory, generation):
+def check_clean(report, directory):
     path = os.path.join(directory, "CLEAN")
     if not os.path.exists(path):
         report.warning("no CLEAN marker: next open runs a recovery "
@@ -224,11 +181,9 @@ def check_clean(report, directory, generation):
     if not isinstance(clean, dict):
         report.error("CLEAN:1: frame is not a clean_shutdown marker")
         return
-    if generation is not None \
-            and clean.get("generation") != generation:
+    if clean.get("generation") != GENERATION:
         report.error(f"CLEAN: marker generation "
-                     f"{clean.get('generation')} != newest on-disk "
-                     f"generation {generation}")
+                     f"{clean.get('generation')} != {GENERATION}")
     if clean.get("records") != len(report.records):
         report.error(f"CLEAN: marker says {clean.get('records')} "
                      f"record(s) but segments hold "
@@ -241,35 +196,35 @@ def check_store(directory):
         names = sorted(os.listdir(directory))
     except OSError as err:
         raise SystemExit(f"cannot read {directory}: {err}")
-    bases = {}
     tails = {}
     for name in names:
-        if match := _BASE_RE.match(name):
-            bases[int(match.group(1))] = name
-        elif match := _TAIL_RE.match(name):
-            tails.setdefault(int(match.group(1)), {})[
-                int(match.group(2))] = name
-        elif match := _TMP_RE.match(name):
-            report.warning(f"{name}: leftover compaction scratch "
-                           f"(aborted compact; deleted at next open)")
+        match = _TAIL_RE.match(name)
+        if _BASE_RE.match(name):
+            report.error(f"{name}: a compacted base, which only an older "
+                         f"build's compaction writes; the store refuses "
+                         f"to open")
+        elif match:
+            generation, segment = (int(group) for group in match.groups())
+            # The store parses 64-bit numbers; past 2^64 they alias.
+            if name != f"tail-{generation}-{segment}.log" \
+                    or max(generation, segment) >= 2**64:
+                report.error(f"{name}: not a canonical segment name; the "
+                             f"store refuses to open")
+            elif generation != GENERATION:
+                report.error(f"{name}: a segment of generation "
+                             f"{generation}, which only an older build's "
+                             f"compaction writes; the store refuses to "
+                             f"open")
+            else:
+                tails[segment] = name
         elif name not in ("CLEAN", "quarantine.jsonl"):
             report.warning(f"{name}: unrecognized file in store "
                            f"directory")
-    generations = sorted(set(bases) | set(tails))
-    if not generations:
+    if not tails:
         report.warning("no segments: empty or never-written store")
-        check_clean(report, directory, None)
-        return report
-    live = generations[-1]
-    for generation in generations[:-1]:
-        report.warning(f"generation {generation} files are stale "
-                       f"(superseded by {live}; swept at next open)")
-    if live in bases:
-        check_base(report, directory, bases[live], live)
-    for segment in sorted(tails.get(live, {})):
-        check_tail(report, directory, tails[live][segment], live,
-                   segment)
-    check_clean(report, directory, live)
+    for segment in sorted(tails):
+        check_tail(report, directory, tails[segment], segment)
+    check_clean(report, directory)
     return report
 
 
@@ -343,12 +298,11 @@ def _data(key, value=1):
 
 
 def _good_store(directory):
-    _write(directory, "base-2.log", [
-        _header(2, 0), _data("a"), _data("b"),
-        frame_line({"store_commit": {"records": 2}})])
-    _write(directory, "tail-2-1.log", [_header(2, 1), _data("c")])
+    _write(directory, "tail-1-1.log", [_header(1, 1), _data("a"),
+                                       _data("b")])
+    _write(directory, "tail-1-2.log", [_header(1, 2), _data("c")])
     _write(directory, "CLEAN", [
-        frame_line({"clean_shutdown": {"generation": 2,
+        frame_line({"clean_shutdown": {"generation": 1,
                                        "records": 3}})])
 
 
@@ -374,7 +328,7 @@ def self_test():
     def torn(tmp):
         _good_store(tmp)
         os.remove(os.path.join(tmp, "CLEAN"))
-        with open(os.path.join(tmp, "tail-2-1.log"), "a",
+        with open(os.path.join(tmp, "tail-1-2.log"), "a",
                   encoding="utf-8") as handle:
             handle.write('deadbeef {"key":"torn","rec')
     report = run_case("torn tail", torn, False, True)
@@ -385,7 +339,7 @@ def self_test():
         # Kill mid-append, then a restart that rotated to a new tail:
         # the torn line now sits in a non-newest segment.
         torn(tmp)
-        _write(tmp, "tail-2-2.log", [_header(2, 2), _data("d")])
+        _write(tmp, "tail-1-3.log", [_header(1, 3), _data("d")])
     report = run_case("torn line in older tail", torn_then_restart,
                       False, True)
     c.check("torn line in older tail: still a torn warning",
@@ -395,7 +349,7 @@ def self_test():
 
     def corrupt(tmp):
         _good_store(tmp)
-        path = os.path.join(tmp, "base-2.log")
+        path = os.path.join(tmp, "tail-1-1.log")
         with open(path, "rb+") as handle:
             blob = bytearray(handle.read())
             first_nl = blob.index(b"\n")
@@ -404,52 +358,52 @@ def self_test():
             handle.write(blob)
     run_case("corrupt interior frame", corrupt, True, False)
 
-    def bad_commit(tmp):
-        _good_store(tmp)
-        _write(tmp, "base-2.log", [
-            _header(2, 0), _data("a"),
-            frame_line({"store_commit": {"records": 9}})])
-    report = run_case("commit count mismatch", bad_commit, True, False)
-    c.check("commit count mismatch: named in the error",
-            any("commit says 9" in e for e in report.errors))
-
-    def no_commit(tmp):
-        _good_store(tmp)
-        _write(tmp, "base-2.log", [_header(2, 0), _data("a")])
-    run_case("base without commit", no_commit, True, False)
-
     def dup_key(tmp):
         _good_store(tmp)
-        _write(tmp, "tail-2-1.log", [_header(2, 1), _data("a", 2)])
+        _write(tmp, "tail-1-2.log", [_header(1, 2), _data("a", 2)])
         _write(tmp, "CLEAN", [
-            frame_line({"clean_shutdown": {"generation": 2,
+            frame_line({"clean_shutdown": {"generation": 1,
                                            "records": 2}})])
     report = run_case("duplicate key", dup_key, False, True)
     c.check("duplicate key: first occurrence wins",
-            report.records.get("a") == "base-2.log")
+            report.records.get("a") == "tail-1-1.log")
 
     def wrong_gen_header(tmp):
         _good_store(tmp)
-        _write(tmp, "tail-2-1.log", [_header(7, 1), _data("c")])
+        _write(tmp, "tail-1-2.log", [_header(7, 2), _data("c")])
     run_case("header generation mismatch", wrong_gen_header, True,
              False)
 
-    def stale_gen(tmp):
+    def wrong_segment_header(tmp):
         _good_store(tmp)
-        _write(tmp, "tail-1-1.log", [_header(1, 1), _data("old")])
-        _write(tmp, "base-1.tmp", [_header(1, 0)])
-    report = run_case("stale generation + tmp", stale_gen, False, True)
-    c.check("stale generation: flagged as stale",
-            any("stale" in w for w in report.warnings))
-    c.check("tmp leftover: flagged",
-            any("scratch" in w for w in report.warnings))
+        _write(tmp, "tail-1-2.log", [_header(1, 1), _data("c")])
+    run_case("header segment mismatch", wrong_segment_header, True,
+             False)
+
+    # What the store refuses to open is an error, named.
+    for stray in ("base-2.log", "base-1.tmp", "tail-2-1.log",
+                  "tail-1-01.log", "tail-1-18446744073709551617.log"):
+        def refused(tmp, stray=stray):
+            _good_store(tmp)
+            _write(tmp, stray, [_header(1, 1), _data("a")])
+        report = run_case(f"stray {stray}", refused, True, False)
+        c.check(f"stray {stray}: named as refused",
+                any(e.startswith(stray) and "refuses" in e
+                    for e in report.errors))
 
     def clean_lies(tmp):
         _good_store(tmp)
         _write(tmp, "CLEAN", [
-            frame_line({"clean_shutdown": {"generation": 2,
+            frame_line({"clean_shutdown": {"generation": 1,
                                            "records": 99}})])
     run_case("CLEAN record-count mismatch", clean_lies, True, False)
+
+    def clean_generation(tmp):
+        _good_store(tmp)
+        _write(tmp, "CLEAN", [
+            frame_line({"clean_shutdown": {"generation": 2,
+                                           "records": 3}})])
+    run_case("CLEAN generation mismatch", clean_generation, True, False)
 
     def empty(tmp):
         pass
@@ -490,7 +444,7 @@ def self_test():
                 strict_code == 1 and strict_rows[-1]["ok"] is False
                 and strict_rows[-1]["strict"] is True)
     with tempfile.TemporaryDirectory() as tmp:
-        bad_commit(tmp)
+        corrupt(tmp)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = run_fsck(tmp, strict=False, json_out=True)

@@ -192,8 +192,7 @@ def check_store_open(record, where, errors):
     if not isinstance(store, dict):
         errors.append(f"{where}: store_open needs a 'store' object")
         return
-    for key in ("records", "generation", "segments_loaded",
-                "corrupt_frames"):
+    for key in ("records", "segments_loaded", "corrupt_frames"):
         if not is_uint(store.get(key)):
             errors.append(f"{where}: store_open store.{key} must be a "
                           f"non-negative integer")
@@ -249,11 +248,9 @@ def self_test():
         return stats
 
     def store():
-        return {"records": 2, "generation": 1, "segments_loaded": 1,
-                "corrupt_frames": 0, "duplicate_puts": 0,
-                "append_attempts": 2, "compactions": 0,
-                "stale_generations_removed": 0, "torn_tail": False,
-                "recovered": False}
+        return {"records": 2, "segments_loaded": 1, "corrupt_frames": 0,
+                "duplicate_puts": 0, "append_attempts": 2,
+                "torn_tail": False, "recovered": False}
 
     def metrics(seq, elapsed, final=False, **overrides):
         record = {"schema_version": 1, "record": "metrics",

@@ -207,8 +207,9 @@ main(int argc, char **argv)
         results.push_back(r);
     }
 
-    // Stage: the live architectural executor alone (the correct-path
-    // generator every live run steps once per instruction).
+    // Stage: the live architectural executor alone, stepped through
+    // next() (live runs and the recorder take its block bodies in
+    // bulk and step only the terminators).
     {
         StageResult r{"executor_step", "instructions", budget, 0.0};
         r.seconds = measure(repeats, stat, [&] {

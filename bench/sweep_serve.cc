@@ -176,8 +176,11 @@ main(int argc, char **argv)
                                   final);
                           })) {
             // The first record in the file is the open-time recovery
-            // summary, so any log starts with what the store found.
+            // summary, so any log starts with what the store found;
+            // a seq-0 snapshot follows at once, so even a daemon that
+            // dies before its first interval leaves a metrics record.
             flusher.emitRecord(store.openSummaryRecord());
+            flusher.flush();
         }
     }
 

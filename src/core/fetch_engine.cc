@@ -544,8 +544,9 @@ FetchEngine::runLoop(Source &source)
     uint64_t next_watchdog =
         watchdog_armed ? kWatchdogPollInterval : UINT64_MAX;
 
-    // Source is final (runWith asserts it), so next() is statically
-    // bound; the analyzer flags it because it matches the name only.
+    // Source is final (runWith asserts it), so next() and
+    // takePlainRun() are statically bound; the analyzer flags them
+    // because it matches the name only.
     // SPECFETCH-ALLOW(loop-virtual): final source, name match only
     while (retired_warmup < warmup && source.next(inst)) {
         fetchOne<P, PF>(inst);
@@ -595,45 +596,26 @@ FetchEngine::runLoop(Source &source)
         uint64_t room = budget - stats.instructions;
         if (room == 0)
             break;
-        // Snapshot replay exposes its plain runs in bulk; burn them
-        // through the arithmetic-only fast path instead of one
-        // virtual-dispatch + decode round-trip per instruction.
-        if constexpr (requires(Addr &a) { source.takePlainRun(a, 1u); }) {
-            Addr run_pc;
-            // Cap the batch at the next epoch boundary so the sampler
-            // snapshots at exact retired-instruction counts; with
-            // sampling off the cap is UINT64_MAX and never binds.
-            uint64_t cap = std::min<uint64_t>(room, UINT32_MAX);
-            cap = std::min(cap, next_sample - stats.instructions);
-            cap = std::min(cap, next_adaptive - stats.instructions);
-            uint32_t batch = static_cast<uint32_t>(cap);
-            uint32_t got = source.takePlainRun(run_pc, batch);
-            if (got > 0) {
-                fetchPlainRun<P, PF>(run_pc, got);
-                if (stats.instructions >= next_sample) {
-                    syncStats();
-                    sampler->onBoundary(stats);
-                    next_sample += sampler->interval();
-                }
-                if (stats.instructions >= next_adaptive) {
-                    onAdaptiveBoundary();
-                    next_adaptive += config.adaptiveInterval;
-                }
-                if (stats.instructions >= next_audit) {
-                    runAudit(false);
-                    next_audit += audit_step;
-                }
-                if (stats.instructions >= next_watchdog) {
-                    Watchdog::poll(retired_warmup + stats.instructions);
-                    next_watchdog += kWatchdogPollInterval;
-                }
-                continue;
-            }
-        }
+        // Both sources hand out plain runs in bulk (a snapshot's RLE
+        // run, the executor's block body); burn them through the
+        // arithmetic-only fast path. Cap each batch at the next epoch
+        // boundary so the sampler and the adaptive decision point see
+        // exact retired-instruction counts; with both off the caps are
+        // UINT64_MAX and never bind.
+        uint64_t cap = std::min<uint64_t>(room, UINT32_MAX);
+        cap = std::min(cap, next_sample - stats.instructions);
+        cap = std::min(cap, next_adaptive - stats.instructions);
+        Addr run_pc;
         // SPECFETCH-ALLOW(loop-virtual): final source, name match only
-        if (!source.next(inst))
-            break;
-        fetchOne<P, PF>(inst);
+        uint32_t got = source.takePlainRun(run_pc, static_cast<uint32_t>(cap));
+        if (got > 0) {
+            fetchPlainRun<P, PF>(run_pc, got);
+        } else {
+            // SPECFETCH-ALLOW(loop-virtual): final source, name match only
+            if (!source.next(inst))
+                break;
+            fetchOne<P, PF>(inst);
+        }
         if (stats.instructions >= next_sample) {
             syncStats();
             sampler->onBoundary(stats);
@@ -681,8 +663,8 @@ SimResults
 FetchEngine::runWith(Source &source)
 {
     static_assert(std::is_final_v<Source>,
-                  "runWith needs a final source so next() binds "
-                  "statically");
+                  "runWith needs a final source so next() and "
+                  "takePlainRun() bind statically");
     // Resolve the policy and prefetch slots once, here, and enter a
     // runLoop instantiation where both are compile-time constants.
     // The prefetch unit's kind never changes mid-run, so PF is always

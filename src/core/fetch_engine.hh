@@ -174,12 +174,13 @@ class FetchEngine
 
     /**
      * Issue @p count contiguous correct-path plain instructions
-     * starting at @p pc (the replay fast path). Equivalent to count
-     * fetchOne() calls on plain instructions: the run is grouped into
-     * per-line probe batches — one tag probe per cache line crossed,
-     * then one add per batch for the retired-instruction count and
-     * the slot clock (plains charge no penalties and never read the
-     * predictor). DESIGN.md §14 states the batching invariants.
+     * starting at @p pc (the plain fast path both sources feed).
+     * Equivalent to count fetchOne() calls on plain instructions: the
+     * run is grouped into per-line probe batches — one tag probe per
+     * cache line crossed, then one add per batch for the
+     * retired-instruction count and the slot clock (plains charge no
+     * penalties and never read the predictor). DESIGN.md §14 states
+     * the batching invariants.
      */
     template <int P, int PF>
     void fetchPlainRun(Addr pc, uint32_t count);

@@ -68,6 +68,14 @@ MetricsFlusher::emitRecord(const JsonValue &record)
 }
 
 void
+MetricsFlusher::flush()
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    if (running)
+        flushLocked(/*final=*/false);
+}
+
+void
 MetricsFlusher::end()
 {
     {

@@ -58,6 +58,11 @@ class MetricsFlusher
      *  through the same stream). No-op when disabled. */
     void emitRecord(const JsonValue &record);
 
+    /** Write one record now, as the heartbeat would, so the file
+     *  holds a snapshot before the first interval elapses. No-op when
+     *  disabled. */
+    void flush();
+
     /** Stop the heartbeat, write the final record, close the file.
      *  Safe to call twice or without begin(). */
     void end();

@@ -209,7 +209,9 @@ ResultStore::~ResultStore()
 {
     // Deliberately no clean-shutdown marker: destruction without
     // close() is indistinguishable from a crash, which is exactly what
-    // crash tests (and crashed services) need.
+    // crash tests (and crashed services) need — and a crash writes no
+    // fence after a partial frame either.
+    dirty = false;
     closeTail();
     unlockDirectory();
 }
@@ -446,28 +448,33 @@ ResultStore::get(const std::string &key, JsonValue &record) const
 }
 
 bool
-ResultStore::writeFrame(std::FILE *file, const std::string &line,
-                        bool withNewline)
+ResultStore::fenceTail()
 {
-    if (dirty) {
-        // Terminate the partial line a failed write left behind so the
-        // next frame starts clean (the loader quarantines the stub).
-        if (std::fputc('\n', file) == EOF)
+    // Terminate the partial line a failed write left behind so the
+    // next frame starts clean (the loader quarantines the stub).
+    if (std::fputc('\n', tail) == EOF)
+        return false;
+    {
+        LatencyTimer timer(fsyncLatency);
+        if (std::fflush(tail) != 0 || fsync(fileno(tail)) != 0)
             return false;
-        {
-            LatencyTimer timer(fsyncLatency);
-            if (std::fflush(file) != 0 || fsync(fileno(file)) != 0)
-                return false;
-        }
-        dirty = false;
-        tailBytes += 1;
     }
+    dirty = false;
+    tailBytes += 1;
+    return true;
+}
+
+bool
+ResultStore::writeFrame(const std::string &line, bool withNewline)
+{
+    if (dirty && !fenceTail())
+        return false;
     std::string text = withNewline ? line + "\n" : line;
-    size_t wrote = std::fwrite(text.data(), 1, text.size(), file);
+    size_t wrote = std::fwrite(text.data(), 1, text.size(), tail);
     bool ok = wrote == text.size();
     if (ok) {
         LatencyTimer timer(fsyncLatency);
-        ok = std::fflush(file) == 0 && fsync(fileno(file)) == 0;
+        ok = std::fflush(tail) == 0 && fsync(fileno(tail)) == 0;
     }
     tailBytes += wrote;
     if (tailBytesGauge)
@@ -496,7 +503,7 @@ ResultStore::ensureTail(std::string *error)
     tailBytes = 0;
     dirty = false;
     ++nextTailIndex;
-    if (!writeFrame(tail, headerFrame(nextTailIndex - 1), true)) {
+    if (!writeFrame(headerFrame(nextTailIndex - 1), true)) {
         if (error)
             *error = "cannot write segment header of " + path;
         closeTail();
@@ -512,6 +519,10 @@ ResultStore::closeTail()
 {
     if (!tail)
         return;
+    // A rotation or close() right after a short write must not leave
+    // an older segment ending in the unterminated stub.
+    if (dirty)
+        fenceTail();
     std::fclose(tail);
     tail = nullptr;
     tailName.clear();
@@ -550,7 +561,7 @@ ResultStore::put(const std::string &key, const JsonValue &record,
     if (injector && injector->fires(FaultKind::ShortWrite, ordinal)) {
         // Persist a prefix cut mid-JSON, then fail: the torn frame is
         // on disk, the process survives, the next put resyncs.
-        writeFrame(tail, line.substr(0, 10 + line.size() / 2), false);
+        writeFrame(line.substr(0, 10 + line.size() / 2), false);
         dirty = true;
         warn("result store: injected short write on put %llu",
              static_cast<unsigned long long>(ordinal));
@@ -559,12 +570,12 @@ ResultStore::put(const std::string &key, const JsonValue &record,
         return false;
     }
     if (injector && injector->fires(FaultKind::Tear, ordinal)) {
-        writeFrame(tail, line.substr(0, 10 + line.size() / 2), false);
+        writeFrame(line.substr(0, 10 + line.size() / 2), false);
         warn("injected fault: tearing the store at put %llu",
              static_cast<unsigned long long>(ordinal));
         std::_Exit(kCrashExitCode);
     }
-    if (!writeFrame(tail, line, true)) {
+    if (!writeFrame(line, true)) {
         dirty = true;
         if (error)
             *error = "append to " + tailName + " failed: " +

@@ -169,8 +169,9 @@ class ResultStore
     void unlockDirectory();
     bool ensureTail(std::string *error);
     void closeTail();
-    bool writeFrame(std::FILE *file, const std::string &line,
-                    bool withNewline);
+    /** Write the newline (and fsync) that ends a partial frame. */
+    bool fenceTail();
+    bool writeFrame(const std::string &line, bool withNewline);
     void quarantineFrame(const std::string &file, size_t lineNumber,
                          const std::string &reason, const std::string &raw);
     void loadSegment(const std::string &name, uint64_t segment,

@@ -1,5 +1,6 @@
 #include "trace/snapshot.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/checksum.hh"
@@ -44,40 +45,53 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
     snap.recs.reserve(static_cast<size_t>(length / 4 + 1));
 
     DynInst inst;
-    uint64_t plain_run = 0;
+    uint32_t plain_run = 0;     // plains since the last record
     Addr expected = 0;
-    while (snap.count < length && source.next(inst)) {
+    while (snap.count < length) {
+        // Take plains in bulk where the source offers them, capped so
+        // that a run reaching max_plain_run closes a run-only chunk.
+        Addr pc = 0;
+        uint32_t plains = source.takePlainRun(
+            pc, static_cast<uint32_t>(std::min<uint64_t>(
+                    length - snap.count, max_plain_run - plain_run)));
+        if (plains == 0) {
+            if (!source.next(inst))
+                break;
+            pc = inst.pc;
+            plains = inst.cls == InstClass::Plain ? 1 : 0;
+        }
+        // One continuity check per run or control instruction.
         if (snap.count == 0) {
-            snap.start = inst.pc;
+            snap.start = pc;
         } else {
-            panic_if(inst.pc != expected,
+            panic_if(pc != expected,
                      "snapshot source is not path-continuous at "
                      "instruction %llu: pc %llx, expected %llx",
                      static_cast<unsigned long long>(snap.count),
-                     static_cast<unsigned long long>(inst.pc),
+                     static_cast<unsigned long long>(pc),
                      static_cast<unsigned long long>(expected));
         }
-        expected = inst.nextPc();
-        ++snap.count;
 
-        if (inst.cls == InstClass::Plain) {
-            if (++plain_run == max_plain_run) {
+        if (plains > 0) {
+            snap.count += plains;
+            expected = pc + static_cast<Addr>(plains) * kInstBytes;
+            plain_run += plains;
+            if (plain_run == max_plain_run) {
                 snap.recs.push_back(
                     ControlRecord{0, max_plain_run, kRunOnly, 0, 0});
                 plain_run = 0;
             }
         } else {
+            ++snap.count;
+            expected = inst.nextPc();
             snap.recs.push_back(ControlRecord{
-                inst.target, static_cast<uint32_t>(plain_run),
-                static_cast<uint8_t>(inst.cls),
+                inst.target, plain_run, static_cast<uint8_t>(inst.cls),
                 static_cast<uint8_t>(inst.taken ? 1 : 0), 0});
             plain_run = 0;
         }
     }
-    if (plain_run > 0) {
-        snap.recs.push_back(ControlRecord{
-            0, static_cast<uint32_t>(plain_run), kRunOnly, 0, 0});
-    }
+    if (plain_run > 0)
+        snap.recs.push_back(ControlRecord{0, plain_run, kRunOnly, 0, 0});
     snap.recs.shrink_to_fit();
     snap.hash = snap.computeHash();
     return snap;

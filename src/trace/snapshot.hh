@@ -176,9 +176,9 @@ class TraceSnapshot
 
 /**
  * Replay cursor over a TraceSnapshot. The class is final and next()
- * is defined inline so FetchEngine::runWith<SnapshotReplaySource>
- * statically binds and inlines the per-instruction source step — the
- * replay fast path is a decrement, three stores and an add.
+ * and takePlainRun() are defined inline so
+ * FetchEngine::runWith<SnapshotReplaySource> statically binds and
+ * inlines the source step.
  *
  * Unlike the live executor (which never exhausts), a replay source
  * ends with its snapshot; record at least the longest consumer's
@@ -196,17 +196,13 @@ class SnapshotReplaySource final : public InstructionSource
     }
 
     /**
-     * Bulk variant of next() for the engine's plain fast path:
-     * consume up to @p max instructions of the pending plain run in
-     * one call. Returns the count consumed (0 when the next record is
-     * a control instruction or the snapshot is exhausted) and the PC
-     * of the first consumed instruction in @p pc_out; the run is
-     * contiguous from there at kInstBytes stride. Interleaves freely
-     * with next() — consuming the same stream either way yields the
-     * same instructions.
+     * Consume up to @p max instructions of the current record's
+     * pending plain run. Returns 0 once that run is drained, even
+     * when a run-only record follows: next() steps past the record
+     * boundary.
      */
     uint32_t
-    takePlainRun(Addr &pc_out, uint32_t max)
+    takePlainRun(Addr &pc_out, uint32_t max) override
     {
         uint32_t n = plainLeft < max ? plainLeft : max;
         pc_out = pc;

@@ -149,6 +149,27 @@ Executor::next(DynInst &out)
     return true;
 }
 
+uint32_t
+Executor::takePlainRun(Addr &pc_out, uint32_t max)
+{
+    const BasicBlock &block = cfg.blocks[curBlock];
+    uint32_t left = block.bodyLen - instInBlock;
+    uint32_t n = left < max ? left : max;
+    if (n == 0)
+        return 0;
+
+    if (instInBlock == 0)
+        ++visits[curBlock];
+    instructions += n;
+    pc_out = block.startAddr + static_cast<Addr>(instInBlock) * kInstBytes;
+    instInBlock += n;
+    if (instInBlock == block.bodyLen && block.term == TermKind::FallThrough) {
+        curBlock = block.id + 1;
+        instInBlock = 0;
+    }
+    return n;
+}
+
 double
 Executor::branchFraction() const
 {

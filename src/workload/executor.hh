@@ -41,11 +41,24 @@ class InstructionSource
      *         is; trace replay and test scripts are).
      */
     virtual bool next(DynInst &out) = 0;
+
+    /**
+     * Bulk next() for plains: consume up to max (> 0) of the plains
+     * that come next and return the count, the first one's PC in
+     * pc_out (the rest follow at kInstBytes stride). 0 means no run
+     * is ready — always, in this default — and next() yields the
+     * following instruction. Interleaves freely with next().
+     */
+    virtual uint32_t takePlainRun(Addr & /*pc_out*/, uint32_t /*max*/)
+    {
+        return 0;
+    }
 };
 
 /**
  * CFG interpreter. Final so the engine's typed run loop
- * (FetchEngine::runWith) can statically bind next().
+ * (FetchEngine::runWith) can statically bind next() and
+ * takePlainRun().
  */
 class Executor final : public InstructionSource
 {
@@ -59,6 +72,15 @@ class Executor final : public InstructionSource
 
     /** Always returns true: the synthetic program runs forever. */
     bool next(DynInst &out) override;
+
+    /**
+     * Hand out the rest of the current block's body (at most @p max
+     * plains). Counts exactly as the same number of next() calls
+     * would: a block's entry visit, the emitted instructions, and the
+     * hop past a fall-through block's end — so one call never spans
+     * two blocks. Returns 0 when the block's terminator is next.
+     */
+    uint32_t takePlainRun(Addr &pc_out, uint32_t max) override;
 
     /** @name Dynamic-mix statistics @{ */
     Counter instructions;       ///< everything emitted

@@ -2,17 +2,17 @@
  * @file
  * Batched-vs-scalar bit-exactness properties (DESIGN.md §14).
  *
- * The replay fast path consumes whole RLE plain runs via
- * SnapshotReplaySource::takePlainRun and retires them in per-line
- * probe batches. The contract is that this is *unobservable*: every
- * counter, penalty slot, epoch record, heatmap bucket and adaptive
- * choice must be bit-identical to the instruction-at-a-time path.
- * The scalar reference is the live Executor on the snapshot's seed:
- * it offers no takePlainRun, so the engine's run loop takes one
- * next() and one fetchOne per instruction. Scripted programs have no
- * executor; for them the reference is the same script recorded with
- * max_plain_run = 1, which SingleInstructionRuns ties to the live
- * scalar path.
+ * Both sources hand the engine's run loop whole plain runs through
+ * takePlainRun — a snapshot its RLE runs, the live Executor its block
+ * bodies — and the engine retires them in per-line probe batches. The
+ * contract is that this is *unobservable*: every counter, penalty
+ * slot, epoch record, heatmap bucket and adaptive choice must be
+ * bit-identical to the instruction-at-a-time path. The scalar
+ * reference is the same stream recorded with max_plain_run = 1: every
+ * plain is its own run record, so no batch is longer than one
+ * instruction, and most plains reach fetchOne through next() (the
+ * first plain after each control instruction is a one-instruction
+ * batch). Scripted programs take the same reference.
  */
 
 #include <gtest/gtest.h>
@@ -40,10 +40,10 @@ constexpr FetchPolicy kPolicies[] = {
     FetchPolicy::Pessimistic, FetchPolicy::Decode,
 };
 
-/** Replay @p snap through the batched (takePlainRun) fast path. */
+/** Replay @p snap through the engine's run loop. */
 SimResults
-runBatched(const ProgramImage &image, const SimConfig &config,
-           const TraceSnapshot &snap, RunObservations *obs = nullptr)
+runReplay(const ProgramImage &image, const SimConfig &config,
+          const TraceSnapshot &snap, RunObservations *obs = nullptr)
 {
     SnapshotReplaySource source(snap);
     FetchEngine engine(config, image);
@@ -53,14 +53,10 @@ runBatched(const ProgramImage &image, const SimConfig &config,
     return results;
 }
 
-/**
- * Run @p w live, one instruction at a time: the executor offers no
- * takePlainRun, so this exercises exactly the scalar fetchOne path
- * over the stream recordSnapshot() captures.
- */
+/** Run @p w live: the executor hands out its block bodies. */
 SimResults
-runScalar(const Workload &w, const SimConfig &config,
-          RunObservations *obs = nullptr)
+runLive(const Workload &w, const SimConfig &config,
+        RunObservations *obs = nullptr)
 {
     Executor executor(w.cfg, kSeed);
     FetchEngine engine(config, w.image);
@@ -76,6 +72,13 @@ recordSnapshot(const Workload &w, uint64_t length,
 {
     Executor recorder(w.cfg, kSeed);
     return TraceSnapshot::record(recorder, length, max_plain_run);
+}
+
+/** The scalar reference stream of @p w (see the file comment). */
+TraceSnapshot
+scalarSnapshot(const Workload &w)
+{
+    return recordSnapshot(w, kBudget, /*max_plain_run=*/1);
 }
 
 void
@@ -143,6 +146,7 @@ TEST(BatchedScalar, AllBenchmarksAllPoliciesAllPrefetch)
     for (const std::string &name : benchmarkNames()) {
         const Workload &w = *sharedWorkload(name);
         TraceSnapshot snap = recordSnapshot(w, kBudget);
+        TraceSnapshot single = scalarSnapshot(w);
         for (FetchPolicy policy : kPolicies) {
             for (bool prefetch : {false, true}) {
                 SimConfig config;
@@ -150,8 +154,8 @@ TEST(BatchedScalar, AllBenchmarksAllPoliciesAllPrefetch)
                 config.instructionBudget = kBudget;
                 config.prefetchKind = prefetch ? PrefetchKind::NextLine
                                                : PrefetchKind::None;
-                SimResults batched = runBatched(w.image, config, snap);
-                SimResults scalar = runScalar(w, config);
+                SimResults batched = runReplay(w.image, config, snap);
+                SimResults scalar = runReplay(w.image, config, single);
                 EXPECT_EQ(batched, scalar)
                     << name << " " << toString(policy)
                     << (prefetch ? " +prefetch" : "");
@@ -178,8 +182,9 @@ TEST(BatchedScalar, SamplerEpochsAndHeatmapIdentical)
         config.setHeatmap = true;
 
         RunObservations obs_b, obs_s;
-        SimResults batched = runBatched(w.image, config, snap, &obs_b);
-        SimResults scalar = runScalar(w, config, &obs_s);
+        SimResults batched = runReplay(w.image, config, snap, &obs_b);
+        SimResults scalar =
+            runReplay(w.image, config, scalarSnapshot(w), &obs_s);
         EXPECT_EQ(batched, scalar) << name;
         expectEpochsEqual(obs_b.epochs, obs_s.epochs);
         expectHeatmapsEqual(obs_b.heatmap.get(), obs_s.heatmap.get());
@@ -206,8 +211,9 @@ TEST(BatchedScalar, AdaptiveSelectionIdentical)
             config.adaptiveInterval = 2'500;
 
             RunObservations obs_b, obs_s;
-            SimResults batched = runBatched(w.image, config, snap, &obs_b);
-            SimResults scalar = runScalar(w, config, &obs_s);
+            SimResults batched = runReplay(w.image, config, snap, &obs_b);
+            SimResults scalar =
+                runReplay(w.image, config, scalarSnapshot(w), &obs_s);
             EXPECT_EQ(batched, scalar) << name;
             expectAdaptiveEqual(obs_b.adaptive, obs_s.adaptive);
         }
@@ -217,7 +223,8 @@ TEST(BatchedScalar, AdaptiveSelectionIdentical)
 /**
  * Paranoid checking audits every checkpointInterval instructions; the
  * batch cap must present the auditor with the same mid-run state the
- * scalar path would (a violated invariant panics the run).
+ * scalar path would (a violated invariant panics the run). Paranoid
+ * sweeps run live, so the live run is held to the reference too.
  */
 TEST(BatchedScalar, ParanoidAuditedRunsIdentical)
 {
@@ -232,34 +239,76 @@ TEST(BatchedScalar, ParanoidAuditedRunsIdentical)
         config.checkLevel = CheckLevel::Paranoid;
         config.checkpointInterval = 2'000;
 
-        SimResults batched = runBatched(w.image, config, snap);
-        SimResults scalar = runScalar(w, config);
+        SimResults batched = runReplay(w.image, config, snap);
+        SimResults scalar = runReplay(w.image, config, scalarSnapshot(w));
         EXPECT_EQ(batched, scalar) << name;
+        EXPECT_EQ(runLive(w, config), scalar) << name;
     }
 }
 
 /**
- * Degenerate runs: a snapshot recorded with max_plain_run = 1 turns
- * every plain into its own single-instruction run record. The batch
- * path must survive a stream of length-1 batches and still match
- * both the live scalar path and the unchunked snapshot. This ties the
- * scripted tests' reference (a max_plain_run = 1 recording) to the
- * scalar path.
+ * Degenerate runs: the reference's stream of length-1 batches (a
+ * max_plain_run = 1 recording) must match whole runs, runs chunked
+ * every 7 plains, and the live executor's block bodies.
  */
 TEST(BatchedScalar, SingleInstructionRuns)
 {
     const Workload &w = *sharedWorkload("gcc");
     TraceSnapshot whole = recordSnapshot(w, kBudget);
-    TraceSnapshot chunked = recordSnapshot(w, kBudget, /*max_plain_run=*/1);
+    TraceSnapshot chunked = recordSnapshot(w, kBudget, /*max_plain_run=*/7);
     SimConfig config;
     config.policy = FetchPolicy::Resume;
     config.instructionBudget = kBudget;
 
-    SimResults batched_whole = runBatched(w.image, config, whole);
-    SimResults batched_chunked = runBatched(w.image, config, chunked);
-    SimResults scalar = runScalar(w, config);
-    EXPECT_EQ(batched_whole, scalar);
-    EXPECT_EQ(batched_chunked, scalar);
+    SimResults scalar = runReplay(w.image, config, scalarSnapshot(w));
+    EXPECT_EQ(runReplay(w.image, config, whole), scalar);
+    EXPECT_EQ(runReplay(w.image, config, chunked), scalar);
+    EXPECT_EQ(runLive(w, config), scalar);
+}
+
+/**
+ * Live batches are block bodies, split where a fall-through block
+ * hops into the next; replay batches are the RLE runs that merge
+ * them. Over the full grid, with the sampler, the heatmap and — on a
+ * second pass — adaptive selection armed, so batches are also cut at
+ * every epoch boundary, the two must agree on results, epochs,
+ * heatmaps and choices.
+ */
+TEST(BatchedScalar, LiveMatchesReplay)
+{
+    for (const std::string &name : benchmarkNames()) {
+        const Workload &w = *sharedWorkload(name);
+        TraceSnapshot snap = recordSnapshot(w, kBudget);
+        for (FetchPolicy policy : kPolicies) {
+            for (bool prefetch : {false, true}) {
+                for (SelectorKind kind :
+                     {SelectorKind::Off, SelectorKind::Bandit}) {
+                    SimConfig config;
+                    config.policy = policy;
+                    config.instructionBudget = kBudget;
+                    config.prefetchKind = prefetch ? PrefetchKind::NextLine
+                                                   : PrefetchKind::None;
+                    config.sampleInterval = 3'001;
+                    config.setHeatmap = true;
+                    config.adaptiveSelector = kind;
+                    config.adaptiveInterval = 2'500;
+
+                    SCOPED_TRACE(name + " " + toString(policy) +
+                                 (prefetch ? " +prefetch " : " ") +
+                                 toString(kind));
+                    RunObservations obs_l, obs_r;
+                    SimResults live = runLive(w, config, &obs_l);
+                    SimResults replay =
+                        runReplay(w.image, config, snap, &obs_r);
+                    EXPECT_EQ(live, replay);
+                    expectEpochsEqual(obs_l.epochs, obs_r.epochs);
+                    expectHeatmapsEqual(obs_l.heatmap.get(),
+                                        obs_r.heatmap.get());
+                    expectAdaptiveEqual(obs_l.adaptive, obs_r.adaptive);
+                }
+            }
+        }
+    }
 }
 
 /**
@@ -293,8 +342,8 @@ TEST(BatchedScalar, RunStraddlesLineSetAndWrapBoundaries)
     for (FetchPolicy policy : kPolicies) {
         config.policy = policy;
         RunObservations obs_b, obs_s;
-        SimResults batched = runBatched(script.image(), config, whole, &obs_b);
-        SimResults scalar = runBatched(script.image(), config, single, &obs_s);
+        SimResults batched = runReplay(script.image(), config, whole, &obs_b);
+        SimResults scalar = runReplay(script.image(), config, single, &obs_s);
         EXPECT_EQ(batched, scalar) << toString(policy);
         expectEpochsEqual(obs_b.epochs, obs_s.epochs);
     }
@@ -316,8 +365,8 @@ TEST(BatchedScalar, BudgetCutsBatchMidRun)
     const TraceSnapshot single = script.snapshot(/*max_plain_run=*/1);
     for (FetchPolicy policy : kPolicies) {
         config.policy = policy;
-        SimResults batched = runBatched(script.image(), config, whole);
-        SimResults scalar = runBatched(script.image(), config, single);
+        SimResults batched = runReplay(script.image(), config, whole);
+        SimResults scalar = runReplay(script.image(), config, single);
         EXPECT_EQ(batched, scalar) << toString(policy);
         EXPECT_EQ(batched.instructions, config.instructionBudget);
     }

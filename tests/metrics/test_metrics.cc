@@ -221,3 +221,41 @@ TEST(MetricsFlusherTest, WritesBuilderRecordsAndFinal)
     EXPECT_TRUE(rows[1].find("final")->asBool());
     std::remove(path.c_str());
 }
+
+TEST(MetricsFlusherTest, FlushWritesARecordBeforeTheFirstInterval)
+{
+    const std::string path = tempPath("flusher_first");
+    MetricsFlusher flusher;
+    MetricsFlusher::Options options;
+    options.filePath = path;
+    options.intervalSeconds = 3600.0; // the heartbeat never fires here
+    ASSERT_TRUE(flusher.begin(
+        options, [](uint64_t seq, double, bool final) {
+            JsonValue record = JsonValue::object();
+            record.set("record", JsonValue::string("metrics"))
+                .set("seq", JsonValue::integer(seq))
+                .set("final", JsonValue::boolean(final));
+            return record;
+        }));
+    JsonValue open = JsonValue::object();
+    open.set("record", JsonValue::string("store_open"));
+    flusher.emitRecord(open);
+    flusher.flush();
+
+    // Read before end(): what a process killed here would leave.
+    std::ifstream in(path);
+    std::vector<JsonValue> rows;
+    std::string line;
+    while (std::getline(in, line)) {
+        JsonValue row;
+        ASSERT_TRUE(JsonValue::parse(line, row, nullptr)) << line;
+        rows.push_back(std::move(row));
+    }
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].find("record")->asString(), "store_open");
+    EXPECT_EQ(rows[1].find("record")->asString(), "metrics");
+    EXPECT_EQ(rows[1].find("seq")->asUint(), 0u);
+    EXPECT_FALSE(rows[1].find("final")->asBool());
+    flusher.end();
+    std::remove(path.c_str());
+}

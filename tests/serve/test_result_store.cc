@@ -388,6 +388,63 @@ TEST_F(ResultStoreTest, InjectedShortWriteResyncs)
     EXPECT_TRUE(reopened.close());
 }
 
+TEST_F(ResultStoreTest, ShortWriteBeforeRotationOrCloseIsFenced)
+{
+    // Put a, short-write b, then put c (unless the store closes right
+    // after the short write) and reopen; returns the quarantine row.
+    auto scenario = [&](uint64_t maxSegmentBytes, bool closeEarly) {
+        SCOPED_TRACE("maxSegmentBytes " + std::to_string(maxSegmentBytes) +
+                     (closeEarly ? ", close after the short write" : ""));
+        test::wipeDir(dir);
+        FaultInjector injector;
+        EXPECT_TRUE(FaultInjector::parse("shortwrite@1", injector));
+        ResultStore::Options opts = options(&injector);
+        opts.maxSegmentBytes = maxSegmentBytes;
+        {
+            ResultStore store;
+            EXPECT_TRUE(store.open(opts));
+            EXPECT_TRUE(store.put("a", record(1)));
+            EXPECT_FALSE(store.put("b", record(2)));
+            if (!closeEarly) {
+                EXPECT_TRUE(store.put("c", record(3)));
+            }
+            EXPECT_TRUE(store.close());
+        }
+        // The torn prefix is fenced off where it was written, even when
+        // that segment was rotated away or closed right after it.
+        for (const auto &[name, bytes] : test::readFiles(dir)) {
+            if (name.rfind("tail-", 0) == 0) {
+                EXPECT_TRUE(!bytes.empty() && bytes.back() == '\n')
+                    << name;
+            }
+        }
+        ResultStore reopened;
+        EXPECT_TRUE(reopened.open(options()));
+        const Keys served = closeEarly ? Keys{"a"} : Keys{"a", "c"};
+        EXPECT_EQ(keysOf(reopened), served);
+        EXPECT_EQ(reopened.stats().corruptFrames, 1u);
+        EXPECT_FALSE(reopened.stats().tornTail);
+        EXPECT_TRUE(reopened.close());
+        JsonValue row;
+        EXPECT_TRUE(JsonValue::parse(slurp(dir + "/" + kStoreQuarantineFile),
+                                     row, nullptr));
+        return row;
+    };
+    // The reference: the next put in the same segment fences the stub.
+    const JsonValue fencedByPut = scenario(4 * 1024 * 1024, false);
+    ASSERT_TRUE(fencedByPut.isObject());
+    // A 1-byte limit rotates before every put, so b's stub ends its
+    // segment; the other cases close right after the short write.
+    for (const auto &[maxSegmentBytes, closeEarly] :
+         {std::pair<uint64_t, bool>{1, false}, {1, true},
+          {4 * 1024 * 1024, true}}) {
+        JsonValue row = scenario(maxSegmentBytes, closeEarly);
+        ASSERT_TRUE(row.isObject());
+        EXPECT_EQ(*row.find("raw"), *fencedByPut.find("raw"));
+        EXPECT_EQ(*row.find("reason"), *fencedByPut.find("reason"));
+    }
+}
+
 // The store as the ledger of a sweep's finished runs: what each kind of
 // damage to its log leaves readable at the next open.
 using LedgerTest = ResultStoreTest;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "check/check_level.hh"
@@ -163,6 +164,43 @@ TEST(Snapshot, TakePlainRunInterleavesWithNext)
     EXPECT_FALSE(scalar.next(expected));
 }
 
+/** An Executor seen through next() alone: the recorder's step path. */
+class StepOnlySource final : public InstructionSource
+{
+  public:
+    explicit StepOnlySource(Executor &executor) : inner(executor) {}
+
+    bool next(DynInst &out) override { return inner.next(out); }
+
+  private:
+    Executor &inner;
+};
+
+/**
+ * The recorder takes the executor's block bodies in bulk; the bytes it
+ * writes must be those it writes stepping one instruction at a time,
+ * for every profile and at chunk limits that split every run, some
+ * runs, or none.
+ */
+TEST(SnapshotTest, BulkRecordMatchesStepRecord)
+{
+    const uint64_t n = 50'000;
+    for (const std::string &name : benchmarkNames()) {
+        const Workload &w = *sharedWorkload(name);
+        for (uint32_t limit : {1u, 7u, TraceSnapshot::kMaxPlainRun}) {
+            SCOPED_TRACE(name + " max_plain_run " + std::to_string(limit));
+            Executor bulk(w.cfg, 42);
+            Executor stepped(w.cfg, 42);
+            StepOnlySource step(stepped);
+            std::vector<uint8_t> bulk_bytes, step_bytes;
+            TraceSnapshot::record(bulk, n, limit).serialize(bulk_bytes);
+            TraceSnapshot::record(step, n, limit).serialize(step_bytes);
+            EXPECT_EQ(bulk_bytes, step_bytes);
+            EXPECT_EQ(bulk.blockVisits(), stepped.blockVisits());
+        }
+    }
+}
+
 TEST(SnapshotDeath, NonContinuousSourcePanics)
 {
     /** A source whose second instruction teleports. */
@@ -184,6 +222,33 @@ TEST(SnapshotDeath, NonContinuousSourcePanics)
     BrokenSource source;
     EXPECT_DEATH(TraceSnapshot::record(source, 10),
                  "not path-continuous");
+}
+
+TEST(SnapshotDeath, NonContinuousPlainRunPanics)
+{
+    /** A bulk source whose second plain run starts off the path. */
+    class BrokenRunSource : public InstructionSource
+    {
+      public:
+        bool
+        next(DynInst &) override
+        {
+            return false;
+        }
+
+        uint32_t
+        takePlainRun(Addr &pc_out, uint32_t max) override
+        {
+            pc_out = runs++ == 0 ? Addr{0x1000} : Addr{0x9000};
+            return max < 4 ? max : 4;
+        }
+
+      private:
+        int runs = 0;
+    };
+    BrokenRunSource source;
+    EXPECT_DEATH(TraceSnapshot::record(source, 10),
+                 "not path-continuous at instruction 4");
 }
 
 TEST(SnapshotDeath, ZeroPlainRunLimitPanics)

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.hh"
 #include "workload/cfg_builder.hh"
 #include "workload/layout.hh"
+#include "workload/registry.hh"
 #include "workload/workload.hh"
 
 namespace specfetch {
@@ -76,6 +78,68 @@ TEST(Executor, DeterministicForSeed)
         ASSERT_EQ(inst_a.pc, inst_b.pc);
         ASSERT_EQ(inst_a.taken, inst_b.taken);
         ASSERT_EQ(inst_a.target, inst_b.target);
+    }
+}
+
+/**
+ * takePlainRun() is next() in bulk. Per profile, random caps
+ * interleaved with single steps yield the stream next() alone
+ * yields, the same block entry counts and the same dynamic mix; a 0
+ * from takePlainRun() always means a block's terminator is next.
+ */
+TEST(ExecutorTest, TakePlainRunMatchesNext)
+{
+    constexpr uint64_t kLength = 100'000;
+    for (const std::string &name : benchmarkNames()) {
+        SCOPED_TRACE(name);
+        const Workload &w = *sharedWorkload(name);
+        Executor stepped(w.cfg, 42);
+        Executor bulk(w.cfg, 42);
+        Rng rng(7);
+        DynInst want, got;
+        uint64_t at = 0;
+        uint64_t runs = 0;
+        while (at < kLength) {
+            Addr pc = 0;
+            uint32_t cap = static_cast<uint32_t>(1 + rng.nextBelow(12));
+            bool asked = rng.nextBool(0.75);
+            uint32_t n = asked ? bulk.takePlainRun(pc, cap) : 0;
+            ASSERT_LE(n, cap);
+            for (uint32_t i = 0; i < n; ++i) {
+                ASSERT_TRUE(stepped.next(want));
+                ASSERT_EQ(want.cls, InstClass::Plain) << "at " << at + i;
+                ASSERT_EQ(want.pc, pc + Addr(i) * kInstBytes)
+                    << "at " << at + i;
+            }
+            if (n > 0) {
+                at += n;
+                ++runs;
+                continue;
+            }
+            ASSERT_TRUE(bulk.next(got));
+            ASSERT_TRUE(stepped.next(want));
+            ASSERT_EQ(got.pc, want.pc) << "at " << at;
+            ASSERT_EQ(got.cls, want.cls) << "at " << at;
+            ASSERT_EQ(got.taken, want.taken) << "at " << at;
+            ASSERT_EQ(got.target, want.target) << "at " << at;
+            if (asked) {
+                ASSERT_NE(got.cls, InstClass::Plain) << "at " << at;
+            }
+            ++at;
+        }
+        EXPECT_GT(runs, 0u);
+
+        EXPECT_EQ(bulk.blockVisits(), stepped.blockVisits());
+        EXPECT_EQ(bulk.instructions.value(), stepped.instructions.value());
+        EXPECT_EQ(bulk.controlInsts.value(), stepped.controlInsts.value());
+        EXPECT_EQ(bulk.condBranches.value(), stepped.condBranches.value());
+        EXPECT_EQ(bulk.condTaken.value(), stepped.condTaken.value());
+        EXPECT_EQ(bulk.calls.value(), stepped.calls.value());
+        EXPECT_EQ(bulk.returns.value(), stepped.returns.value());
+        EXPECT_EQ(bulk.indirectJumps.value(),
+                  stepped.indirectJumps.value());
+        EXPECT_EQ(bulk.indirectCalls.value(),
+                  stepped.indirectCalls.value());
     }
 }
 

@@ -133,7 +133,7 @@ main(int argc, char **argv)
     std::fprintf(stderr, "sweep_serve: store '%s' open: %llu records%s%s\n",
                  storeOptions.dir.c_str(),
                  static_cast<unsigned long long>(storeStats.records),
-                 storeStats.recovered ? ", recovered (no clean marker)"
+                 storeStats.recovered ? ", recovered (no valid clean marker)"
                                       : "",
                  storeStats.tornTail ? ", dropped a torn tail line" : "");
     if (storeStats.corruptFrames > 0) {

@@ -124,25 +124,6 @@ isBaseName(const std::string &name)
     return suffix == ".log" || suffix == ".tmp";
 }
 
-bool
-listDirectory(const std::string &dir, std::vector<std::string> &names,
-              std::string *error)
-{
-    DIR *handle = opendir(dir.c_str());
-    if (!handle) {
-        if (error)
-            *error = "cannot list " + dir + ": " + std::strerror(errno);
-        return false;
-    }
-    while (struct dirent *entry = readdir(handle)) {
-        std::string name = entry->d_name;
-        if (name != "." && name != "..")
-            names.push_back(std::move(name));
-    }
-    closedir(handle);
-    return true;
-}
-
 /** Make a directory entry change (create/rename/unlink) durable. */
 void
 syncDirectory(const std::string &dir)
@@ -171,18 +152,6 @@ truncateFile(const std::string &path, size_t size)
     ::close(fd);
 }
 
-bool
-readWholeFile(const std::string &path, std::string &content)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    content = buffer.str();
-    return true;
-}
-
 std::string
 headerFrame(uint64_t segment)
 {
@@ -203,7 +172,203 @@ dataFrame(const std::string &key, const JsonValue &record)
     return frameLine(payload);
 }
 
+/** Why @p marker does not vouch for segments holding @p records keys
+ *  ("" when it does). */
+std::string
+cleanMismatch(const std::string &marker, uint64_t records)
+{
+    if (marker.empty() || marker.find('\n') != marker.size() - 1)
+        return "CLEAN is not one terminated frame";
+    JsonValue payload;
+    std::string reason;
+    if (!parseFrameLine(marker.substr(0, marker.size() - 1), payload,
+                        reason))
+        return "CLEAN fails its frame check (" + reason + ")";
+    const JsonValue *clean = payload.find("clean_shutdown");
+    if (!clean || !clean->isObject())
+        return "CLEAN is not a clean_shutdown marker";
+    const JsonValue *generation = clean->find("generation");
+    if (!generation || *generation != JsonValue::integer(kGeneration)) {
+        return "CLEAN names generation " +
+               (generation ? generation->dump() : std::string("none")) +
+               ", not " + std::to_string(kGeneration);
+    }
+    const JsonValue *said = clean->find("records");
+    if (!said || *said != JsonValue::integer(records)) {
+        return "CLEAN says " + (said ? said->dump() : std::string("no")) +
+               " record(s) but the segments hold " + std::to_string(records);
+    }
+    return "";
+}
+
+/** Scan one segment into @p plan; @p newest marks the last tail, whose
+ *  torn final line is cut rather than quarantined. */
+void
+planSegment(OpenPlan &plan, const std::string &name, uint64_t segment,
+            const std::string &bytes, bool newest)
+{
+    size_t lineNumber = 0;
+    auto finding = [&](const std::string &what) {
+        plan.findings.push_back(name + ":" + std::to_string(lineNumber) +
+                                ": " + what);
+    };
+    auto quarantine = [&](const std::string &reason, const std::string &line) {
+        ++plan.stats.corruptFrames;
+        JsonValue row = JsonValue::object();
+        row.set("file", JsonValue::string(name))
+            .set("line", JsonValue::integer(lineNumber))
+            .set("reason", JsonValue::string(reason))
+            .set("raw", JsonValue::string(line.substr(0, 160)));
+        plan.quarantine.push_back(std::move(row));
+        finding("quarantining frame (" + reason + ")");
+    };
+    size_t start = 0;
+    while (start < bytes.size()) {
+        size_t lineStart = start;
+        size_t end = bytes.find('\n', start);
+        bool unterminated = end == std::string::npos;
+        std::string line = bytes.substr(
+            start, unterminated ? std::string::npos : end - start);
+        start = unterminated ? bytes.size() : end + 1;
+        ++lineNumber;
+        if (line.empty())
+            continue;
+
+        JsonValue payload;
+        std::string reason;
+        if (!parseFrameLine(line, payload, reason)) {
+            if (unterminated && newest) {
+                // The crash-mid-append signature: at most the put in
+                // flight is lost, exactly as advertised.
+                plan.stats.tornTail = true;
+                plan.cuts.emplace_back(name, lineStart);
+                finding("dropping torn tail line (" + reason + ")");
+            } else {
+                quarantine(reason, line);
+            }
+            continue;
+        }
+
+        if (const JsonValue *header = payload.find("store_header")) {
+            const JsonValue *gen =
+                header->isObject() ? header->find("generation") : nullptr;
+            const JsonValue *number =
+                header->isObject() ? header->find("segment") : nullptr;
+            if (!gen || !gen->isUint() || gen->asUint() != kGeneration ||
+                !number || !number->isUint() || number->asUint() != segment) {
+                quarantine("header names another generation/segment", line);
+            }
+            continue;
+        }
+        const JsonValue *key = payload.find("key");
+        const JsonValue *record = payload.find("record");
+        if (!key || !key->isString() || !record || !record->isObject()) {
+            quarantine("frame lacks a known shape", line);
+            continue;
+        }
+        // First write wins: records are content-addressed, so any
+        // duplicate is byte-identical anyway.
+        if (!plan.index.emplace(key->asString(), *record).second) {
+            finding("duplicate key " + key->asString() +
+                    " (the first one wins)");
+        }
+    }
+}
+
 } // namespace
+
+std::optional<StoreFiles>
+readStoreFiles(const std::string &dir, std::string *error)
+{
+    DIR *handle = opendir(dir.c_str());
+    if (!handle) {
+        if (error)
+            *error = "cannot list " + dir + ": " + std::strerror(errno);
+        return std::nullopt;
+    }
+    std::optional<StoreFiles> files(std::in_place);
+    while (struct dirent *entry = readdir(handle)) {
+        const std::string path = joinPath(dir, entry->d_name);
+        struct stat info;
+        if (stat(path.c_str(), &info) != 0 || !S_ISREG(info.st_mode))
+            continue; // ".", "..", and nothing a store writes
+        std::ifstream in(path, std::ios::binary);
+        if (!in) {
+            if (error)
+                *error = "cannot read " + path + ": " + std::strerror(errno);
+            files.reset();
+            break;
+        }
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        (*files)[entry->d_name] = bytes.str();
+    }
+    closedir(handle);
+    return files;
+}
+
+OpenPlan
+planOpen(const StoreFiles &files)
+{
+    // Refuse before planning anything: a file this build would misread
+    // is reported by name, and the directory is left as it was found.
+    auto refuse = [](const std::string &name, const std::string &why) {
+        OpenPlan refused;
+        refused.refusal = name + " " + why;
+        return refused;
+    };
+    OpenPlan plan;
+    std::map<uint64_t, std::string> tails;
+    for (const auto &entry : files) {
+        const std::string &name = entry.first;
+        uint64_t generation = 0;
+        uint64_t segment = 0;
+        if (isBaseName(name)) {
+            return refuse(name, "is a compacted base, which only an older "
+                                "build's compaction writes");
+        }
+        if (parseTailName(name, generation, segment)) {
+            std::string canonical = tailFileName(generation, segment);
+            if (name != canonical) {
+                return refuse(name, "is not a canonical segment name (it "
+                                    "would alias " + canonical + ")");
+            }
+            if (generation != kGeneration) {
+                return refuse(name, "is a segment of another generation, "
+                                    "which only an older build's "
+                                    "compaction writes");
+            }
+            tails[segment] = name;
+        } else if (name != kStoreCleanMarker &&
+                   name != kStoreQuarantineFile) {
+            plan.findings.push_back(name + ": not a store file; ignored");
+        }
+    }
+
+    for (auto it = tails.begin(); it != tails.end(); ++it) {
+        planSegment(plan, it->second, it->first, files.at(it->second),
+                    std::next(it) == tails.end());
+        plan.nextSegment = it->first + 1;
+    }
+    plan.stats.records = plan.index.size();
+    plan.stats.segmentsLoaded = tails.size();
+
+    // A missing marker makes this open a recovery scan, and so does one
+    // that disagrees with the segments: a lost segment shows as a
+    // record count the segments no longer reach.
+    auto clean = files.find(kStoreCleanMarker);
+    plan.removeClean = clean != files.end();
+    std::string mismatch;
+    if (!plan.removeClean && !tails.empty())
+        mismatch = "no clean-shutdown marker";
+    else if (plan.removeClean)
+        mismatch = cleanMismatch(clean->second, plan.stats.records);
+    if (!mismatch.empty()) {
+        plan.stats.recovered = true;
+        plan.findings.push_back(mismatch + "; running a recovery scan");
+    }
+    return plan;
+}
 
 ResultStore::~ResultStore()
 {
@@ -236,7 +401,6 @@ ResultStore::open(const Options &options, std::string *error)
     opts = options;
     index.clear();
     state = Stats{};
-    nextTailIndex = 1;
     dirty = false;
 
     if (mkdir(opts.dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -262,63 +426,48 @@ ResultStore::open(const Options &options, std::string *error)
         unlockDirectory();
         return false;
     }
-    std::vector<std::string> names;
-    if (!listDirectory(opts.dir, names, error)) {
+    std::optional<StoreFiles> files = readStoreFiles(opts.dir, error);
+    if (!files) {
         unlockDirectory();
         return false;
     }
+    OpenPlan plan = planOpen(*files);
+    if (!plan.refusal.empty()) {
+        if (error) {
+            *error = "result store " + opts.dir + ": refusing to open: " +
+                     plan.refusal;
+        }
+        unlockDirectory();
+        return false;
+    }
+    for (const std::string &finding : plan.findings)
+        warn("result store %s: %s", opts.dir.c_str(), finding.c_str());
 
-    // Refuse before touching anything: a file this build would misread
-    // is reported by name, and the directory is left as it was found.
-    std::map<uint64_t, std::string> tails;
-    bool cleanMarker = false;
-    for (const std::string &name : names) {
-        uint64_t generation = 0;
-        uint64_t segment = 0;
-        std::string refusal;
-        if (isBaseName(name)) {
-            refusal = "is a compacted base, which only an older build's "
-                      "compaction writes";
-        } else if (parseTailName(name, generation, segment)) {
-            std::string canonical = tailFileName(generation, segment);
-            if (name != canonical) {
-                refusal = "is not a canonical segment name (it would "
-                          "alias " + canonical + ")";
-            } else if (generation != kGeneration) {
-                refusal = "is a segment of another generation, which only "
-                          "an older build's compaction writes";
-            } else {
-                tails[segment] = name;
-            }
-        } else if (name == kStoreCleanMarker) {
-            cleanMarker = true;
-        }
-        if (!refusal.empty()) {
-            if (error) {
-                *error = "result store " + opts.dir +
-                         ": refusing to open: " + name + " " + refusal;
-            }
-            unlockDirectory();
-            return false;
-        }
-    }
-    state.recovered = !tails.empty() && !cleanMarker;
-    if (cleanMarker)
+    if (plan.removeClean)
         std::remove(joinPath(opts.dir, kStoreCleanMarker).c_str());
-    if (state.recovered) {
-        warn("result store %s: no clean-shutdown marker; running a "
-             "recovery scan",
-             opts.dir.c_str());
-    }
-    for (auto it = tails.begin(); it != tails.end(); ++it) {
-        loadSegment(it->second, it->first, std::next(it) == tails.end());
-        nextTailIndex = it->first + 1;
+    // Cut each stub off so it cannot become an interior frame once a
+    // newer tail exists.
+    for (const auto &[name, keep] : plan.cuts)
+        truncateFile(joinPath(opts.dir, name), keep);
+    // Nothing retires a quarantined frame, so every open skips it again:
+    // the sidecar lists exactly what this open skipped.
+    const std::string sidecar = joinPath(opts.dir, kStoreQuarantineFile);
+    if (plan.quarantine.empty()) {
+        std::remove(sidecar.c_str());
+    } else if (std::FILE *file = std::fopen(sidecar.c_str(), "wb")) {
+        for (const JsonValue &row : plan.quarantine) {
+            std::string text = row.dump() + "\n";
+            std::fwrite(text.data(), 1, text.size(), file);
+        }
+        std::fclose(file);
     }
     // The marker's removal, or a torn tail's, must not come back.
-    if (cleanMarker || state.tornTail)
+    if (plan.removeClean || !plan.cuts.empty())
         syncDirectory(opts.dir);
 
-    state.records = index.size();
+    index = std::move(plan.index);
+    state = plan.stats;
+    nextTailIndex = plan.nextSegment;
     if (opts.metrics) {
         putLatency = &opts.metrics->histogram("store.put_us");
         getLatency = &opts.metrics->histogram("store.get_us");
@@ -333,101 +482,6 @@ ResultStore::open(const Options &options, std::string *error)
     }
     opened = true;
     return true;
-}
-
-void
-ResultStore::loadSegment(const std::string &name, uint64_t segment,
-                         bool lastTail)
-{
-    std::string content;
-    std::string path = joinPath(opts.dir, name);
-    if (!readWholeFile(path, content)) {
-        warn("result store: cannot read segment %s", path.c_str());
-        return;
-    }
-    ++state.segmentsLoaded;
-
-    size_t start = 0;
-    size_t lineNumber = 0;
-    while (start < content.size()) {
-        size_t lineStart = start;
-        size_t end = content.find('\n', start);
-        bool unterminated = end == std::string::npos;
-        std::string line = content.substr(
-            start, unterminated ? std::string::npos : end - start);
-        start = unterminated ? content.size() : end + 1;
-        ++lineNumber;
-        if (line.empty())
-            continue;
-
-        JsonValue payload;
-        std::string reason;
-        if (!parseFrameLine(line, payload, reason)) {
-            if (unterminated && lastTail) {
-                // The crash-mid-append signature: at most the put in
-                // flight is lost, exactly as advertised. Cut the stub
-                // off so it cannot become an interior frame once a
-                // newer tail exists.
-                state.tornTail = true;
-                warn("result store %s: dropping torn tail line (%s)",
-                     name.c_str(), reason.c_str());
-                truncateFile(path, lineStart);
-            } else {
-                quarantineFrame(name, lineNumber, reason, line);
-            }
-            continue;
-        }
-
-        if (const JsonValue *header = payload.find("store_header")) {
-            const JsonValue *gen =
-                header->isObject() ? header->find("generation") : nullptr;
-            const JsonValue *number =
-                header->isObject() ? header->find("segment") : nullptr;
-            if (!gen || !gen->isUint() || gen->asUint() != kGeneration ||
-                !number || !number->isUint() || number->asUint() != segment) {
-                quarantineFrame(name, lineNumber,
-                                "header names another generation/segment",
-                                line);
-            }
-            continue;
-        }
-        const JsonValue *key = payload.find("key");
-        const JsonValue *record = payload.find("record");
-        if (!key || !key->isString() || !record || !record->isObject()) {
-            quarantineFrame(name, lineNumber,
-                            "frame lacks a known shape", line);
-            continue;
-        }
-        // First write wins: records are content-addressed, so any
-        // duplicate is byte-identical anyway.
-        index.emplace(key->asString(), *record);
-    }
-}
-
-void
-ResultStore::quarantineFrame(const std::string &file, size_t lineNumber,
-                             const std::string &reason,
-                             const std::string &raw)
-{
-    ++state.corruptFrames;
-    warn("result store %s:%zu: quarantining frame (%s)", file.c_str(),
-         lineNumber, reason.c_str());
-    // Each open skips the same frames again (nothing retires them), so
-    // its first one starts the sidecar afresh: it lists exactly what
-    // the latest open skipped, not one copy per restart.
-    std::FILE *sidecar =
-        std::fopen(joinPath(opts.dir, kStoreQuarantineFile).c_str(),
-                   state.corruptFrames == 1 ? "wb" : "ab");
-    if (!sidecar)
-        return;
-    JsonValue row = JsonValue::object();
-    row.set("file", JsonValue::string(file))
-        .set("line", JsonValue::integer(lineNumber))
-        .set("reason", JsonValue::string(reason))
-        .set("raw", JsonValue::string(raw.substr(0, 160)));
-    std::string text = row.dump() + "\n";
-    std::fwrite(text.data(), 1, text.size(), sidecar);
-    std::fclose(sidecar);
 }
 
 bool

@@ -13,14 +13,18 @@
  *   quarantine.jsonl   sidecar of the frames the latest open skipped
  *                      (file, line, reason, raw prefix): corruption is
  *                      preserved for forensics, never silently
- *                      discarded.
+ *                      discarded. An open that skips nothing removes it.
  *   CLEAN              clean-shutdown marker written by close() and
- *                      deleted at open; its absence means the previous
- *                      process died and this open is a recovery scan.
+ *                      deleted at open; its absence, or a marker whose
+ *                      record count disagrees with the segments, means
+ *                      this open is a recovery scan.
  *
  * Every frame is one self-checking text line (frameLine: crc32 hex +
- * space + compact JSON), so `tools/store_fsck.py` and a human with
- * `less` both understand a store. Durability rules:
+ * space + compact JSON), so a human with `less` understands a store.
+ * Recovery is stated once, in planOpen: a pure function from the
+ * directory's files to what open does with them. open() applies its
+ * plan; `store_fsck` (bench/store_fsck.cc) reports it without a lock or
+ * a write. Durability rules:
  *
  *   - put() returns only after the record is fsync'd. A crash at any
  *     instant loses at most the put in flight.
@@ -46,6 +50,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,7 +112,9 @@ class ResultStore
         uint64_t duplicatePuts = 0;  ///< puts satisfied by the index
         uint64_t appendAttempts = 0; ///< put ordinals consumed
         bool tornTail = false;       ///< open dropped a torn tail line
-        bool recovered = false;      ///< open found no CLEAN marker
+        /** Open found no CLEAN marker beside its segments, or one that
+         *  disagrees with them. */
+        bool recovered = false;
     };
 
     ResultStore() = default;
@@ -120,12 +127,13 @@ class ResultStore
     ResultStore &operator=(const ResultStore &) = delete;
 
     /**
-     * Open (or create) the store at @p options.dir, rebuilding the
-     * in-memory index by scanning segments. Returns false when the
-     * directory itself is unusable, another handle holds it open, or
-     * it holds a file the store refuses (see the file comment);
-     * corruption inside a segment is tolerated, quarantined, and
-     * reported through stats().
+     * Open (or create) the store at @p options.dir: lock it, read its
+     * files, and apply planOpen's plan (remove CLEAN, cut the torn
+     * tail, rewrite the quarantine sidecar), logging each finding.
+     * Returns false when the directory itself is unusable, another
+     * handle holds it open, or the plan is a refusal (see the file
+     * comment); corruption inside a segment is tolerated, quarantined,
+     * and reported through stats().
      */
     bool open(const Options &options, std::string *error = nullptr);
 
@@ -172,10 +180,6 @@ class ResultStore
     /** Write the newline (and fsync) that ends a partial frame. */
     bool fenceTail();
     bool writeFrame(const std::string &line, bool withNewline);
-    void quarantineFrame(const std::string &file, size_t lineNumber,
-                         const std::string &reason, const std::string &raw);
-    void loadSegment(const std::string &name, uint64_t segment,
-                     bool lastTail);
 
     mutable std::mutex mutex;
     Options opts;
@@ -200,6 +204,51 @@ class ResultStore
     MetricCounter *getMisses = nullptr;
     MetricGauge *tailBytesGauge = nullptr;
 };
+
+/** A store directory's regular files: name -> bytes. */
+using StoreFiles = std::map<std::string, std::string>;
+
+/**
+ * Every regular file of @p dir, or nullopt with an @p error naming the
+ * directory or the file that could not be read.
+ */
+std::optional<StoreFiles> readStoreFiles(const std::string &dir,
+                                         std::string *error = nullptr);
+
+/** What open() does with a store directory's files. */
+struct OpenPlan
+{
+    /** "<file> <why>" when open refuses the directory; the rest of the
+     *  plan is then empty, and open modifies nothing. */
+    std::string refusal;
+    /** The records open serves. */
+    std::map<std::string, JsonValue> index;
+    /** Torn tails to cut: (segment file, bytes kept); keeping 0 bytes
+     *  removes the file, a tail without its header frame. */
+    std::vector<std::pair<std::string, size_t>> cuts;
+    /** quarantine.jsonl rows, one per skipped frame; none removes the
+     *  sidecar. */
+    std::vector<JsonValue> quarantine;
+    /** CLEAN is present: open deletes it. */
+    bool removeClean = false;
+    /** What stats() reports after the open. */
+    ResultStore::Stats stats;
+    /** Number of the next segment the store creates. */
+    uint64_t nextSegment = 1;
+    /**
+     * One line per frame or file open repairs, skips or ignores, and
+     * per recovery scan: open's log lines, store_fsck's warnings. A
+     * store that closed cleanly has none.
+     */
+    std::vector<std::string> findings;
+};
+
+/**
+ * The one statement of store recovery: what open() would do with a
+ * directory holding @p files. Pure: it reads nothing, writes nothing
+ * and takes no lock.
+ */
+OpenPlan planOpen(const StoreFiles &files);
 
 /** Serialize store stats as metrics-record members ("records",
  *  "segments_loaded", ..., "torn_tail", "recovered"). */

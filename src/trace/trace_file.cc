@@ -65,21 +65,15 @@ writeTraceFile(const std::string &path, const ProgramImage &image,
 }
 
 TraceFile
-readTraceFile(const std::string &path)
+parseTraceFile(std::span<const uint8_t> bytes)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        corrupt("cannot open trace file '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string bytes = buffer.str();
-    const auto *data = reinterpret_cast<const uint8_t *>(bytes.data());
+    const uint8_t *data = bytes.data();
     const size_t size = bytes.size();
 
     if (size < kHeaderBytes)
-        corrupt("truncated trace header in '" + path + "'");
+        corrupt("truncated trace header");
     if (getLe(data, 4) != kTraceMagic)
-        corrupt("'" + path + "' is not a specfetch trace");
+        corrupt("not a specfetch trace");
     uint64_t version = getLe(data + 4, 4);
     if (version != kTraceVersion) {
         corrupt("trace version " + std::to_string(version) +
@@ -90,12 +84,12 @@ readTraceFile(const std::string &path)
     uint64_t count = getLe(data + 16, 8);
 
     // Each image record is at least one byte, so a count beyond the
-    // file's own size is a lie — refuse it before the allocation, or
-    // a 24-byte garbage file could demand terabytes.
+    // input's own size is a lie — refuse it before the allocation, or
+    // 24 bytes of garbage could demand terabytes.
     if (count > size - kHeaderBytes) {
         corrupt("trace image count " + std::to_string(count) +
-                " exceeds what '" + path + "' (" + std::to_string(size) +
-                " bytes) can hold");
+                " exceeds what " + std::to_string(size) +
+                " bytes can hold");
     }
     // ProgramImage panics on a misaligned base, and a misaligned
     // address anywhere would stall the wrong-path walker's line
@@ -134,8 +128,25 @@ readTraceFile(const std::string &path)
     std::string why;
     if (!TraceSnapshot::deserialize(data + offset, size - offset,
                                     trace.snapshot, &why))
-        corrupt("corrupt trace stream in '" + path + "': " + why);
+        corrupt("corrupt trace stream: " + why);
     return trace;
+}
+
+TraceFile
+readTraceFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        corrupt("cannot open trace file '" + path + "'");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string bytes = buffer.str();
+    try {
+        return parseTraceFile(
+            {reinterpret_cast<const uint8_t *>(bytes.data()), bytes.size()});
+    } catch (const TraceError &error) {
+        corrupt("'" + path + "': " + error.what());
+    }
 }
 
 } // namespace specfetch

@@ -23,6 +23,7 @@
 #define SPECFETCH_TRACE_TRACE_FILE_HH_
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -65,12 +66,18 @@ void writeTraceFile(const std::string &path, const ProgramImage &image,
                     const TraceSnapshot &snapshot);
 
 /**
- * Load a trace file. Every read is bounds-checked, the image count is
- * checked against the file size before anything is allocated, and the
- * stream goes through TraceSnapshot::deserialize (digest, then
- * validate()).
- * @throws TraceError naming the damage on an unreadable or malformed
- *         file.
+ * Parse the bytes of a trace file. Every read is bounds-checked, the
+ * image count is checked against the input size before anything is
+ * allocated, and the stream goes through TraceSnapshot::deserialize
+ * (digest, then validate()).
+ * @throws TraceError naming the damage on malformed bytes.
+ */
+TraceFile parseTraceFile(std::span<const uint8_t> bytes);
+
+/**
+ * Load a trace file: read @p path and parseTraceFile() its bytes.
+ * @throws TraceError naming @p path and the damage on an unreadable or
+ *         malformed file.
  */
 TraceFile readTraceFile(const std::string &path);
 

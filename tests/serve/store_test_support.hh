@@ -1,8 +1,8 @@
 /**
  * @file
  * Helpers shared by the result-store tests: bench_suite's grid, a
- * fixture owning a scratch store directory, and auditing a store with
- * the offline fsck (tools/store_fsck.py).
+ * fixture owning a scratch store directory, and the verdict
+ * `store_fsck --strict` gives a store.
  */
 
 #ifndef SPECFETCH_TESTS_SERVE_STORE_TEST_SUPPORT_HH_
@@ -11,18 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hh"
+#include "serve/result_store.hh"
 #include "temp_path.hh"
 #include "workload/registry.hh"
 
@@ -64,26 +60,6 @@ wipeDir(const std::string &dir)
     std::remove(dir.c_str()); // the directory, or a file in its place
 }
 
-/** The files in @p dir, name -> bytes (stores have no subdirectories). */
-inline std::map<std::string, std::string>
-readFiles(const std::string &dir)
-{
-    std::map<std::string, std::string> files;
-    if (DIR *handle = opendir(dir.c_str())) {
-        while (struct dirent *entry = readdir(handle)) {
-            std::string name = entry->d_name;
-            if (name == "." || name == "..")
-                continue;
-            std::ifstream in(dir + "/" + name, std::ios::binary);
-            std::ostringstream bytes;
-            bytes << in.rdbuf();
-            files[name] = bytes.str();
-        }
-        closedir(handle);
-    }
-    return files;
-}
-
 /** A test owning one scratch store directory, wiped before and after
  *  (a stale record would turn a test's first miss into a hit). */
 class StoreDirTest : public ::testing::Test
@@ -95,14 +71,16 @@ class StoreDirTest : public ::testing::Test
     const std::string dir = tempPath("store");
 };
 
-/** Exit status of `tools/store_fsck.py --strict` over @p dir. */
+/** Exit status of `store_fsck --strict` over @p dir: 0 when open
+ *  would find nothing to refuse or repair. */
 inline int
 strictFsck(const std::string &dir)
 {
-    std::string command = std::string("python3 ") + SPECFETCH_STORE_FSCK +
-                          " --strict '" + dir + "' > /dev/null";
-    int status = std::system(command.c_str());
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    std::optional<StoreFiles> files = readStoreFiles(dir);
+    if (!files)
+        return 1;
+    OpenPlan plan = planOpen(*files);
+    return plan.refusal.empty() && plan.findings.empty() ? 0 : 1;
 }
 
 } // namespace specfetch::test

@@ -1,10 +1,11 @@
 /**
  * @file
  * ResultStore tests (DESIGN.md §15): durability round trips, clean
- * vs. recovered opens, the one-handle directory lock, refusal of files
- * the store would misread, torn-tail and corrupt-frame handling,
- * segment rotation, injected write failures, and a SIGTERM or an
- * injected crash losing no acknowledged put.
+ * vs. recovered opens (a clean-shutdown marker that disagrees with the
+ * segments included), the one-handle directory lock, refusal of files
+ * the store would misread, torn-tail and corrupt-frame handling, the
+ * quarantine sidecar, segment rotation, injected write failures, and a
+ * SIGTERM or an injected crash losing no acknowledged put.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "fault/injector.hh"
 #include "serve/result_store.hh"
 #include "serve/store_test_support.hh"
+#include "util/logging.hh"
 
 using namespace specfetch;
 
@@ -293,7 +295,7 @@ TEST_F(ResultStoreTest, OpenRefusesCompactedOrMisnamedSegments)
             ASSERT_TRUE(store.put("key" + std::to_string(i), record(i)));
         ASSERT_TRUE(store.close());
     }
-    const auto valid = test::readFiles(dir);
+    const StoreFiles valid = readStoreFiles(dir).value();
     ASSERT_GT(valid.size(), 2u); // CLEAN plus several segments
 
     const std::pair<std::string, std::string> strays[] = {
@@ -306,13 +308,13 @@ TEST_F(ResultStoreTest, OpenRefusesCompactedOrMisnamedSegments)
     for (const auto &[stray, content] : strays) {
         SCOPED_TRACE(stray);
         spill(dir + "/" + stray, content);
-        const auto before = test::readFiles(dir);
+        const StoreFiles before = readStoreFiles(dir).value();
         ResultStore store;
         std::string error;
         EXPECT_FALSE(store.open(options(), &error));
         EXPECT_NE(error.find(stray), std::string::npos) << error;
         EXPECT_FALSE(store.isOpen());
-        EXPECT_EQ(test::readFiles(dir), before);
+        EXPECT_EQ(readStoreFiles(dir).value(), before);
 
         // The refusal released the lock: a second handle is refused for
         // the same file, not for a held directory.
@@ -322,7 +324,7 @@ TEST_F(ResultStoreTest, OpenRefusesCompactedOrMisnamedSegments)
         EXPECT_EQ(againError, error);
 
         std::remove((dir + "/" + stray).c_str());
-        ASSERT_EQ(test::readFiles(dir), valid);
+        ASSERT_EQ(readStoreFiles(dir).value(), valid);
     }
 
     ResultStore store;
@@ -412,7 +414,8 @@ TEST_F(ResultStoreTest, ShortWriteBeforeRotationOrCloseIsFenced)
         }
         // The torn prefix is fenced off where it was written, even when
         // that segment was rotated away or closed right after it.
-        for (const auto &[name, bytes] : test::readFiles(dir)) {
+        const StoreFiles files = readStoreFiles(dir).value();
+        for (const auto &[name, bytes] : files) {
             if (name.rfind("tail-", 0) == 0) {
                 EXPECT_TRUE(!bytes.empty() && bytes.back() == '\n')
                     << name;
@@ -443,6 +446,95 @@ TEST_F(ResultStoreTest, ShortWriteBeforeRotationOrCloseIsFenced)
         EXPECT_EQ(*row.find("raw"), *fencedByPut.find("raw"));
         EXPECT_EQ(*row.find("reason"), *fencedByPut.find("reason"));
     }
+}
+
+/** Records the warnings logged while alive. */
+class WarningLog : public Logger
+{
+  public:
+    WarningLog() : previous(Logger::exchange(this)) {}
+    ~WarningLog() override { Logger::exchange(previous); }
+
+    void
+    emit(Level level, const std::string &message) override
+    {
+        if (level == Level::Warn)
+            lines.push_back(message);
+        else
+            previous->emit(level, message);
+    }
+
+    std::vector<std::string> lines;
+
+  private:
+    Logger *previous;
+};
+
+TEST_F(ResultStoreTest, CleanMarkerThatDisagreesIsARecovery)
+{
+    // A lost data line leaves CLEAN vouching for a record the segments
+    // no longer hold: the marker counts as absent.
+    seed(3);
+    std::string content = slurp(tailPath());
+    size_t key1 = content.find("key1");
+    ASSERT_NE(key1, std::string::npos);
+    size_t from = content.rfind('\n', key1) + 1;
+    content.erase(from, content.find('\n', key1) + 1 - from);
+    spill(tailPath(), content);
+
+    const OpenPlan plan = planOpen(readStoreFiles(dir).value());
+    ResultStore store;
+    WarningLog log;
+    ASSERT_TRUE(store.open(options()));
+    EXPECT_TRUE(store.stats().recovered);
+    EXPECT_EQ(keysOf(store), (Keys{"key0", "key2"}));
+    ASSERT_EQ(plan.findings.size(), 1u);
+    EXPECT_NE(plan.findings[0].find("CLEAN says 3 record(s) but the "
+                                    "segments hold 2"),
+              std::string::npos)
+        << plan.findings[0];
+    // Open's log lines are exactly the plan's findings.
+    EXPECT_EQ(log.lines, (std::vector<std::string>{
+                             "result store " + dir + ": " + plan.findings[0]}));
+    EXPECT_TRUE(store.close());
+}
+
+TEST_F(ResultStoreTest, QuarantineSidecarTracksLatestOpen)
+{
+    // Put a, short-write b, put c, close: one fenced stub in the tail.
+    FaultInjector injector;
+    ASSERT_TRUE(FaultInjector::parse("shortwrite@1", injector));
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options(&injector)));
+        EXPECT_TRUE(store.put("a", record(1)));
+        EXPECT_FALSE(store.put("b", record(2)));
+        EXPECT_TRUE(store.put("c", record(3)));
+        ASSERT_TRUE(store.close());
+    }
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_EQ(store.stats().corruptFrames, 1u);
+        EXPECT_TRUE(fileExists(kStoreQuarantineFile));
+        ASSERT_TRUE(store.close());
+    }
+    // Drop the stub: the next open skips nothing, so no sidecar row may
+    // outlive it.
+    std::string content = slurp(tailPath());
+    size_t stub = content.find("\"b\"");
+    ASSERT_NE(stub, std::string::npos);
+    size_t from = content.rfind('\n', stub) + 1;
+    content.erase(from, content.find('\n', stub) + 1 - from);
+    spill(tailPath(), content);
+
+    ResultStore store;
+    ASSERT_TRUE(store.open(options()));
+    EXPECT_EQ(store.stats().corruptFrames, 0u);
+    EXPECT_FALSE(store.stats().recovered);
+    EXPECT_EQ(keysOf(store), (Keys{"a", "c"}));
+    EXPECT_FALSE(fileExists(kStoreQuarantineFile));
+    EXPECT_TRUE(store.close());
 }
 
 // The store as the ledger of a sweep's finished runs: what each kind of

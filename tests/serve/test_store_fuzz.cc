@@ -1,9 +1,11 @@
 /**
  * @file
- * Seeded mutation fuzzing of the result store's open (DESIGN.md
- * §15.1): frame parsing, torn-tail truncation, quarantine and the
- * refusal of files the store would misread. gcc-only, no fuzzing
- * engine: a fixed seed range replays the same mutants on every run.
+ * Seeded fuzzing of the result store (DESIGN.md §15.1). Mutated store
+ * directories go through planOpen in memory, and every 50th through a
+ * real open on disk: frame parsing, torn-tail truncation, quarantine
+ * and the refusal of files the store would misread. Fault-injected
+ * write histories check that every acknowledged put survives. gcc-only,
+ * no fuzzing engine: fixed seed ranges replay the same cases every run.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +14,10 @@
 
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "fault/injector.hh"
 #include "serve/result_store.hh"
 #include "serve/store_test_support.hh"
 #include "util/checksum.hh"
@@ -26,11 +28,8 @@ using namespace specfetch;
 
 namespace {
 
-/** A store directory's files: name -> bytes. */
-using Files = std::map<std::string, std::string>;
-
 void
-writeFiles(const std::string &dir, const Files &files)
+writeFiles(const std::string &dir, const StoreFiles &files)
 {
     test::wipeDir(dir);
     ASSERT_EQ(mkdir(dir.c_str(), 0755), 0) << dir;
@@ -40,15 +39,29 @@ writeFiles(const std::string &dir, const Files &files)
     }
 }
 
-/** (key, record) pairs a store serves, in key order. */
-std::vector<std::pair<std::string, std::string>>
+/** The records a store serves, in key order. */
+std::map<std::string, JsonValue>
 servedMap(const ResultStore &store)
 {
-    std::vector<std::pair<std::string, std::string>> served;
+    std::map<std::string, JsonValue> served;
     store.forEach([&](const std::string &key, const JsonValue &record) {
-        served.emplace_back(key, record.dump());
+        served.emplace(key, record);
     });
     return served;
+}
+
+/** @p files after open applied @p plan: torn tails cut, CLEAN gone. */
+StoreFiles
+applied(StoreFiles files, const OpenPlan &plan)
+{
+    for (const auto &[name, keep] : plan.cuts) {
+        if (keep == 0)
+            files.erase(name);
+        else
+            files[name].resize(keep);
+    }
+    files.erase(kStoreCleanMarker);
+    return files;
 }
 
 /** Split on '\n': n newlines make n + 1 pieces, the last unterminated. */
@@ -96,7 +109,7 @@ restamp(std::string &bytes, size_t from, size_t to)
 
 /** Names of the segment files in @p files (renamed ones included). */
 std::vector<std::string>
-segmentNames(const Files &files)
+segmentNames(const StoreFiles &files)
 {
     std::vector<std::string> names;
     for (const auto &[name, bytes] : files) {
@@ -115,7 +128,7 @@ segmentNames(const Files &files)
  * byte-level damage gets valid CRCs.
  */
 void
-mutate(Files &files, Rng &rng, bool restampCrc)
+mutate(StoreFiles &files, Rng &rng, bool restampCrc)
 {
     std::vector<std::string> segments = segmentNames(files);
     const uint64_t kind = rng.nextBelow(10);
@@ -212,14 +225,54 @@ class QuietLogger : public Logger
     Logger *previous;
 };
 
+/**
+ * Open @p mutant on disk in @p dir and require that the real open does
+ * what @p plan says: the same refusal (with the directory untouched and
+ * unlocked), or the same stats and served map, with the files left as
+ * the plan's cuts and sidecar describe.
+ */
+void
+openMatchesPlan(const std::string &dir, const StoreFiles &mutant,
+                const OpenPlan &plan)
+{
+    writeFiles(dir, mutant);
+    ResultStore::Options options;
+    options.dir = dir;
+    ResultStore store;
+    std::string error;
+    if (!store.open(options, &error)) {
+        EXPECT_EQ(error, "result store " + dir + ": refusing to open: " +
+                             plan.refusal);
+        EXPECT_EQ(readStoreFiles(dir).value(), mutant)
+            << "refusal modified the store";
+        // The refusal released the directory lock.
+        ResultStore again;
+        std::string againError;
+        EXPECT_FALSE(again.open(options, &againError));
+        EXPECT_EQ(againError, error);
+        return;
+    }
+    ASSERT_TRUE(plan.refusal.empty()) << "opened despite " << plan.refusal;
+    EXPECT_EQ(toJson(store.stats()), toJson(plan.stats));
+    EXPECT_EQ(servedMap(store), plan.index);
+    StoreFiles expected = applied(mutant, plan);
+    std::string rows;
+    for (const JsonValue &row : plan.quarantine)
+        rows += row.dump() + "\n";
+    if (!rows.empty())
+        expected[kStoreQuarantineFile] = rows;
+    EXPECT_EQ(readStoreFiles(dir).value(), expected);
+}
+
 } // namespace
 
 /**
- * Every mutant of a valid store either is refused by name with nothing
- * modified, or opens and serves every record whose frame the
- * mutations left intact; undamaged checksums never let a changed
- * record through; and what one open repaired, the next open finds
- * already repaired. No crash, no hang, nothing for the sanitizers.
+ * Every mutant of a valid store either is refused by name, or opens
+ * and serves every record whose frame the mutations left intact;
+ * undamaged checksums never let a changed record through; and what one
+ * open repairs, planning again finds repaired. Every 50th mutant also
+ * opens on disk, where the real open must do what the plan says. No
+ * crash, no hang, nothing for the sanitizers.
  */
 TEST(StoreOpenFuzz, SeededMutationsAreRefusedOrServed)
 {
@@ -252,7 +305,8 @@ TEST(StoreOpenFuzz, SeededMutationsAreRefusedOrServed)
         }
         ASSERT_TRUE(store.close());
     }
-    const Files seeded = test::readFiles(seedDir);
+    const StoreFiles seeded = readStoreFiles(seedDir).value();
+    test::wipeDir(seedDir);
     ASSERT_GE(segmentNames(seeded).size(), 3u);
 
     QuietLogger quiet;
@@ -260,36 +314,26 @@ TEST(StoreOpenFuzz, SeededMutationsAreRefusedOrServed)
     for (uint64_t seed = 1; seed <= 2'000; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed);
-        Files mutant = seeded;
+        StoreFiles mutant = seeded;
         for (uint64_t n = 1 + rng.nextBelow(4); n > 0; --n)
             mutate(mutant, rng, seed % 2 == 1);
-        writeFiles(dir, mutant);
+        const OpenPlan plan = planOpen(mutant);
+        if (seed % 50 == 0)
+            openMatchesPlan(dir, mutant, plan);
 
-        // Every name the seeded store lacks is one open() must refuse.
+        // Every name the seeded store lacks is one open must refuse.
         std::vector<std::string> strays;
         for (const auto &[name, bytes] : mutant) {
             if (!seeded.count(name))
                 strays.push_back(name);
         }
-        ResultStore::Options options;
-        options.dir = dir;
-
-        auto store = std::make_unique<ResultStore>();
-        std::string error;
-        if (!store->open(options, &error)) {
+        if (!plan.refusal.empty()) {
             ++refused;
-            ASSERT_FALSE(strays.empty()) << error;
+            ASSERT_FALSE(strays.empty()) << plan.refusal;
             bool named = false;
             for (const std::string &name : strays)
-                named = named || error.find(name) != std::string::npos;
-            EXPECT_TRUE(named) << error;
-            EXPECT_EQ(test::readFiles(dir), mutant)
-                << "refusal modified the store";
-            // The refusal released the directory lock.
-            ResultStore again;
-            std::string againError;
-            EXPECT_FALSE(again.open(options, &againError));
-            EXPECT_EQ(againError, error);
+                named = named || plan.refusal.rfind(name + " ", 0) == 0;
+            EXPECT_TRUE(named) << plan.refusal;
             continue;
         }
         ++served;
@@ -301,35 +345,125 @@ TEST(StoreOpenFuzz, SeededMutationsAreRefusedOrServed)
                 for (const std::string &line : splitLines(bytes))
                     intact = intact || line == frame;
             }
-            JsonValue record;
-            EXPECT_TRUE(!intact || store->get(key, record))
+            EXPECT_TRUE(!intact || plan.index.count(key))
                 << "untouched record " << key << " lost";
         }
         if (seed % 2 == 0) {
-            for (const auto &[key, record] : servedMap(*store)) {
+            for (const auto &[key, record] : plan.index) {
                 ASSERT_TRUE(values.count(key)) << "served " << key;
-                EXPECT_EQ(record, values[key]) << key;
+                EXPECT_EQ(record.dump(), values[key]) << key;
             }
         }
-        torn += store->stats().tornTail;
-        quarantining += store->stats().corruptFrames > 0;
+        torn += plan.stats.tornTail;
+        quarantining += plan.stats.corruptFrames > 0;
 
-        // What this open repaired, the next one finds repaired. The
-        // first handle dies without close(): a crash.
-        auto first = servedMap(*store);
-        uint64_t corrupt = store->stats().corruptFrames;
-        store = std::make_unique<ResultStore>();
-        ASSERT_TRUE(store->open(options, &error)) << error;
-        EXPECT_EQ(servedMap(*store), first);
-        EXPECT_EQ(store->stats().corruptFrames, corrupt);
-        EXPECT_FALSE(store->stats().tornTail);
+        // What this open repairs, the next one finds repaired.
+        const OpenPlan again = planOpen(applied(mutant, plan));
+        EXPECT_TRUE(again.cuts.empty());
+        EXPECT_EQ(again.quarantine, plan.quarantine);
+        EXPECT_EQ(again.index, plan.index);
     }
     test::wipeDir(dir);
-    test::wipeDir(seedDir);
 
     // Every outcome must occur, or the mutations test nothing.
     EXPECT_GT(refused, 0u);
     EXPECT_GT(served, 0u);
+    EXPECT_GT(torn, 0u);
+    EXPECT_GT(quarantining, 0u);
+}
+
+/**
+ * Seeded write histories under injected faults: 4–12 puts over a pool
+ * of six keys, with shortwrite@k and enospc@k directives, a segment
+ * limit of 1 byte, 200 bytes or 4 MiB, ending in close() or in the
+ * handle's destruction (a crash). Reopened, the store serves every
+ * acknowledged put and nothing else. Each short write is one
+ * quarantined frame, except one that was the last write before a
+ * crash, which is the torn tail. A closed history reopens with no
+ * recovery scan and no torn tail, and no history draws an fsck error.
+ */
+TEST(StoreWriteFuzz, SeededHistoriesKeepEveryAcknowledgedPut)
+{
+    const std::string dir = test::tempPath("history");
+    const uint64_t segmentLimits[] = {1, 200, 4 * 1024 * 1024};
+    QuietLogger quiet;
+    uint64_t crashes = 0, torn = 0, quarantining = 0;
+    for (uint64_t seed = 1; seed <= 48; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        test::wipeDir(dir);
+        Rng rng(seed);
+        const uint64_t puts = 4 + rng.nextBelow(9);
+        std::string spec;
+        for (uint64_t ordinal = 0; ordinal < puts; ++ordinal) {
+            if (rng.nextBool(0.3)) {
+                spec += (spec.empty() ? "" : ",") +
+                        std::string(rng.nextBool(0.5) ? "shortwrite@"
+                                                      : "enospc@") +
+                        std::to_string(ordinal);
+            }
+        }
+        SCOPED_TRACE(spec);
+        FaultInjector injector;
+        ASSERT_TRUE(FaultInjector::parse(spec, injector));
+        ResultStore::Options options;
+        options.dir = dir;
+        options.maxSegmentBytes = segmentLimits[seed % 3];
+
+        std::map<std::string, JsonValue> acknowledged;
+        uint64_t shortWrites = 0;
+        bool lastWriteShort = false;
+        const bool closes = rng.nextBool(0.5);
+        {
+            options.injector = &injector;
+            ResultStore store;
+            ASSERT_TRUE(store.open(options));
+            for (uint64_t n = 0; n < puts; ++n) {
+                const uint64_t k = rng.nextBelow(6);
+                const std::string key = "k" + std::to_string(k);
+                JsonValue record = JsonValue::object();
+                record.set("value", JsonValue::integer(k));
+                // A key already acknowledged is an index hit: no write,
+                // no put ordinal.
+                const uint64_t ordinal = store.stats().appendAttempts;
+                const bool writes = !acknowledged.count(key) &&
+                                    !injector.fires(FaultKind::Enospc,
+                                                    ordinal);
+                const bool shortWrite =
+                    writes && injector.fires(FaultKind::ShortWrite, ordinal);
+                EXPECT_EQ(store.put(key, record),
+                          acknowledged.count(key) || (writes && !shortWrite));
+                if (writes) {
+                    shortWrites += shortWrite;
+                    lastWriteShort = shortWrite;
+                    if (!shortWrite)
+                        acknowledged.emplace(key, record);
+                }
+            }
+            if (closes) {
+                ASSERT_TRUE(store.close());
+            }
+            options.injector = nullptr;
+        }
+        const bool tornTail = !closes && lastWriteShort;
+        crashes += !closes;
+        torn += tornTail;
+        quarantining += shortWrites > (tornTail ? 1u : 0u);
+
+        // fsck without --strict: open refuses nothing a history writes.
+        EXPECT_EQ(planOpen(readStoreFiles(dir).value()).refusal, "");
+        ResultStore store;
+        ASSERT_TRUE(store.open(options));
+        EXPECT_EQ(servedMap(store), acknowledged);
+        EXPECT_EQ(store.stats().corruptFrames,
+                  shortWrites - (tornTail ? 1 : 0));
+        EXPECT_EQ(store.stats().tornTail, tornTail);
+        EXPECT_TRUE(!closes || !store.stats().recovered);
+    }
+    test::wipeDir(dir);
+
+    // Every ending must occur, or the histories test nothing.
+    EXPECT_GT(crashes, 0u);
+    EXPECT_LT(crashes, 48u);
     EXPECT_GT(torn, 0u);
     EXPECT_GT(quarantining, 0u);
 }

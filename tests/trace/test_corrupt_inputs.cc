@@ -114,6 +114,19 @@ classByte(InstClass c)
     return static_cast<uint8_t>(c);
 }
 
+/** The TraceError message parsing @p bytes produces ("" when they
+ *  parse). */
+std::string
+loadError(const std::vector<uint8_t> &bytes)
+{
+    try {
+        parseTraceFile(bytes);
+    } catch (const TraceError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 class CorruptTrace : public ::testing::Test
 {
   protected:
@@ -124,31 +137,6 @@ class CorruptTrace : public ::testing::Test
     }
 
     void TearDown() override { std::remove(path.c_str()); }
-
-    void
-    spill(const std::vector<uint8_t> &bytes)
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        if (!bytes.empty()) {
-            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                      bytes.size());
-        }
-        std::fclose(f);
-    }
-
-    /** The TraceError message produced by loading @p bytes. */
-    std::string
-    loadError(const std::vector<uint8_t> &bytes)
-    {
-        spill(bytes);
-        try {
-            readTraceFile(path);
-        } catch (const TraceError &e) {
-            return e.what();
-        }
-        return "";
-    }
 
     std::string path;
 };
@@ -165,8 +153,19 @@ TEST_F(CorruptTrace, TruncatedHeaderIsNamed)
 
 TEST_F(CorruptTrace, EmptyFileIsATruncatedHeader)
 {
-    EXPECT_NE(loadError({}).find("truncated trace header"),
-              std::string::npos);
+    // Through the file reader, whose errors name the file.
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    std::string error;
+    try {
+        readTraceFile(path);
+    } catch (const TraceError &e) {
+        error = e.what();
+    }
+    EXPECT_NE(error.find("truncated trace header"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
 }
 
 TEST_F(CorruptTrace, BadMagicIsNamed)
@@ -303,11 +302,11 @@ TEST_F(CorruptTrace, MisalignedTargetIsNamed)
 }
 
 /**
- * Seeded mutation of a real trace: every mutant is either refused
- * with a TraceError or loads and replays to its budget — no crash, no
- * hang, nothing for the sanitizers. Half the seeds re-stamp the
- * stream digest so the damage reaches validate() instead of stopping
- * at the digest check.
+ * Seeded mutation of a real trace file's bytes, parsed in memory:
+ * every mutant is either refused with a TraceError or loads and
+ * replays to its budget — no crash, no hang, nothing for the
+ * sanitizers. Half the seeds re-stamp the stream digest so the damage
+ * reaches validate() instead of stopping at the digest check.
  */
 TEST_F(CorruptTrace, SeededMutationsAreRefusedOrReplayed)
 {
@@ -354,11 +353,10 @@ TEST_F(CorruptTrace, SeededMutationsAreRefusedOrReplayed)
         }
         if (seed % 2 == 0)
             restamp(bytes, stream_at);
-        spill(bytes);
 
         std::optional<TraceFile> trace;
         try {
-            trace.emplace(readTraceFile(path));
+            trace.emplace(parseTraceFile(bytes));
         } catch (const TraceError &) {
             ++refused;
             continue;

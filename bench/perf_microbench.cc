@@ -315,8 +315,8 @@ main(int argc, char **argv)
 
     // Stage (opt-in): the sweep service's hot request path — a store
     // hit answered inline from submit(). One miss pre-populates the
-    // store; the timed loop then measures pure parse + lookup +
-    // respond per request, with or without telemetry armed
+    // store; the timed loop then measures parse + lookup + building
+    // the response line per request, with or without telemetry armed
     // (--metrics), which is exactly the delta the ≤3% overhead gate
     // bounds.
     if (opts.getFlag("serve-stage")) {
@@ -354,7 +354,7 @@ main(int argc, char **argv)
             std::mutex doneMutex;
             std::condition_variable doneWake;
             uint64_t answered = 0;
-            auto responder = [&](const JsonValue &) {
+            auto responder = [&](const std::string &) {
                 std::lock_guard<std::mutex> lock(doneMutex);
                 ++answered;
                 doneWake.notify_all();

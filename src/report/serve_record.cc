@@ -1,6 +1,7 @@
 #include "report/serve_record.hh"
 
 #include "report/record.hh"
+#include "util/logging.hh"
 
 namespace specfetch {
 
@@ -44,6 +45,24 @@ makeServiceResponse(const JsonValue &id, const std::string &key,
         .set("cached", JsonValue::boolean(cached))
         .set("run", run);
     return response;
+}
+
+std::string
+makeServiceResponseLine(const JsonValue &id, const std::string &key,
+                        bool cached, std::string_view runJson)
+{
+    constexpr std::string_view kNull = "null";
+    constexpr std::string_view kTail = "\"run\":null}";
+    std::string line =
+        makeServiceResponse(id, key, cached, JsonValue::null()).dump();
+    panic_if(line.size() < kTail.size() ||
+                 line.compare(line.size() - kTail.size(), kTail.size(),
+                              kTail) != 0,
+             "service response does not end in its run member: %s",
+             line.c_str());
+    // The record replaces the null before the closing brace.
+    line.replace(line.size() - 1 - kNull.size(), kNull.size(), runJson);
+    return line;
 }
 
 JsonValue

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "report/json.hh"
 
@@ -64,6 +65,17 @@ struct ServiceError
  */
 JsonValue makeServiceResponse(const JsonValue &id, const std::string &key,
                               bool cached, const JsonValue &run);
+
+/**
+ * The wire line of that ok response (sans newline) around @p runJson,
+ * a run record's dump(): makeServiceResponse(id, key, cached, null)
+ * dumped, with the text spliced in place of the trailing null. The
+ * line equals makeServiceResponse(id, key, cached, run).dump() without
+ * parsing or copying a tree.
+ */
+std::string makeServiceResponseLine(const JsonValue &id,
+                                    const std::string &key, bool cached,
+                                    std::string_view runJson);
 
 /**
  * Build an error response. @p key may be empty (unknown — e.g. the

@@ -24,11 +24,21 @@
 
 namespace specfetch {
 
+namespace {
+
+/** "<crc32 hex> <text>": the one statement of the frame format. */
+std::string
+frameText(const std::string &text)
+{
+    return crcHex(crc32(text)) + " " + text;
+}
+
+} // namespace
+
 std::string
 frameLine(const JsonValue &payload)
 {
-    std::string text = payload.dump();
-    return crcHex(crc32(text)) + " " + text;
+    return frameText(payload.dump());
 }
 
 bool
@@ -164,12 +174,15 @@ headerFrame(uint64_t segment)
     return frameLine(payload);
 }
 
+/** frameLine of {"key":key,"record":record}, built by concatenation
+ *  from @p recordJson, the record's dump(). */
 std::string
-dataFrame(const std::string &key, const JsonValue &record)
+dataFrame(const std::string &key, std::string_view recordJson)
 {
-    JsonValue payload = JsonValue::object();
-    payload.set("key", JsonValue::string(key)).set("record", record);
-    return frameLine(payload);
+    std::string text = "{\"key\":" + JsonValue::escape(key) + ",\"record\":";
+    text.append(recordJson);
+    text.push_back('}');
+    return frameText(text);
 }
 
 /** Why @p marker does not vouch for segments holding @p records keys
@@ -267,8 +280,12 @@ planSegment(OpenPlan &plan, const std::string &name, uint64_t segment,
             continue;
         }
         // First write wins: records are content-addressed, so any
-        // duplicate is byte-identical anyway.
-        if (!plan.index.emplace(key->asString(), *record).second) {
+        // duplicate is byte-identical anyway. The index keeps the
+        // record's dump(), the text a hit serves.
+        auto [slot, inserted] = plan.index.try_emplace(key->asString());
+        if (inserted) {
+            slot->second = record->dump();
+        } else {
             finding("duplicate key " + key->asString() +
                     " (the first one wins)");
         }
@@ -485,7 +502,7 @@ ResultStore::open(const Options &options, std::string *error)
 }
 
 bool
-ResultStore::get(const std::string &key, JsonValue &record) const
+ResultStore::get(const std::string &key, std::string &recordJson) const
 {
     LatencyTimer timer(getLatency);
     std::lock_guard<std::mutex> lock(mutex);
@@ -495,10 +512,17 @@ ResultStore::get(const std::string &key, JsonValue &record) const
             getMisses->add();
         return false;
     }
-    record = it->second;
+    recordJson = it->second;
     if (getHits)
         getHits->add();
     return true;
+}
+
+bool
+ResultStore::get(const std::string &key, JsonValue &record) const
+{
+    std::string recordJson;
+    return get(key, recordJson) && JsonValue::parse(recordJson, record);
 }
 
 bool
@@ -588,6 +612,13 @@ bool
 ResultStore::put(const std::string &key, const JsonValue &record,
                  std::string *error)
 {
+    return put(key, record.dump(), error);
+}
+
+bool
+ResultStore::put(const std::string &key, std::string_view recordJson,
+                 std::string *error)
+{
     LatencyTimer timer(putLatency);
     std::lock_guard<std::mutex> lock(mutex);
     if (!opened) {
@@ -611,7 +642,7 @@ ResultStore::put(const std::string &key, const JsonValue &record,
     if (!ensureTail(error))
         return false;
 
-    std::string line = dataFrame(key, record);
+    std::string line = dataFrame(key, recordJson);
     if (injector && injector->fires(FaultKind::ShortWrite, ordinal)) {
         // Persist a prefix cut mid-JSON, then fail: the torn frame is
         // on disk, the process survives, the next put resyncs.
@@ -643,7 +674,7 @@ ResultStore::put(const std::string &key, const JsonValue &record,
              static_cast<unsigned long long>(ordinal));
         std::_Exit(kCrashExitCode);
     }
-    index.emplace(key, record);
+    index.emplace(key, recordJson);
     ++state.records;
     return true;
 }
@@ -720,7 +751,7 @@ toJson(const ResultStore::Stats &stats)
 
 void
 ResultStore::forEach(
-    const std::function<void(const std::string &, const JsonValue &)>
+    const std::function<void(const std::string &, const std::string &)>
         &visit) const
 {
     std::lock_guard<std::mutex> lock(mutex);

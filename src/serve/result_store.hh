@@ -52,6 +52,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sweep.hh"
@@ -139,15 +140,27 @@ class ResultStore
 
     bool isOpen() const { return opened; }
 
-    /** Fetch the record stored under @p key. */
+    /** Copy the compact JSON text of the record stored under @p key
+     *  into @p recordJson: the bytes a hit serves. */
+    bool get(const std::string &key, std::string &recordJson) const;
+
+    /** Fetch the record stored under @p key, parsed: an adapter over
+     *  the text get() for callers that inspect the tree. */
     bool get(const std::string &key, JsonValue &record) const;
 
     /**
-     * Durably append one record. Returns true once the record is
+     * Durably append one record given as its compact JSON text (a
+     * JsonValue::dump() of an object). The data frame is built by
+     * concatenation, so its bytes equal frameLine of
+     * {"key":key,"record":record}. Returns true once the record is
      * fsync'd (or was already present — duplicate puts are free hits).
      * Returns false with @p error when the write failed; the store
      * stays usable and the next append resyncs the segment.
      */
+    bool put(const std::string &key, std::string_view recordJson,
+             std::string *error = nullptr);
+
+    /** put() of @p record's dump(). */
     bool put(const std::string &key, const JsonValue &record,
              std::string *error = nullptr);
 
@@ -168,10 +181,11 @@ class ResultStore
      */
     JsonValue openSummaryRecord() const;
 
-    /** Visit every (key, record) pair, in key order. */
+    /** Visit every (key, record text) pair, in key order. */
     void forEach(
         const std::function<void(const std::string &key,
-                                 const JsonValue &record)> &visit) const;
+                                 const std::string &recordJson)> &visit)
+        const;
 
   private:
     void unlockDirectory();
@@ -186,7 +200,8 @@ class ResultStore
     bool opened = false;
     /** The store directory's descriptor, flock'ed while open. */
     int dirLock = -1;
-    std::map<std::string, JsonValue> index;
+    /** key -> the record's compact JSON text. */
+    std::map<std::string, std::string> index;
     Stats state;
     uint64_t nextTailIndex = 1;
     std::FILE *tail = nullptr;
@@ -221,8 +236,8 @@ struct OpenPlan
     /** "<file> <why>" when open refuses the directory; the rest of the
      *  plan is then empty, and open modifies nothing. */
     std::string refusal;
-    /** The records open serves. */
-    std::map<std::string, JsonValue> index;
+    /** The records open serves: key -> the record's dump(). */
+    std::map<std::string, std::string> index;
     /** Torn tails to cut: (segment file, bytes kept); keeping 0 bytes
      *  removes the file, a tail without its header frame. */
     std::vector<std::pair<std::string, size_t>> cuts;

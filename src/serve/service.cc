@@ -29,12 +29,19 @@ microsBetween(Clock::time_point begin, Clock::time_point end)
             .count());
 }
 
+/** The wire line of an error response to @p request. */
+std::string
+errorLine(const ServiceRequest &request, const ServiceError &error)
+{
+    return makeServiceErrorResponse(request.id, request.key, error).dump();
+}
+
 } // namespace
 
 SweepService::Outcome
-SweepService::outcomeOf(bool ok, const ServiceError *error)
+SweepService::outcomeOf(const ServiceError *error)
 {
-    if (ok || !error)
+    if (!error)
         return Outcome::Executed;
     switch (error->type) {
       case ServiceErrorType::Poisoned:         return Outcome::Poisoned;
@@ -147,11 +154,7 @@ SweepService::start()
             // The failure-response path must itself be unable to
             // throw: the responder is caller-supplied code.
             try {
-                finishKey(job,
-                          makeServiceErrorResponse(job.request.id,
-                                                   job.request.key,
-                                                   error),
-                          false, &error);
+                finishKey(job, errorLine(job.request, error), &error);
             } catch (const std::exception &nested) {
                 warn("sweep service: responder threw '%s' while "
                      "answering a failure; response dropped",
@@ -263,7 +266,7 @@ SweepService::submit(const std::string &line, Responder respond)
             countOutcomeLocked(Outcome::Rejected);
         }
         observeSubmitLatency(Outcome::Rejected, timed, entry);
-        respond(makeServiceErrorResponse(request.id, request.key, error));
+        respond(errorLine(request, error));
         return;
     }
 
@@ -274,7 +277,7 @@ SweepService::submit(const std::string &line, Responder respond)
             std::lock_guard<std::mutex> lock(mutex);
             ++stats.statsOps;
         }
-        respond(makeServiceStatsResponse(request.id, telemetryBody()));
+        respond(makeServiceStatsResponse(request.id, telemetryBody()).dump());
         return;
     }
 
@@ -288,19 +291,19 @@ SweepService::submit(const std::string &line, Responder respond)
     }
     if (error.type == ServiceErrorType::Poisoned) {
         observeSubmitLatency(Outcome::Poisoned, timed, entry);
-        respond(makeServiceErrorResponse(request.id, request.key, error));
+        respond(errorLine(request, error));
         return;
     }
 
-    JsonValue record;
+    std::string record;
     if (store.get(request.key, record)) {
         {
             std::lock_guard<std::mutex> lock(mutex);
             countOutcomeLocked(Outcome::Hit);
         }
         observeSubmitLatency(Outcome::Hit, timed, entry);
-        respond(makeServiceResponse(request.id, request.key,
-                                    /*cached=*/true, record));
+        respond(makeServiceResponseLine(request.id, request.key,
+                                        /*cached=*/true, record));
         return;
     }
 
@@ -357,8 +360,7 @@ SweepService::submit(const std::string &line, Responder respond)
     }
     // Shed or draining: job was not consumed, respond with the error.
     observeSubmitLatency(refusedAs, timed, entry);
-    job.respond(
-        makeServiceErrorResponse(job.request.id, job.request.key, error));
+    job.respond(errorLine(job.request, error));
 }
 
 void
@@ -375,8 +377,7 @@ SweepService::executeJob(Job &job)
         }
     }
     if (error.type == ServiceErrorType::Poisoned) {
-        finishKey(job, makeServiceErrorResponse(job.request.id, key, error),
-                  false, &error);
+        finishKey(job, errorLine(job.request, error), &error);
         return;
     }
 
@@ -387,8 +388,7 @@ SweepService::executeJob(Job &job)
         error.type = ServiceErrorType::DeadlineExceeded;
         error.message = "deadline expired before the run could start";
         error.backoffSeconds = backoffHint(2);
-        finishKey(job, makeServiceErrorResponse(job.request.id, key, error),
-                  false, &error);
+        finishKey(job, errorLine(job.request, error), &error);
         return;
     }
     if (opts.testBeforeExecute)
@@ -441,24 +441,25 @@ SweepService::executeJob(Job &job)
     }
 
     if (outcome.allCompleted()) {
-        JsonValue record =
+        // Serialized once: these bytes go to the store's frame and
+        // index, to this response and to every rider's.
+        const std::string record =
             makeRunRecord(outcome.results[0], job.request.config, nullptr,
-                          classification);
+                          classification)
+                .dump();
         std::string storeError;
         if (!store.put(key, record, &storeError)) {
             error.type = ServiceErrorType::StoreWriteFailed;
             error.message = "run completed but could not be persisted: " +
                             storeError;
             error.backoffSeconds = backoffHint(2);
-            finishKey(job,
-                      makeServiceErrorResponse(job.request.id, key, error),
-                      false, &error);
+            finishKey(job, errorLine(job.request, error), &error);
             return;
         }
         finishKey(job,
-                  makeServiceResponse(job.request.id, key,
-                                      /*cached=*/false, record),
-                  true, nullptr);
+                  makeServiceResponseLine(job.request.id, key,
+                                          /*cached=*/false, record),
+                  nullptr, record);
         return;
     }
 
@@ -484,16 +485,15 @@ SweepService::executeJob(Job &job)
         error.attempts = failure.attempts;
         error.backoffSeconds = backoffHint(failure.attempts);
     }
-    finishKey(job, makeServiceErrorResponse(job.request.id, key, error),
-              false, &error);
+    finishKey(job, errorLine(job.request, error), &error);
 }
 
 void
-SweepService::finishKey(Job &leader, const JsonValue &response, bool ok,
-                        const ServiceError *error)
+SweepService::finishKey(Job &leader, std::string response,
+                        const ServiceError *error, std::string_view run)
 {
     const std::string &key = leader.request.key;
-    const Outcome outcome = outcomeOf(ok, error);
+    const Outcome outcome = outcomeOf(error);
     const bool metricsOn = opts.metrics != nullptr;
     Clock::time_point finished;
     if (metricsOn)
@@ -542,28 +542,12 @@ SweepService::finishKey(Job &leader, const JsonValue &response, bool ok,
             }
         }
     }
-    leader.respond(response);
+    leader.respond(std::move(response));
     for (Job &rider : riders) {
-        if (ok) {
-            JsonValue record;
-            // The leader just persisted it; a miss here is impossible
-            // short of store corruption, which get() would refuse.
-            if (store.get(key, record)) {
-                rider.respond(makeServiceResponse(rider.request.id, key,
-                                                  /*cached=*/true,
-                                                  record));
-                continue;
-            }
-        }
-        ServiceError riderError;
-        if (error) {
-            riderError = *error;
-        } else {
-            riderError.type = ServiceErrorType::StoreWriteFailed;
-            riderError.message = "record vanished between put and get";
-        }
-        rider.respond(makeServiceErrorResponse(rider.request.id, key,
-                                               riderError));
+        // A rider gets the leader's record text, or the leader's error.
+        rider.respond(error ? errorLine(rider.request, *error)
+                            : makeServiceResponseLine(rider.request.id, key,
+                                                      /*cached=*/true, run));
     }
 }
 

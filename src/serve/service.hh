@@ -44,6 +44,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -132,9 +133,10 @@ class SweepService
         }
     };
 
-    /** Responses are delivered through this, possibly from a worker
+    /** Responses are delivered through this as finished wire lines
+     *  (one compact JSON object, sans newline), possibly from a worker
      *  thread; implementations synchronize their own sink. */
-    using Responder = std::function<void(const JsonValue &response)>;
+    using Responder = std::function<void(std::string line)>;
 
     SweepService(ResultStore &store, const Options &options);
     /** Drains (finishing admitted work) and joins the workers. */
@@ -203,7 +205,8 @@ class SweepService
         Poisoned,
     };
     static constexpr unsigned kOutcomeCount = 8;
-    static Outcome outcomeOf(bool ok, const ServiceError *error);
+    /** Executed when @p error is null. */
+    static Outcome outcomeOf(const ServiceError *error);
     static const char *outcomeName(Outcome outcome);
 
     /** Bump @p outcome's counter and `accepted` together (mutex held). */
@@ -219,9 +222,11 @@ class SweepService
      *  error-boundary rule audits every throw path under it. */
     std::function<void(Job &job)> onExecute;
     /** Leader finished: deliver @p response to it, answer followers
-     *  (ok from the store, or the same @p error), release the key. */
-    void finishKey(Job &leader, const JsonValue &response, bool ok,
-                   const ServiceError *error);
+     *  (with @p run, the leader's record text, spliced into a cached
+     *  response when @p error is null, else the same @p error),
+     *  release the key. */
+    void finishKey(Job &leader, std::string response,
+                   const ServiceError *error, std::string_view run = {});
     double backoffHint(unsigned attempt) const;
 
     ResultStore &store;

@@ -1,9 +1,12 @@
 #include "serve/socket.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -51,6 +54,48 @@ writeAll(int fd, const char *data, size_t size)
         size -= static_cast<size_t>(wrote);
     }
     return true;
+}
+
+/** Connect to @p addr with serviceBatch's retry: ENOENT and
+ *  ECONNREFUSED back off from 10 ms, doubling, for about 2 s in all;
+ *  any other error fails at once. */
+int
+connectWithRetry(const std::string &socketPath, const sockaddr_un &addr,
+                 std::string *error)
+{
+    constexpr std::chrono::milliseconds kFirstDelay{10};
+    constexpr std::chrono::milliseconds kTotalDelay{2000};
+    std::chrono::milliseconds delay = kFirstDelay;
+    std::chrono::milliseconds waited{0};
+    for (unsigned attempts = 1;; ++attempts) {
+        int sock = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (sock < 0) {
+            if (error)
+                *error = std::string("socket(): ") + std::strerror(errno);
+            return -1;
+        }
+        if (::connect(sock, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof(addr)) == 0) {
+            return sock;
+        }
+        const int cause = errno;
+        ::close(sock);
+        const bool notYet = cause == ENOENT || cause == ECONNREFUSED;
+        if (!notYet || waited >= kTotalDelay) {
+            if (error) {
+                *error = "connect('" + socketPath +
+                         "'): " + std::strerror(cause) + " after " +
+                         std::to_string(attempts) + " attempt" +
+                         (attempts == 1 ? "" : "s");
+            }
+            return -1;
+        }
+        const std::chrono::milliseconds pause =
+            std::min(delay, kTotalDelay - waited);
+        std::this_thread::sleep_for(pause);
+        waited += pause;
+        delay *= 2;
+    }
 }
 
 /** Shared by the responders of one stream: responses are buffered per
@@ -249,8 +294,8 @@ serveStream(int inFd, int outFd, SweepService &service,
                 order.slots.emplace_back();
                 order.ready.push_back(0);
             }
-            service.submit(line, [&order, slot](const JsonValue &response) {
-                order.deliver(slot, response.dump());
+            service.submit(line, [&order, slot](std::string response) {
+                order.deliver(slot, std::move(response));
             });
             if (start >= pending.size())
                 break;
@@ -273,20 +318,9 @@ serviceBatch(const std::string &socketPath,
     sockaddr_un addr;
     if (!fillSocketAddress(socketPath, addr, error))
         return false;
-    int sock = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (sock < 0) {
-        if (error)
-            *error = std::string("socket(): ") + std::strerror(errno);
+    int sock = connectWithRetry(socketPath, addr, error);
+    if (sock < 0)
         return false;
-    }
-    if (::connect(sock, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        if (error)
-            *error = "connect('" + socketPath +
-                     "'): " + std::strerror(errno);
-        ::close(sock);
-        return false;
-    }
     std::string payload;
     for (const std::string &line : requestLines) {
         payload += line;

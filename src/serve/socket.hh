@@ -70,9 +70,13 @@ bool serveStream(int inFd, int outFd, SweepService &service,
 
 /**
  * Batch client: connect to @p socketPath, send @p requestLines, half-
- * close, read responses to EOF into @p responseLines. Returns false
- * (with @p error) on connect/IO failure. The service answers in
- * request order, so responseLines[i] answers requestLines[i].
+ * close, read responses to EOF into @p responseLines. While nothing
+ * listens on the path yet (ENOENT or ECONNREFUSED: a daemon still
+ * starting, or restarting behind a stale socket file), connect retries
+ * with a backoff from 10 ms, doubling, for about 2 s. Returns false
+ * (with @p error) on connect/IO failure; a connect error names the
+ * attempts made. The service answers in request order, so
+ * responseLines[i] answers requestLines[i].
  */
 bool serviceBatch(const std::string &socketPath,
                   const std::vector<std::string> &requestLines,

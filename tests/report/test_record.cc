@@ -1,12 +1,13 @@
 /**
  * @file
  * Schema tests for the run-record serializer: field presence, exact
- * counter values, round-trip parsing, CSV flattening, and the
- * JSONL/CSV file writers.
+ * counter values, round-trip parsing, CSV flattening, the JSONL/CSV
+ * file writers, and the service's spliced response line.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "report/armed_configs.hh"
 #include "report/record.hh"
 #include "report/report.hh"
+#include "report/serve_record.hh"
 #include "serve/request.hh"
 #include "temp_path.hh"
 
@@ -420,5 +422,30 @@ TEST(Record, StatsTreeExport)
         const JsonValue &count = member(counters, field.key);
         ASSERT_TRUE(count.isUint()) << field.key;
         EXPECT_EQ(count.asUint(), results.*field.member) << field.key;
+    }
+}
+
+TEST(ServeRecord, ResponseLineIsTheTreeDump)
+{
+    // The spliced wire line must equal the dump of the response tree
+    // for every kind of echoed id, both cached values, and a key whose
+    // text needs escaping.
+    const JsonValue run = makeRunRecord(sampleResults(), sampleConfig());
+    const std::string runJson = run.dump();
+    const std::string key = "gcc:\"quoted\"\\\x01\xc3\xa9";
+    const JsonValue ids[] = {
+        JsonValue::null(),
+        JsonValue::integer(0),
+        JsonValue::integer(UINT64_MAX),
+        JsonValue::number(-1.5),
+        JsonValue::string("a\"b\\c"),
+        JsonValue::boolean(true),
+    };
+    for (const JsonValue &id : ids) {
+        for (bool cached : {false, true}) {
+            EXPECT_EQ(makeServiceResponseLine(id, key, cached, runJson),
+                      makeServiceResponse(id, key, cached, run).dump())
+                << "id " << id.dump() << ", cached " << cached;
+        }
     }
 }

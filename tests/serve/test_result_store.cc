@@ -84,7 +84,7 @@ class ResultStoreTest : public test::StoreDirTest
     keysOf(const ResultStore &store)
     {
         Keys keys;
-        store.forEach([&](const std::string &key, const JsonValue &) {
+        store.forEach([&](const std::string &key, const std::string &) {
             keys.push_back(key);
         });
         return keys;
@@ -143,6 +143,69 @@ TEST_F(ResultStoreTest, PutGetRoundTrip)
     EXPECT_EQ(store.size(), 2u);
     EXPECT_TRUE(store.close());
     EXPECT_TRUE(fileExists("CLEAN"));
+}
+
+TEST_F(ResultStoreTest, FramesMatchTheTreeFraming)
+{
+    // Keys and records holding a quote, a backslash, control characters
+    // and non-ASCII text, put alternately as text and as a tree.
+    const std::string awkward[] = {"say \"hi\"", "back\\slash",
+                                   "bell\x07 tab\t nl\n",
+                                   "caf\xc3\xa9 \xe2\x86\x92"};
+    std::vector<std::pair<std::string, JsonValue>> records;
+    for (uint64_t i = 0; i < 4; ++i) {
+        JsonValue nested = JsonValue::object();
+        nested.set(awkward[(i + 1) % 4],
+                   JsonValue::number(0.5 + static_cast<double>(i)));
+        JsonValue value = record(i);
+        value.set("text", JsonValue::string(awkward[i]))
+            .set("nested", std::move(nested));
+        records.emplace_back("k:" + awkward[i], std::move(value));
+    }
+    auto expectServed = [&](const ResultStore &store) {
+        for (const auto &[key, value] : records) {
+            std::string text;
+            ASSERT_TRUE(store.get(key, text)) << key;
+            EXPECT_EQ(text, value.dump()) << key;
+            JsonValue tree;
+            ASSERT_TRUE(store.get(key, tree)) << key;
+            EXPECT_EQ(tree, value) << key;
+        }
+    };
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        for (size_t i = 0; i < records.size(); ++i) {
+            const auto &[key, value] = records[i];
+            if (i % 2 == 0)
+                ASSERT_TRUE(store.put(key, value.dump()));
+            else
+                ASSERT_TRUE(store.put(key, value));
+        }
+        expectServed(store);
+        ASSERT_TRUE(store.close());
+    }
+
+    // After the header frame, one data line per put, each the tree
+    // framing of {"key":k,"record":r}.
+    std::istringstream segment(slurp(tailPath()));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(segment, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 1 + records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+        JsonValue payload = JsonValue::object();
+        payload.set("key", JsonValue::string(records[i].first))
+            .set("record", records[i].second);
+        EXPECT_EQ(lines[1 + i], frameLine(payload)) << i;
+    }
+
+    ResultStore reopened;
+    ASSERT_TRUE(reopened.open(options()));
+    EXPECT_FALSE(reopened.stats().recovered);
+    EXPECT_EQ(reopened.stats().corruptFrames, 0u);
+    expectServed(reopened);
+    EXPECT_TRUE(reopened.close());
 }
 
 TEST_F(ResultStoreTest, CleanReopenKeepsRecords)

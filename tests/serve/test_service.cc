@@ -3,15 +3,21 @@
  * SweepService tests (DESIGN.md §15): request validation surface,
  * store hits vs. executions, single-flight dedupe, admission control
  * and load shedding, poison quarantine, deadlines, graceful drain,
- * and the socket round trip.
+ * the socket round trip and the batch client's connect retry, and
+ * the run record's bytes across every way a response carries it.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstring>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,16 +48,20 @@ request(uint64_t id, const std::string &benchmark,
            benchmark + "\",\"config\":" + config + "}";
 }
 
-/** Collects responses; submit() may answer from a worker thread. */
+/** Collects response lines, parsing each as it arrives; submit() may
+ *  answer from a worker thread. */
 class Collector
 {
   public:
     SweepService::Responder
     responder()
     {
-        return [this](const JsonValue &response) {
+        return [this](std::string line) {
+            JsonValue response;
+            EXPECT_TRUE(JsonValue::parse(line, response)) << line;
             std::lock_guard<std::mutex> lock(mutex);
-            responses.push_back(response);
+            lines.push_back(std::move(line));
+            responses.push_back(std::move(response));
             arrived.notify_all();
         };
     }
@@ -65,11 +75,34 @@ class Collector
         return responses;
     }
 
+    /** The lines as delivered, in arrival order. */
+    std::vector<std::string>
+    rawLines()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return lines;
+    }
+
   private:
     std::mutex mutex;
     std::condition_variable arrived;
+    std::vector<std::string> lines;
     std::vector<JsonValue> responses;
 };
+
+/** The text after @p member's name up to the end of @p line's object:
+ *  the raw bytes of a last member, such as a response's "run" or a
+ *  data frame's "record". */
+std::string
+lastMemberText(const std::string &line, const std::string &member)
+{
+    const std::string marker = ",\"" + member + "\":";
+    size_t at = line.find(marker);
+    if (at == std::string::npos || line.empty() || line.back() != '}')
+        return "";
+    at += marker.size();
+    return line.substr(at, line.size() - 1 - at);
+}
 
 std::string
 statusOf(const JsonValue &response)
@@ -212,6 +245,78 @@ TEST_F(ServiceTest, SingleFlightDedupe)
     EXPECT_EQ(stats.executed, 1u);
     EXPECT_EQ(stats.deduped + stats.hits, 4u);
     EXPECT_EQ(executionsStarted.load(), 1u);
+}
+
+TEST_F(ServiceTest, RunBytesMatchAcrossExecutionRiderHitAndReopen)
+{
+    std::mutex gateMutex;
+    std::condition_variable gateCv;
+    bool gateOpen = false;
+    std::atomic<unsigned> executionsStarted{0};
+
+    SweepService::Options options;
+    options.workers = 2;
+    options.testBeforeExecute = [&] {
+        ++executionsStarted;
+        std::unique_lock<std::mutex> lock(gateMutex);
+        gateCv.wait(lock, [&] { return gateOpen; });
+    };
+    Collector collector;
+    {
+        SweepService service(store, options);
+        service.start();
+        // A leader and two riders, held until all three are admitted.
+        for (uint64_t i = 0; i < 3; ++i)
+            service.submit(request(i, "li"), collector.responder());
+        while (executionsStarted.load() == 0)
+            std::this_thread::yield();
+        {
+            std::lock_guard<std::mutex> lock(gateMutex);
+            gateOpen = true;
+        }
+        gateCv.notify_all();
+        collector.waitFor(3);
+        service.submit(request(3, "li"), collector.responder()); // hit
+        collector.waitFor(4);
+        service.drain();
+        SweepService::Stats stats = service.statsSnapshot();
+        EXPECT_EQ(stats.executed, 1u);
+        EXPECT_EQ(stats.deduped, 2u);
+        EXPECT_EQ(stats.hits, 1u);
+    }
+    ASSERT_TRUE(store.close());
+
+    ResultStore reopened;
+    ResultStore::Options storeOptions;
+    storeOptions.dir = dir;
+    ASSERT_TRUE(reopened.open(storeOptions));
+    {
+        SweepService service(reopened, {});
+        service.start();
+        service.submit(request(4, "li"), collector.responder());
+        collector.waitFor(5);
+        service.drain();
+        EXPECT_EQ(service.statsSnapshot().hits, 1u);
+    }
+    ASSERT_TRUE(reopened.close());
+
+    // The record as the segment holds it: the header, then one frame.
+    std::ifstream in(dir + "/tail-1-1.log", std::ios::binary);
+    std::string header;
+    std::string frame;
+    ASSERT_TRUE(std::getline(in, header));
+    ASSERT_TRUE(std::getline(in, frame));
+    const std::string stored = lastMemberText(frame, "record");
+    ASSERT_FALSE(stored.empty()) << frame;
+
+    std::vector<std::string> lines = collector.rawLines();
+    ASSERT_EQ(lines.size(), 5u);
+    size_t executed = 0;
+    for (const std::string &line : lines) {
+        EXPECT_EQ(lastMemberText(line, "run"), stored) << line;
+        executed += line.find(",\"cached\":false,") != std::string::npos;
+    }
+    EXPECT_EQ(executed, 1u);
 }
 
 TEST_F(ServiceTest, OverloadShedsBeyondQueueBound)
@@ -444,6 +549,83 @@ TEST_F(ServiceTest, SocketRoundTripInRequestOrder)
     EXPECT_EQ(service.statsSnapshot().deduped +
                   service.statsSnapshot().hits,
               1u);
+}
+
+TEST_F(ServiceTest, BatchWaitsForALateListener)
+{
+    SweepService::Options options;
+    options.workers = 2;
+    SweepService service(store, options);
+    service.start();
+
+    // A socket file nobody listens on, as a crashed daemon leaves it:
+    // connect is refused until the late listener replaces it.
+    std::string socketPath = dir + ".sock";
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        ASSERT_LT(socketPath.size(), sizeof(addr.sun_path));
+        std::memcpy(addr.sun_path, socketPath.c_str(), socketPath.size());
+        int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        ASSERT_GE(stale, 0);
+        ::unlink(socketPath.c_str());
+        ASSERT_EQ(::bind(stale, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        ::close(stale);
+    }
+
+    UnixSocketServer listener;
+    std::atomic<bool> stop{false};
+    std::thread late([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        std::string listenError;
+        ASSERT_TRUE(listener.listen(socketPath, &listenError))
+            << listenError;
+        int client = listener.accept(/*pollSeconds=*/5.0);
+        ASSERT_GE(client, 0);
+        serveStream(client, client, service, &stop);
+        ::close(client);
+    });
+
+    std::vector<std::string> requests = {request(0, "li"), "garbage",
+                                         request(2, "gcc"),
+                                         request(3, "li")};
+    std::vector<std::string> responses;
+    std::string error;
+    const bool ok = serviceBatch(socketPath, requests, responses, &error);
+    late.join();
+    listener.close();
+    service.drain();
+
+    ASSERT_TRUE(ok) << error;
+    ASSERT_EQ(responses.size(), requests.size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+        JsonValue response;
+        ASSERT_TRUE(JsonValue::parse(responses[i], response));
+        EXPECT_EQ(statusOf(response), i == 1 ? "error" : "ok");
+        if (i != 1) {
+            EXPECT_EQ(response.find("id")->asUint(), i);
+        }
+    }
+}
+
+TEST_F(ServiceTest, BatchGivesUpWithoutAListener)
+{
+    const std::string socketPath = dir + ".sock";
+    ::unlink(socketPath.c_str());
+    std::vector<std::string> responses;
+    std::string error;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(
+        serviceBatch(socketPath, {request(0, "li")}, responses, &error));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    // It backed off for its whole budget, then gave up.
+    EXPECT_GE(elapsed, std::chrono::seconds(2));
+    EXPECT_LT(elapsed, std::chrono::seconds(3));
+    EXPECT_NE(error.find("connect"), std::string::npos) << error;
+    EXPECT_NE(error.find("attempts"), std::string::npos) << error;
+    EXPECT_TRUE(responses.empty());
 }
 
 } // namespace

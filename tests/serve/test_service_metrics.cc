@@ -46,15 +46,18 @@ request(uint64_t id, const std::string &benchmark,
            benchmark + "\",\"config\":" + config + "}";
 }
 
+/** Collects response lines, parsing each as it arrives. */
 class Collector
 {
   public:
     SweepService::Responder
     responder()
     {
-        return [this](const JsonValue &response) {
+        return [this](const std::string &line) {
+            JsonValue response;
+            EXPECT_TRUE(JsonValue::parse(line, response)) << line;
             std::lock_guard<std::mutex> lock(mutex);
-            responses.push_back(response);
+            responses.push_back(std::move(response));
             arrived.notify_all();
         };
     }

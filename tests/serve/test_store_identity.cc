@@ -77,13 +77,29 @@ TEST_F(StoreIdentity, GridRecordsMatchSerialSimulation)
         serviceOptions.metrics = &registry;
         SweepService service(store, serviceOptions);
         service.start();
-        for (const RunSpec &spec : specs) {
+        // Each worker writes only its own request's slot, once.
+        std::vector<std::string> served(specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
             JsonValue request = JsonValue::object();
-            request.set("benchmark", JsonValue::string(spec.benchmark));
-            request.set("config", toJson(spec.config));
-            service.submit(request.dump(), [](const JsonValue &) {});
+            request.set("benchmark", JsonValue::string(specs[i].benchmark));
+            request.set("config", toJson(specs[i].config));
+            service.submit(request.dump(), [&served, i](std::string line) {
+                served[i] = std::move(line);
+            });
         }
         service.drain();
+        // 0) Served bytes == fresh serial bytes: "run" is the last
+        //    member of an ok response.
+        for (size_t i = 0; i < specs.size(); ++i) {
+            JsonValue response;
+            ASSERT_TRUE(JsonValue::parse(served[i], response)) << served[i];
+            EXPECT_EQ(response.find("status")->asString(), "ok");
+            const std::string tail = "\"run\":" + expected[i] + "}";
+            EXPECT_TRUE(served[i].size() > tail.size() &&
+                        served[i].compare(served[i].size() - tail.size(),
+                                          tail.size(), tail) == 0)
+                << specs[i].benchmark << " run " << i;
+        }
         ASSERT_EQ(service.statsSnapshot().executed, specs.size());
         // The instrumentation actually fired while the bytes stayed
         // identical below.
@@ -92,9 +108,9 @@ TEST_F(StoreIdentity, GridRecordsMatchSerialSimulation)
 
         // 1) Stored bytes == fresh serial bytes.
         for (size_t i = 0; i < specs.size(); ++i) {
-            JsonValue record;
+            std::string record;
             ASSERT_TRUE(store.get(keys[i], record)) << keys[i];
-            EXPECT_EQ(record.dump(), expected[i])
+            EXPECT_EQ(record, expected[i])
                 << specs[i].benchmark << " run " << i;
         }
         // Leaving the scope destroys the store without close(): the
@@ -116,10 +132,9 @@ TEST_F(StoreIdentity, GridRecordsMatchSerialSimulation)
     EXPECT_TRUE(recovered.stats().recovered);
     ASSERT_EQ(recovered.size(), specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
-        JsonValue record;
+        std::string record;
         ASSERT_TRUE(recovered.get(keys[i], record));
-        EXPECT_EQ(record.dump(), expected[i]) << "after recovery, run "
-                                              << i;
+        EXPECT_EQ(record, expected[i]) << "after recovery, run " << i;
     }
 
     // 3) Identity survives a clean close and the reopen after it.
@@ -129,9 +144,9 @@ TEST_F(StoreIdentity, GridRecordsMatchSerialSimulation)
     EXPECT_FALSE(reopened.stats().recovered);
     ASSERT_EQ(reopened.size(), specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
-        JsonValue record;
+        std::string record;
         ASSERT_TRUE(reopened.get(keys[i], record));
-        EXPECT_EQ(record.dump(), expected[i])
+        EXPECT_EQ(record, expected[i])
             << "after clean reopen, run " << i;
     }
     ASSERT_TRUE(reopened.close());

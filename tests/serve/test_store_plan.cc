@@ -167,7 +167,7 @@ TEST(StorePlan, DuplicateKeyKeepsTheFirst)
     EXPECT_EQ(plan.findings,
               (Keys{"tail-1-2.log:2: duplicate key a (the first one wins)"}));
     EXPECT_EQ(keysOf(plan), (Keys{"a", "b"}));
-    EXPECT_EQ(*plan.index.at("a").find("v"), JsonValue::integer(1));
+    EXPECT_EQ(plan.index.at("a"), "{\"v\":1}");
     EXPECT_FALSE(plan.stats.recovered);
 }
 

@@ -7,7 +7,7 @@
  * Usage pattern (every bench binary):
  *
  *   int main(int argc, char **argv) {
- *       if (!benchMain().parse(argc, argv, "fig1", "what it does"))
+ *       if (!benchMain().parse(argc, argv, "paper", "what it does"))
  *           return benchMain().parseFailed ? 1 : 0;
  *       SimConfig base;
  *       base.instructionBudget = benchMain().budget;
@@ -23,6 +23,7 @@
 #ifndef SPECFETCH_BENCH_BENCH_MAIN_HH_
 #define SPECFETCH_BENCH_BENCH_MAIN_HH_
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -63,14 +64,21 @@ class BenchMain
      * error (parseFailed set, exit 1). @p persistence registers the
      * result-store and fault options (--store, --retries,
      * --run-timeout, --fault-inject and SPECFETCH_FAULT_INJECT), which
-     * only bench_suite acts on.
+     * only bench_suite acts on. A non-empty @p experimentNames
+     * registers --experiment, which must name one of them (the paper
+     * driver's rows); `experiment` stays empty when it is not given.
      */
     bool
     parse(int argc, const char *const *argv, const std::string &name,
           const std::string &what, uint64_t fallbackBudget = kDefaultBudget,
-          bool persistence = false)
+          bool persistence = false,
+          const std::vector<std::string> &experimentNames = {})
     {
         OptionParser opts(name, what);
+        if (!experimentNames.empty()) {
+            opts.addString("experiment", "",
+                           "run only this row of the experiment table");
+        }
         opts.addCount("budget", benchBudget(fallbackBudget),
                       "instructions per run (default honours "
                       "SPECFETCH_BUDGET)");
@@ -151,6 +159,17 @@ class BenchMain
         }
         if (persistence && !parsePersistence(opts))
             return false;
+        if (!experimentNames.empty() && opts.wasSet("experiment")) {
+            experiment = opts.getString("experiment");
+            if (std::find(experimentNames.begin(), experimentNames.end(),
+                          experiment) == experimentNames.end()) {
+                std::string valid;
+                for (const std::string &known : experimentNames)
+                    valid += (valid.empty() ? "" : ", ") + known;
+                return reject("unknown --experiment '%s'; valid: %s",
+                              experiment.c_str(), valid.c_str());
+            }
+        }
         if (!opts.getString("json").empty() &&
             opts.getString("json") == opts.getString("csv")) {
             return reject("--json and --csv name the same path (%s); the "
@@ -262,11 +281,13 @@ class BenchMain
             emit(makeRunRecord(results, config, timing, classification));
     }
 
-    /** Export a whole sweep in submission order. */
+    /** Export a whole sweep in submission order; each record carries
+     *  its spec's classification when @p classifications is given. */
     void
     emitSweep(const std::vector<RunSpec> &specs,
               const std::vector<SimResults> &results,
-              const SweepTiming &timing)
+              const SweepTiming &timing,
+              const std::vector<Classification> *classifications = nullptr)
     {
         if (!exporting())
             return;
@@ -278,7 +299,8 @@ class BenchMain
             rt.workloadBuildSeconds = timing.workloadBuildSeconds;
             rt.snapshotRecordSeconds = timing.snapshotRecordSeconds;
             rt.sweepTotalSeconds = timing.totalSeconds;
-            emitRun(results[i], specs[i].config, &rt);
+            emitRun(results[i], specs[i].config, &rt,
+                    classifications ? &(*classifications)[i] : nullptr);
         }
     }
 
@@ -414,6 +436,8 @@ class BenchMain
     /** @} */
     /** Harness name (progress label). */
     std::string benchName;
+    /** --experiment: the one row to run, or empty for all. */
+    std::string experiment;
 
   private:
     /** Read and check the options parse(persistence) registered. */
@@ -488,10 +512,13 @@ parseExitCode()
 
 /**
  * runSweep + export: every result goes to the open sinks (with
- * per-run timing) before being returned in submission order.
+ * per-run timing) before being returned in submission order. With
+ * @p classifications the sweep's classify stage fills it (one per
+ * spec) and every record carries its spec's classification.
  */
 inline std::vector<SimResults>
-runSweepReported(const std::vector<RunSpec> &specs)
+runSweepReported(const std::vector<RunSpec> &specs,
+                 std::vector<Classification> *classifications = nullptr)
 {
     BenchMain &bm = benchMain();
     std::vector<RunSpec> audited = specs;
@@ -507,11 +534,15 @@ runSweepReported(const std::vector<RunSpec> &specs)
     SweepTiming timing;
     std::vector<RunObservations> observations;
     bool collect = bm.observing() || bm.adaptiveArmed();
-    std::vector<SimResults> results =
-        runSweep(audited, bm.parallelism, &timing,
-                 collect ? &observations : nullptr);
+    SweepOptions options;
+    options.parallelism = bm.parallelism;
+    options.timing = &timing;
+    if (collect)
+        options.observations = &observations;
+    options.classifications = classifications;
+    std::vector<SimResults> results = runSweep(audited, options).results;
     bm.endProgress();
-    bm.emitSweep(audited, results, timing);
+    bm.emitSweep(audited, results, timing, classifications);
     bm.emitObservations(audited, results, observations);
     return results;
 }

@@ -1,9 +1,8 @@
 /**
  * @file
- * Shared scaffolding for the table/figure regeneration harnesses:
- * budget handling, paper-vs-measured cell formatting, averages, and
- * the component-breakdown (stacked-bar) printer used by the figure
- * harnesses.
+ * Shared scaffolding for the table-printing harnesses: banners,
+ * paper-vs-measured cell formatting, averages, and table output
+ * (stdout plus optional CSV files).
  */
 
 #ifndef SPECFETCH_BENCH_BENCH_SUPPORT_HH_
@@ -37,7 +36,7 @@ vsPaper(double measured, double paper_value, int decimals = 2)
 }
 
 namespace detail {
-/** Experiment slug set by banner(), consumed by emitTable(). */
+/** CSV file prefix set by banner(), consumed by emitTable(). */
 inline std::string &
 experimentSlug()
 {
@@ -52,16 +51,21 @@ tableCounter()
 }
 } // namespace detail
 
-/** Print a harness banner with the experiment identity. */
+/**
+ * Print a harness banner with the experiment identity. Tables emitted
+ * after it go to <slug>_<n>.csv; an empty @p slug is @p experiment
+ * lower-cased with '_' for ' '.
+ */
 inline void
 banner(const std::string &experiment, const std::string &what,
-       const SimConfig &config)
+       const SimConfig &config, std::string slug = "")
 {
-    std::string slug;
-    for (char c : experiment)
-        slug.push_back(c == ' ' ? '_'
-                                : static_cast<char>(std::tolower(
-                                      static_cast<unsigned char>(c))));
+    if (slug.empty()) {
+        for (char c : experiment)
+            slug.push_back(c == ' ' ? '_'
+                                    : static_cast<char>(std::tolower(
+                                          static_cast<unsigned char>(c))));
+    }
     detail::experimentSlug() = slug;
     detail::tableCounter() = 0;
     std::printf("=== %s: %s ===\n", experiment.c_str(), what.c_str());
@@ -101,49 +105,6 @@ mean(const std::vector<double> &values)
         return 0.0;
     return std::accumulate(values.begin(), values.end(), 0.0) /
            static_cast<double>(values.size());
-}
-
-/**
- * Print per-benchmark component breakdowns for a set of policy
- * variants — the textual rendering of the paper's stacked-bar
- * figures. Rows are (benchmark × variant); columns the ISPI
- * components plus the total.
- */
-inline void
-printBreakdown(const std::vector<std::string> &benchmarks,
-               const std::vector<std::pair<std::string, SimConfig>> &variants,
-               const char *total_note = nullptr)
-{
-    std::vector<RunSpec> specs;
-    for (const std::string &benchmark : benchmarks)
-        for (const auto &[label, config] : variants)
-            specs.push_back(RunSpec{benchmark, config});
-    std::vector<SimResults> results = runSweepReported(specs);
-
-    TextTable table;
-    std::vector<std::string> columns{"program", "variant"};
-    for (PenaltyKind kind : allPenaltyKinds())
-        columns.push_back(toString(kind));
-    columns.push_back("total ISPI");
-    table.setColumns(columns);
-    table.setAlign(1, TextTable::Align::Left);
-
-    size_t index = 0;
-    for (const std::string &benchmark : benchmarks) {
-        for (const auto &[label, config] : variants) {
-            const SimResults &r = results[index++];
-            std::vector<std::string> row{benchmark, label};
-            for (PenaltyKind kind : allPenaltyKinds())
-                row.push_back(formatFixed(r.ispiOf(kind), 3));
-            row.push_back(formatFixed(r.ispi(), 3));
-            table.addRow(row);
-        }
-        if (&benchmark != &benchmarks.back())
-            table.addSeparator();
-    }
-    emitTable(table);
-    if (total_note)
-        std::printf("\n%s\n", total_note);
 }
 
 } // namespace bench

@@ -45,15 +45,6 @@ derivedJson(const SimResults &r)
     return derived;
 }
 
-JsonValue
-recordShell(const char *kind)
-{
-    JsonValue record = JsonValue::object();
-    record.set("schema_version", JsonValue::integer(kReportSchemaVersion))
-        .set("record", JsonValue::string(kind));
-    return record;
-}
-
 } // namespace
 
 void
@@ -364,8 +355,10 @@ JsonValue
 makeRunRecord(const SimResults &results, const SimConfig &config,
               const RunTiming *timing, const Classification *classification)
 {
-    JsonValue record = recordShell("run");
-    record.set("workload", JsonValue::string(results.workload))
+    JsonValue record = JsonValue::object();
+    record.set("schema_version", JsonValue::integer(kReportSchemaVersion))
+        .set("record", JsonValue::string("run"))
+        .set("workload", JsonValue::string(results.workload))
         .set("policy", JsonValue::string(toString(results.policy)))
         .set("prefetch",
              JsonValue::string(toString(config.effectivePrefetchKind())))
@@ -385,17 +378,6 @@ makeRunRecord(const SimResults &results, const SimConfig &config,
                  JsonValue::number(timing->sweepTotalSeconds));
         record.set("timing", std::move(t));
     }
-    return record;
-}
-
-JsonValue
-makeClassificationRecord(const Classification &classification,
-                         const SimConfig &config)
-{
-    JsonValue record = recordShell("classification");
-    record.set("workload", JsonValue::string(classification.workload))
-        .set("config", toJson(config))
-        .set("classification", toJson(classification));
     return record;
 }
 

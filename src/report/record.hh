@@ -92,13 +92,6 @@ JsonValue makeRunRecord(const SimResults &results, const SimConfig &config,
                         const Classification *classification = nullptr);
 
 /**
- * Build a schema-v1 "classification" record for harnesses that
- * measure the Table-4 taxonomy without a timed run (e.g. table4).
- */
-JsonValue makeClassificationRecord(const Classification &classification,
-                                   const SimConfig &config);
-
-/**
  * Flatten a record for CSV: nested objects become dotted column
  * names; scalars render as unquoted text. Arrays are not supported in
  * records and are skipped.

@@ -1,14 +1,16 @@
 /**
  * @file
  * Property-based tests: paper-level invariants checked across every
- * benchmark × policy (parameterized sweeps). These are the "does the
- * system reproduce the paper's structure" tests, run at reduced
- * budgets.
+ * benchmark × policy (parameterized sweeps), and the per-profile
+ * claims of the experiment table judged one profile at a time. These
+ * are the "does the system reproduce the paper's structure" tests, run
+ * at reduced budgets.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/simulator.hh"
+#include "experiments.hh"
 #include "workload/registry.hh"
 
 namespace specfetch {
@@ -142,114 +144,87 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Cross-policy orderings (paper §5) --------------------------------
 
+/**
+ * Each test judges one per-profile claim of the experiment table
+ * (bench/experiments.hh), which states it once for bench/paper too,
+ * on its profile alone: the claim's row's cells of that profile.
+ */
 class BenchTest : public ::testing::TestWithParam<std::string>
 {
+  protected:
+    void
+    expectClaim(const std::string &name)
+    {
+        for (const bench::Experiment &row : bench::experiments()) {
+            for (const bench::Claim &claim : row.claims) {
+                if (row.name + "." + claim.name != name)
+                    continue;
+                SimConfig base = row.base;
+                base.instructionBudget = kBudget;
+                std::vector<RunSpec> specs;
+                for (const RunSpec &spec : bench::distinct(row.cells(base)))
+                    if (spec.benchmark == GetParam())
+                        specs.push_back(spec);
+                std::vector<Classification> classifications;
+                SweepOptions options;
+                options.classifications = &classifications;
+                bench::Cells cells = bench::cellsOf(
+                    specs, runSweep(specs, options).results,
+                    classifications);
+                bench::Verdict verdict =
+                    claim.check(bench::View{cells, base, GetParam()});
+                EXPECT_TRUE(verdict.holds)
+                    << name << "[" << GetParam() << "]: " << verdict.detail;
+                return;
+            }
+        }
+        FAIL() << "no claim " << name;
+    }
 };
 
 TEST_P(BenchTest, PessimisticTrafficEqualsOracle)
 {
-    SimResults oracle = run(GetParam(), FetchPolicy::Oracle);
-    SimResults pess = run(GetParam(), FetchPolicy::Pessimistic);
-    // Neither services wrong-path misses nor prefetches: traffic is
-    // correct-path fills only, and the correct path is shared.
-    double rel = std::abs(static_cast<double>(oracle.demandFills) -
-                          static_cast<double>(pess.demandFills)) /
-                 static_cast<double>(oracle.demandFills);
-    EXPECT_LT(rel, 0.02) << GetParam();
+    expectClaim("fig1.pessimistic_traffic_equals_oracle");
 }
 
 TEST_P(BenchTest, AggressivePoliciesGenerateMoreTraffic)
 {
-    SimResults oracle = run(GetParam(), FetchPolicy::Oracle);
-    SimResults optimistic = run(GetParam(), FetchPolicy::Optimistic);
-    SimResults resume = run(GetParam(), FetchPolicy::Resume);
-    EXPECT_GE(optimistic.memoryTransactions(),
-              oracle.memoryTransactions());
-    EXPECT_GE(resume.memoryTransactions(), oracle.memoryTransactions());
+    expectClaim("fig1.aggressive_policies_add_traffic");
 }
 
 TEST_P(BenchTest, ResumeNoWorseThanOptimistic)
 {
-    SimResults optimistic = run(GetParam(), FetchPolicy::Optimistic);
-    SimResults resume = run(GetParam(), FetchPolicy::Resume);
-    // Resume only removes stall time relative to Optimistic; allow a
-    // whisker of noise from divergent predictor timing.
-    EXPECT_LE(resume.ispi(), optimistic.ispi() * 1.03) << GetParam();
+    expectClaim("fig1.resume_no_worse_than_optimistic");
 }
 
 TEST_P(BenchTest, BaselineOptimisticBeatsPessimistic)
 {
-    // Paper §5.1.2 headline at the 5-cycle penalty.
-    SimResults optimistic = run(GetParam(), FetchPolicy::Optimistic);
-    SimResults pess = run(GetParam(), FetchPolicy::Pessimistic);
-    EXPECT_LT(optimistic.ispi(), pess.ispi()) << GetParam();
+    expectClaim("fig1.optimistic_beats_pessimistic");
 }
 
 TEST_P(BenchTest, DeeperSpeculationHelps)
 {
-    // Paper Table 5: ISPI falls monotonically with depth, and the
-    // 1 -> 2 step is the larger one.
-    SimResults d1 = run(GetParam(), FetchPolicy::Oracle, 1);
-    SimResults d2 = run(GetParam(), FetchPolicy::Oracle, 2);
-    SimResults d4 = run(GetParam(), FetchPolicy::Oracle, 4);
-    EXPECT_GT(d1.ispi(), d2.ispi()) << GetParam();
-    EXPECT_GE(d2.ispi(), d4.ispi() * 0.999) << GetParam();
-    EXPECT_GT(d1.ispi() - d2.ispi(), d2.ispi() - d4.ispi())
-        << GetParam();
+    expectClaim("table5.deeper_speculation_helps");
 }
 
 TEST_P(BenchTest, LargerCacheShrinksIspi)
 {
-    // Paper Table 6 vs Table 5.
-    SimConfig small = baseConfig();
-    small.policy = FetchPolicy::Resume;
-    SimConfig big = small;
-    big.icache.sizeBytes = 32 * 1024;
-    SimResults r8 = runSimulation(workloadFor(GetParam()), small);
-    SimResults r32 = runSimulation(workloadFor(GetParam()), big);
-    EXPECT_LT(r32.ispi(), r8.ispi()) << GetParam();
-    EXPECT_LT(r32.missRatePercent(), r8.missRatePercent());
+    expectClaim("table6.larger_cache_shrinks_ispi");
 }
 
 TEST_P(BenchTest, PrefetchIncreasesTraffic)
 {
-    // Paper Table 7: prefetching raises memory traffic for every
-    // policy.
-    for (FetchPolicy policy : {FetchPolicy::Oracle, FetchPolicy::Resume,
-                               FetchPolicy::Pessimistic}) {
-        SimResults off = run(GetParam(), policy, 4, 5, false);
-        SimResults on = run(GetParam(), policy, 4, 5, true);
-        EXPECT_GT(on.memoryTransactions(), off.memoryTransactions())
-            << GetParam() << "/" << toString(policy);
-    }
+    expectClaim("fig3.prefetch_adds_traffic");
 }
 
 TEST_P(BenchTest, PrefetchHelpsAtSmallPenalty)
 {
-    // Paper Figure 3: next-line prefetching improves every policy at
-    // the 5-cycle penalty (small slack for noise).
-    for (FetchPolicy policy : {FetchPolicy::Oracle, FetchPolicy::Resume,
-                               FetchPolicy::Pessimistic}) {
-        SimResults off = run(GetParam(), policy, 4, 5, false);
-        SimResults on = run(GetParam(), policy, 4, 5, true);
-        EXPECT_LT(on.ispi(), off.ispi() * 1.02)
-            << GetParam() << "/" << toString(policy);
-    }
+    expectClaim("fig3.prefetch_helps");
 }
 
 TEST_P(BenchTest, LongLatencyFavorsConservative)
 {
-    // Paper Figure 2 / §5.2.1: at the 20-cycle penalty Pessimistic
-    // catches up with (or beats) Optimistic relative to the 5-cycle
-    // baseline.
-    SimResults opt5 = run(GetParam(), FetchPolicy::Optimistic, 4, 5);
-    SimResults pess5 = run(GetParam(), FetchPolicy::Pessimistic, 4, 5);
-    SimResults opt20 = run(GetParam(), FetchPolicy::Optimistic, 4, 20);
-    SimResults pess20 =
-        run(GetParam(), FetchPolicy::Pessimistic, 4, 20);
-    double gap5 = pess5.ispi() / opt5.ispi();
-    double gap20 = pess20.ispi() / opt20.ispi();
-    EXPECT_LT(gap20, gap5) << GetParam();
+    expectClaim("fig2.long_latency_favors_conservative");
 }
 
 INSTANTIATE_TEST_SUITE_P(CrossPolicy, BenchTest,

@@ -166,21 +166,6 @@ TEST(Record, TimingAndClassificationBlocks)
                      c.trafficRatio());
 }
 
-TEST(Record, ClassificationRecord)
-{
-    Classification c;
-    c.workload = "li";
-    c.instructions = 50'000;
-    c.bothMiss = 100;
-    JsonValue record = makeClassificationRecord(c, sampleConfig());
-    EXPECT_EQ(member(record, "record").asString(), "classification");
-    EXPECT_EQ(member(record, "workload").asString(), "li");
-    EXPECT_NE(record.find("config"), nullptr);
-    EXPECT_EQ(member(member(record, "classification"), "both_miss")
-                  .asUint(),
-              100u);
-}
-
 TEST(Record, RoundTripThroughText)
 {
     RunTiming timing;

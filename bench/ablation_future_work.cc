@@ -110,7 +110,7 @@ main(int argc, char **argv)
     {
         TextTable table;
         table.setColumns({"Program", "flat 5cyc", "L2 64K (5/20)",
-                          "L2 16K", "flat 20cyc", "L2-64K miss%"});
+                          "L2 16K", "flat 20cyc"});
         for (const std::string &name : benches) {
             SimConfig flat5 = base;
             SimConfig flat20 = base;
@@ -132,8 +132,7 @@ main(int argc, char **argv)
             table.addRow({name, formatFixed(r5.ispi(), 3),
                           formatFixed(rbig.ispi(), 3),
                           formatFixed(rsmall.ispi(), 3),
-                          formatFixed(r20.ispi(), 3),
-                          ""});
+                          formatFixed(r20.ispi(), 3)});
         }
         emitTable(table);
         std::printf("(an L2's hit rate decides which of the paper's "

@@ -95,8 +95,9 @@ class BenchMain
         if (persistence) {
             opts.addString("store", "",
                            "resumable result store: a directory (runs "
-                           "in-process, skipping stored runs) or the "
-                           "Unix socket of a sweep_serve daemon");
+                           "in-process, skipping stored runs), or "
+                           "unix:PATH, the socket of a sweep_serve "
+                           "daemon");
             opts.addCount("retries", 3,
                           "attempts per run before quarantine (1.."
                           + std::to_string(kMaxRetries) + ")");

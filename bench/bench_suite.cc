@@ -10,17 +10,17 @@
  *   ./build/bench/bench_suite --json out.json
  *   ./build/bench/bench_suite                 # writes BENCH_results.json
  *   ./build/bench/bench_suite --store runs/   # resumable: rerun resumes
+ *   ./build/bench/bench_suite --store unix:sweep.sock   # via sweep_serve
  *
  * The output is what `BENCH_*.json` trajectory tracking consumes: 130
  * records whose counters are bit-reproducible for a given budget and
  * seed, with only the `timing` member varying between machines.
  */
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -143,8 +143,11 @@ runStoreDir(const std::vector<RunSpec> &specs)
     return 0;
 }
 
+/** The --store prefix naming a sweep_serve socket. */
+constexpr std::string_view kSocketPrefix = "unix:";
+
 /**
- * Service-client mode (--store SOCKET): the grid is submitted to a
+ * Service-client mode (--store unix:SOCKET): the grid is submitted to a
  * running sweep_serve daemon instead of simulating locally. Responses
  * come back in request order; every `ok` response's run record is
  * emitted verbatim, so — because the daemon builds records exactly
@@ -154,10 +157,9 @@ runStoreDir(const std::vector<RunSpec> &specs)
  * from its store.
  */
 int
-runStoreClient(const std::vector<RunSpec> &specs)
+runStoreClient(const std::vector<RunSpec> &specs,
+               const std::string &socketPath)
 {
-    const std::string &socketPath = benchMain().storePath;
-
     // Run records indexed by spec so the final emission is in grid
     // order no matter how many submission rounds it took.
     std::vector<JsonValue> runs(specs.size());
@@ -444,10 +446,10 @@ main(int argc, char **argv)
 
     const std::string &store = benchMain().storePath;
     if (!store.empty()) {
-        // A socket is a sweep_serve daemon; anything else a directory.
-        struct stat info;
-        if (stat(store.c_str(), &info) == 0 && S_ISSOCK(info.st_mode))
-            return runStoreClient(specs);
+        // Named, not sniffed: a socket a daemon has yet to create must
+        // not become a store directory.
+        if (store.rfind(kSocketPrefix, 0) == 0)
+            return runStoreClient(specs, store.substr(kSocketPrefix.size()));
         return runStoreDir(specs);
     }
     if (!benchMain().injector.empty()) {

@@ -17,9 +17,6 @@ namespace {
 
 constexpr Addr kNoLine = ~Addr{0};
 
-/** FetchPolicy enumerator as a template-argument policy slot. */
-constexpr int pol(FetchPolicy p) { return static_cast<int>(p); }
-
 } // namespace
 
 FetchEngine::FetchEngine(const SimConfig &_config, const ProgramImage &_image)
@@ -184,7 +181,7 @@ FetchEngine::onAdaptiveBoundary()
         ++adaptiveLog.switches;
         // The only place the run ever changes policy: every component
         // reads the policy through the engine's config (the walker by
-        // reference, handleLineAccess directly), so the switch takes
+        // reference, handleLineMiss directly), so the switch takes
         // effect from the next fetched instruction while cache,
         // predictor and clock state carry across untouched.
         config.policy = next;
@@ -201,16 +198,14 @@ FetchEngine::drainResolvesDue()
              pendingResolves.front().at <= now);
 }
 
-template <int PF>
-void
+inline void
 FetchEngine::maybePrefetch(Addr line_addr)
 {
-    if (prefetchArmed<PF>())
+    if (prefetcher.enabled())
         prefetcher.onAccess(line_addr, now, config.missPenaltySlots());
 }
 
-template <int P, int PF>
-void
+inline void
 FetchEngine::handleLineAccess(Addr line_addr)
 {
     ++stats.demandAccesses;
@@ -219,13 +214,12 @@ FetchEngine::handleLineAccess(Addr line_addr)
     if (cache.access(line_addr)) [[likely]] {
         if (observer)
             observer->onCorrectAccess(line_addr, true);
-        maybePrefetch<PF>(line_addr);
+        maybePrefetch(line_addr);
         return;
     }
-    handleLineMiss<P, PF>(line_addr);
+    handleLineMiss(line_addr);
 }
 
-template <int P, int PF>
 void
 FetchEngine::handleLineMiss(Addr line_addr)
 {
@@ -239,14 +233,14 @@ FetchEngine::handleLineMiss(Addr line_addr)
             advanceTo(resumeBuffer.readyAt(), PenaltyKind::Bus);
         resumeBuffer.drainIfReady(cache, now);
         buffer_hit = true;
-    } else if (prefetchArmed<PF>() &&
+    } else if (prefetcher.enabled() &&
                prefetcher.buffer().matches(line_addr)) {
         // Demand access to an in-flight or completed prefetch.
         if (!prefetcher.buffer().isReady(now))
             advanceTo(prefetcher.buffer().readyAt(), PenaltyKind::RtIcache);
         prefetcher.drain(now);
         buffer_hit = true;
-    } else if (prefetchArmed<PF>() &&
+    } else if (prefetcher.enabled() &&
                prefetcher.streamMatches(line_addr)) {
         // Demand access served by the stream-buffer head: wait for
         // the data if needed, then consume (which also requests the
@@ -261,7 +255,7 @@ FetchEngine::handleLineMiss(Addr line_addr)
         ++stats.bufferHits;
         if (observer)
             observer->onCorrectAccess(line_addr, true);
-        maybePrefetch<PF>(line_addr);
+        maybePrefetch(line_addr);
         return;
     }
 
@@ -275,7 +269,7 @@ FetchEngine::handleLineMiss(Addr line_addr)
         ++stats.bufferHits;
         if (observer)
             observer->onCorrectAccess(line_addr, true);
-        maybePrefetch<PF>(line_addr);
+        maybePrefetch(line_addr);
         return;
     }
 
@@ -287,9 +281,7 @@ FetchEngine::handleLineMiss(Addr line_addr)
         observer->onCorrectAccess(line_addr, false);
 
     // Conservative policies tax the miss before it may be serviced.
-    // With a static policy slot the switch folds to either nothing or
-    // a single unconditional wait computation.
-    switch (activePolicy<P>()) {
+    switch (config.policy) {
       case FetchPolicy::Pessimistic:
         advanceTo(std::max(branchUnit.latestResolveAt(),
                            lastIssue + 1 + config.decodeSlots()),
@@ -305,7 +297,7 @@ FetchEngine::handleLineMiss(Addr line_addr)
 
     // "Written at the next I-cache miss": retire completed buffers.
     resumeBuffer.drainIfReady(cache, now);
-    if (prefetchArmed<PF>())
+    if (prefetcher.enabled())
         prefetcher.drain(now);
 
     // Wait for the bus (occupied by a wrong-path fill under Resume or
@@ -322,12 +314,11 @@ FetchEngine::handleLineMiss(Addr line_addr)
     // The first fetch from the freshly loaded line can trigger the
     // next-line prefetch (its first-ref bit was just set); a stream
     // buffer instead uses the miss itself as its allocation trigger.
-    maybePrefetch<PF>(line_addr);
-    if (prefetchArmed<PF>())
+    maybePrefetch(line_addr);
+    if (prefetcher.enabled())
         prefetcher.onDemandMiss(line_addr, now, config.missPenaltySlots());
 }
 
-template <int P, int PF>
 void
 FetchEngine::fetchOne(const DynInst &inst)
 {
@@ -348,7 +339,7 @@ FetchEngine::fetchOne(const DynInst &inst)
 
     Addr line = cache.lineOf(inst.pc);
     if (line != curLine) {
-        handleLineAccess<P, PF>(line);
+        handleLineAccess(line);
         curLine = line;
     }
 
@@ -358,11 +349,10 @@ FetchEngine::fetchOne(const DynInst &inst)
     now = issue + 1;
 
     if (inst.cls != InstClass::Plain)
-        handleControl<PF>(inst, issue);
+        handleControl(inst, issue);
 }
 
-template <int P, int PF>
-void
+inline void
 FetchEngine::fetchPlainRun(Addr pc, uint32_t count)
 {
     // No resolve drain here: resolves only mutate predictor state,
@@ -373,8 +363,8 @@ FetchEngine::fetchPlainRun(Addr pc, uint32_t count)
     // first (possibly partial) line occupancy is computed once, after
     // which stepping a whole line is a single add. The retired count
     // is likewise hoisted to one add per run — nothing below reads
-    // stats.instructions, and the batch caps in runLoop guarantee no
-    // sampler/adaptive/audit boundary falls inside a batch.
+    // stats.instructions, and runWith's step caps guarantee no
+    // warmup/sampler/adaptive boundary falls inside a batch.
     const Addr line_bytes = cache.lineBytes();
     const uint32_t per_line = static_cast<uint32_t>(line_bytes / kInstBytes);
     stats.instructions += count;
@@ -383,7 +373,7 @@ FetchEngine::fetchPlainRun(Addr pc, uint32_t count)
         count, (line + line_bytes - pc) / kInstBytes));
     for (;;) {
         if (line != curLine) {
-            handleLineAccess<P, PF>(line);
+            handleLineAccess(line);
             curLine = line;
         }
         // The per-line clock ordering is load-bearing: a probe's stall
@@ -400,7 +390,6 @@ FetchEngine::fetchPlainRun(Addr pc, uint32_t count)
     }
 }
 
-template <int PF>
 void
 FetchEngine::handleControl(const DynInst &inst, Slot issue)
 {
@@ -432,7 +421,7 @@ FetchEngine::handleControl(const DynInst &inst, Slot issue)
     switch (outcome) {
       case BranchOutcome::Correct:
         if (inst.taken) {
-            if (prefetchArmed<PF>()) {
+            if (prefetcher.enabled()) {
                 prefetcher.trainTarget(cache.lineOf(inst.pc),
                                        cache.lineOf(inst.target));
             }
@@ -519,18 +508,39 @@ FetchEngine::handleControl(const DynInst &inst, Slot issue)
     }
 }
 
-template <typename Source, int P, int PF>
-SimResults
-FetchEngine::runLoop(Source &source)
+template <typename Source>
+inline bool
+FetchEngine::step(Source &source, uint64_t cap)
 {
+    // Both sources hand out plain runs in bulk (a snapshot's RLE run,
+    // the executor's block body); burn them through the
+    // arithmetic-only fast path, and step one instruction only when
+    // no run is ready.
+    Addr run_pc;
+    uint32_t got = source.takePlainRun(
+        run_pc, static_cast<uint32_t>(std::min<uint64_t>(cap, UINT32_MAX)));
+    if (got > 0) {
+        fetchPlainRun(run_pc, got);
+        return true;
+    }
+    DynInst inst;
+    if (!source.next(inst))
+        return false;
+    fetchOne(inst);
+    return true;
+}
+
+template <typename Source>
+SimResults
+FetchEngine::runWith(Source &source)
+{
+    static_assert(std::is_final_v<Source>,
+                  "runWith needs a final source so next() and "
+                  "takePlainRun() bind statically");
     stats.policy = config.policy;
     stats.prefetch = config.effectivePrefetchKind() != PrefetchKind::None;
     stats.misfetchSlots = static_cast<uint64_t>(config.decodeSlots());
     stats.mispredictSlots = static_cast<uint64_t>(config.resolveSlots());
-
-    const uint64_t warmup = config.warmupInstructions;
-    uint64_t retired_warmup = 0;
-    DynInst inst;
 
     // Cooperative watchdog (fault/guard.hh): guarded sweeps arm a
     // per-thread wall-clock/instruction budget, and — since a thread
@@ -544,18 +554,17 @@ FetchEngine::runLoop(Source &source)
     uint64_t next_watchdog =
         watchdog_armed ? kWatchdogPollInterval : UINT64_MAX;
 
-    // Source is final (runWith asserts it), so next() and
-    // takePlainRun() are statically bound; the analyzer flags them
-    // because it matches the name only.
-    // SPECFETCH-ALLOW(loop-virtual): final source, name match only
-    while (retired_warmup < warmup && source.next(inst)) {
-        fetchOne<P, PF>(inst);
-        ++retired_warmup;
-        if (retired_warmup >= next_watchdog) {
-            Watchdog::poll(retired_warmup);
+    // Warmup takes the measured region's step, capped at the warmup
+    // boundary; stats.instructions counts it until resetStats().
+    const uint64_t warmup = config.warmupInstructions;
+    while (stats.instructions < warmup &&
+           step(source, warmup - stats.instructions)) {
+        if (stats.instructions >= next_watchdog) {
+            Watchdog::poll(stats.instructions);
             next_watchdog += kWatchdogPollInterval;
         }
     }
+    const uint64_t retired_warmup = stats.instructions;
     if (warmup > 0) {
         resetStats();
         next_watchdog =
@@ -596,26 +605,14 @@ FetchEngine::runLoop(Source &source)
         uint64_t room = budget - stats.instructions;
         if (room == 0)
             break;
-        // Both sources hand out plain runs in bulk (a snapshot's RLE
-        // run, the executor's block body); burn them through the
-        // arithmetic-only fast path. Cap each batch at the next epoch
-        // boundary so the sampler and the adaptive decision point see
-        // exact retired-instruction counts; with both off the caps are
-        // UINT64_MAX and never bind.
-        uint64_t cap = std::min<uint64_t>(room, UINT32_MAX);
-        cap = std::min(cap, next_sample - stats.instructions);
+        // Cap each step at the next epoch boundary so the sampler and
+        // the adaptive decision point see exact retired-instruction
+        // counts; with both off the caps are UINT64_MAX and never
+        // bind.
+        uint64_t cap = std::min(room, next_sample - stats.instructions);
         cap = std::min(cap, next_adaptive - stats.instructions);
-        Addr run_pc;
-        // SPECFETCH-ALLOW(loop-virtual): final source, name match only
-        uint32_t got = source.takePlainRun(run_pc, static_cast<uint32_t>(cap));
-        if (got > 0) {
-            fetchPlainRun<P, PF>(run_pc, got);
-        } else {
-            // SPECFETCH-ALLOW(loop-virtual): final source, name match only
-            if (!source.next(inst))
-                break;
-            fetchOne<P, PF>(inst);
-        }
+        if (!step(source, cap))
+            break;
         if (stats.instructions >= next_sample) {
             syncStats();
             sampler->onBoundary(stats);
@@ -656,45 +653,6 @@ FetchEngine::runLoop(Source &source)
     }
     runAudit(true);
     return stats;
-}
-
-template <typename Source>
-SimResults
-FetchEngine::runWith(Source &source)
-{
-    static_assert(std::is_final_v<Source>,
-                  "runWith needs a final source so next() and "
-                  "takePlainRun() bind statically");
-    // Resolve the policy and prefetch slots once, here, and enter a
-    // runLoop instantiation where both are compile-time constants.
-    // The prefetch unit's kind never changes mid-run, so PF is always
-    // static; the policy slot must stay dynamic under an adaptive
-    // selector, which rewrites config.policy at epoch boundaries.
-    const bool pf = prefetcher.enabled();
-    if (selector) {
-        return pf ? runLoop<Source, kDynamic, 1>(source)
-                  : runLoop<Source, kDynamic, 0>(source);
-    }
-    switch (config.policy) {
-      case FetchPolicy::Oracle:
-        return pf ? runLoop<Source, pol(FetchPolicy::Oracle), 1>(source)
-                  : runLoop<Source, pol(FetchPolicy::Oracle), 0>(source);
-      case FetchPolicy::Optimistic:
-        return pf ? runLoop<Source, pol(FetchPolicy::Optimistic), 1>(source)
-                  : runLoop<Source, pol(FetchPolicy::Optimistic), 0>(source);
-      case FetchPolicy::Resume:
-        return pf ? runLoop<Source, pol(FetchPolicy::Resume), 1>(source)
-                  : runLoop<Source, pol(FetchPolicy::Resume), 0>(source);
-      case FetchPolicy::Pessimistic:
-        return pf ? runLoop<Source, pol(FetchPolicy::Pessimistic), 1>(source)
-                  : runLoop<Source, pol(FetchPolicy::Pessimistic), 0>(source);
-      case FetchPolicy::Decode:
-        return pf ? runLoop<Source, pol(FetchPolicy::Decode), 1>(source)
-                  : runLoop<Source, pol(FetchPolicy::Decode), 0>(source);
-    }
-    // Unreachable after SimConfig::validate(); the dynamic loop
-    // handles anything a future policy enumerator might add.
-    return runLoop<Source, kDynamic, kDynamic>(source);
 }
 
 template SimResults FetchEngine::runWith<Executor>(Executor &);

@@ -66,14 +66,10 @@ class FetchEngine
      * in fetch_engine.cc for exactly two sources: Executor (live) and
      * SnapshotReplaySource (replay).
      *
-     * Internally this is a dispatcher (DESIGN.md §14): for a static
-     * run it switches once on (config.policy, prefetch on/off) and
-     * enters a runLoop instantiation where both are compile-time
-     * constants, so the per-instruction and per-line paths carry no
-     * policy switch and no prefetch branches at all. Adaptive runs
-     * (config.adaptiveSelector != Off), whose policy changes at epoch
-     * boundaries, take the dynamic-policy instantiation, which reads
-     * config.policy per access exactly as before.
+     * One loop serves every policy and prefetcher (DESIGN.md §14).
+     * config.policy is read only where a miss or a wrong-path walk
+     * needs it, so an adaptive selector may rewrite it at an epoch
+     * boundary.
      */
     template <typename Source>
     SimResults runWith(Source &source);
@@ -95,37 +91,6 @@ class FetchEngine
     /** @} */
 
   private:
-    /**
-     * @name Compile-time policy/prefetch slots
-     * The hot-path methods below are templated on the fetch policy
-     * and the prefetch on/off flag so a static run resolves both at
-     * compile time. kDynamic in either slot falls back to reading the
-     * live configuration — required for adaptive runs, whose policy
-     * changes at epoch boundaries. @{
-     */
-    static constexpr int kDynamic = -1;
-
-    /** The policy governing this access (folds to a constant when
-     *  @p P names one). */
-    template <int P>
-    FetchPolicy
-    activePolicy() const
-    {
-        if constexpr (P == kDynamic)
-            return config.policy;
-        else
-            return static_cast<FetchPolicy>(P);
-    }
-
-    /** Whether a prefetch unit is armed (folds likewise). */
-    template <int PF>
-    bool
-    prefetchArmed() const
-    {
-        return PF == kDynamic ? prefetcher.enabled() : PF != 0;
-    }
-    /** @} */
-
     /** Advance the slot clock to @p target, charging lost slots. */
     void
     advanceTo(Slot target, PenaltyKind kind)
@@ -155,21 +120,21 @@ class FetchEngine
      *  front entry is due. */
     void drainResolvesDue();
 
-    /** Handle the correct-path access to @p line_addr (may stall). */
-    template <int P, int PF>
-    void handleLineAccess(Addr line_addr);
+    /**
+     * Handle the correct-path access to @p line_addr (may stall).
+     * Forced inline, like fetchPlainRun and maybePrefetch: the hit
+     * path — one probe and a likely-taken branch — must stay inside
+     * the per-line batch loop (DESIGN.md §14).
+     */
+    [[gnu::always_inline]] inline void handleLineAccess(Addr line_addr);
 
     /**
      * The miss continuation of handleLineAccess (fill buffers, victim
-     * swap, conservative-policy tax, bus fill). Split out so the hit
-     * path — one probe and a likely-taken branch — stays small enough
-     * to inline into the per-line batch loop.
+     * swap, conservative-policy tax, bus fill), kept out of line.
      */
-    template <int P, int PF>
     void handleLineMiss(Addr line_addr);
 
-    /** Issue one correct-path instruction; returns its issue slot. */
-    template <int P, int PF>
+    /** Issue one correct-path instruction. */
     void fetchOne(const DynInst &inst);
 
     /**
@@ -182,24 +147,24 @@ class FetchEngine
      * penalties and never read the predictor). DESIGN.md §14 states
      * the batching invariants.
      */
-    template <int P, int PF>
-    void fetchPlainRun(Addr pc, uint32_t count);
+    [[gnu::always_inline]] inline void fetchPlainRun(Addr pc,
+                                                     uint32_t count);
 
     /** Handle a control instruction's outcome after issue. */
-    template <int PF>
     void handleControl(const DynInst &inst, Slot issue);
 
     /** Trigger next-line prefetching for a correct-path access. */
-    template <int PF>
-    void maybePrefetch(Addr line_addr);
+    [[gnu::always_inline]] inline void maybePrefetch(Addr line_addr);
 
     /**
-     * The fetch loop proper, shared by every dispatch target of
-     * runWith(). @p P and @p PF are the compile-time policy/prefetch
-     * slots threaded through to the per-instruction helpers.
+     * Fetch at most @p cap (> 0) instructions from @p source: a plain
+     * run if the source has one ready, else one instruction. The one
+     * step of both warmup and the measured region; false once the
+     * source is exhausted. Forced inline: it is the per-batch path
+     * of both loops.
      */
-    template <typename Source, int P, int PF>
-    SimResults runLoop(Source &source);
+    template <typename Source>
+    [[gnu::always_inline]] inline bool step(Source &source, uint64_t cap);
 
     /** Zero the statistics after warmup (machine state persists). */
     void resetStats();

@@ -2,6 +2,7 @@
 
 #include "check/invariant.hh"
 #include "core/fetch_engine.hh"
+#include "report/record.hh"
 #include "stats/stats.hh"
 #include "trace/snapshot.hh"
 #include "util/logging.hh"
@@ -129,6 +130,12 @@ classificationConfig(const SimConfig &config)
     cfg.sampleInterval = 0;
     cfg.setHeatmap = false;
     return cfg;
+}
+
+std::string
+classificationKey(const std::string &benchmark, const SimConfig &config)
+{
+    return benchmark + "|" + toJson(classificationConfig(config)).dump();
 }
 
 Classification

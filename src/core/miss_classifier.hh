@@ -81,6 +81,14 @@ struct Classification
 SimConfig classificationConfig(const SimConfig &config);
 
 /**
+ * The identity of a classification row: @p benchmark and the manifest
+ * of classificationConfig(@p config), as a stored run's identity is
+ * its manifest. Runs with equal keys share one classification.
+ */
+std::string classificationKey(const std::string &benchmark,
+                              const SimConfig &config);
+
+/**
  * Classify misses for @p workload under classificationConfig(@p
  * config), executing the correct path live.
  *

@@ -18,7 +18,6 @@
 #include "fault/injector.hh"
 #include "obs/progress.hh"
 #include "obs/trace_event.hh"
-#include "report/record.hh"
 #include "trace/snapshot.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -88,20 +87,21 @@ struct ClassifyPlan
     std::vector<size_t> jobOf;
 };
 
-/** Group @p specs into classification rows. A row's identity is the
- *  manifest of its classification config, as a stored run's is. */
+/** Group @p specs into classification rows by classificationKey. */
 ClassifyPlan
 planClassifications(const std::vector<RunSpec> &specs)
 {
     ClassifyPlan plan;
     plan.jobOf.reserve(specs.size());
-    std::map<std::pair<std::string, std::string>, size_t> rows;
+    std::map<std::string, size_t> rows;
     for (const RunSpec &spec : specs) {
-        SimConfig config = classificationConfig(spec.config);
         auto [row, added] = rows.try_emplace(
-            {spec.benchmark, toJson(config).dump()}, plan.jobs.size());
-        if (added)
-            plan.jobs.push_back(ClassifyJob{spec.benchmark, config, {}});
+            classificationKey(spec.benchmark, spec.config),
+            plan.jobs.size());
+        if (added) {
+            plan.jobs.push_back(ClassifyJob{
+                spec.benchmark, classificationConfig(spec.config), {}});
+        }
         plan.jobOf.push_back(row->second);
     }
     return plan;
@@ -183,7 +183,7 @@ prepareShared(const std::vector<RunSpec> &specs,
         const auto &[key, length] = toRecord[i];
         TraceSpan span("snapshot_record", "sweep", key.first);
         Executor executor(shared.workloads.at(key.first)->cfg, key.second);
-        // lint: allow(loop-alloc) one allocation per distinct stream
+        // SPECFETCH-ALLOW(loop-alloc): one allocation per distinct stream
         recorded[i] = std::make_shared<const TraceSnapshot>(
             TraceSnapshot::record(executor, length));
     });

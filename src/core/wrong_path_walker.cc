@@ -114,10 +114,10 @@ WrongPathWalker::walk(Addr start_pc, Slot from, Slot window_end,
                 Slot done = bus.acquire(start, hierarchy.fillSlots(line));
                 if (stats)
                     ++stats->wrongFills;
-                // Virtual per wrong-path *fill*, not per instruction,
-                // and only the miss classifier attaches an observer.
-                if (observer)
-                    observer->onWrongPathMiss(line); // lint: allow(loop-virtual)
+                if (observer) {
+                    // SPECFETCH-ALLOW(loop-virtual): virtual per wrong-path fill, not per instruction, and only the miss classifier attaches an observer
+                    observer->onWrongPathMiss(line);
+                }
 
                 if (policy == FetchPolicy::Resume) {
                     // "Storing the line in the cache will take place

@@ -414,13 +414,12 @@ SweepService::executeJob(Job &job)
     // Every request of a row shares one classification. On a miss the
     // sweep classifies the row too: it then records the stream once
     // and replays it for both the run and the classification.
-    const std::string classificationKey =
-        job.request.benchmark + "|" +
-        toJson(classificationConfig(job.request.config)).dump();
+    const std::string rowKey =
+        classificationKey(job.request.benchmark, job.request.config);
     const Classification *classification = nullptr;
     {
         std::lock_guard<std::mutex> lock(classificationMutex);
-        auto cached = classifications.find(classificationKey);
+        auto cached = classifications.find(rowKey);
         if (cached != classifications.end())
             classification = &cached->second;
     }
@@ -436,7 +435,7 @@ SweepService::executeJob(Job &job)
         // the first insert wins.
         std::lock_guard<std::mutex> lock(classificationMutex);
         classification =
-            &classifications.emplace(classificationKey, classified[0])
+            &classifications.emplace(rowKey, classified[0])
                  .first->second;
     }
 

@@ -247,9 +247,9 @@ class SweepService
     /** warn() once, not per snapshot, if the invariant ever breaks. */
     mutable bool conservationWarned = false;
 
-    /** Table-4 classifications by benchmark + classificationConfig()
-     *  manifest: every request of one row shares one. A miss asks its
-     *  run's sweep for the row's classification. */
+    /** Table-4 classifications by classificationKey(): every request
+     *  of one row shares one. A miss asks its run's sweep for the
+     *  row's classification. */
     std::mutex classificationMutex;
     std::map<std::string, Classification> classifications;
 

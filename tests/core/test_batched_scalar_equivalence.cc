@@ -12,7 +12,9 @@
  * plain is its own run record, so no batch is longer than one
  * instruction, and most plains reach fetchOne through next() (the
  * first plain after each control instruction is a one-instruction
- * batch). Scripted programs take the same reference.
+ * batch). Scripted programs take the same reference. Warmup retires
+ * through the same batched step, so the epoch, adaptive and live
+ * cases run behind a warmup too.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +36,10 @@ namespace {
 
 constexpr uint64_t kBudget = 20'000;
 constexpr uint64_t kSeed = 42;
+/** A warmup that is a multiple of no epoch interval below, so the
+ *  warmup cap lands mid-run and the epochs start off any batch
+ *  boundary a zero warmup would give. */
+constexpr uint64_t kWarmup = 12'345;
 
 constexpr FetchPolicy kPolicies[] = {
     FetchPolicy::Oracle, FetchPolicy::Optimistic, FetchPolicy::Resume,
@@ -74,11 +80,12 @@ recordSnapshot(const Workload &w, uint64_t length,
     return TraceSnapshot::record(recorder, length, max_plain_run);
 }
 
-/** The scalar reference stream of @p w (see the file comment). */
+/** The scalar reference stream of @p w (see the file comment), long
+ *  enough for a warmed-up run. */
 TraceSnapshot
 scalarSnapshot(const Workload &w)
 {
-    return recordSnapshot(w, kBudget, /*max_plain_run=*/1);
+    return recordSnapshot(w, kWarmup + kBudget, /*max_plain_run=*/1);
 }
 
 void
@@ -167,16 +174,17 @@ TEST(BatchedScalar, AllBenchmarksAllPoliciesAllPrefetch)
 /**
  * Epoch series and set heatmaps under an interval that does not
  * divide the budget (forces a partial final epoch) and falls inside
- * plain runs and cache lines alike.
+ * plain runs and cache lines alike, behind a warmup.
  */
 TEST(BatchedScalar, SamplerEpochsAndHeatmapIdentical)
 {
     for (const std::string &name : benchmarkNames()) {
         const Workload &w = *sharedWorkload(name);
-        TraceSnapshot snap = recordSnapshot(w, kBudget);
+        TraceSnapshot snap = recordSnapshot(w, kWarmup + kBudget);
         SimConfig config;
         config.policy = FetchPolicy::Resume;
         config.instructionBudget = kBudget;
+        config.warmupInstructions = kWarmup;
         config.prefetchKind = PrefetchKind::NextLine;
         config.sampleInterval = 3'001;   // boundary lands mid-run/mid-line
         config.setHeatmap = true;
@@ -193,8 +201,9 @@ TEST(BatchedScalar, SamplerEpochsAndHeatmapIdentical)
 
 /**
  * Adaptive selection switches policy at epoch boundaries; the batch
- * cap must stop every batch exactly at the decision point so both
- * paths see identical epochs and make identical choices.
+ * cap must stop every batch exactly at the decision point (and at the
+ * warmup boundary the epochs count from) so both paths see identical
+ * epochs and make identical choices.
  */
 TEST(BatchedScalar, AdaptiveSelectionIdentical)
 {
@@ -203,10 +212,11 @@ TEST(BatchedScalar, AdaptiveSelectionIdentical)
                                         std::string("li"),
                                         std::string("doduc")}) {
             const Workload &w = *sharedWorkload(name);
-            TraceSnapshot snap = recordSnapshot(w, kBudget);
+            TraceSnapshot snap = recordSnapshot(w, kWarmup + kBudget);
             SimConfig config;
             config.policy = FetchPolicy::Resume;
             config.instructionBudget = kBudget;
+            config.warmupInstructions = kWarmup;
             config.adaptiveSelector = kind;
             config.adaptiveInterval = 2'500;
 
@@ -269,16 +279,17 @@ TEST(BatchedScalar, SingleInstructionRuns)
 /**
  * Live batches are block bodies, split where a fall-through block
  * hops into the next; replay batches are the RLE runs that merge
- * them. Over the full grid, with the sampler, the heatmap and — on a
- * second pass — adaptive selection armed, so batches are also cut at
- * every epoch boundary, the two must agree on results, epochs,
- * heatmaps and choices.
+ * them. Over the full grid, behind a warmup, with the sampler, the
+ * heatmap and — on a second pass — adaptive selection armed, so
+ * batches are also cut at the warmup boundary and at every epoch
+ * boundary, the two must agree on results, epochs, heatmaps and
+ * choices.
  */
 TEST(BatchedScalar, LiveMatchesReplay)
 {
     for (const std::string &name : benchmarkNames()) {
         const Workload &w = *sharedWorkload(name);
-        TraceSnapshot snap = recordSnapshot(w, kBudget);
+        TraceSnapshot snap = recordSnapshot(w, kWarmup + kBudget);
         for (FetchPolicy policy : kPolicies) {
             for (bool prefetch : {false, true}) {
                 for (SelectorKind kind :
@@ -286,6 +297,7 @@ TEST(BatchedScalar, LiveMatchesReplay)
                     SimConfig config;
                     config.policy = policy;
                     config.instructionBudget = kBudget;
+                    config.warmupInstructions = kWarmup;
                     config.prefetchKind = prefetch ? PrefetchKind::NextLine
                                                    : PrefetchKind::None;
                     config.sampleInterval = 3'001;

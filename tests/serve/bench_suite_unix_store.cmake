@@ -1,0 +1,39 @@
+# A bench_suite client started before its daemon: with nothing at the
+# socket path, `bench_suite --store unix:PATH` must wait out
+# serviceBatch's connect retry (about 2 s), exit 1 with the connect
+# error naming the socket, and leave nothing at PATH, where a store
+# directory would stop the daemon from binding.
+#
+#   cmake -DBENCH_SUITE=<binary> -DSOCKET=<path> -DOUT=<json path>
+#         -P bench_suite_unix_store.cmake
+
+file(REMOVE_RECURSE ${SOCKET} ${OUT})
+string(TIMESTAMP start "%s" UTC)
+execute_process(COMMAND ${BENCH_SUITE} --budget 50K --store unix:${SOCKET}
+                        --json ${OUT}
+                RESULT_VARIABLE status OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+string(TIMESTAMP stop "%s" UTC)
+math(EXPR waited "${stop} - ${start}")
+message("bench_suite exited ${status} after ${waited} s:\n${out}${err}")
+file(REMOVE ${OUT})
+
+if(NOT status EQUAL 1)
+    message(FATAL_ERROR "bench_suite exited ${status}, want 1")
+endif()
+string(FIND "${err}" "connect('${SOCKET}'): No such file or directory"
+       named)
+if(named EQUAL -1)
+    message(FATAL_ERROR "stderr does not carry the connect error naming "
+                        "${SOCKET}")
+endif()
+if(NOT err MATCHES "directory after [0-9]+ attempts\n")
+    message(FATAL_ERROR "the connect error does not report a retry")
+endif()
+if(waited LESS 1)
+    message(FATAL_ERROR "bench_suite gave up after ${waited} s, before "
+                        "the connect retry ran out")
+endif()
+if(EXISTS ${SOCKET})
+    message(FATAL_ERROR "bench_suite left something at ${SOCKET}")
+endif()

@@ -396,10 +396,10 @@ TEST(StoreWriteFuzz, SeededHistoriesKeepEveryAcknowledgedPut)
         std::string spec;
         for (uint64_t ordinal = 0; ordinal < puts; ++ordinal) {
             if (rng.nextBool(0.3)) {
-                spec += (spec.empty() ? "" : ",") +
-                        std::string(rng.nextBool(0.5) ? "shortwrite@"
-                                                      : "enospc@") +
-                        std::to_string(ordinal);
+                if (!spec.empty())
+                    spec += ',';
+                spec += rng.nextBool(0.5) ? "shortwrite@" : "enospc@";
+                spec += std::to_string(ordinal);
             }
         }
         SCOPED_TRACE(spec);
@@ -419,7 +419,8 @@ TEST(StoreWriteFuzz, SeededHistoriesKeepEveryAcknowledgedPut)
             ASSERT_TRUE(store.open(options));
             for (uint64_t n = 0; n < puts; ++n) {
                 const uint64_t k = rng.nextBelow(6);
-                const std::string key = "k" + std::to_string(k);
+                std::string key = "k";
+                key += std::to_string(k);
                 JsonValue record = JsonValue::object();
                 record.set("value", JsonValue::integer(k));
                 // A key already acknowledged is an index hit: no write,

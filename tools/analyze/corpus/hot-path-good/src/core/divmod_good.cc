@@ -20,7 +20,7 @@ unsigned long walk(const unsigned long* lines, int n,
         sum += inv;
     }
     for (int i = 0; i < n; ++i) {
-        // lint: allow(loop-divmod)
+        // SPECFETCH-ALLOW(loop-divmod): the set count is a runtime value
         sum += lines[i] % sets;
     }
     return sum;

@@ -13,7 +13,7 @@ int drive(Source& src, Cache& cache, int n) {
     }
     int inst = 0;
     for (int i = 0; i < n; ++i) {
-        // lint: allow(loop-virtual)
+        // SPECFETCH-ALLOW(loop-virtual): one dispatch per iteration, by design
         if (src.next(inst)) {
             *scratch += inst;
         }

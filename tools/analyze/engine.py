@@ -2,10 +2,10 @@
 
 A rule is an object with `rule_id`, `description`, and
 `run(project) -> [Finding]`. The engine runs every registered rule
-over the project, drops findings carrying a SPECFETCH-ALLOW (or
-legacy `lint: allow`) suppression on their line or the line above,
-then drops findings matching the checked-in baseline file. What
-remains are the actionable findings.
+over the project, drops findings carrying a SPECFETCH-ALLOW
+suppression on their line or the line above, then drops findings
+matching the checked-in baseline file. What remains are the
+actionable findings.
 
 Baseline entries fingerprint a finding by rule, path and the hash of
 its normalized source line — not by line number — so unrelated edits
@@ -149,7 +149,7 @@ def _bad_suppressions(project):
     findings = []
     for source in project.files():
         for s in source.suppressions:
-            if s.legacy or s.reason:
+            if s.reason:
                 continue
             findings.append(Finding(
                 BAD_SUPPRESSION_RULE, source.rel_path, s.line,

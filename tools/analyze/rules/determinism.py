@@ -4,8 +4,8 @@ The simulator's contract (DESIGN.md, tests/integration golden tests)
 is bit-exact reproducibility: the same config and seed must produce
 the same counters on every machine, at every parallelism. These rules
 fail CI on source patterns that historically break that contract.
-Token-based successors of the tools/lint.py line regexes: comments
-and strings never trip them, and the uninit-counter rule knows it is
+Token-based successors of the old line-regex lint: comments and
+strings never trip them, and the uninit-counter rule knows it is
 looking at a class body rather than guessing from indentation.
 """
 

@@ -4,7 +4,7 @@ allocate or virtually dispatch.
 These guard throughput rather than determinism: a single allocation
 or virtual call per simulated instruction is the difference between
 minutes and hours at paper-scale budgets. Scope-aware port of the
-lint.py brace counter — the loop body is a real Scope now, so
+old line-regex lint's brace counter — the loop body is a real Scope, so
 allocations in a lambda that merely *sits next to* a loop no longer
 false-positive, and braceless bodies are handled by the scope
 builder, not a line heuristic.

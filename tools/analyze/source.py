@@ -10,18 +10,15 @@ from . import tokenizer as tok
 # without one is itself reported (rule "bad-suppression").
 ALLOW_RE = re.compile(
     r"SPECFETCH-ALLOW\(([a-z-]+)\)(\s*:\s*(\S.*))?")
-# Legacy form from tools/lint.py, honored for compatibility.
-LEGACY_ALLOW_RE = re.compile(r"lint:\s*allow\(([a-z-]+)\)")
 
 
 class Suppression:
-    __slots__ = ("rule", "line", "reason", "legacy")
+    __slots__ = ("rule", "line", "reason")
 
-    def __init__(self, rule, line, reason, legacy):
+    def __init__(self, rule, line, reason):
         self.rule = rule
         self.line = line
         self.reason = reason
-        self.legacy = legacy
 
 
 class SourceFile:
@@ -57,7 +54,7 @@ class SourceFile:
 
     @property
     def suppressions(self):
-        """All SPECFETCH-ALLOW / legacy allow comments in the file."""
+        """All SPECFETCH-ALLOW comments in the file."""
         if self._suppressions is None:
             found = []
             for t in self.tokens:
@@ -65,10 +62,7 @@ class SourceFile:
                     continue
                 for m in ALLOW_RE.finditer(t.text):
                     found.append(Suppression(m.group(1), t.line,
-                                             m.group(3), legacy=False))
-                for m in LEGACY_ALLOW_RE.finditer(t.text):
-                    found.append(Suppression(m.group(1), t.line, None,
-                                             legacy=True))
+                                             m.group(3)))
             self._suppressions = found
         return self._suppressions
 

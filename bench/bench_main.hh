@@ -15,21 +15,28 @@
  *       auto results = runSweepReported(specs);   // exports per run
  *   }
  *
- * `--json <path>` appends one schema-v1 record per run as JSON Lines;
- * `--csv <path>` writes the same records flattened. Without either
- * flag the harness behaves exactly as before (tables on stdout only).
+ * `--json <path>` writes one schema-v1 record per run as JSON Lines;
+ * `--csv <path>` writes the same records flattened. Each file is
+ * checked at parse time but opened (and truncated) at its first
+ * record, so a run that fails before then leaves it as it was.
+ * Without either flag the harness prints its tables on stdout only.
  */
 
 #ifndef SPECFETCH_BENCH_BENCH_MAIN_HH_
 #define SPECFETCH_BENCH_BENCH_MAIN_HH_
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "adaptive/adaptive_record.hh"
 #include "adaptive/selector_kind.hh"
@@ -51,8 +58,81 @@ namespace bench {
 /** Default per-run instruction budget (SPECFETCH_BUDGET overrides). */
 constexpr uint64_t kDefaultBudget = 4'000'000;
 
+/** bench_suite's record file when --json names none. */
+constexpr const char *kSuiteRecords = "BENCH_results.json";
+
 /** Retry counts beyond this are a typo, not a policy. */
 constexpr uint64_t kMaxRetries = 16;
+
+/**
+ * Register the run guard's options (DESIGN.md §10): --retries,
+ * --run-timeout and --fault-inject, as bench_suite and sweep_serve
+ * both take them.
+ */
+inline void
+addGuardOptions(OptionParser &opts)
+{
+    opts.addCount("retries", SweepGuard{}.maxAttempts,
+                  "attempts per run before it fails (1.." +
+                      std::to_string(kMaxRetries) + ")");
+    opts.addDouble("run-timeout", 0.0,
+                   "per-run watchdog budget in seconds (0 = off)");
+    opts.addString("fault-inject", "",
+                   "fault-injection spec, e.g. throw@5x2,crash@9; run "
+                   "faults index the runs executed, store faults the "
+                   "puts (default honours SPECFETCH_FAULT_INJECT)");
+}
+
+/**
+ * Read the options addGuardOptions() registered into @p guard. The
+ * fault spec (or SPECFETCH_FAULT_INJECT) is parsed into @p injector,
+ * which the guard borrows unless it is empty. Returns the error of a
+ * bad value, naming its option, or an empty string.
+ */
+inline std::string
+readGuardOptions(const OptionParser &opts, SweepGuard &guard,
+                 FaultInjector &injector)
+{
+    uint64_t retries = opts.getCount("retries");
+    if (retries < 1 || retries > kMaxRetries) {
+        return "--retries must be in [1, " + std::to_string(kMaxRetries) +
+               "] (got " + std::to_string(retries) + ")";
+    }
+    guard.maxAttempts = static_cast<unsigned>(retries);
+    guard.runTimeoutSeconds = opts.getDouble("run-timeout");
+    if (!(guard.runTimeoutSeconds >= 0.0)) {
+        return detail::format("--run-timeout must be non-negative seconds "
+                              "(got %g)",
+                              guard.runTimeoutSeconds);
+    }
+    std::string error;
+    if (opts.wasSet("fault-inject")) {
+        if (!FaultInjector::parse(opts.getString("fault-inject"), injector,
+                                  &error))
+            return "--fault-inject: " + error;
+    } else if (!FaultInjector::fromEnv(injector, &error)) {
+        return std::string(kFaultInjectEnv) + ": " + error;
+    }
+    guard.injector = injector.empty() ? nullptr : &injector;
+    return "";
+}
+
+/**
+ * Whether @p path can take a record file, checked without creating or
+ * truncating anything: an existing file must open for appending, a
+ * new one's directory must take files.
+ */
+inline bool
+writablePath(const std::string &path)
+{
+    int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd >= 0)
+        return ::close(fd) == 0;
+    if (errno != ENOENT)
+        return false;
+    std::string dir = std::filesystem::path(path).parent_path().string();
+    return ::access(dir.empty() ? "." : dir.c_str(), W_OK | X_OK) == 0;
+}
 
 /** Parsed harness-wide options plus the open export sinks. */
 class BenchMain
@@ -61,17 +141,18 @@ class BenchMain
     /**
      * Parse the shared options. Returns false when the caller should
      * exit: on --help (parseFailed stays false, exit 0) or on a real
-     * error (parseFailed set, exit 1). @p persistence registers the
-     * result-store and fault options (--store, --retries,
-     * --run-timeout, --fault-inject and SPECFETCH_FAULT_INJECT), which
-     * only bench_suite acts on. A non-empty @p experimentNames
-     * registers --experiment, which must name one of them (the paper
-     * driver's rows); `experiment` stays empty when it is not given.
+     * error (parseFailed set, exit 1). @p suite registers the options
+     * only bench_suite acts on: the result store (--store), the run
+     * guard (addGuardOptions()) and adaptive selection (--adaptive,
+     * --adaptive-interval, --adaptive-seed); its records then default
+     * to kSuiteRecords. A non-empty @p experimentNames registers
+     * --experiment, which must name one of them (the experiment
+     * table's rows); `experiment` stays empty when it is not given.
      */
     bool
     parse(int argc, const char *const *argv, const std::string &name,
           const std::string &what, uint64_t fallbackBudget = kDefaultBudget,
-          bool persistence = false,
+          bool suite = false,
           const std::vector<std::string> &experimentNames = {})
     {
         OptionParser opts(name, what);
@@ -92,20 +173,22 @@ class BenchMain
                        "invariant-audit level: off, cheap or paranoid");
         opts.addCount("checkpoint-interval", 100'000,
                       "paranoid-audit checkpoint spacing, instructions");
-        if (persistence) {
+        if (suite) {
             opts.addString("store", "",
                            "resumable result store: a directory (runs "
                            "in-process, skipping stored runs), or "
                            "unix:PATH, the socket of a sweep_serve "
                            "daemon");
-            opts.addCount("retries", 3,
-                          "attempts per run before quarantine (1.."
-                          + std::to_string(kMaxRetries) + ")");
-            opts.addDouble("run-timeout", 0.0,
-                           "per-run watchdog budget in seconds (0 = off)");
-            opts.addString("fault-inject", "",
-                           "fault-injection spec, e.g. throw@5x2,crash@9 "
-                           "(default honours SPECFETCH_FAULT_INJECT)");
+            addGuardOptions(opts);
+            opts.addString("adaptive", "",
+                           "per-epoch policy selection: static, "
+                           "threshold or bandit (needs --json for "
+                           "choice logs)");
+            opts.addCount("adaptive-interval", 50'000,
+                          "adaptive decision epoch, retired "
+                          "instructions (needs --adaptive)");
+            opts.addCount("adaptive-seed", 1,
+                          "bandit exploration seed (needs --adaptive)");
         }
         opts.addCount("sample-interval", 0,
                       "emit one timeseries epoch every N retired "
@@ -113,14 +196,6 @@ class BenchMain
         opts.addFlag("heatmap",
                      "emit the per-set icache occupancy/conflict "
                      "heatmap record per run (needs --json)");
-        opts.addString("adaptive", "",
-                       "per-epoch policy selection: static, threshold "
-                       "or bandit (needs --json for choice logs)");
-        opts.addCount("adaptive-interval", 50'000,
-                      "adaptive decision epoch, retired instructions "
-                      "(needs --adaptive)");
-        opts.addCount("adaptive-seed", 1,
-                      "bandit exploration seed (needs --adaptive)");
         opts.addString("trace-out", "",
                        "write Chrome trace-event spans (Perfetto/"
                        "about:tracing) to this JSON path");
@@ -158,7 +233,9 @@ class BenchMain
             return reject("--checkpoint-interval expects a positive "
                           "instruction count (got 0)");
         }
-        if (persistence && !parsePersistence(opts))
+        sampleInterval = opts.getCount("sample-interval");
+        heatmap = opts.getFlag("heatmap");
+        if (suite && !parseSuite(opts))
             return false;
         if (!experimentNames.empty() && opts.wasSet("experiment")) {
             experiment = opts.getString("experiment");
@@ -171,61 +248,22 @@ class BenchMain
                               experiment.c_str(), valid.c_str());
             }
         }
-        if (!opts.getString("json").empty() &&
-            opts.getString("json") == opts.getString("csv")) {
+        jsonPath = opts.getString("json");
+        if (suite && jsonPath.empty())
+            jsonPath = kSuiteRecords;
+        csvPath = opts.getString("csv");
+        if (!jsonPath.empty() && jsonPath == csvPath) {
             return reject("--json and --csv name the same path (%s); the "
                           "sinks would interleave",
-                          opts.getString("json").c_str());
+                          jsonPath.c_str());
         }
-        if (!opts.getString("json").empty() &&
-            !openJson(opts.getString("json"))) {
-            parseFailed = true;
-            return false;
-        }
-        if (!opts.getString("csv").empty()) {
-            csv = std::make_unique<CsvReportWriter>(opts.getString("csv"));
-            if (!csv->ok())
-                return reject("cannot write %s", csv->path().c_str());
+        for (const std::string *path : {&jsonPath, &csvPath}) {
+            if (!path->empty() && !writablePath(*path))
+                return reject("cannot write %s", path->c_str());
         }
         if (opts.getFlag("list-stats")) {
             listStats();
             return false;    // exit 0, like --help
-        }
-        sampleInterval = opts.getCount("sample-interval");
-        heatmap = opts.getFlag("heatmap");
-        if ((sampleInterval > 0 || heatmap) && !storePath.empty()) {
-            // The store keeps exactly one record per run key and a
-            // rerun replays it verbatim; side-channel timeseries/
-            // heatmap rows would not survive a resume byte-identically.
-            return reject("--sample-interval/--heatmap cannot be combined "
-                          "with --store (observation rows are not "
-                          "stored)");
-        }
-        if (opts.wasSet("adaptive") &&
-            (!parseSelectorKind(opts.getString("adaptive"),
-                                adaptiveSelector) ||
-             adaptiveSelector == SelectorKind::Off)) {
-            return reject("--adaptive expects static, threshold or bandit "
-                          "(got '%s')",
-                          opts.getString("adaptive").c_str());
-        }
-        if ((opts.wasSet("adaptive-interval") ||
-             opts.wasSet("adaptive-seed")) &&
-            adaptiveSelector == SelectorKind::Off) {
-            return reject("--adaptive-interval/--adaptive-seed need "
-                          "--adaptive to pick a selector");
-        }
-        adaptiveInterval = opts.getCount("adaptive-interval");
-        if (adaptiveInterval == 0) {
-            return reject("--adaptive-interval must be a positive "
-                          "instruction count (got 0)");
-        }
-        adaptiveSeed = opts.getCount("adaptive-seed");
-        if (adaptiveSelector != SelectorKind::Off && !storePath.empty()) {
-            // Same reason as --sample-interval: adaptive choice-log
-            // rows are side-channel records the store cannot replay.
-            return reject("--adaptive cannot be combined with --store "
-                          "(choice-log rows are not stored)");
         }
         progressInterval = opts.getDouble("progress-interval");
         if (progressInterval <= 0.0) {
@@ -247,30 +285,21 @@ class BenchMain
         return true;
     }
 
-    /** Open (or replace) the JSONL sink outside of parse(). */
-    bool
-    openJson(const std::string &path)
-    {
-        json = std::make_unique<JsonlWriter>(path);
-        if (!json->ok()) {
-            std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-            json.reset();
-            return false;
-        }
-        return true;
-    }
+    bool exporting() const { return !jsonPath.empty() || !csvPath.empty(); }
 
-    bool exporting() const { return json != nullptr || csv != nullptr; }
-
-    /** Send one record to every open sink. */
+    /** Send one record to every sink. */
     void
     emit(const JsonValue &record)
     {
-        if (json)
-            json->write(record);
-        if (csv)
-            csv->write(record);
+        write(json, jsonPath, record);
+        write(csv, csvPath, record);
     }
+
+    /** Send one record to the JSONL sink only. */
+    void writeJson(const JsonValue &record) { write(json, jsonPath, record); }
+
+    /** JSONL records written so far. */
+    size_t jsonRecords() const { return json ? json->recordsWritten() : 0; }
 
     /** Export one run (record = results + manifest [+ timing]). */
     void
@@ -280,29 +309,6 @@ class BenchMain
     {
         if (exporting())
             emit(makeRunRecord(results, config, timing, classification));
-    }
-
-    /** Export a whole sweep in submission order; each record carries
-     *  its spec's classification when @p classifications is given. */
-    void
-    emitSweep(const std::vector<RunSpec> &specs,
-              const std::vector<SimResults> &results,
-              const SweepTiming &timing,
-              const std::vector<Classification> *classifications = nullptr)
-    {
-        if (!exporting())
-            return;
-        for (size_t i = 0; i < specs.size(); ++i) {
-            RunTiming rt;
-            rt.runSeconds = i < timing.perRunSeconds.size()
-                ? timing.perRunSeconds[i]
-                : 0.0;
-            rt.workloadBuildSeconds = timing.workloadBuildSeconds;
-            rt.snapshotRecordSeconds = timing.snapshotRecordSeconds;
-            rt.sweepTotalSeconds = timing.totalSeconds;
-            emitRun(results[i], specs[i].config, &rt,
-                    classifications ? &(*classifications)[i] : nullptr);
-        }
     }
 
     /** Print every exportable stat (the sampler/export surface). */
@@ -323,34 +329,31 @@ class BenchMain
     /** True when any per-run collector (src/obs) is armed. */
     bool observing() const { return sampleInterval > 0 || heatmap; }
 
-    /** Arm the requested collectors on every spec of a sweep. */
-    void
-    applyObsConfig(std::vector<RunSpec> &specs) const
-    {
-        if (!observing())
-            return;
-        for (RunSpec &spec : specs) {
-            spec.config.sampleInterval = sampleInterval;
-            spec.config.setHeatmap = heatmap;
-        }
-    }
-
     /** True when --adaptive armed a per-epoch selector. */
     bool adaptiveArmed() const
     {
         return adaptiveSelector != SelectorKind::Off;
     }
 
-    /** Arm the adaptive selector on every spec of a sweep. */
+    /** Arm the requested audit, collectors and adaptive selector on
+     *  every spec of a sweep. */
     void
-    applyAdaptiveConfig(std::vector<RunSpec> &specs) const
+    arm(std::vector<RunSpec> &specs) const
     {
-        if (!adaptiveArmed())
-            return;
         for (RunSpec &spec : specs) {
-            spec.config.adaptiveSelector = adaptiveSelector;
-            spec.config.adaptiveInterval = adaptiveInterval;
-            spec.config.adaptiveSeed = adaptiveSeed;
+            if (checkLevel != CheckLevel::Off) {
+                spec.config.checkLevel = checkLevel;
+                spec.config.checkpointInterval = checkpointInterval;
+            }
+            if (observing()) {
+                spec.config.sampleInterval = sampleInterval;
+                spec.config.setHeatmap = heatmap;
+            }
+            if (adaptiveArmed()) {
+                spec.config.adaptiveSelector = adaptiveSelector;
+                spec.config.adaptiveInterval = adaptiveInterval;
+                spec.config.adaptiveSeed = adaptiveSeed;
+            }
         }
     }
 
@@ -385,7 +388,7 @@ class BenchMain
     {
         if (observations.empty())
             return;
-        if (!json) {
+        if (jsonPath.empty()) {
             warn("--sample-interval/--heatmap/--adaptive produce JSONL "
                  "records; give --json to keep them");
             return;
@@ -393,16 +396,16 @@ class BenchMain
         for (size_t i = 0; i < observations.size(); ++i) {
             const RunObservations &obs = observations[i];
             if (!obs.epochs.empty()) {
-                json->write(makeTimeseriesRecord(obs, results[i],
-                                                 specs[i].config));
+                writeJson(makeTimeseriesRecord(obs, results[i],
+                                               specs[i].config));
             }
             if (obs.heatmap) {
-                json->write(makeHeatmapRecord(*obs.heatmap, results[i],
-                                              specs[i].config));
+                writeJson(makeHeatmapRecord(*obs.heatmap, results[i],
+                                            specs[i].config));
             }
             if (obs.adaptive.enabled() && !obs.adaptive.choices.empty()) {
-                json->write(makeAdaptiveRecord(obs.adaptive, results[i],
-                                               specs[i].config));
+                writeJson(makeAdaptiveRecord(obs.adaptive, results[i],
+                                             specs[i].config));
             }
         }
     }
@@ -412,17 +415,16 @@ class BenchMain
     CheckLevel checkLevel = CheckLevel::Off;
     uint64_t checkpointInterval = 100'000;
     bool parseFailed = false;
-    std::unique_ptr<JsonlWriter> json;
-    std::unique_ptr<CsvReportWriter> csv;
-    /** @name Persistence and fault options, bench_suite only
-     *  (DESIGN.md §10, §15) @{ */
+    /** --json and --csv: record files, empty when not given. */
+    std::string jsonPath;
+    std::string csvPath;
+    /** @name bench_suite's store, guard and adaptive options
+     *  (DESIGN.md §10, §12, §15) @{ */
     /** Result store directory, or a sweep_serve daemon's socket. */
     std::string storePath;
-    unsigned retries = 3;
-    double runTimeoutSeconds = 0.0;
+    /** The run guard; its injector, when armed, is `injector`. */
+    SweepGuard guard;
     FaultInjector injector;
-    /** @} */
-    /** @name Adaptive-selection options (DESIGN.md §12) @{ */
     SelectorKind adaptiveSelector = SelectorKind::Off;
     uint64_t adaptiveInterval = 50'000;
     uint64_t adaptiveSeed = 1;
@@ -441,31 +443,67 @@ class BenchMain
     std::string experiment;
 
   private:
-    /** Read and check the options parse(persistence) registered. */
+    /** The record sinks, opened (truncating) at their first record. */
+    std::unique_ptr<JsonlWriter> json;
+    std::unique_ptr<CsvReportWriter> csv;
+
+    /** Send @p record to @p sink, opening it on @p path first. */
+    template <typename Writer>
+    static void
+    write(std::unique_ptr<Writer> &sink, const std::string &path,
+          const JsonValue &record)
+    {
+        if (path.empty())
+            return;
+        if (!sink) {
+            sink = std::make_unique<Writer>(path);
+            if (!sink->ok())
+                warn("cannot write %s; its records are lost", path.c_str());
+        }
+        sink->write(record);
+    }
+
+    /** Read and check the options parse(suite) registered. */
     bool
-    parsePersistence(const OptionParser &opts)
+    parseSuite(const OptionParser &opts)
     {
         storePath = opts.getString("store");
-        uint64_t retriesRaw = opts.getCount("retries");
-        if (retriesRaw < 1 || retriesRaw > kMaxRetries) {
-            return reject("--retries must be in [1, %llu] (got %llu)",
-                          static_cast<unsigned long long>(kMaxRetries),
-                          static_cast<unsigned long long>(retriesRaw));
+        std::string error = readGuardOptions(opts, guard, injector);
+        if (!error.empty())
+            return reject("%s", error.c_str());
+        if ((sampleInterval > 0 || heatmap) && !storePath.empty()) {
+            // The store keeps exactly one record per run key and a
+            // rerun replays it verbatim; side-channel timeseries/
+            // heatmap rows would not survive a resume byte-identically.
+            return reject("--sample-interval/--heatmap cannot be combined "
+                          "with --store (observation rows are not "
+                          "stored)");
         }
-        retries = static_cast<unsigned>(retriesRaw);
-        runTimeoutSeconds = opts.getDouble("run-timeout");
-        if (runTimeoutSeconds < 0.0) {
-            return reject("--run-timeout must be non-negative seconds "
-                          "(got %g)",
-                          runTimeoutSeconds);
+        if (opts.wasSet("adaptive") &&
+            (!parseSelectorKind(opts.getString("adaptive"),
+                                adaptiveSelector) ||
+             adaptiveSelector == SelectorKind::Off)) {
+            return reject("--adaptive expects static, threshold or bandit "
+                          "(got '%s')",
+                          opts.getString("adaptive").c_str());
         }
-        std::string error;
-        if (opts.wasSet("fault-inject")) {
-            if (!FaultInjector::parse(opts.getString("fault-inject"),
-                                      injector, &error))
-                return reject("--fault-inject: %s", error.c_str());
-        } else if (!FaultInjector::fromEnv(injector, &error)) {
-            return reject("%s: %s", kFaultInjectEnv, error.c_str());
+        if ((opts.wasSet("adaptive-interval") ||
+             opts.wasSet("adaptive-seed")) &&
+            adaptiveSelector == SelectorKind::Off) {
+            return reject("--adaptive-interval/--adaptive-seed need "
+                          "--adaptive to pick a selector");
+        }
+        adaptiveInterval = opts.getCount("adaptive-interval");
+        if (adaptiveInterval == 0) {
+            return reject("--adaptive-interval must be a positive "
+                          "instruction count (got 0)");
+        }
+        adaptiveSeed = opts.getCount("adaptive-seed");
+        if (adaptiveArmed() && !storePath.empty()) {
+            // Same reason as --sample-interval: adaptive choice-log
+            // rows are side-channel records the store cannot replay.
+            return reject("--adaptive cannot be combined with --store "
+                          "(choice-log rows are not stored)");
         }
         return true;
     }
@@ -512,39 +550,45 @@ parseExitCode()
 }
 
 /**
- * runSweep + export: every result goes to the open sinks (with
- * per-run timing) before being returned in submission order. With
- * @p classifications the sweep's classify stage fills it (one per
- * spec) and every record carries its spec's classification.
+ * runSweep + export: every result goes to the sinks (with per-run
+ * timing), inside an `emit` span, before being returned in submission
+ * order. With @p classifications the sweep's classify stage fills it
+ * (one per spec) and every record carries its spec's classification;
+ * @p timing, when given, receives the sweep's stage times.
  */
 inline std::vector<SimResults>
 runSweepReported(const std::vector<RunSpec> &specs,
-                 std::vector<Classification> *classifications = nullptr)
+                 std::vector<Classification> *classifications = nullptr,
+                 SweepTiming *timing = nullptr)
 {
     BenchMain &bm = benchMain();
-    std::vector<RunSpec> audited = specs;
-    if (bm.checkLevel != CheckLevel::Off) {
-        for (RunSpec &spec : audited) {
-            spec.config.checkLevel = bm.checkLevel;
-            spec.config.checkpointInterval = bm.checkpointInterval;
-        }
-    }
-    bm.applyObsConfig(audited);
-    bm.applyAdaptiveConfig(audited);
-    bm.beginProgress(audited.size());
-    SweepTiming timing;
+    std::vector<RunSpec> armed = specs;
+    bm.arm(armed);
+    bm.beginProgress(armed.size());
+    SweepTiming ownTiming;
+    if (!timing)
+        timing = &ownTiming;
     std::vector<RunObservations> observations;
     bool collect = bm.observing() || bm.adaptiveArmed();
     SweepOptions options;
     options.parallelism = bm.parallelism;
-    options.timing = &timing;
+    options.timing = timing;
     if (collect)
         options.observations = &observations;
     options.classifications = classifications;
-    std::vector<SimResults> results = runSweep(audited, options).results;
+    std::vector<SimResults> results = runSweep(armed, options).results;
     bm.endProgress();
-    bm.emitSweep(audited, results, timing, classifications);
-    bm.emitObservations(audited, results, observations);
+    TraceSpan span("emit", "bench");
+    for (size_t i = 0; i < armed.size(); ++i) {
+        RunTiming rt;
+        rt.runSeconds = timing->perRunSeconds[i];
+        rt.workloadBuildSeconds = timing->workloadBuildSeconds;
+        rt.snapshotRecordSeconds = timing->snapshotRecordSeconds;
+        rt.sweepTotalSeconds = timing->totalSeconds;
+        bm.emitRun(results[i], armed[i].config, &rt,
+                   classifications ? &(*classifications)[i] : nullptr);
+    }
+    bm.emitObservations(armed, results, observations);
     return results;
 }
 

@@ -93,11 +93,9 @@ int
 runStoreDir(const std::vector<RunSpec> &specs)
 {
     BenchMain &bm = benchMain();
-    const FaultInjector *injector =
-        bm.injector.empty() ? nullptr : &bm.injector;
     ResultStore::Options storeOptions;
     storeOptions.dir = bm.storePath;
-    storeOptions.injector = injector;
+    storeOptions.injector = bm.guard.injector;
     ResultStore store;
     std::string error;
     if (!store.open(storeOptions, &error)) {
@@ -107,10 +105,7 @@ runStoreDir(const std::vector<RunSpec> &specs)
 
     SweepOptions options;
     options.parallelism = bm.parallelism;
-    SweepGuard &guard = options.guard.emplace();
-    guard.maxAttempts = bm.retries;
-    guard.runTimeoutSeconds = bm.runTimeoutSeconds;
-    guard.injector = injector;
+    options.guard = bm.guard;
     bm.beginProgress(specs.size());
     StoreSweepResult sweep = runStoreSweep(
         store, specs, options,
@@ -126,7 +121,7 @@ runStoreDir(const std::vector<RunSpec> &specs)
                 "%zu quarantined; %zu records -> %s\n",
                 specs.size(), sweep.resumedRuns, bm.storePath.c_str(),
                 sweep.executedRuns, sweep.failures.size(),
-                bm.json->recordsWritten(), bm.json->path().c_str());
+                bm.jsonRecords(), bm.jsonPath.c_str());
     for (const SweepFailure &failure : sweep.failures) {
         std::printf("  quarantined run %zu (%s): %s after %u attempts\n"
                     "    rerun: %s\n",
@@ -190,8 +185,7 @@ runStoreClient(const std::vector<RunSpec> &specs,
     std::vector<size_t> pending(specs.size());
     for (size_t i = 0; i < specs.size(); ++i)
         pending[i] = i;
-    const unsigned maxRounds =
-        benchMain().retries > 3 ? benchMain().retries : 3;
+    const unsigned maxRounds = std::max(benchMain().guard.maxAttempts, 3u);
     for (unsigned round = 0; round < maxRounds && !pending.empty();
          ++round) {
         std::vector<std::string> requests;
@@ -282,8 +276,8 @@ runStoreClient(const std::vector<RunSpec> &specs,
     std::printf("\n%zu runs via %s (%zu served from the store, "
                 "%zu failed); %zu records -> %s\n",
                 specs.size(), socketPath.c_str(), cachedRuns,
-                failures.size(), benchMain().json->recordsWritten(),
-                benchMain().json->path().c_str());
+                failures.size(), benchMain().jsonRecords(),
+                benchMain().jsonPath.c_str());
     // Like quarantine in runStoreDir, a failed run is a reported
     // outcome, not a client crash.
     return 0;
@@ -329,26 +323,22 @@ runAdaptiveColumn(const std::vector<std::string> &names,
     base.instructionBudget = kSuiteBudget;
     base.missPenaltyCycles = kAdaptivePenalty;
 
-    // Sampled static runs: the oracle's raw material.
-    std::vector<RunSpec> staticSpecs;
-    staticSpecs.reserve(names.size() * policies.size());
+    // Sampled static runs, the oracle's raw material, then the online
+    // selectors from the same Resume starting policy: one sweep, so
+    // each profile's stream is recorded once for all seven runs.
+    std::vector<RunSpec> specs;
+    specs.reserve(names.size() * (policies.size() + 2));
     for (const std::string &name : names) {
         for (FetchPolicy policy : policies) {
             SimConfig config = base;
             config.policy = policy;
             config.sampleInterval = kAdaptiveInterval;
-            staticSpecs.push_back(RunSpec{name, config});
+            specs.push_back(RunSpec{name, config});
         }
     }
-    std::vector<RunObservations> staticObs;
-    std::vector<SimResults> staticResults = runSweep(
-        staticSpecs, benchMain().parallelism, nullptr, &staticObs);
-
-    // The online selectors, from the same Resume starting policy.
+    const size_t firstAdaptive = specs.size();
     const SelectorKind kinds[] = {SelectorKind::Threshold,
                                   SelectorKind::Bandit};
-    std::vector<RunSpec> adaptiveSpecs;
-    adaptiveSpecs.reserve(names.size() * 2);
     for (const std::string &name : names) {
         for (SelectorKind kind : kinds) {
             SimConfig config = base;
@@ -356,12 +346,12 @@ runAdaptiveColumn(const std::vector<std::string> &names,
             config.adaptiveSelector = kind;
             config.adaptiveInterval = kAdaptiveInterval;
             config.adaptiveEpsilon = kAdaptiveEpsilon;
-            adaptiveSpecs.push_back(RunSpec{name, config});
+            specs.push_back(RunSpec{name, config});
         }
     }
-    std::vector<RunObservations> adaptiveObs;
-    std::vector<SimResults> adaptiveResults = runSweep(
-        adaptiveSpecs, benchMain().parallelism, nullptr, &adaptiveObs);
+    std::vector<RunObservations> observations;
+    std::vector<SimResults> results =
+        runSweep(specs, benchMain().parallelism, nullptr, &observations);
 
     TextTable table;
     table.setColumns({"workload", "best static", "oracle", "thresh",
@@ -371,8 +361,8 @@ runAdaptiveColumn(const std::vector<std::string> &names,
         std::vector<double> staticIspi;
         for (size_t p = 0; p < policies.size(); ++p) {
             size_t i = b * policies.size() + p;
-            epochs.push_back(std::move(staticObs[i].epochs));
-            staticIspi.push_back(staticResults[i].ispi());
+            epochs.push_back(std::move(observations[i].epochs));
+            staticIspi.push_back(results[i].ispi());
         }
         PerIntervalOracle oracle =
             buildPerIntervalOracle(policies, std::move(epochs),
@@ -382,13 +372,11 @@ runAdaptiveColumn(const std::vector<std::string> &names,
         double columnIspi[2] = {0.0, 0.0};
         double columnGap[2] = {0.0, 0.0};
         for (size_t k = 0; k < 2; ++k) {
-            size_t i = b * 2 + k;
-            AdaptiveRegret regret =
-                computeRegret(adaptiveResults[i].ispi(), oracle);
-            benchMain().json->write(
-                makeAdaptiveRecord(adaptiveObs[i].adaptive,
-                                   adaptiveResults[i],
-                                   adaptiveSpecs[i].config, &regret));
+            size_t i = firstAdaptive + b * 2 + k;
+            AdaptiveRegret regret = computeRegret(results[i].ispi(), oracle);
+            benchMain().writeJson(makeAdaptiveRecord(
+                observations[i].adaptive, results[i], specs[i].config,
+                &regret));
             columnIspi[k] = regret.adaptiveIspi;
             columnGap[k] = 100.0 * regret.gapClosed;
         }
@@ -415,11 +403,9 @@ main(int argc, char **argv)
 {
     if (!benchMain().parse(argc, argv, "bench_suite",
                            "full policy/prefetch grid with JSONL export",
-                           kSuiteBudget, /*persistence=*/true)) {
+                           kSuiteBudget, /*suite=*/true)) {
         return parseExitCode();
     }
-    if (!benchMain().json && !benchMain().openJson("BENCH_results.json"))
-        return 1;
 
     SimConfig base;
     base.instructionBudget = benchMain().budget;
@@ -452,41 +438,17 @@ main(int argc, char **argv)
             return runStoreClient(specs, store.substr(kSocketPrefix.size()));
         return runStoreDir(specs);
     }
-    if (!benchMain().injector.empty()) {
+    if (benchMain().guard.injector) {
         warn("fault injection is active but no --store was given; "
              "directives are ignored in the unguarded path");
     }
 
-    benchMain().applyObsConfig(specs);
-    benchMain().applyAdaptiveConfig(specs);
-    benchMain().beginProgress(specs.size());
     // Every record of a profile carries the profile's Table-4
     // classification, which the sweep computes once per profile.
     SweepTiming timing;
-    std::vector<RunObservations> observations;
     std::vector<Classification> classifications;
-    SweepOptions options;
-    options.parallelism = benchMain().parallelism;
-    options.timing = &timing;
-    if (benchMain().observing() || benchMain().adaptiveArmed())
-        options.observations = &observations;
-    options.classifications = &classifications;
-    std::vector<SimResults> results = runSweep(specs, options).results;
-    benchMain().endProgress();
-
-    {
-        TraceSpan span("emit", "bench");
-        for (size_t i = 0; i < specs.size(); ++i) {
-            RunTiming rt;
-            rt.runSeconds = timing.perRunSeconds[i];
-            rt.workloadBuildSeconds = timing.workloadBuildSeconds;
-            rt.snapshotRecordSeconds = timing.snapshotRecordSeconds;
-            rt.sweepTotalSeconds = timing.totalSeconds;
-            benchMain().emit(makeRunRecord(results[i], specs[i].config,
-                                           &rt, &classifications[i]));
-        }
-        benchMain().emitObservations(specs, results, observations);
-    }
+    std::vector<SimResults> results =
+        runSweepReported(specs, &classifications, &timing);
 
     // Human-readable digest: suite-average ISPI per (policy, prefetch).
     TextTable table;
@@ -523,7 +485,6 @@ main(int argc, char **argv)
                 specs.size(), timing.totalSeconds,
                 timing.workloadBuildSeconds, timing.snapshotRecordSeconds,
                 timing.classifySeconds, timing.runSeconds, column.count(),
-                benchMain().json->recordsWritten(),
-                benchMain().json->path().c_str());
+                benchMain().jsonRecords(), benchMain().jsonPath.c_str());
     return 0;
 }

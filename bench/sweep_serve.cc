@@ -16,16 +16,21 @@
  * clean-shutdown marker. kill -9 at any instant is also survivable —
  * the next open replays the segments and loses at most the put that
  * was in flight.
+ *
+ * Every option is checked, by name, before the store opens; the run
+ * guard's options are bench_suite's (bench_main.hh).
  */
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <list>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include <unistd.h>
 
+#include "bench_main.hh"
 #include "fault/injector.hh"
 #include "metrics/flusher.hh"
 #include "metrics/metrics.hh"
@@ -33,7 +38,6 @@
 #include "serve/result_store.hh"
 #include "serve/service.hh"
 #include "serve/socket.hh"
-#include "util/logging.hh"
 #include "util/options.hh"
 
 using namespace specfetch;
@@ -64,10 +68,7 @@ main(int argc, char **argv)
     opts.addCount("queue-bound", 64,
                   "admitted-request bound; excess requests are shed "
                   "with an 'overloaded' error");
-    opts.addCount("retries", 3, "attempts per run before it fails");
-    opts.addDouble("backoff", 0.05, "retry/backoff-hint base (seconds)");
-    opts.addDouble("run-timeout", 0.0,
-                   "per-run watchdog budget in seconds (0 = none)");
+    bench::addGuardOptions(opts);
     opts.addDouble("request-deadline", 0.0,
                    "per-request deadline from admission in seconds "
                    "(0 = none)");
@@ -75,10 +76,6 @@ main(int argc, char **argv)
                   "terminal failures before a key is quarantined");
     opts.addSize("max-segment-bytes", 4 * 1024 * 1024,
                  "rotate the store's append segment past this size");
-    opts.addString("fault-inject", "",
-                   "fault spec (see --help of bench_suite); indices name "
-                   "executed-run ordinals for run faults and put ordinals "
-                   "for store faults");
     opts.addString("metrics-out", "",
                    "write schema-v1 'metrics' JSONL snapshots here "
                    "(counters, gauges, latency histograms)");
@@ -89,21 +86,34 @@ main(int argc, char **argv)
                    "queue+execute span pair per executed request");
     if (!opts.parse(argc, argv))
         return 1;
-    if (opts.getString("store").empty()) {
-        std::fprintf(stderr, "sweep_serve: --store is required\n");
-        return 1;
-    }
-
+    SweepService::Options serviceOptions;
+    serviceOptions.workers =
+        static_cast<unsigned>(opts.getCount("workers"));
+    serviceOptions.queueBound =
+        static_cast<size_t>(opts.getCount("queue-bound"));
+    serviceOptions.requestDeadlineSeconds =
+        opts.getDouble("request-deadline");
+    serviceOptions.poisonThreshold =
+        static_cast<unsigned>(opts.getCount("poison-threshold"));
+    const std::string socketPath = opts.getString("socket");
     FaultInjector injector;
-    std::string faultError;
-    if (!FaultInjector::parse(opts.getString("fault-inject"), injector,
-                              &faultError)) {
-        std::fprintf(stderr, "sweep_serve: %s\n", faultError.c_str());
-        return 1;
-    }
-    if (injector.empty() &&
-        !FaultInjector::fromEnv(injector, &faultError)) {
-        std::fprintf(stderr, "sweep_serve: %s\n", faultError.c_str());
+    std::string error;
+    if (opts.getString("store").empty())
+        error = "--store is required";
+    else if (!socketPath.empty() && !validSocketPath(socketPath, &error))
+        error = "--socket: " + error;
+    else if (serviceOptions.workers == 0)
+        error = "--workers must be at least 1";
+    else if (serviceOptions.queueBound == 0)
+        error = "--queue-bound must be at least 1";
+    else if (!(serviceOptions.requestDeadlineSeconds >= 0.0))
+        error = "--request-deadline must be non-negative seconds";
+    else if (serviceOptions.poisonThreshold == 0)
+        error = "--poison-threshold must be at least 1";
+    else
+        error = bench::readGuardOptions(opts, serviceOptions.guard, injector);
+    if (!error.empty()) {
+        std::fprintf(stderr, "sweep_serve: %s\n", error.c_str());
         return 1;
     }
 
@@ -121,10 +131,8 @@ main(int argc, char **argv)
     storeOptions.dir = opts.getString("store");
     storeOptions.maxSegmentBytes = opts.getSize("max-segment-bytes");
     storeOptions.metrics = &metrics;
-    if (!injector.empty())
-        storeOptions.injector = &injector;
+    storeOptions.injector = serviceOptions.guard.injector;
     ResultStore store;
-    std::string error;
     if (!store.open(storeOptions, &error)) {
         std::fprintf(stderr, "sweep_serve: %s\n", error.c_str());
         return 1;
@@ -145,21 +153,6 @@ main(int argc, char **argv)
                      storeOptions.dir.c_str(), kStoreQuarantineFile);
     }
 
-    SweepService::Options serviceOptions;
-    serviceOptions.workers =
-        static_cast<unsigned>(opts.getCount("workers"));
-    serviceOptions.queueBound =
-        static_cast<size_t>(opts.getCount("queue-bound"));
-    serviceOptions.maxAttempts =
-        static_cast<unsigned>(opts.getCount("retries"));
-    serviceOptions.backoffBaseSeconds = opts.getDouble("backoff");
-    serviceOptions.runTimeoutSeconds = opts.getDouble("run-timeout");
-    serviceOptions.requestDeadlineSeconds =
-        opts.getDouble("request-deadline");
-    serviceOptions.poisonThreshold =
-        static_cast<unsigned>(opts.getCount("poison-threshold"));
-    if (!injector.empty())
-        serviceOptions.injector = &injector;
     serviceOptions.metrics = &metrics;
     SweepService service(store, serviceOptions);
 
@@ -190,7 +183,6 @@ main(int argc, char **argv)
 
     service.start();
 
-    const std::string socketPath = opts.getString("socket");
     if (socketPath.empty()) {
         serveStream(STDIN_FILENO, STDOUT_FILENO, service, &gStop);
     } else {
@@ -202,20 +194,32 @@ main(int argc, char **argv)
         std::fprintf(stderr, "sweep_serve: listening on %s\n",
                      socketPath.c_str());
         MetricCounter &accepts = metrics.counter("socket.accepts");
-        std::vector<std::thread> connections;
+        // One thread per connection, flagged when its client is done.
+        // Finished ones are joined as the loop goes, so a long-lived
+        // daemon holds no thread or stack for a client that has left.
+        std::list<std::pair<std::thread, std::atomic<bool>>> connections;
         while (!gStop.load()) {
+            connections.remove_if([](auto &connection) {
+                if (!connection.second.load())
+                    return false;
+                connection.first.join();
+                return true;
+            });
             int client = listener.accept(/*pollSeconds=*/0.2);
             if (client < 0)
                 continue;
             accepts.add(1);
-            connections.emplace_back([client, &service] {
+            auto &connection = connections.emplace_back();
+            std::atomic<bool> &done = connection.second;
+            connection.first = std::thread([client, &service, &done] {
                 serveStream(client, client, service, &gStop);
                 ::close(client);
+                done.store(true);
             });
         }
         listener.close();
-        for (std::thread &connection : connections)
-            connection.join();
+        for (auto &connection : connections)
+            connection.first.join();
     }
 
     // Graceful drain: finish admitted work, answer it, then make the

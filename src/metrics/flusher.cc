@@ -14,16 +14,19 @@ MetricsFlusher::begin(const Options &options, RecordFn build)
 {
     std::lock_guard<std::mutex> lock(mutex);
     panic_if(running, "metrics flusher begun twice without end()");
-    if (options.filePath.empty())
-        return false;
-    file.open(options.filePath, std::ios::binary | std::ios::trunc);
-    if (!file) {
-        warn("cannot write metrics file '%s'",
-             options.filePath.c_str());
-        return false;
+    if (!options.filePath.empty()) {
+        file.open(options.filePath,
+                  std::ios::binary |
+                      (truncated ? std::ios::app : std::ios::trunc));
+        if (!file) {
+            warn("cannot write '%s'", options.filePath.c_str());
+            file.clear();
+            return false;
+        }
+        truncated = true;
     }
     opts = options;
-    builder = std::move(build);
+    buildRecord = std::move(build);
     seq = 0;
     stopping = false;
     running = true;
@@ -52,7 +55,14 @@ MetricsFlusher::flushLocked(bool final)
     double elapsed = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - started)
                          .count();
-    JsonValue record = builder(seq++, elapsed, final);
+    writeLocked(buildRecord(seq++, elapsed, final));
+}
+
+void
+MetricsFlusher::writeLocked(const JsonValue &record)
+{
+    if (!file.is_open())
+        return;
     file << record.dump() << "\n";
     file.flush();
 }
@@ -61,10 +71,8 @@ void
 MetricsFlusher::emitRecord(const JsonValue &record)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    if (!running)
-        return;
-    file << record.dump() << "\n";
-    file.flush();
+    if (running)
+        writeLocked(record);
 }
 
 void

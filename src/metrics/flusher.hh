@@ -1,12 +1,14 @@
 /**
  * @file
- * Periodic metrics JSONL flusher (DESIGN.md §16): the --metrics-out
- * side of the telemetry subsystem. Owns a heartbeat thread that asks
- * a caller-supplied builder for one schema-v1 record per interval and
- * appends it to a file, ProgressReporter-style; end() emits one final
- * record (final=true) so consumers always see a complete last
- * snapshot. Unlike ProgressReporter this is a plain owned object, not
- * a process singleton — a daemon owns exactly one.
+ * The periodic JSONL heartbeat (DESIGN.md §16.3): the --metrics-out
+ * side of the telemetry subsystem and the thread behind the sweep
+ * progress heartbeat (obs/progress.hh). Owns a heartbeat thread that
+ * asks a caller-supplied function for one schema-v1 record per
+ * interval and appends it to a file; end() emits one final record
+ * (final=true) so consumers always see a complete last snapshot.
+ * Without a file it still ticks, for a record function whose work is
+ * a side effect (progress's stderr line). A plain owned object: a
+ * daemon owns exactly one.
  */
 
 #ifndef SPECFETCH_METRICS_FLUSHER_HH_
@@ -30,7 +32,10 @@ class MetricsFlusher
   public:
     struct Options
     {
-        /** JSONL destination; empty disables the flusher entirely. */
+        /** JSONL destination; empty builds records without writing
+         *  them. The first begin() of a flusher truncates its file and
+         *  later ones append, so a flusher begun again keeps its
+         *  earlier rows. */
         std::string filePath;
         /** Flush period; <= 0 writes only the final record. */
         double intervalSeconds = 2.0;
@@ -50,8 +55,8 @@ class MetricsFlusher
     MetricsFlusher(const MetricsFlusher &) = delete;
     MetricsFlusher &operator=(const MetricsFlusher &) = delete;
 
-    /** Open the file and start the heartbeat. Returns false (and
-     *  stays disabled) when the file cannot be opened. */
+    /** Open the file (if any) and start the heartbeat. Returns false
+     *  (and stays disabled) when the file cannot be opened. */
     bool begin(const Options &options, RecordFn build);
 
     /** Emit one record immediately (e.g. a startup summary written
@@ -72,9 +77,10 @@ class MetricsFlusher
   private:
     void heartbeatLoop();
     void flushLocked(bool final);
+    void writeLocked(const JsonValue &record);
 
     Options opts;
-    RecordFn builder;
+    RecordFn buildRecord;
     std::mutex mutex;
     std::condition_variable wake;
     std::thread heartbeat;
@@ -83,6 +89,8 @@ class MetricsFlusher
     uint64_t seq = 0;
     bool running = false;
     bool stopping = false;
+    /** Whether a begin() already truncated a file. */
+    bool truncated = false;
 };
 
 } // namespace specfetch

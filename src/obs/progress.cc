@@ -11,7 +11,7 @@ namespace specfetch {
 ProgressReporter &
 ProgressReporter::global()
 {
-    // SPECFETCH-ALLOW(shared-state): Meyers singleton; the reporter guards its state with atomics and a mutex
+    // SPECFETCH-ALLOW(shared-state): Meyers singleton; the reporter guards its state with atomics and its heartbeat's mutex
     static ProgressReporter reporter;
     return reporter;
 }
@@ -20,53 +20,37 @@ void
 ProgressReporter::begin(const Options &options, uint64_t totalRuns,
                         const std::string &label)
 {
-    std::unique_lock<std::mutex> lock(mutex);
     panic_if(isEnabled.load(std::memory_order_relaxed),
              "progress reporter begun twice without end()");
-    opts = options;
+    toStderr = options.toStderr;
     total = totalRuns;
     sweepLabel = label;
     completed.store(0, std::memory_order_relaxed);
     resumed.store(0, std::memory_order_relaxed);
     retried.store(0, std::memory_order_relaxed);
     quarantined.store(0, std::memory_order_relaxed);
-    stopping = false;
-    started = std::chrono::steady_clock::now();
-    if (!opts.filePath.empty()) {
-        // First begin() of the process truncates; later sweeps of the
-        // same harness append so no heartbeat rows are lost.
-        auto mode = std::ios::binary |
-            (truncated ? std::ios::app : std::ios::trunc);
-        file.open(opts.filePath, mode);
-        if (!file)
-            warn("cannot write progress file '%s'", opts.filePath.c_str());
-        truncated = true;
-    }
     isEnabled.store(true, std::memory_order_relaxed);
-    if (opts.intervalSeconds > 0.0)
-        heartbeat = std::thread([this] { heartbeatLoop(); });
-}
-
-void
-ProgressReporter::heartbeatLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    auto interval = std::chrono::duration<double>(opts.intervalSeconds);
-    while (!stopping) {
-        if (wake.wait_for(lock, interval) == std::cv_status::timeout && !stopping)
-            emitLocked(/*final=*/false);
+    MetricsFlusher::Options flusher;
+    flusher.filePath = options.filePath;
+    flusher.intervalSeconds = options.intervalSeconds;
+    auto build = [this](uint64_t, double elapsedSeconds, bool final) {
+        return row(elapsedSeconds, final);
+    };
+    if (!heartbeat.begin(flusher, build)) {
+        // An unwritable progress file loses its rows, not the stderr
+        // line.
+        flusher.filePath.clear();
+        heartbeat.begin(flusher, build);
     }
 }
 
-void
-ProgressReporter::emitLocked(bool final)
+JsonValue
+ProgressReporter::row(double elapsed, bool final) const
 {
     uint64_t done = completed.load(std::memory_order_relaxed);
     uint64_t fromStore = resumed.load(std::memory_order_relaxed);
     uint64_t retries = retried.load(std::memory_order_relaxed);
     uint64_t bad = quarantined.load(std::memory_order_relaxed);
-    double elapsed = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - started).count();
     // ETA extrapolates from throughput so far; store-resumed runs are
     // nearly free, so exclude them from the rate estimate when any
     // simulated run has finished.
@@ -78,7 +62,7 @@ ProgressReporter::emitLocked(bool final)
             * static_cast<double>(remaining);
     }
 
-    if (opts.toStderr) {
+    if (toStderr) {
         std::fprintf(stderr,
                      "[%s] %llu/%llu runs (%llu resumed, %llu retried, "
                      "%llu quarantined) elapsed %.1fs%s",
@@ -91,41 +75,27 @@ ProgressReporter::emitLocked(bool final)
                      final ? " done\n"
                            : detail::format(" eta %.1fs\n", eta).c_str());
     }
-    if (file) {
-        JsonValue row = JsonValue::object();
-        row.set("schema_version", JsonValue::integer(kReportSchemaVersion))
-            .set("record", JsonValue::string("progress"))
-            .set("sweep", JsonValue::string(sweepLabel))
-            .set("completed", JsonValue::integer(done))
-            .set("total", JsonValue::integer(total))
-            .set("resumed", JsonValue::integer(fromStore))
-            .set("retried", JsonValue::integer(retries))
-            .set("quarantined", JsonValue::integer(bad))
-            .set("elapsed_seconds", JsonValue::number(elapsed))
-            .set("eta_seconds", JsonValue::number(eta))
-            .set("final", JsonValue::boolean(final));
-        file << row.dump() << "\n";
-        file.flush();
-    }
+    JsonValue record = JsonValue::object();
+    record.set("schema_version", JsonValue::integer(kReportSchemaVersion))
+        .set("record", JsonValue::string("progress"))
+        .set("sweep", JsonValue::string(sweepLabel))
+        .set("completed", JsonValue::integer(done))
+        .set("total", JsonValue::integer(total))
+        .set("resumed", JsonValue::integer(fromStore))
+        .set("retried", JsonValue::integer(retries))
+        .set("quarantined", JsonValue::integer(bad))
+        .set("elapsed_seconds", JsonValue::number(elapsed))
+        .set("eta_seconds", JsonValue::number(eta))
+        .set("final", JsonValue::boolean(final));
+    return record;
 }
 
 void
 ProgressReporter::end()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!isEnabled.load(std::memory_order_relaxed))
-            return;
-        stopping = true;
-    }
-    wake.notify_all();
-    if (heartbeat.joinable())
-        heartbeat.join();
-    std::lock_guard<std::mutex> lock(mutex);
-    emitLocked(/*final=*/true);
-    if (file.is_open())
-        file.close();
-    file.clear();
+    if (!isEnabled.load(std::memory_order_relaxed))
+        return;
+    heartbeat.end();
     isEnabled.store(false, std::memory_order_relaxed);
 }
 

@@ -5,10 +5,10 @@
  * A 130-run sweep can spend minutes between its first line
  * of output and BENCH_results.json. ProgressReporter makes that window
  * observable: worker threads bump atomic counters (completed,
- * resumed-from-store, retried, quarantined) and a heartbeat thread
- * periodically renders them — a human line on stderr and/or a
- * schema-v1 `progress` JSONL row to a file — with an ETA extrapolated
- * from throughput so far.
+ * resumed-from-store, retried, quarantined) and a MetricsFlusher
+ * heartbeat periodically renders them — a human line on stderr and/or
+ * a schema-v1 `progress` JSONL row to a file — with an ETA
+ * extrapolated from throughput so far.
  *
  * Progress output carries wall-clock content and therefore never goes
  * anywhere near result records; like the trace sink it is a process
@@ -20,13 +20,10 @@
 #define SPECFETCH_OBS_PROGRESS_HH_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <fstream>
-#include <mutex>
 #include <string>
-#include <thread>
+
+#include "metrics/flusher.hh"
 
 namespace specfetch {
 
@@ -45,7 +42,8 @@ class ProgressReporter
 
     /**
      * Arm the reporter for a sweep of @p totalRuns runs and start the
-     * heartbeat thread. @p label names the sweep in output.
+     * heartbeat. @p label names the sweep in output. The first sweep
+     * of a process truncates the progress file; later ones append.
      */
     void begin(const Options &options, uint64_t totalRuns,
                const std::string &label);
@@ -95,10 +93,9 @@ class ProgressReporter
   private:
     ProgressReporter() = default;
 
-    void heartbeatLoop();
-    /** Render one snapshot to the armed sinks. @p final marks the
-     *  closing line. Caller holds the mutex. */
-    void emitLocked(bool final);
+    /** One snapshot as a `progress` row, after printing its stderr
+     *  line when armed. @p final marks the closing row. */
+    JsonValue row(double elapsedSeconds, bool final) const;
 
     std::atomic<bool> isEnabled{false};
     std::atomic<uint64_t> completed{0};
@@ -106,18 +103,11 @@ class ProgressReporter
     std::atomic<uint64_t> retried{0};
     std::atomic<uint64_t> quarantined{0};
 
-    std::mutex mutex;
-    std::condition_variable wake;
-    bool stopping = false;
-    std::thread heartbeat;
-    Options opts;
+    /** Set by begin() before the heartbeat starts. */
+    bool toStderr = false;
     uint64_t total = 0;
     std::string sweepLabel;
-    /** Whether some begin() already truncated the progress file (later
-     *  sweeps of the same process append to it). */
-    bool truncated = false;
-    std::ofstream file;
-    std::chrono::steady_clock::time_point started;
+    MetricsFlusher heartbeat;
 };
 
 } // namespace specfetch

@@ -243,7 +243,8 @@ SweepService::workerLoop(unsigned workerIndex)
 double
 SweepService::backoffHint(unsigned attempt) const
 {
-    return backoffSeconds(std::max(attempt, 1u), opts.backoffBaseSeconds);
+    return backoffSeconds(std::max(attempt, 1u),
+                          opts.guard.backoffBaseSeconds);
 }
 
 void
@@ -396,18 +397,15 @@ SweepService::executeJob(Job &job)
 
     SweepOptions sweep;
     sweep.parallelism = 1;
-    SweepGuard &guard = sweep.guard.emplace();
-    guard.maxAttempts = opts.maxAttempts;
-    guard.backoffBaseSeconds = opts.backoffBaseSeconds;
-    guard.runTimeoutSeconds = opts.runTimeoutSeconds;
+    SweepGuard &guard = sweep.guard.emplace(opts.guard);
     FaultInjector localInjector;
-    if (opts.injector && !opts.injector->empty()) {
+    if (guard.injector && !guard.injector->empty()) {
         uint64_t ordinal;
         {
             std::lock_guard<std::mutex> lock(mutex);
             ordinal = executedOrdinal++;
         }
-        localInjector = opts.injector->atOrdinal(ordinal);
+        localInjector = guard.injector->atOrdinal(ordinal);
         guard.injector = &localInjector;
     }
 

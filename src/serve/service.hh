@@ -49,12 +49,12 @@
 #include <vector>
 
 #include "core/miss_classifier.hh"
+#include "core/sweep.hh"
 #include "serve/request.hh"
 #include "serve/result_store.hh"
 
 namespace specfetch {
 
-class FaultInjector;
 class MetricsRegistry;
 class MetricCounter;
 class LatencyHistogram;
@@ -68,22 +68,18 @@ class SweepService
         unsigned workers = 1;
         /** Admitted-request bound (leaders + followers). */
         size_t queueBound = 64;
-        /** Guarded attempts per executed run. */
-        unsigned maxAttempts = 3;
-        /** Base of the retry/backoff-hint exponential (seconds). */
-        double backoffBaseSeconds = 0.05;
-        /** Per-run watchdog budget (seconds); 0 disables. */
-        double runTimeoutSeconds = 0.0;
+        /**
+         * The guard every executed run runs behind; its backoff base
+         * also scales the backoff hints of error responses. The
+         * injector's run directives name *executed-run ordinals*
+         * (misses actually simulated, in execution order): the service
+         * projects the spec onto each run via atOrdinal().
+         */
+        SweepGuard guard;
         /** Per-request deadline from admission (seconds); 0 = none. */
         double requestDeadlineSeconds = 0.0;
         /** Terminal failures before a key is poisoned. */
         unsigned poisonThreshold = 3;
-        /**
-         * Borrowed; may be null. Directive indices name *executed-run
-         * ordinals* (misses actually simulated, in execution order) —
-         * the service projects the spec per run via atOrdinal().
-         */
-        const FaultInjector *injector = nullptr;
         /** Test-only gate, called after the deadline check and before
          *  the run executes. */
         std::function<void()> testBeforeExecute;

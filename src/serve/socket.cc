@@ -139,6 +139,13 @@ struct StreamOrder
 
 } // namespace
 
+bool
+validSocketPath(const std::string &path, std::string *error)
+{
+    sockaddr_un addr;
+    return fillSocketAddress(path, addr, error);
+}
+
 UnixSocketServer::~UnixSocketServer()
 {
     close();

@@ -24,6 +24,10 @@ namespace specfetch {
 
 class SweepService;
 
+/** Whether @p path fits a Unix socket address; false with @p error
+ *  naming the limit otherwise. */
+bool validSocketPath(const std::string &path, std::string *error);
+
 /** Listening Unix-domain stream socket; unlinks its path on close. */
 class UnixSocketServer
 {

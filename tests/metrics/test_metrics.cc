@@ -259,3 +259,20 @@ TEST(MetricsFlusherTest, FlushWritesARecordBeforeTheFirstInterval)
     flusher.end();
     std::remove(path.c_str());
 }
+
+TEST(MetricsFlusherTest, TicksWithoutAFile)
+{
+    // The progress heartbeat's stderr-only mode: no file, yet every
+    // tick and the final one still call the record function.
+    MetricsFlusher flusher;
+    MetricsFlusher::Options options;
+    options.intervalSeconds = 3600.0;
+    std::vector<bool> finals;
+    ASSERT_TRUE(flusher.begin(options, [&](uint64_t, double, bool final) {
+        finals.push_back(final);
+        return JsonValue::object();
+    }));
+    flusher.flush();
+    flusher.end();
+    EXPECT_EQ(finals, (std::vector<bool>{false, true}));
+}

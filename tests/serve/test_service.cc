@@ -382,13 +382,13 @@ TEST_F(ServiceTest, OverloadShedsBeyondQueueBound)
 TEST_F(ServiceTest, PoisonAfterRepeatedFailures)
 {
     SweepService::Options options;
-    options.maxAttempts = 1;
+    options.guard.maxAttempts = 1;
     options.poisonThreshold = 2;
     FaultInjector injector;
     // Every executed-run ordinal throws on every attempt.
     ASSERT_TRUE(FaultInjector::parse(
         "throw@0x*,throw@1x*,throw@2x*,throw@3x*", injector));
-    options.injector = &injector;
+    options.guard.injector = &injector;
     SweepService service(store, options);
     service.start();
     Collector collector;

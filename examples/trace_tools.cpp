@@ -53,6 +53,10 @@ info(const OptionParser &opts)
                 trace.image.controlCount());
     std::printf("start pc: 0x%llx\n",
                 static_cast<unsigned long long>(trace.snapshot.startPc()));
+    std::printf("stream: %s bytes (%.2f bytes/instruction)\n",
+                formatWithCommas(trace.snapshot.byteSize()).c_str(),
+                ratioOf(trace.snapshot.byteSize(),
+                        trace.snapshot.instructionCount()));
 
     constexpr size_t kClasses =
         static_cast<size_t>(InstClass::IndirectCall) + 1;

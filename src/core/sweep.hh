@@ -55,7 +55,8 @@ struct SweepTiming
 /**
  * Snapshots larger than this are not recorded (the runs fall back to
  * live execution): beyond it the packed stream's memory footprint
- * (~3-4 bytes/instruction) outweighs the replay win.
+ * (up to ~1.6 bytes/instruction, about 100 MB at the cap) outweighs
+ * the replay win.
  */
 constexpr uint64_t kSweepSnapshotMaxInstructions = 64'000'000;
 

@@ -31,6 +31,42 @@ refuse(std::string *error, const std::string &reason)
     return false;
 }
 
+/** Every control class but CondBranch is always taken. */
+bool
+alwaysTaken(uint8_t cls)
+{
+    return cls != static_cast<uint8_t>(InstClass::CondBranch);
+}
+
+/**
+ * The record of control instruction @p inst, the @p index-th of its
+ * stream, after @p plain_before plains. Panics on what the record
+ * cannot hold or replay must not see: a misaligned target, one beyond
+ * a signed 32-bit instruction offset, or an untaken unconditional.
+ */
+TraceSnapshot::ControlRecord
+packControl(const DynInst &inst, uint64_t index, uint32_t plain_before)
+{
+    auto where = [&] {
+        return "snapshot control at instruction " + std::to_string(index) +
+               " (pc " + hexString(inst.pc) + ")";
+    };
+    const uint8_t cls = static_cast<uint8_t>(inst.cls);
+    panic_if(!inst.taken && alwaysTaken(cls), "%s: untaken %s",
+             where().c_str(), toString(inst.cls).c_str());
+    panic_if(inst.target % kInstBytes != 0, "%s: target %s misaligned",
+             where().c_str(), hexString(inst.target).c_str());
+    // Wrapping difference: a target below pc reads as negative.
+    const auto offset =
+        static_cast<int64_t>(inst.target - inst.pc) /
+        static_cast<int64_t>(kInstBytes);
+    panic_if(offset != static_cast<int32_t>(offset),
+             "%s: target %s is beyond a 32-bit instruction offset",
+             where().c_str(), hexString(inst.target).c_str());
+    return TraceSnapshot::ControlRecord::pack(
+        static_cast<int32_t>(offset), plain_before, cls, inst.taken);
+}
+
 } // namespace
 
 TraceSnapshot
@@ -38,10 +74,16 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
                       uint32_t max_plain_run)
 {
     panic_if(max_plain_run == 0, "snapshot plain runs cannot be empty");
+    panic_if(max_plain_run > kMaxPlainRun,
+             "snapshot plain runs cannot exceed %u instructions",
+             kMaxPlainRun);
 
     TraceSnapshot snap;
-    // ~20-25% of dynamic instructions are control (paper Table 3), so
-    // one record per ~4-5 instructions; reserve for the dense case.
+    // Up to ~20-25% of dynamic instructions are control (paper Table
+    // 3), so reserve one record per 4 instructions. Each record is
+    // written once, into the buffer the snapshot keeps: a large
+    // reservation's untouched tail is address space, not resident
+    // memory, so it is not trimmed by a copy.
     snap.recs.reserve(static_cast<size_t>(length / 4 + 1));
 
     DynInst inst;
@@ -60,8 +102,11 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
             pc = inst.pc;
             plains = inst.cls == InstClass::Plain ? 1 : 0;
         }
-        // One continuity check per run or control instruction.
+        // One continuity check per run or control instruction; an
+        // aligned start keeps every later pc aligned.
         if (snap.count == 0) {
+            panic_if(pc % kInstBytes != 0, "snapshot start pc %s misaligned",
+                     hexString(pc).c_str());
             snap.start = pc;
         } else {
             panic_if(pc != expected,
@@ -77,22 +122,21 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
             expected = pc + static_cast<Addr>(plains) * kInstBytes;
             plain_run += plains;
             if (plain_run == max_plain_run) {
-                snap.recs.push_back(
-                    ControlRecord{0, max_plain_run, kRunOnly, 0, 0});
+                snap.recs.push_back(ControlRecord::pack(
+                    0, max_plain_run, uint8_t(InstClass::Plain), false));
                 plain_run = 0;
             }
         } else {
+            snap.recs.push_back(packControl(inst, snap.count, plain_run));
             ++snap.count;
             expected = inst.nextPc();
-            snap.recs.push_back(ControlRecord{
-                inst.target, plain_run, static_cast<uint8_t>(inst.cls),
-                static_cast<uint8_t>(inst.taken ? 1 : 0), 0});
             plain_run = 0;
         }
     }
-    if (plain_run > 0)
-        snap.recs.push_back(ControlRecord{0, plain_run, kRunOnly, 0, 0});
-    snap.recs.shrink_to_fit();
+    if (plain_run > 0) {
+        snap.recs.push_back(ControlRecord::pack(
+            0, plain_run, uint8_t(InstClass::Plain), false));
+    }
     snap.hash = snap.computeHash();
     return snap;
 }
@@ -131,18 +175,21 @@ TraceSnapshot::validate(std::string *error) const
     uint64_t population = 0;
     for (size_t i = 0; i < recs.size(); ++i) {
         const ControlRecord &rec = recs[i];
-        bool run_only = rec.cls == kRunOnly;
-        if (!run_only &&
-            (rec.cls == static_cast<uint8_t>(InstClass::Plain) ||
-             rec.cls > static_cast<uint8_t>(InstClass::IndirectCall)))
-            return bad(i, "carries invalid class " + std::to_string(rec.cls));
-        if (run_only && rec.plainBefore == 0)
-            return bad(i, "is a run of zero plains");
-        if (!run_only && rec.target % kInstBytes != 0)
-            return bad(i, "target " + hexString(rec.target) + " misaligned");
-        if (rec.pad != 0)
-            return bad(i, "has nonzero padding");
-        population += rec.plainBefore + (run_only ? 0 : 1);
+        if (rec.runOnly()) {
+            if (rec.plainBefore() == 0)
+                return bad(i, "is a run of zero plains");
+            if (rec.taken() || rec.targetOffset() != 0)
+                return bad(i, "is a plain run with a target or direction");
+            population += rec.plainBefore();
+            continue;
+        }
+        if (rec.cls() > static_cast<uint8_t>(InstClass::IndirectCall))
+            return bad(i,
+                       "carries invalid class " + std::to_string(rec.cls()));
+        if (!rec.taken() && alwaysTaken(rec.cls()))
+            return bad(i, "is an untaken " +
+                              toString(static_cast<InstClass>(rec.cls())));
+        population += rec.plainBefore() + 1;
     }
     if (population != count) {
         return refuse(error,

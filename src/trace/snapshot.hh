@@ -13,20 +13,19 @@
  * The encoding exploits a correct-path property: PCs never need to be
  * stored, because the next correct-path PC is always the previous
  * instruction's nextPc(). A snapshot is therefore just the start PC
- * plus one packed 16-byte ControlRecord per control instruction, each
- * carrying the run of sequential plain instructions preceding it. At
- * the paper workloads' ~20-25% branch fractions this costs ~3-4 bytes
- * per dynamic instruction, and replay is a branch-predictable
- * run-length walk that is much cheaper than CFG interpretation. A
- * trace file (trace/trace_file.hh) stores the serialized form after
- * the program image.
+ * plus one 8-byte ControlRecord per control instruction, each carrying
+ * the run of sequential plain instructions preceding it and its target
+ * as an offset from its own pc. At the workloads' 1.6-20% control
+ * fractions this costs 0.13-1.6 bytes per dynamic instruction, and
+ * replay is a branch-predictable run-length walk that is much cheaper
+ * than CFG interpretation. A trace file (trace/trace_file.hh) stores
+ * the serialized form after the program image.
  */
 
 #ifndef SPECFETCH_TRACE_SNAPSHOT_HH_
 #define SPECFETCH_TRACE_SNAPSHOT_HH_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,43 +44,68 @@ namespace specfetch {
 class TraceSnapshot
 {
   public:
-    /**
-     * @ref plainBefore sequential plain instructions followed by one
-     * control instruction — or by nothing when @ref cls is kRunOnly
-     * (a continuation chunk of an over-long plain run, or the
-     * trailing plains after the stream's last control instruction).
-     */
-    struct ControlRecord
-    {
-        /** Dynamic destination if taken (executor resolve-time truth;
-         *  kept for not-taken conditionals too — the engine trains
-         *  the BTB and walks misfetch paths with it). */
-        Addr target = 0;
-        /** Sequential plain instructions preceding this control. */
-        uint32_t plainBefore = 0;
-        /** The InstClass value, or kRunOnly. */
-        uint8_t cls = 0;
-        /** Dynamic direction (always 1 for unconditional control). */
-        uint8_t taken = 0;
-        /** Explicit (always-zero) padding so the packed bytes are
-         *  fully defined and content hashing/serialization can treat
-         *  records as raw memory. */
-        uint16_t pad = 0;
-    };
-    static_assert(sizeof(ControlRecord) == 16,
-                  "records are packed for cache-friendly replay");
-
-    /** @ref ControlRecord::cls value meaning "no control follows". */
-    static constexpr uint8_t kRunOnly = 0xff;
-
     /** Longest plain run one record may carry before chunking. */
-    static constexpr uint32_t kMaxPlainRun =
-        std::numeric_limits<uint32_t>::max();
+    static constexpr uint32_t kMaxPlainRun = (uint32_t(1) << 28) - 1;
+
+    /**
+     * plainBefore() sequential plain instructions followed by one
+     * control instruction, or by nothing when runOnly() (a
+     * continuation chunk of an over-long plain run, or the trailing
+     * plains after the stream's last control instruction).
+     *
+     * Eight bytes, every bit defined: a signed 32-bit target offset in
+     * instructions from the control's own pc, then one word holding
+     * plainBefore in bits 0-27, the class in bits 28-30 (Plain marks a
+     * run-only record) and the direction in bit 31. Only this class
+     * knows that layout.
+     */
+    class ControlRecord
+    {
+      public:
+        /** Pack the fields as given, unchecked (record() checks what
+         *  it packs, validate() what it reads): @p cls keeps 3 bits,
+         *  @p plainBefore 28. */
+        static constexpr ControlRecord
+        pack(int32_t targetOffset, uint32_t plainBefore, uint8_t cls,
+             bool taken)
+        {
+            ControlRecord rec;
+            rec.offset = targetOffset;
+            rec.word = (plainBefore & kMaxPlainRun) |
+                       uint32_t(cls & 7u) << 28 | uint32_t(taken) << 31;
+            return rec;
+        }
+
+        /** Sequential plain instructions preceding this control. */
+        uint32_t plainBefore() const { return word & kMaxPlainRun; }
+        /** The InstClass value; Plain marks a run-only record. */
+        uint8_t cls() const { return uint8_t(word >> 28 & 7u); }
+        bool runOnly() const { return cls() == uint8_t(InstClass::Plain); }
+        /** Dynamic direction (always set for unconditional control). */
+        bool taken() const { return word >> 31 != 0; }
+        /** Target minus pc, in instructions (kept for not-taken
+         *  conditionals too: the engine trains the BTB and walks
+         *  misfetch paths with it). */
+        int32_t targetOffset() const { return offset; }
+        /** The dynamic target of this control when it sits at @p pc. */
+        Addr
+        target(Addr pc) const
+        {
+            return pc + Addr(int64_t(offset)) * kInstBytes;
+        }
+
+      private:
+        int32_t offset = 0;
+        uint32_t word = 0;
+    };
+    static_assert(sizeof(ControlRecord) == 8,
+                  "records are packed for cache-friendly replay");
 
     /** Serialized-form magic: 'SFSN' little-endian. */
     static constexpr uint32_t kMagic = 0x4E534653;
-    /** Bump when the serialized layout changes incompatibly. */
-    static constexpr uint32_t kVersion = 1;
+    /** Bump when the serialized layout changes incompatibly (version
+     *  1 spent 16 bytes per record and is refused). */
+    static constexpr uint32_t kVersion = 2;
 
     TraceSnapshot() = default;
 
@@ -89,9 +113,12 @@ class TraceSnapshot
      * Record up to @p length instructions from @p source.
      *
      * The source must produce a path-continuous stream (each pc equal
-     * to the previous instruction's nextPc()); anything else is a
-     * corrupted source and panics. @p max_plain_run exists for tests
-     * that exercise run chunking without billions of instructions.
+     * to the previous instruction's nextPc()) whose control targets
+     * are instruction aligned and within a signed 32-bit instruction
+     * offset of their pc, and whose unconditional controls are taken;
+     * anything else is a corrupted source and panics. @p max_plain_run
+     * (at most kMaxPlainRun) exists for tests that exercise run
+     * chunking without billions of instructions.
      */
     static TraceSnapshot record(InstructionSource &source, uint64_t length,
                                 uint32_t max_plain_run = kMaxPlainRun);
@@ -129,13 +156,14 @@ class TraceSnapshot
 
     /**
      * Structural sanity independent of the digest: every record is
-     * either a control record of a control class or a run-only record
-     * carrying at least one plain, the start PC and every control
-     * target are instruction aligned, and the per-record populations
-     * add up to instructionCount(). Catches damage that a correctly
-     * rehashed mutation would not, so replay only ever sees a stream
-     * record() could have written (a misaligned PC would stall the
-     * wrong-path walker).
+     * either a control record of a control class, taken if its class
+     * is unconditional, or a run-only record carrying at least one
+     * plain and no target or direction; the start PC is instruction
+     * aligned; and the per-record populations add up to
+     * instructionCount(). Catches damage that a correctly rehashed
+     * mutation would not, so replay only ever sees a stream record()
+     * could have written (a misaligned PC would stall the wrong-path
+     * walker). Errors name the offending record.
      */
     bool validate(std::string *error = nullptr) const;
 
@@ -228,9 +256,9 @@ class SnapshotReplaySource final : public InstructionSource
                 // Direct cast on the per-control hot path: record()
                 // wrote a genuine InstClass, and deserialize() has
                 // validated every class read from outside.
-                out = DynInst{pc, static_cast<InstClass>(cur->cls),
-                              cur->taken != 0, cur->target};
-                pc = cur->taken ? cur->target : pc + kInstBytes;
+                out = DynInst{pc, static_cast<InstClass>(cur->cls()),
+                              cur->taken(), cur->target(pc)};
+                pc = out.taken ? out.target : pc + kInstBytes;
                 ++cur;
                 if (cur != end)
                     loadRecord();
@@ -247,8 +275,8 @@ class SnapshotReplaySource final : public InstructionSource
     void
     loadRecord()
     {
-        plainLeft = cur->plainBefore;
-        controlPending = cur->cls != TraceSnapshot::kRunOnly;
+        plainLeft = cur->plainBefore();
+        controlPending = !cur->runOnly();
     }
 
     const TraceSnapshot::ControlRecord *cur = nullptr;

@@ -50,8 +50,9 @@ class TraceError : public std::runtime_error
 
 /** 'SFTR' in little-endian. */
 constexpr uint32_t kTraceMagic = 0x52544653;
-/** Version 1 files (a varint stream) are refused. */
-constexpr uint32_t kTraceVersion = 2;
+/** Version 1 (a varint stream) and version 2 (16 bytes per control)
+ *  files are refused. */
+constexpr uint32_t kTraceVersion = 3;
 
 /** A loaded trace: the image the engine fetches wrong paths from and
  *  the correct-path stream it replays. */

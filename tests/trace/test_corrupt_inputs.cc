@@ -114,6 +114,13 @@ classByte(InstClass c)
     return static_cast<uint8_t>(c);
 }
 
+/** A run-only record of @p plains plains. */
+constexpr Record
+plainRun(uint32_t plains)
+{
+    return Record::pack(0, plains, classByte(InstClass::Plain), false);
+}
+
 /** The TraceError message parsing @p bytes produces ("" when they
  *  parse). */
 std::string
@@ -177,8 +184,9 @@ TEST_F(CorruptTrace, BadMagicIsNamed)
 
 TEST_F(CorruptTrace, UnsupportedVersionIsNamed)
 {
-    // Version 1 files (a varint stream) are refused too.
-    for (uint32_t version : {1u, 99u}) {
+    // Version 1 (a varint stream) and version 2 (16 bytes per control)
+    // files are refused too.
+    for (uint32_t version : {1u, 2u, 99u}) {
         std::string error =
             loadError(header(0x1000, 0, kTraceMagic, version));
         EXPECT_NE(error.find("version " + std::to_string(version)),
@@ -224,10 +232,8 @@ TEST_F(CorruptTrace, InvalidImageClassIsNamed)
 
 TEST_F(CorruptTrace, ZeroLengthPlainRunIsNamed)
 {
-    std::string error = loadError(streamOnly(
-        0x1000, 3,
-        {Record{0, 3, TraceSnapshot::kRunOnly, 0, 0},
-         Record{0, 0, TraceSnapshot::kRunOnly, 0, 0}}));
+    std::string error =
+        loadError(streamOnly(0x1000, 3, {plainRun(3), plainRun(0)}));
     EXPECT_NE(error.find("record 1 is a run of zero plains"),
               std::string::npos)
         << error;
@@ -235,19 +241,48 @@ TEST_F(CorruptTrace, ZeroLengthPlainRunIsNamed)
 
 TEST_F(CorruptTrace, UnknownStreamTagIsNamed)
 {
-    // Neither an instruction class nor the run-only marker.
+    // Neither an instruction class nor the run-only marker: the class
+    // field's one value past IndirectCall, on a run-shaped record.
     std::string error =
-        loadError(streamOnly(0x1000, 1, {Record{0x1000, 0, 0x80, 1, 0}}));
-    EXPECT_NE(error.find("invalid class 128"), std::string::npos) << error;
+        loadError(streamOnly(0x1000, 1, {Record::pack(0, 1, 7, false)}));
+    EXPECT_NE(error.find("record 0 carries invalid class 7"),
+              std::string::npos)
+        << error;
 }
 
 TEST_F(CorruptTrace, InvalidControlClassIsNamed)
 {
-    // One past IndirectCall, and Plain, which is no control class.
-    for (uint8_t wire : {uint8_t{7}, classByte(InstClass::Plain)}) {
-        std::string error = loadError(
-            streamOnly(0x1000, 1, {Record{0x1000, 0, wire, 1, 0}}));
-        EXPECT_NE(error.find("invalid class " + std::to_string(wire)),
+    // One past IndirectCall...
+    std::string error =
+        loadError(streamOnly(0x1000, 1, {Record::pack(1, 0, 7, true)}));
+    EXPECT_NE(error.find("record 0 carries invalid class 7"),
+              std::string::npos)
+        << error;
+
+    // ...and Plain, which is no control class: its value marks a
+    // run-only record, which record() writes with neither a direction
+    // nor a target.
+    for (Record rec : {Record::pack(0, 1, classByte(InstClass::Plain), true),
+                       Record::pack(1, 1, classByte(InstClass::Plain),
+                                    false)}) {
+        error = loadError(streamOnly(0x1000, 1, {rec}));
+        EXPECT_NE(error.find("record 0 is a plain run with a target or "
+                             "direction"),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST_F(CorruptTrace, UntakenUnconditionalControlIsNamed)
+{
+    // record() writes every unconditional control taken; replay would
+    // run an untaken one as a fall-through.
+    for (InstClass cls : {InstClass::Jump, InstClass::Call, InstClass::Return,
+                          InstClass::IndirectJump, InstClass::IndirectCall}) {
+        Record untaken = Record::pack(4, 0, classByte(cls), false);
+        std::string error =
+            loadError(streamOnly(0x1000, 2, {plainRun(1), untaken}));
+        EXPECT_NE(error.find("record 1 is an untaken " + toString(cls)),
                   std::string::npos)
             << error;
     }
@@ -258,7 +293,8 @@ TEST_F(CorruptTrace, TruncatedControlRecordIsNamed)
     // The stream ends one control record short of the instructions it
     // promises; re-stamped, so only the population check can see it.
     std::string error = loadError(streamOnly(
-        0x1000, 8, {Record{0x2000, 3, classByte(InstClass::Jump), 1, 0}}));
+        0x1000, 8,
+        {Record::pack(0x400, 3, classByte(InstClass::Jump), true)}));
     EXPECT_NE(error.find("population 4 != instruction count 8"),
               std::string::npos)
         << error;
@@ -273,15 +309,16 @@ TEST_F(CorruptTrace, MisalignedImageBaseIsNamed)
 
 TEST_F(CorruptTrace, MisalignedStartPcIsNamed)
 {
-    std::string error = loadError(streamOnly(
-        0x1002, 1, {Record{0, 1, TraceSnapshot::kRunOnly, 0, 0}}));
+    std::string error = loadError(streamOnly(0x1002, 1, {plainRun(1)}));
     EXPECT_NE(error.find("start pc 0x1002 misaligned"), std::string::npos)
         << error;
 }
 
 TEST_F(CorruptTrace, MisalignedTargetIsNamed)
 {
-    // A static target in the image...
+    // A static target in the image. (A stream record holds its target
+    // in instructions, so it cannot be misaligned: record() refuses to
+    // write one, SnapshotDeath.MisalignedTargetPanics.)
     std::vector<uint8_t> bytes = header(0x1000, 1);
     bytes.push_back(classByte(InstClass::Jump));
     putU64(bytes, 0x1006);
@@ -289,16 +326,6 @@ TEST_F(CorruptTrace, MisalignedTargetIsNamed)
     EXPECT_NE(error.find("record 0 target 0x1006 misaligned"),
               std::string::npos)
         << error;
-
-    // ...and a dynamic target in the stream, taken or not (the engine
-    // walks a not-taken conditional's target as a misfetch path).
-    for (uint8_t taken : {uint8_t{0}, uint8_t{1}}) {
-        error = loadError(streamOnly(
-            0x1000, 1,
-            {Record{0x1006, 0, classByte(InstClass::CondBranch), taken, 0}}));
-        EXPECT_NE(error.find("target 0x1006 misaligned"), std::string::npos)
-            << error;
-    }
 }
 
 /**
@@ -413,12 +440,23 @@ TEST(SnapshotIntegrity, SingleBitFlipFailsVerifyWithDigests)
 TEST(SnapshotIntegrity, PopulationDriftFailsValidate)
 {
     TraceSnapshot snapshot = smallSnapshot();
-    // Bits 64..95 of record 0 are its plainBefore field: flipping one
-    // desynchronizes the record population from instructionCount().
-    snapshot.corruptBitForTesting(64);
-    std::string error;
-    EXPECT_FALSE(snapshot.validate(&error));
-    EXPECT_NE(error.find("population"), std::string::npos) << error;
+    // Flip the lowest bit that moves record 0's plain run and nothing
+    // else: the record population drifts from instructionCount().
+    const Record first = snapshot.records()[0];
+    for (size_t bit = 0; bit < 8 * sizeof(Record); ++bit) {
+        TraceSnapshot flipped = snapshot;
+        flipped.corruptBitForTesting(bit);
+        const Record &rec = flipped.records()[0];
+        if (rec.plainBefore() == first.plainBefore() ||
+            rec.cls() != first.cls() || rec.taken() != first.taken() ||
+            rec.targetOffset() != first.targetOffset())
+            continue;
+        std::string error;
+        EXPECT_FALSE(flipped.validate(&error));
+        EXPECT_NE(error.find("population"), std::string::npos) << error;
+        return;
+    }
+    FAIL() << "no bit of record 0 holds its plain run";
 }
 
 TEST(SnapshotIntegrity, SerializeDeserializeRoundTrips)
@@ -479,17 +517,23 @@ TEST(SnapshotIntegrity, DeserializeRefusesBadMagic)
 
 TEST(SnapshotIntegrity, DeserializeRefusesUnsupportedVersion)
 {
-    std::vector<uint8_t> bytes = serializedSnapshot();
-    bytes[4] = 0x63;    // version 99
-    std::string error = deserializeError(bytes, bytes.size());
-    EXPECT_NE(error.find("version 99"), std::string::npos) << error;
+    // Version 1 spent 16 bytes per record.
+    for (uint8_t version : {uint8_t{1}, uint8_t{99}}) {
+        std::vector<uint8_t> bytes = serializedSnapshot();
+        bytes[4] = version;
+        std::string error = deserializeError(bytes, bytes.size());
+        EXPECT_NE(error.find("version " + std::to_string(version)),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(SnapshotIntegrity, DeserializeRefusesTruncatedPayload)
 {
     std::vector<uint8_t> bytes = serializedSnapshot();
     // Drop one packed record.
-    std::string error = deserializeError(bytes, bytes.size() - 16);
+    std::string error =
+        deserializeError(bytes, bytes.size() - sizeof(Record));
     EXPECT_NE(error.find("promises"), std::string::npos) << error;
 }
 

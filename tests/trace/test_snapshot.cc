@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "check/check_level.hh"
+#include "core/engine_test_support.hh"
 #include "core/simulator.hh"
 #include "trace/snapshot.hh"
 #include "workload/executor.hh"
@@ -24,6 +25,9 @@ namespace specfetch {
 namespace {
 
 constexpr uint64_t kBudget = 20'000;
+
+static_assert(sizeof(TraceSnapshot::ControlRecord) == 8,
+              "one control instruction costs 8 bytes");
 
 Workload
 smallWorkload()
@@ -66,10 +70,10 @@ TEST(Snapshot, EncodingIsCompact)
     Workload w = smallWorkload();
     Executor recorder(w.cfg, 42);
     TraceSnapshot snap = TraceSnapshot::record(recorder, kBudget);
-    // One 16-byte record per control instruction at the workloads'
-    // ~20-25% control fraction: well under 8 bytes per instruction,
-    // far under a DynInst-per-instruction encoding.
-    EXPECT_LT(snap.byteSize(), snap.instructionCount() * 8);
+    // One 8-byte record per control instruction at the workloads'
+    // 1.6-20% control fractions: under 2 bytes per instruction, far
+    // under a DynInst-per-instruction encoding.
+    EXPECT_LT(snap.byteSize(), snap.instructionCount() * 2);
     EXPECT_GT(snap.byteSize(), 0u);
 }
 
@@ -125,6 +129,73 @@ TEST(Snapshot, ChunkedPlainRunsReplayIdentically)
         ASSERT_EQ(x.target, y.target) << "instruction " << i;
     }
     EXPECT_FALSE(rhs.next(y));
+}
+
+/** A control instruction, its target @p offset instructions away. */
+struct ScriptedControl
+{
+    InstClass cls;
+    bool taken;
+    int64_t offset;
+};
+
+/** One plain and then one control per entry, each plain at the pc its
+ *  predecessor leads to. */
+std::vector<DynInst>
+controlScript(Addr start, const std::vector<ScriptedControl> &controls)
+{
+    std::vector<DynInst> script;
+    Addr pc = start;
+    for (const ScriptedControl &c : controls) {
+        script.push_back(DynInst{pc, InstClass::Plain, false, 0});
+        pc += kInstBytes;
+        DynInst control{pc, c.cls, c.taken, pc + Addr(c.offset) * kInstBytes};
+        script.push_back(control);
+        pc = control.nextPc();
+    }
+    return script;
+}
+
+TraceSnapshot
+recordScript(const std::vector<DynInst> &script)
+{
+    test::ScriptedSource source(script);
+    return TraceSnapshot::record(source, script.size());
+}
+
+TEST(Snapshot, ExtremeTargetOffsetsRoundTrip)
+{
+    // Targets (2^31 - 1) instructions ahead of and behind their
+    // control, taken or not, through record -> serialize ->
+    // deserialize -> replay.
+    const int64_t far = (int64_t(1) << 31) - 1;
+    const std::vector<DynInst> script = controlScript(
+        Addr(1) << 40, {{InstClass::Jump, true, far},
+                        {InstClass::CondBranch, true, -far},
+                        {InstClass::CondBranch, false, far},
+                        {InstClass::Call, true, far},
+                        {InstClass::CondBranch, false, -far},
+                        {InstClass::Return, true, -far},
+                        {InstClass::IndirectJump, true, far},
+                        {InstClass::IndirectCall, true, -far}});
+    std::vector<uint8_t> bytes;
+    recordScript(script).serialize(bytes);
+    TraceSnapshot restored;
+    std::string error;
+    ASSERT_TRUE(TraceSnapshot::deserialize(bytes.data(), bytes.size(),
+                                           restored, &error))
+        << error;
+
+    SnapshotReplaySource replay(restored);
+    DynInst got;
+    for (size_t i = 0; i < script.size(); ++i) {
+        ASSERT_TRUE(replay.next(got)) << "instruction " << i;
+        EXPECT_EQ(got.pc, script[i].pc) << "instruction " << i;
+        EXPECT_EQ(got.cls, script[i].cls) << "instruction " << i;
+        EXPECT_EQ(got.taken, script[i].taken) << "instruction " << i;
+        EXPECT_EQ(got.target, script[i].target) << "instruction " << i;
+    }
+    EXPECT_FALSE(replay.next(got));
 }
 
 TEST(Snapshot, TakePlainRunInterleavesWithNext)
@@ -257,6 +328,48 @@ TEST(SnapshotDeath, ZeroPlainRunLimitPanics)
     Executor recorder(w.cfg, 42);
     EXPECT_DEATH(TraceSnapshot::record(recorder, 10, 0),
                  "plain runs cannot be empty");
+    EXPECT_DEATH(TraceSnapshot::record(recorder, 10,
+                                       TraceSnapshot::kMaxPlainRun + 1),
+                 "plain runs cannot exceed");
+}
+
+TEST(SnapshotDeath, TargetBeyondOffsetRangePanics)
+{
+    // One instruction past what a signed 32-bit offset reaches, each
+    // way; the control is instruction 1, at 0x10004.
+    for (int64_t offset : {int64_t(1) << 31, -(int64_t(1) << 31) - 1}) {
+        EXPECT_DEATH(recordScript(controlScript(
+                         0x10000, {{InstClass::Jump, true, offset}})),
+                     "control at instruction 1 \\(pc 0x10004\\): target "
+                     "0x[0-9a-f]+ is beyond a 32-bit instruction offset");
+    }
+}
+
+TEST(SnapshotDeath, MisalignedTargetPanics)
+{
+    // Taken or not: the engine walks a not-taken conditional's target
+    // as a misfetch path.
+    for (bool taken : {true, false}) {
+        EXPECT_DEATH(
+            recordScript({DynInst{0x10000, InstClass::Plain, false, 0},
+                          DynInst{0x10004, InstClass::CondBranch, taken,
+                                  0x1006}}),
+            "control at instruction 1 \\(pc 0x10004\\): target 0x1006 "
+            "misaligned");
+    }
+}
+
+TEST(SnapshotDeath, UntakenUnconditionalPanics)
+{
+    EXPECT_DEATH(recordScript(controlScript(
+                     0x10000, {{InstClass::Call, false, 0x100}})),
+                 "control at instruction 1 \\(pc 0x10004\\): untaken call");
+}
+
+TEST(SnapshotDeath, MisalignedStartPcPanics)
+{
+    EXPECT_DEATH(recordScript({DynInst{0x10002, InstClass::Plain, false, 0}}),
+                 "start pc 0x10002 misaligned");
 }
 
 /**

@@ -10,8 +10,11 @@
  * An error is what open refuses (a file it would misread, named). A
  * warning is what open would repair, skip or ignore: a torn tail line
  * it cuts, a frame it quarantines, a duplicate key, a stray file, or a
- * missing or disagreeing CLEAN marker that makes the open a recovery
- * scan. Exit 0 when there is no error and, under --strict, no warning;
+ * CLEAN marker that makes the open a recovery scan: missing,
+ * disagreeing, or the session-open frame an open leaves until close()
+ * (so a store a daemon holds open warns "CLEAN marks a session that is
+ * open or ended without close()"). Exit 0 when there is no error and,
+ * under --strict, no warning;
  * 1 otherwise. With --json the findings go to stdout as schema-v1 JSONL:
  * one "fsck_finding" record each, then one "fsck_summary" record.
  */

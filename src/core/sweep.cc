@@ -135,15 +135,19 @@ prepareShared(const std::vector<RunSpec> &specs,
 {
     SweepShared shared;
 
-    // Fetch each distinct workload once (process-wide memoized store);
-    // runs only read them.
+    // Fetch each distinct workload once (process-wide memoized store),
+    // building the distinct names in parallel; runs only read them.
     {
         TraceSpan span("workload_build", "sweep");
+        std::vector<std::string> names;
         for (const RunSpec &spec : specs) {
-            if (!shared.workloads.count(spec.benchmark))
-                shared.workloads[spec.benchmark] =
-                    sharedWorkload(spec.benchmark);
+            if (shared.workloads.emplace(spec.benchmark, nullptr).second)
+                names.push_back(spec.benchmark);
         }
+        // SPECFETCH-ALLOW(error-boundary): a workload that cannot be built aborts before any run starts; nothing to quarantine yet
+        parallelFor(names.size(), workers, [&](size_t i) {
+            shared.workloads.at(names[i]) = sharedWorkload(names[i]);
+        });
     }
     if (timing)
         timing->workloadBuildSeconds = secondsSince(sweepStart);

@@ -60,8 +60,10 @@ struct ServiceError
 
 /**
  * Build an ok response. @p id is echoed verbatim; @p run is the
- * schema-v1 run record; @p cached says whether the store already held
- * it (true) or this request caused the simulation (false).
+ * schema-v1 run record; @p cached is false only for the request whose
+ * simulation produced it (a single-flight leader), and true when the
+ * store already held it or the request rode a leader's simulation (a
+ * rider waits for that simulation, yet answers true).
  */
 JsonValue makeServiceResponse(const JsonValue &id, const std::string &key,
                               bool cached, const JsonValue &run);

@@ -145,6 +145,39 @@ syncDirectory(const std::string &dir)
     ::close(fd);
 }
 
+/**
+ * Durably make @p text (non-empty) the bytes of @p dir/@p name in
+ * place: pwrite at offset 0, ftruncate to text's length, fsync. On a
+ * `discard` mount, freeing a freshly fsync'd block (an unlink, a
+ * truncation to zero, a rename over the file) waits tens of
+ * milliseconds; a small file rewritten in place keeps its block. With
+ * @p create a missing file is created, and only then is @p dir
+ * fsync'd.
+ */
+bool
+rewriteInPlace(const std::string &dir, const std::string &name,
+               const std::string &text, bool create)
+{
+    const std::string path = joinPath(dir, name);
+    bool created = false;
+    int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0 && errno == ENOENT && create) {
+        fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                    0666);
+        created = fd >= 0;
+    }
+    if (fd < 0)
+        return false;
+    const bool ok =
+        pwrite(fd, text.data(), text.size(), 0) ==
+            static_cast<ssize_t>(text.size()) &&
+        ftruncate(fd, static_cast<off_t>(text.size())) == 0 && fsync(fd) == 0;
+    ::close(fd);
+    if (ok && created)
+        syncDirectory(dir);
+    return ok;
+}
+
 /** Durably cut @p path to its first @p size bytes (remove it when 0:
  *  a tail without its header frame is no segment). */
 void
@@ -185,6 +218,33 @@ dataFrame(const std::string &key, std::string_view recordJson)
     return frameText(text);
 }
 
+/**
+ * What CLEAN holds while a session is open: a frame with no
+ * clean_shutdown member, so it vouches for nothing, and a crash before
+ * close() makes the next open a recovery scan.
+ */
+std::string
+sessionOpenMarker()
+{
+    JsonValue session = JsonValue::object();
+    session.set("generation", JsonValue::integer(kGeneration));
+    JsonValue payload = JsonValue::object();
+    payload.set("session_open", std::move(session));
+    return frameLine(payload) + "\n";
+}
+
+/** What close() leaves in CLEAN: the record count it vouches for. */
+std::string
+cleanShutdownMarker(uint64_t records)
+{
+    JsonValue clean = JsonValue::object();
+    clean.set("generation", JsonValue::integer(kGeneration))
+        .set("records", JsonValue::integer(records));
+    JsonValue payload = JsonValue::object();
+    payload.set("clean_shutdown", std::move(clean));
+    return frameLine(payload) + "\n";
+}
+
 /** Why @p marker does not vouch for segments holding @p records keys
  *  ("" when it does). */
 std::string
@@ -197,6 +257,8 @@ cleanMismatch(const std::string &marker, uint64_t records)
     if (!parseFrameLine(marker.substr(0, marker.size() - 1), payload,
                         reason))
         return "CLEAN fails its frame check (" + reason + ")";
+    if (payload.find("session_open"))
+        return "CLEAN marks a session that is open or ended without close()";
     const JsonValue *clean = payload.find("clean_shutdown");
     if (!clean || !clean->isObject())
         return "CLEAN is not a clean_shutdown marker";
@@ -370,16 +432,18 @@ planOpen(const StoreFiles &files)
     plan.stats.records = plan.index.size();
     plan.stats.segmentsLoaded = tails.size();
 
-    // A missing marker makes this open a recovery scan, and so does one
-    // that disagrees with the segments: a lost segment shows as a
-    // record count the segments no longer reach.
+    // A missing marker makes this open a recovery scan, and so does a
+    // session-open one or one that disagrees with the segments: a lost
+    // segment shows as a record count the segments no longer reach.
     auto clean = files.find(kStoreCleanMarker);
-    plan.removeClean = clean != files.end();
     std::string mismatch;
-    if (!plan.removeClean && !tails.empty())
-        mismatch = "no clean-shutdown marker";
-    else if (plan.removeClean)
+    if (clean == files.end()) {
+        if (!tails.empty())
+            mismatch = "no clean-shutdown marker";
+    } else {
         mismatch = cleanMismatch(clean->second, plan.stats.records);
+        plan.cleanRewrite = sessionOpenMarker();
+    }
     if (!mismatch.empty()) {
         plan.stats.recovered = true;
         plan.findings.push_back(mismatch + "; running a recovery scan");
@@ -409,6 +473,9 @@ ResultStore::unlockDirectory()
 bool
 ResultStore::open(const Options &options, std::string *error)
 {
+    LatencyTimer timer(options.metrics
+                           ? &options.metrics->histogram("store.open_us")
+                           : nullptr);
     std::lock_guard<std::mutex> lock(mutex);
     if (opened) {
         if (error)
@@ -460,8 +527,14 @@ ResultStore::open(const Options &options, std::string *error)
     for (const std::string &finding : plan.findings)
         warn("result store %s: %s", opts.dir.c_str(), finding.c_str());
 
-    if (plan.removeClean)
-        std::remove(joinPath(opts.dir, kStoreCleanMarker).c_str());
+    // Until close(), CLEAN vouches for nothing. It is rewritten, never
+    // unlinked: see rewriteInPlace.
+    if (!plan.cleanRewrite.empty() &&
+        !rewriteInPlace(opts.dir, kStoreCleanMarker, plan.cleanRewrite,
+                        /*create=*/false)) {
+        warn("result store %s: cannot rewrite %s: %s", opts.dir.c_str(),
+             kStoreCleanMarker, std::strerror(errno));
+    }
     // Cut each stub off so it cannot become an interior frame once a
     // newer tail exists.
     for (const auto &[name, keep] : plan.cuts)
@@ -478,8 +551,8 @@ ResultStore::open(const Options &options, std::string *error)
         }
         std::fclose(file);
     }
-    // The marker's removal, or a torn tail's, must not come back.
-    if (plan.removeClean || !plan.cuts.empty())
+    // A torn tail's removal must not come back.
+    if (!plan.cuts.empty())
         syncDirectory(opts.dir);
 
     index = std::move(plan.index);
@@ -686,26 +759,15 @@ ResultStore::close(std::string *error)
     if (!opened)
         return true;
     closeTail();
-    std::string path = joinPath(opts.dir, kStoreCleanMarker);
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    bool ok = file != nullptr;
-    if (file) {
-        JsonValue clean = JsonValue::object();
-        clean.set("generation", JsonValue::integer(kGeneration))
-            .set("records", JsonValue::integer(state.records));
-        JsonValue payload = JsonValue::object();
-        payload.set("clean_shutdown", std::move(clean));
-        std::string text = frameLine(payload) + "\n";
-        ok = std::fwrite(text.data(), 1, text.size(), file) ==
-                 text.size() &&
-             std::fflush(file) == 0 && fsync(fileno(file)) == 0;
-        std::fclose(file);
-    }
-    syncDirectory(opts.dir);
+    const bool ok = rewriteInPlace(opts.dir, kStoreCleanMarker,
+                                   cleanShutdownMarker(state.records),
+                                   /*create=*/true);
     unlockDirectory();
     opened = false;
-    if (!ok && error)
-        *error = "cannot write clean-shutdown marker " + path;
+    if (!ok && error) {
+        *error = "cannot write clean-shutdown marker " +
+                 joinPath(opts.dir, kStoreCleanMarker);
+    }
     return ok;
 }
 

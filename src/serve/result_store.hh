@@ -14,10 +14,12 @@
  *                      (file, line, reason, raw prefix): corruption is
  *                      preserved for forensics, never silently
  *                      discarded. An open that skips nothing removes it.
- *   CLEAN              clean-shutdown marker written by close() and
- *                      deleted at open; its absence, or a marker whose
- *                      record count disagrees with the segments, means
- *                      this open is a recovery scan.
+ *   CLEAN              clean-shutdown marker written by close(). Open
+ *                      rewrites it in place as a session-open frame,
+ *                      which vouches for nothing; its absence, that
+ *                      frame, or a marker whose record count disagrees
+ *                      with the segments means this open is a recovery
+ *                      scan.
  *
  * Every frame is one self-checking text line (frameLine: crc32 hex +
  * space + compact JSON), so a human with `less` understands a store.
@@ -99,8 +101,8 @@ class ResultStore
         /**
          * Borrowed telemetry sink; may be null (every instrument
          * check is then one pointer test — DESIGN.md §16). open()
-         * resolves `store.*` instruments once; put/get/fsync record
-         * latencies, a gauge tracks the tail's bytes.
+         * resolves `store.*` instruments once; open/put/get/fsync
+         * record latencies, a gauge tracks the tail's bytes.
          */
         MetricsRegistry *metrics = nullptr;
     };
@@ -114,7 +116,8 @@ class ResultStore
         uint64_t appendAttempts = 0; ///< put ordinals consumed
         bool tornTail = false;       ///< open dropped a torn tail line
         /** Open found no CLEAN marker beside its segments, or one that
-         *  disagrees with them. */
+         *  does not vouch for them (a session-open frame, or a record
+         *  count that disagrees). */
         bool recovered = false;
     };
 
@@ -129,8 +132,9 @@ class ResultStore
 
     /**
      * Open (or create) the store at @p options.dir: lock it, read its
-     * files, and apply planOpen's plan (remove CLEAN, cut the torn
-     * tail, rewrite the quarantine sidecar), logging each finding.
+     * files, and apply planOpen's plan (rewrite CLEAN in place, cut the
+     * torn tail, rewrite the quarantine sidecar), logging each finding.
+     * With telemetry on, each call is one `store.open_us` observation.
      * Returns false when the directory itself is unusable, another
      * handle holds it open, or the plan is a refusal (see the file
      * comment); corruption inside a segment is tolerated, quarantined,
@@ -165,8 +169,9 @@ class ResultStore
              std::string *error = nullptr);
 
     /**
-     * Flush, write the clean-shutdown marker, and close. Reopening
-     * after close() is not a recovery scan.
+     * Flush, rewrite CLEAN in place as the clean-shutdown marker (only
+     * a store without one creates it and fsyncs the directory), and
+     * close. Reopening after close() is not a recovery scan.
      */
     bool close(std::string *error = nullptr);
 
@@ -244,8 +249,10 @@ struct OpenPlan
     /** quarantine.jsonl rows, one per skipped frame; none removes the
      *  sidecar. */
     std::vector<JsonValue> quarantine;
-    /** CLEAN is present: open deletes it. */
-    bool removeClean = false;
+    /** What open writes over CLEAN, in place: the session-open frame
+     *  when CLEAN is present, empty when it is absent (open creates
+     *  none). */
+    std::string cleanRewrite;
     /** What stats() reports after the open. */
     ResultStore::Stats stats;
     /** Number of the next segment the store creates. */

@@ -21,21 +21,30 @@ buildWorkload(const WorkloadProfile &profile)
 std::shared_ptr<const Workload>
 sharedWorkload(const std::string &benchmark)
 {
-    // Bounded by the 13 registered benchmarks; the mutex stays held
-    // during the build so concurrent callers never build twice.
+    // One entry per name asked for (the 13 registered benchmarks; an
+    // unknown name's build fails and leaves its entry empty). The map's
+    // mutex guards only the lookup; each entry's own mutex is held during
+    // its build, so distinct names build concurrently and concurrent
+    // callers of one name wait for its single build.
+    struct Memo
+    {
+        std::mutex build;
+        std::shared_ptr<const Workload> workload;
+    };
     static std::mutex mutex;
-    static std::map<std::string, std::shared_ptr<const Workload>> cache;
+    static std::map<std::string, Memo> cache;
 
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(benchmark);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(benchmark,
-                          std::make_shared<const Workload>(
-                              buildWorkload(getProfile(benchmark))))
-                 .first;
+    Memo *memo = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        memo = &cache[benchmark];
     }
-    return it->second;
+    std::lock_guard<std::mutex> lock(memo->build);
+    if (!memo->workload) {
+        memo->workload = std::make_shared<const Workload>(
+            buildWorkload(getProfile(benchmark)));
+    }
+    return memo->workload;
 }
 
 } // namespace specfetch

@@ -1,8 +1,9 @@
 /**
  * @file
  * Helpers shared by the result-store tests: bench_suite's grid, a
- * fixture owning a scratch store directory, and the verdict
- * `store_fsck --strict` gives a store.
+ * fixture owning a scratch store directory, the states a torn in-place
+ * rewrite of CLEAN can leave, and the verdict `store_fsck --strict`
+ * gives a store.
  */
 
 #ifndef SPECFETCH_TESTS_SERVE_STORE_TEST_SUPPORT_HH_
@@ -70,6 +71,29 @@ class StoreDirTest : public ::testing::Test
 
     const std::string dir = tempPath("store");
 };
+
+/**
+ * Every state a crash can leave while a small file holding @p before is
+ * rewritten in place to @p after (pwrite at 0, then ftruncate): a
+ * prefix of @p after over @p before and, when @p after is shorter, all
+ * of it followed by @p before's tail. States equal to @p before (no
+ * byte changed yet) are left out.
+ */
+inline std::vector<std::string>
+tornRewrites(const std::string &before, const std::string &after)
+{
+    std::vector<std::string> states;
+    const size_t last =
+        after.size() < before.size() ? after.size() : after.size() - 1;
+    for (size_t written = 1; written <= last; ++written) {
+        std::string state = after.substr(0, written);
+        if (written < before.size())
+            state += before.substr(written);
+        if (state != before)
+            states.push_back(std::move(state));
+    }
+    return states;
+}
 
 /** Exit status of `store_fsck --strict` over @p dir: 0 when open
  *  would find nothing to refuse or repair. */

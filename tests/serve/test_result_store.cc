@@ -2,7 +2,8 @@
  * @file
  * ResultStore tests (DESIGN.md §15): durability round trips, clean
  * vs. recovered opens (a clean-shutdown marker that disagrees with the
- * segments included), the one-handle directory lock, refusal of files
+ * segments, a session that ended without close() and a torn rewrite of
+ * the marker included), the one-handle directory lock, refusal of files
  * the store would misread, torn-tail and corrupt-frame handling, the
  * quarantine sidecar, segment rotation, injected write failures, and a
  * SIGTERM or an injected crash losing no acknowledged put.
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "fault/injector.hh"
+#include "metrics/metrics.hh"
 #include "serve/result_store.hh"
 #include "serve/store_test_support.hh"
 #include "util/logging.hh"
@@ -77,6 +80,35 @@ class ResultStoreTest : public test::StoreDirTest
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << content;
+    }
+
+    /** Make @p content the bytes of @p path as a rewrite in place
+     *  leaves them (the file keeps its inode and block). */
+    static void
+    overwrite(const std::string &path, const std::string &content)
+    {
+        int fd = ::open(path.c_str(), O_WRONLY);
+        ASSERT_GE(fd, 0) << path;
+        EXPECT_EQ(pwrite(fd, content.data(), content.size(), 0),
+                  static_cast<ssize_t>(content.size()));
+        EXPECT_EQ(ftruncate(fd, static_cast<off_t>(content.size())), 0);
+        ::close(fd);
+    }
+
+    /** The inode of @p name in the store directory (0 when absent). */
+    ino_t
+    inodeOf(const std::string &name) const
+    {
+        struct stat info;
+        return stat((dir + "/" + name).c_str(), &info) == 0 ? info.st_ino
+                                                            : 0;
+    }
+
+    /** What planning the directory as it stands would report. */
+    OpenPlan
+    planNow() const
+    {
+        return planOpen(readStoreFiles(dir).value());
     }
 
     /** The keys @p store holds, in key order. */
@@ -214,7 +246,9 @@ TEST_F(ResultStoreTest, CleanReopenKeepsRecords)
     ResultStore store;
     ASSERT_TRUE(store.open(options()));
     EXPECT_FALSE(store.stats().recovered);
-    EXPECT_FALSE(fileExists("CLEAN")); // consumed at open
+    // Present but not vouching: a crash now would be a recovery scan.
+    EXPECT_TRUE(fileExists("CLEAN"));
+    EXPECT_TRUE(planNow().stats.recovered);
     EXPECT_EQ(store.size(), 5u);
     JsonValue out;
     ASSERT_TRUE(store.get("key3", out));
@@ -237,6 +271,114 @@ TEST_F(ResultStoreTest, ReopenWithoutCloseIsRecovery)
     JsonValue out;
     ASSERT_TRUE(store.get("a", out));
     EXPECT_EQ(out, record(7));
+    EXPECT_TRUE(store.close());
+}
+
+TEST_F(ResultStoreTest, CrashAfterCleanCloseIsRecovery)
+{
+    // The store was closed cleanly, so CLEAN exists; the next session
+    // ends without close(), with or without a put.
+    for (bool puts : {false, true}) {
+        SCOPED_TRACE(puts ? "with a put" : "without puts");
+        test::wipeDir(dir);
+        seed(2);
+        {
+            ResultStore store;
+            ASSERT_TRUE(store.open(options()));
+            EXPECT_FALSE(store.stats().recovered);
+            if (puts) {
+                ASSERT_TRUE(store.put("late", record(9)));
+            }
+        }
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_TRUE(store.stats().recovered);
+        EXPECT_EQ(store.size(), puts ? 3u : 2u);
+        EXPECT_TRUE(store.close());
+    }
+}
+
+TEST_F(ResultStoreTest, CleanIsRewrittenInPlace)
+{
+    // open() and close() rewrite the one CLEAN file: never unlinked, so
+    // its inode survives both; close() leaves the clean_shutdown frame
+    // every build's close() wrote.
+    seed(2);
+    const ino_t inode = inodeOf("CLEAN");
+    ASSERT_NE(inode, 0u);
+    JsonValue shutdown;
+    ASSERT_TRUE(JsonValue::parse(
+        "{\"clean_shutdown\":{\"generation\":1,\"records\":2}}", shutdown));
+    EXPECT_EQ(slurp(dir + "/CLEAN"), frameLine(shutdown) + "\n");
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_EQ(inodeOf("CLEAN"), inode);
+        EXPECT_EQ(slurp(dir + "/CLEAN"), planNow().cleanRewrite);
+        ASSERT_TRUE(store.put("k", record(3)));
+        ASSERT_TRUE(store.close());
+    }
+    EXPECT_EQ(inodeOf("CLEAN"), inode);
+    ASSERT_TRUE(JsonValue::parse(
+        "{\"clean_shutdown\":{\"generation\":1,\"records\":3}}", shutdown));
+    EXPECT_EQ(slurp(dir + "/CLEAN"), frameLine(shutdown) + "\n");
+    EXPECT_EQ(test::strictFsck(dir), 0);
+}
+
+TEST_F(ResultStoreTest, TornCleanRewriteIsARecovery)
+{
+    // Every state a crash inside open's or close's rewrite of CLEAN can
+    // leave, written in place as that rewrite would leave it: the next
+    // open is a recovery scan, never a false clean.
+    seed(3);
+    const std::string path = dir + "/CLEAN";
+    const std::string shutdown = slurp(path);
+    std::string session;
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        session = slurp(path);
+        ASSERT_TRUE(store.close());
+    }
+    ASSERT_EQ(slurp(path), shutdown);
+    size_t states = 0;
+    for (const auto &[before, after] :
+         {std::pair{shutdown, session}, std::pair{session, shutdown}}) {
+        for (const std::string &torn : test::tornRewrites(before, after)) {
+            SCOPED_TRACE(torn);
+            overwrite(path, torn);
+            ResultStore store;
+            ASSERT_TRUE(store.open(options()));
+            EXPECT_TRUE(store.stats().recovered);
+            EXPECT_EQ(store.size(), 3u);
+            ASSERT_TRUE(store.close());
+            ++states;
+        }
+    }
+    EXPECT_GT(states, session.size());
+}
+
+TEST_F(ResultStoreTest, EveryOpenIsTimed)
+{
+    MetricsRegistry registry;
+    ResultStore::Options opts = options();
+    opts.metrics = &registry;
+    auto opens = [&] {
+        for (const HistogramSnapshot &h : registry.snapshot().histograms) {
+            if (h.name == "store.open_us")
+                return h.count;
+        }
+        return uint64_t{0};
+    };
+    ResultStore store;
+    ASSERT_TRUE(store.open(opts));
+    EXPECT_EQ(opens(), 1u);
+    ResultStore second;
+    EXPECT_FALSE(second.open(opts)); // refused: the directory is held
+    EXPECT_EQ(opens(), 2u);
+    ASSERT_TRUE(store.close());
+    ASSERT_TRUE(store.open(opts));
+    EXPECT_EQ(opens(), 3u);
     EXPECT_TRUE(store.close());
 }
 

@@ -241,10 +241,17 @@ TEST_F(ServiceTest, SingleFlightDedupe)
     for (const JsonValue &response : responses)
         EXPECT_EQ(statusOf(response), "ok");
     SweepService::Stats stats = service.statsSnapshot();
-    // One execution; every duplicate rode it or hit the store.
+    // One execution, held until every duplicate had ridden it.
     EXPECT_EQ(stats.executed, 1u);
-    EXPECT_EQ(stats.deduped + stats.hits, 4u);
+    EXPECT_EQ(stats.deduped, 4u);
     EXPECT_EQ(executionsStarted.load(), 1u);
+    // The leader (the first request) answers uncached; the riders
+    // answer cached although they waited for its simulation.
+    for (const JsonValue &response : responses) {
+        EXPECT_EQ(response.find("cached")->asBool(),
+                  response.find("id")->asUint() != 0)
+            << response.dump();
+    }
 }
 
 TEST_F(ServiceTest, RunBytesMatchAcrossExecutionRiderHitAndReopen)

@@ -145,10 +145,15 @@ TEST_F(ServiceMetricsTest, StatsOpAnswersWithoutTouchingTheStore)
     EXPECT_TRUE(serviceStats->find("conserved")->asBool());
     ASSERT_NE(stats->find("store"), nullptr);
     EXPECT_EQ(member(*stats->find("store"), "records"), 0u);
-    // The registry sections exist even before any instrument fired.
+    // The registry sections exist even before any request fired an
+    // instrument; the store's open already shows, once.
     EXPECT_NE(stats->find("counters"), nullptr);
     EXPECT_NE(stats->find("gauges"), nullptr);
-    EXPECT_NE(stats->find("histograms"), nullptr);
+    const JsonValue *histograms = stats->find("histograms");
+    ASSERT_NE(histograms, nullptr);
+    const JsonValue *opened = histograms->find("store.open_us");
+    ASSERT_NE(opened, nullptr);
+    EXPECT_EQ(member(*opened, "count"), 1u);
     // No run was looked up, executed, or stored.
     EXPECT_EQ(store.size(), 0u);
     EXPECT_EQ(service.statsSnapshot().accepted, 0u);
@@ -198,6 +203,7 @@ TEST_F(ServiceMetricsTest, RequestPathPopulatesInstruments)
     EXPECT_EQ(histogramCount("service.queue_wait_us.executed"), 1u);
     EXPECT_EQ(histogramCount("service.queue_wait_us.hit"), 1u);
     EXPECT_EQ(histogramCount("service.queue_wait_us.rejected"), 1u);
+    EXPECT_EQ(histogramCount("store.open_us"), 1u);
     EXPECT_EQ(histogramCount("store.put_us"), 1u);
     EXPECT_GE(histogramCount("store.get_us"), 2u); // hit + rider-free get
     EXPECT_GE(histogramCount("store.fsync_us"), 1u);

@@ -50,7 +50,8 @@ servedMap(const ResultStore &store)
     return served;
 }
 
-/** @p files after open applied @p plan: torn tails cut, CLEAN gone. */
+/** @p files after open applied @p plan: torn tails cut, CLEAN (when
+ *  present) rewritten as the session-open frame. */
 StoreFiles
 applied(StoreFiles files, const OpenPlan &plan)
 {
@@ -60,7 +61,8 @@ applied(StoreFiles files, const OpenPlan &plan)
         else
             files[name].resize(keep);
     }
-    files.erase(kStoreCleanMarker);
+    if (!plan.cleanRewrite.empty())
+        files[kStoreCleanMarker] = plan.cleanRewrite;
     return files;
 }
 
@@ -357,11 +359,16 @@ TEST(StoreOpenFuzz, SeededMutationsAreRefusedOrServed)
         torn += plan.stats.tornTail;
         quarantining += plan.stats.corruptFrames > 0;
 
-        // What this open repairs, the next one finds repaired.
+        // What this open repairs, the next one finds repaired; and a
+        // crash right after this open makes the next one a recovery
+        // scan, unless there is nothing to recover.
         const OpenPlan again = planOpen(applied(mutant, plan));
         EXPECT_TRUE(again.cuts.empty());
         EXPECT_EQ(again.quarantine, plan.quarantine);
         EXPECT_EQ(again.index, plan.index);
+        EXPECT_TRUE(again.stats.recovered ||
+                    (again.stats.segmentsLoaded == 0 &&
+                     !mutant.count(kStoreCleanMarker)));
     }
     test::wipeDir(dir);
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "serve/result_store.hh"
+#include "serve/store_test_support.hh"
 
 using namespace specfetch;
 
@@ -45,6 +46,13 @@ clean(uint64_t generation, uint64_t records)
     return frame("{\"clean_shutdown\":{\"generation\":" +
                  std::to_string(generation) +
                  ",\"records\":" + std::to_string(records) + "}}");
+}
+
+/** What open leaves in CLEAN: a frame with no clean_shutdown member. */
+std::string
+sessionOpen()
+{
+    return frame("{\"session_open\":{\"generation\":1}}");
 }
 
 /** Two segments holding a, b and c, closed cleanly. */
@@ -86,19 +94,71 @@ TEST(StorePlan, CleanStoreHasNoFindings)
     EXPECT_TRUE(plan.refusal.empty());
     EXPECT_TRUE(plan.findings.empty());
     EXPECT_EQ(keysOf(plan), (Keys{"a", "b", "c"}));
-    EXPECT_TRUE(plan.removeClean);
+    EXPECT_EQ(plan.cleanRewrite, sessionOpen());
     EXPECT_FALSE(plan.stats.recovered);
     EXPECT_EQ(plan.stats.segmentsLoaded, 2u);
     EXPECT_EQ(plan.nextSegment, 3u);
 }
 
+TEST(StorePlan, SessionOpenMarkerIsARecovery)
+{
+    // What open leaves in CLEAN until close(): a crash in the session
+    // makes the next open a recovery scan. Earlier builds, which
+    // unlinked CLEAN at open, vouch only for a clean_shutdown member;
+    // the frame has none, so they read it as a recovery too.
+    JsonValue payload;
+    std::string reason;
+    const std::string marker = sessionOpen();
+    ASSERT_TRUE(parseFrameLine(marker.substr(0, marker.size() - 1), payload,
+                               reason));
+    EXPECT_EQ(payload.find("clean_shutdown"), nullptr);
+
+    StoreFiles files = goodStore();
+    files["CLEAN"] = marker;
+    OpenPlan plan = planOpen(files);
+    EXPECT_TRUE(plan.refusal.empty());
+    EXPECT_TRUE(plan.stats.recovered);
+    EXPECT_EQ(plan.findings,
+              (Keys{"CLEAN marks a session that is open or ended without "
+                    "close(); running a recovery scan"}));
+    EXPECT_EQ(keysOf(plan), (Keys{"a", "b", "c"}));
+    EXPECT_EQ(plan.cleanRewrite, marker);
+}
+
+TEST(StorePlan, TornMarkerRewriteIsNeverClean)
+{
+    // A crash inside open's rewrite (clean -> session-open) or close's
+    // (session-open -> clean) leaves a prefix of the new frame over the
+    // old one, or the whole new frame followed by the old one's tail.
+    // None of those states vouches for the segments.
+    const std::string shutdown = clean(1, 3);
+    const std::string session = planOpen(goodStore()).cleanRewrite;
+    ASSERT_LT(session.size(), shutdown.size());
+    size_t states = 0;
+    for (const auto &[before, after] :
+         {std::pair{shutdown, session}, std::pair{session, shutdown}}) {
+        for (const std::string &torn : test::tornRewrites(before, after)) {
+            SCOPED_TRACE(torn);
+            StoreFiles files = goodStore();
+            files["CLEAN"] = torn;
+            OpenPlan plan = planOpen(files);
+            EXPECT_TRUE(plan.stats.recovered);
+            EXPECT_EQ(keysOf(plan), (Keys{"a", "b", "c"}));
+            ++states;
+        }
+    }
+    EXPECT_GT(states, session.size() + shutdown.size() / 2);
+}
+
 TEST(StorePlan, EmptyDirectoryHasNoFindings)
 {
-    // A fresh store: nothing to scan, so no recovery either.
+    // A fresh store: nothing to scan, so no recovery either, and no
+    // CLEAN for open to rewrite (close() creates it).
     OpenPlan plan = planOpen({});
     EXPECT_TRUE(plan.refusal.empty());
     EXPECT_TRUE(plan.findings.empty());
     EXPECT_FALSE(plan.stats.recovered);
+    EXPECT_TRUE(plan.cleanRewrite.empty());
     EXPECT_EQ(plan.nextSegment, 1u);
 }
 
@@ -118,6 +178,7 @@ TEST(StorePlan, TornTailIsCut)
     EXPECT_TRUE(found(plan, "tail-1-2.log:3: dropping torn tail line"));
     EXPECT_TRUE(found(plan, "no clean-shutdown marker"));
     EXPECT_EQ(plan.findings.size(), 2u);
+    EXPECT_TRUE(plan.cleanRewrite.empty()); // open creates no CLEAN
     EXPECT_EQ(keysOf(plan), (Keys{"a", "b", "c"}));
 }
 
@@ -210,7 +271,7 @@ TEST(StorePlan, StraysAreRefusedByName)
         // A refusal plans nothing else.
         EXPECT_TRUE(plan.index.empty());
         EXPECT_TRUE(plan.findings.empty());
-        EXPECT_FALSE(plan.removeClean);
+        EXPECT_TRUE(plan.cleanRewrite.empty());
     }
 }
 
@@ -246,5 +307,5 @@ TEST(StorePlan, CleanGenerationMismatchIsARecovery)
     EXPECT_TRUE(plan.stats.recovered);
     EXPECT_EQ(plan.findings, (Keys{"CLEAN names generation 2, not 1; "
                                    "running a recovery scan"}));
-    EXPECT_TRUE(plan.removeClean);
+    EXPECT_EQ(plan.cleanRewrite, sessionOpen());
 }

@@ -12,7 +12,8 @@ cumulative, so the last record summarizes the whole run) and prints:
   - the conservation check itself:
       accepted == hits + executed + deduped + shed + expired
                   + poisoned + failed + rejected
-  - a store summary from the "store_open" record and final gauges;
+  - a store summary from the "store_open" record, the open's time
+    ("store.open_us") and final gauges;
   - a percentile table per latency histogram (count, mean, p50, p90,
     p99, max). Percentiles are bucket lower bounds — the log-linear
     buckets keep them within 12.5% of the true value (DESIGN.md §16);
@@ -139,12 +140,18 @@ def render(records, charts=(), all_charts=False, out=sys.stdout):
           + (" (final flush)" if last.get("final") else
              " (NOT a final flush; the run may still be live)"),
           file=out)
+    histograms = last.get("histograms", {})
     if store_open is not None:
         store = store_open.get("store", {})
+        opened = histograms.get("store.open_us")
+        took = ""
+        if opened and opened.get("count"):
+            took = (f", took {format_us(opened.get('sum_us', 0))}"
+                    f" over {opened['count']} open(s)")
         print(f"store open: {store.get('records', 0)} record(s), "
               f"recovered={store.get('recovered', False)}, "
               f"torn_tail={store.get('torn_tail', False)}, "
-              f"corrupt_frames={store.get('corrupt_frames', 0)}",
+              f"corrupt_frames={store.get('corrupt_frames', 0)}{took}",
               file=out)
     print(file=out)
 
@@ -163,7 +170,6 @@ def render(records, charts=(), all_charts=False, out=sys.stdout):
             file=out)
     print(file=out)
 
-    histograms = last.get("histograms", {})
     if histograms:
         for line in histogram_table(histograms):
             print(line, file=out)
@@ -242,8 +248,11 @@ def self_test():
                 "service": dict(service, accepted=10),
                 "store": {"records": 3, "duplicate_puts": 0},
                 "counters": {}, "gauges": {"service.workers": 2},
-                "histograms": {"store.put_us": {
-                    "count": 10, "sum_us": 140, "buckets": buckets}}}
+                "histograms": {
+                    "store.open_us": {"count": 1, "sum_us": 5120,
+                                      "buckets": [[5120, 1]]},
+                    "store.put_us": {"count": 10, "sum_us": 140,
+                                     "buckets": buckets}}}
 
     open_record = {"schema_version": 1, "record": "store_open",
                    "store": {"records": 0, "recovered": True,
@@ -257,6 +266,8 @@ def self_test():
     check("report uses the final record", "seq 1" in text
           and "final flush" in text)
     check("store_open surfaced", "recovered=True" in text)
+    check("the open's time surfaced",
+          "took 5.1ms over 1 open(s)" in text)
     check("histogram table rendered", "p99" in text
           and "store.put_us" in text)
     check("charts rendered with --charts", "####" in text)

@@ -24,6 +24,8 @@ the service promises (DESIGN.md §16) actually held:
     records (they are cumulative, not deltas)
   - every histogram's "count" equals the sum of its bucket counts and
     its bucket lower bounds are strictly increasing
+  - "store.open_us", when present, counts exactly 1: a daemon opens
+    its store once, before its first flush
   - with --require-final, at least one metrics record is final: the CI
     chaos job uses this to assert the shutdown flush really ran
 
@@ -46,6 +48,9 @@ from common.selftest import Checker  # noqa: E402
 #: side; every accepted request lands in exactly one of them.
 OUTCOMES = ("hits", "executed", "deduped", "shed", "expired",
             "poisoned", "failed", "rejected")
+
+#: The store instrument observed once per ResultStore::open.
+OPEN_HISTOGRAM = "store.open_us"
 
 
 def is_uint(value):
@@ -170,6 +175,10 @@ def check_metrics_record(record, where, state, errors):
             count = check_histogram(name, histogram, where, errors)
             if count is not None:
                 counts[("histogram", name)] = count
+        opens = counts.get(("histogram", OPEN_HISTOGRAM))
+        if opens is not None and opens != 1:
+            errors.append(f"{where}: histogram '{OPEN_HISTOGRAM}' counts "
+                          f"{opens} opens; a daemon opens its store once")
 
     # Counters and histogram counts are cumulative: a decrease means
     # the writer restarted or the file mixes two runs.
@@ -259,9 +268,11 @@ def self_test():
                   "service": service(), "store": store(),
                   "counters": {"socket.accepts": seq + 1},
                   "gauges": {"service.workers": 4},
-                  "histograms": {"store.put_us": {
-                      "count": 3, "sum_us": 30,
-                      "buckets": [[8, 1], [10, 2]]}}}
+                  "histograms": {
+                      "store.open_us": {"count": 1, "sum_us": 5120,
+                                        "buckets": [[5120, 1]]},
+                      "store.put_us": {"count": 3, "sum_us": 30,
+                                       "buckets": [[8, 1], [10, 2]]}}}
         record.update(overrides)
         return record
 
@@ -348,6 +359,13 @@ def self_test():
     errors = validate_records([(1, bad)])
     check("unsorted histogram buckets rejected",
           any("strictly increasing" in e for e in errors))
+
+    bad = metrics(0, 0.0)
+    bad["histograms"]["store.open_us"] = {"count": 2, "sum_us": 9000,
+                                          "buckets": [[4096, 2]]}
+    errors = validate_records([(1, bad)])
+    check("a second store open rejected",
+          any("store.open_us" in e for e in errors))
 
     errors = validate_records([(1, metrics(0, 0.0)),
                                (2, metrics(1, 1.0, counters={

@@ -77,8 +77,7 @@ interpreterCfg(unsigned handlers, unsigned handler_len)
     for (unsigned h = 0; h < handlers; ++h)
         weights.push_back(h + 1 == handlers ? 0.02
                                             : 1.0 / (1.0 + h * 0.4));
-    cfg.blocks[dispatch].indirectTargets = entries;
-    cfg.blocks[dispatch].indirectWeights = weights;
+    cfg.setIndirect(dispatch, {entries, weights});
 
     Function main;
     main.index = 0;
@@ -114,7 +113,7 @@ main(int argc, char **argv)
                 "%zu handlers\n\n",
                 static_cast<unsigned long long>(cfg.totalInstructions()),
                 static_cast<double>(cfg.totalInstructions() * 4) / 1024.0,
-                cfg.blocks[0].indirectTargets.size());
+                cfg.indirectOf(cfg.blocks[0]).targets.size());
 
     SimConfig config;
     config.instructionBudget = opts.getCount("budget");

@@ -67,9 +67,6 @@ parallelFor(size_t count, unsigned workers,
         thread.join();
 }
 
-/** Identity of one correct-path stream: program + dynamic seed. */
-using StreamKey = std::pair<std::string, uint64_t>;
-
 /** One classification of the classify stage: a distinct (benchmark,
  *  classificationConfig) among the specs. */
 struct ClassifyJob
@@ -77,6 +74,8 @@ struct ClassifyJob
     std::string benchmark;
     SimConfig config;
     Classification result;
+    /** A guarded classification refused its stream's snapshot. */
+    bool refusedSnapshot = false;
 };
 
 /** The classify stage's work: the distinct rows, and each spec's. */
@@ -126,12 +125,14 @@ struct SweepShared
  * Build the distinct workloads and record the shared correct-path
  * snapshots (record-once/replay-many; see runSweep's contract). The
  * runs of @p specs and the classifications of @p jobs all consume
- * their (benchmark, seed) streams.
+ * their (benchmark, seed) streams; @p kept (may be null) holds the
+ * caller's streams (SweepOptions::streams).
  */
 SweepShared
 prepareShared(const std::vector<RunSpec> &specs,
-              const std::vector<ClassifyJob> &jobs, unsigned workers,
-              SweepTiming *timing, SweepClock::time_point sweepStart)
+              const std::vector<ClassifyJob> &jobs, KeptStreams *kept,
+              unsigned workers, SweepTiming *timing,
+              SweepClock::time_point sweepStart)
 {
     SweepShared shared;
 
@@ -155,9 +156,10 @@ prepareShared(const std::vector<RunSpec> &specs,
     // Record-once/replay-many: every run and classification sharing
     // (benchmark, seed) consumes the identical correct-path stream, so
     // record it in one executor pass — long enough for the hungriest
-    // consumer — and replay it across all of them. Streams with a
-    // single consumer (or beyond the memory cap) stay on live
-    // execution.
+    // consumer — and replay it across all of them. A caller's kept
+    // stream that is long enough is replayed without a record; without
+    // kept streams, a stream with a single consumer stays on live
+    // execution, as does one beyond the memory cap.
     SweepClock::time_point recordStart = SweepClock::now();
     std::map<StreamKey, uint64_t> streamLength;
     std::map<StreamKey, size_t> streamUses;
@@ -175,9 +177,19 @@ prepareShared(const std::vector<RunSpec> &specs,
         consume(job.benchmark, job.config);
     std::vector<std::pair<StreamKey, uint64_t>> toRecord;
     for (const auto &[key, length] : streamLength) {
-        if (streamUses.at(key) >= 2 &&
+        if (kept) {
+            auto found = kept->find(key);
+            if (found != kept->end() &&
+                found->second->instructionCount() >= length) {
+                shared.snapshots.emplace(key, found->second);
+                continue;
+            }
+        }
+        if ((kept || streamUses.at(key) >= 2) &&
             length <= kSweepSnapshotMaxInstructions) {
             toRecord.emplace_back(key, length);
+        } else if (kept) {
+            kept->erase(key); // too short, and too long to record anew
         }
     }
     std::vector<std::shared_ptr<const TraceSnapshot>> recorded(
@@ -191,8 +203,11 @@ prepareShared(const std::vector<RunSpec> &specs,
         recorded[i] = std::make_shared<const TraceSnapshot>(
             TraceSnapshot::record(executor, length));
     });
-    for (size_t i = 0; i < toRecord.size(); ++i)
+    for (size_t i = 0; i < toRecord.size(); ++i) {
         shared.snapshots.emplace(toRecord[i].first, recorded[i]);
+        if (kept)
+            (*kept)[toRecord[i].first] = recorded[i];
+    }
     if (timing)
         timing->snapshotRecordSeconds = secondsSince(recordStart);
 
@@ -222,6 +237,7 @@ classifyRows(std::vector<ClassifyJob> &jobs, const SweepShared &shared,
                  "classifying live",
                  i, why.c_str());
             snapshot = nullptr;
+            job.refusedSnapshot = true;
         }
         job.result = snapshot
             ? classifyMisses(workload, job.config, *snapshot)
@@ -313,6 +329,8 @@ struct GuardedRun
     bool ok = false;
     SimResults results;
     std::string cause;
+    /** The first attempt refused the snapshot: its digest failed. */
+    bool refusedSnapshot = false;
 };
 
 /**
@@ -364,6 +382,7 @@ runOneGuarded(const Workload &workload, const RunSpec &spec,
                          "to live execution",
                          index, why.c_str());
                     snap = nullptr;
+                    out.refusedSnapshot = true;
                 }
             }
 
@@ -412,8 +431,8 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     ClassifyPlan plan;
     if (options.classifications)
         plan = planClassifications(specs);
-    SweepShared shared =
-        prepareShared(specs, plan.jobs, workers, timing, sweepStart);
+    SweepShared shared = prepareShared(specs, plan.jobs, options.streams,
+                                       workers, timing, sweepStart);
 
     // Classify before any run starts, so every spec's classification
     // is ready when its onRunComplete fires.
@@ -432,6 +451,7 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     outcome.results.resize(specs.size());
     outcome.completed.assign(specs.size(), 0);
     std::mutex failuresMutex;
+    std::vector<uint8_t> refused(specs.size(), 0);
 
     SweepClock::time_point runStart = SweepClock::now();
     // SPECFETCH-ALLOW(error-boundary): an unguarded sweep aborts on panic by contract; a guarded one runs every spec through runOneGuarded
@@ -457,6 +477,7 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
         }
         if (timing)
             timing->perRunSeconds[index] = secondsSince(start);
+        refused[index] = run.refusedSnapshot;
 
         if (run.ok) {
             outcome.results[index] = std::move(run.results);
@@ -488,6 +509,23 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
               [](const SweepFailure &a, const SweepFailure &b) {
                   return a.index < b.index;
               });
+
+    // A kept stream that failed its digest is dropped, so the caller
+    // records it anew instead of refusing it at every later sweep.
+    if (options.streams) {
+        for (size_t i = 0; i < specs.size(); ++i) {
+            if (refused[i]) {
+                options.streams->erase(
+                    StreamKey{specs[i].benchmark, specs[i].config.runSeed});
+            }
+        }
+        for (const ClassifyJob &job : plan.jobs) {
+            if (job.refusedSnapshot) {
+                options.streams->erase(
+                    StreamKey{job.benchmark, job.config.runSeed});
+            }
+        }
+    }
 
     paranoidCrossValidate(specs, outcome, plan.jobs, shared);
     return outcome;

@@ -9,8 +9,11 @@
 #define SPECFETCH_CORE_SWEEP_HH_
 
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hh"
@@ -21,6 +24,7 @@
 namespace specfetch {
 
 class FaultInjector;
+class TraceSnapshot;
 
 /** One run request. */
 struct RunSpec
@@ -78,6 +82,14 @@ struct SweepFailure
     unsigned attempts = 0;
 };
 
+/** Identity of one correct-path stream: (benchmark, run seed). */
+using StreamKey = std::pair<std::string, uint64_t>;
+
+/** Recorded correct-path streams a caller keeps across sweeps
+ *  (SweepOptions::streams). */
+using KeptStreams =
+    std::map<StreamKey, std::shared_ptr<const TraceSnapshot>>;
+
 /** Per-run fault-tolerance policy (SweepOptions::guard). */
 struct SweepGuard
 {
@@ -130,6 +142,19 @@ struct SweepOptions
      */
     std::vector<Classification> *classifications = nullptr;
     /**
+     * When non-null, the caller's kept streams, which outlive the
+     * sweep. A kept stream at least as long as each of its consumers'
+     * warmup plus budget is replayed instead of recorded. Every other
+     * stream the sweep consumes is recorded, a single consumer's too
+     * (a record plus a replay costs about what a live run does), and
+     * put in the map, replacing a shorter one. After the sweep the map
+     * holds, for each of its streams, the one the sweep replayed or
+     * recorded: a stream a guarded replay refuses (its digest fails)
+     * is erased, as is a short one beyond the record cap. Retries and
+     * paranoid re-runs still run live.
+     */
+    KeptStreams *streams = nullptr;
+    /**
      * Invoked — possibly from a sweep worker thread, never twice for
      * one index — the moment a run completes. The store-backed grid
      * persists the run's record here, so a crash an instant later
@@ -158,8 +183,9 @@ struct SweepOutcome
  * Shared work is hoisted out of the per-spec runs: each benchmark's
  * workload is built (or fetched from the process-wide store) once,
  * and each distinct (benchmark, run seed) correct-path stream that
- * more than one run or classification consumes is recorded once into
- * a TraceSnapshot and replayed by all of them — the identical stream,
+ * more than one run or classification consumes (or any stream, when
+ * SweepOptions::streams is given) is recorded once into a
+ * TraceSnapshot and replayed by all of them — the identical stream,
  * so results are bit-identical to live execution at any parallelism.
  */
 SweepOutcome runSweep(const std::vector<RunSpec> &specs,

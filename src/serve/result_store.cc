@@ -540,16 +540,20 @@ ResultStore::open(const Options &options, std::string *error)
     for (const auto &[name, keep] : plan.cuts)
         truncateFile(joinPath(opts.dir, name), keep);
     // Nothing retires a quarantined frame, so every open skips it again:
-    // the sidecar lists exactly what this open skipped.
-    const std::string sidecar = joinPath(opts.dir, kStoreQuarantineFile);
-    if (plan.quarantine.empty()) {
-        std::remove(sidecar.c_str());
-    } else if (std::FILE *file = std::fopen(sidecar.c_str(), "wb")) {
-        for (const JsonValue &row : plan.quarantine) {
-            std::string text = row.dump() + "\n";
-            std::fwrite(text.data(), 1, text.size(), file);
-        }
-        std::fclose(file);
+    // the sidecar lists exactly what this open skipped. It is written
+    // only when that differs from what it holds, and in place.
+    std::string sidecar;
+    for (const JsonValue &row : plan.quarantine)
+        sidecar += row.dump() + "\n";
+    auto held = files->find(kStoreQuarantineFile);
+    if (sidecar.empty()) {
+        if (held != files->end())
+            std::remove(joinPath(opts.dir, kStoreQuarantineFile).c_str());
+    } else if ((held == files->end() || held->second != sidecar) &&
+               !rewriteInPlace(opts.dir, kStoreQuarantineFile, sidecar,
+                               /*create=*/true)) {
+        warn("result store %s: cannot write %s: %s", opts.dir.c_str(),
+             kStoreQuarantineFile, std::strerror(errno));
     }
     // A torn tail's removal must not come back.
     if (!plan.cuts.empty())

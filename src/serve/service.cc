@@ -1,6 +1,7 @@
 #include "serve/service.hh"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "obs/trace_event.hh"
 #include "report/metrics_record.hh"
 #include "report/record.hh"
+#include "trace/snapshot.hh"
 #include "util/logging.hh"
 
 namespace specfetch {
@@ -126,6 +128,9 @@ SweepService::SweepService(ResultStore &resultStore,
         }
         workerBusy = &opts.metrics->counter("service.worker_busy_us");
         workerIdle = &opts.metrics->counter("service.worker_idle_us");
+        streamReplays = &opts.metrics->counter("service.stream_replays");
+        streamRecords = &opts.metrics->counter("service.stream_records");
+        streamBytes = &opts.metrics->gauge("service.stream_bytes");
         opts.metrics->gauge("service.workers").set(opts.workers);
     }
 }
@@ -409,18 +414,30 @@ SweepService::executeJob(Job &job)
         guard.injector = &localInjector;
     }
 
-    // Every request of a row shares one classification. On a miss the
-    // sweep classifies the row too: it then records the stream once
-    // and replays it for both the run and the classification.
+    // A miss replays its (benchmark, run seed) stream when an earlier
+    // miss kept it, and shares its row's classification; otherwise the
+    // sweep records the stream, for this run, the row's classification
+    // and later misses.
+    const StreamKey streamKey{job.request.benchmark,
+                              job.request.config.runSeed};
     const std::string rowKey =
         classificationKey(job.request.benchmark, job.request.config);
-    const Classification *classification = nullptr;
+    std::shared_ptr<const TraceSnapshot> handed;
+    std::optional<Classification> classification;
     {
-        std::lock_guard<std::mutex> lock(classificationMutex);
-        auto cached = classifications.find(rowKey);
-        if (cached != classifications.end())
-            classification = &cached->second;
+        std::lock_guard<std::mutex> lock(keptMutex);
+        auto found = keptIndex.find(streamKey);
+        if (found != keptIndex.end()) {
+            handed = found->second->stream;
+            auto row = found->second->rows.find(rowKey);
+            if (row != found->second->rows.end())
+                classification = row->second;
+        }
     }
+    KeptStreams streams;
+    if (handed)
+        streams.emplace(streamKey, handed);
+    sweep.streams = &streams;
     std::vector<Classification> classified;
     if (!classification)
         sweep.classifications = &classified;
@@ -428,21 +445,24 @@ SweepService::executeJob(Job &job)
     std::vector<RunSpec> specs{
         RunSpec{job.request.benchmark, job.request.config}};
     SweepOutcome outcome = runSweep(specs, sweep);
-    if (!classified.empty()) {
-        // A racing miss of the same row computed identical values;
-        // the first insert wins.
-        std::lock_guard<std::mutex> lock(classificationMutex);
-        classification =
-            &classifications.emplace(rowKey, classified[0])
-                 .first->second;
-    }
+    if (!classified.empty())
+        classification = classified[0];
+    // What the sweep's map holds is the stream it replayed or recorded;
+    // nothing, when a replay refused it or it is beyond the record cap.
+    auto left = streams.find(streamKey);
+    std::shared_ptr<const TraceSnapshot> stream =
+        left != streams.end() ? left->second : nullptr;
+    if (stream && streamReplays)
+        (stream == handed ? streamReplays : streamRecords)->add(1);
+    keepStream(streamKey, std::move(stream), rowKey,
+               classified.empty() ? nullptr : &classified[0]);
 
     if (outcome.allCompleted()) {
         // Serialized once: these bytes go to the store's frame and
         // index, to this response and to every rider's.
         const std::string record =
             makeRunRecord(outcome.results[0], job.request.config, nullptr,
-                          classification)
+                          classification ? &*classification : nullptr)
                 .dump();
         std::string storeError;
         if (!store.put(key, record, &storeError)) {
@@ -483,6 +503,47 @@ SweepService::executeJob(Job &job)
         error.backoffSeconds = backoffHint(failure.attempts);
     }
     finishKey(job, errorLine(job.request, error), &error);
+}
+
+uint64_t
+SweepService::KeptStream::cost() const
+{
+    uint64_t total = stream ? stream->byteSize() : 0;
+    for (const auto &[rowKey, classification] : rows)
+        total += rowKey.size() + sizeof(classification);
+    return total;
+}
+
+void
+SweepService::keepStream(const StreamKey &key,
+                         std::shared_ptr<const TraceSnapshot> stream,
+                         const std::string &row,
+                         const Classification *classification)
+{
+    std::lock_guard<std::mutex> lock(keptMutex);
+    auto found = keptIndex.find(key);
+    if (found == keptIndex.end()) {
+        kept.push_front(KeptStream{key, nullptr, {}, 0});
+        found = keptIndex.emplace(key, kept.begin()).first;
+    } else {
+        kept.splice(kept.begin(), kept, found->second);
+    }
+    KeptStream &entry = *found->second;
+    keptBytes -= entry.bytes;
+    entry.stream = std::move(stream);
+    if (classification)
+        entry.rows.emplace(row, *classification);
+    if (entry.cost() > kKeptStreamBytes)
+        entry.stream.reset();
+    entry.bytes = entry.cost();
+    keptBytes += entry.bytes;
+    while (keptBytes > kKeptStreamBytes) {
+        keptBytes -= kept.back().bytes;
+        keptIndex.erase(kept.back().key);
+        kept.pop_back();
+    }
+    if (streamBytes)
+        streamBytes->set(keptBytes);
 }
 
 void

@@ -13,7 +13,9 @@
  *               -> single-flight dedupe (same-key requests ride the
  *                  first one's execution instead of re-simulating)
  *               -> bounded worker pool executes the miss behind
- *                  runSweep's boundary/watchdog/retry guard
+ *                  runSweep's boundary/watchdog/retry guard, replaying
+ *                  the (benchmark, run seed) stream an earlier miss
+ *                  kept (kKeptStreamBytes)
  *               -> durable store.put, then the response
  *
  * Robustness properties:
@@ -40,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <mutex>
 #include <set>
@@ -57,11 +60,23 @@ namespace specfetch {
 
 class MetricsRegistry;
 class MetricCounter;
+class MetricGauge;
 class LatencyHistogram;
 
 class SweepService
 {
   public:
+    /**
+     * Bytes of kept streams the service holds at most: the records of
+     * each correct-path stream a miss recorded, plus the
+     * classifications of the rows on it. Past it, the least recently
+     * used stream goes, and a stream larger than it is never kept. At
+     * 200K instructions the 13 profiles' streams take 2.47 MB together
+     * (run seed 1); at 2M one takes 0.26-3.16 MB, so porky's is never
+     * kept.
+     */
+    static constexpr uint64_t kKeptStreamBytes = uint64_t(3) << 20;
+
     struct Options
     {
         /** Worker threads (>= 1). */
@@ -225,6 +240,28 @@ class SweepService
                    const ServiceError *error, std::string_view run = {});
     double backoffHint(unsigned attempt) const;
 
+    /** One kept stream and the classifications of the rows on it. */
+    struct KeptStream
+    {
+        StreamKey key;
+        /** Null when not kept: beyond the bound, refused by a replay,
+         *  or beyond the sweep's record cap. */
+        std::shared_ptr<const TraceSnapshot> stream;
+        /** Classifications by classificationKey(). */
+        std::map<std::string, Classification> rows;
+        /** What the entry counts against kKeptStreamBytes: cost()
+         *  when it was last kept. */
+        uint64_t bytes = 0;
+
+        uint64_t cost() const;
+    };
+    /** Keep @p stream (null: drop it) and, when given, @p row's
+     *  @p classification under @p key, as the most recently used. */
+    void keepStream(const StreamKey &key,
+                    std::shared_ptr<const TraceSnapshot> stream,
+                    const std::string &row,
+                    const Classification *classification);
+
     ResultStore &store;
     Options opts;
 
@@ -243,11 +280,12 @@ class SweepService
     /** warn() once, not per snapshot, if the invariant ever breaks. */
     mutable bool conservationWarned = false;
 
-    /** Table-4 classifications by classificationKey(): every request
-     *  of one row shares one. A miss asks its run's sweep for the
-     *  row's classification. */
-    std::mutex classificationMutex;
-    std::map<std::string, Classification> classifications;
+    /** The kept streams, most recently used first, and their index;
+     *  keptBytes sums their bytes. */
+    std::mutex keptMutex;
+    std::list<KeptStream> kept;
+    std::map<StreamKey, std::list<KeptStream>::iterator> keptIndex;
+    uint64_t keptBytes = 0;
 
     // Instruments, resolved once in the constructor; all null when
     // opts.metrics is null, making every hook one pointer test.
@@ -255,6 +293,9 @@ class SweepService
     std::array<LatencyHistogram *, kOutcomeCount> executeHistograms{};
     MetricCounter *workerBusy = nullptr;
     MetricCounter *workerIdle = nullptr;
+    MetricCounter *streamReplays = nullptr;
+    MetricCounter *streamRecords = nullptr;
+    MetricGauge *streamBytes = nullptr;
 
     /**
      * Per-worker clamp for queue-wait trace spans: a span on worker

@@ -1,7 +1,10 @@
 #include "trace/snapshot.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "util/checksum.hh"
 #include "util/logging.hh"
@@ -69,6 +72,22 @@ packControl(const DynInst &inst, uint64_t index, uint32_t plain_before)
 
 } // namespace
 
+void *
+mapAnonymousPages(size_t bytes)
+{
+    void *pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (pages == MAP_FAILED)
+        throw std::bad_alloc();
+    return pages;
+}
+
+void
+unmapAnonymousPages(void *pages, size_t bytes)
+{
+    munmap(pages, bytes);
+}
+
 TraceSnapshot
 TraceSnapshot::record(InstructionSource &source, uint64_t length,
                       uint32_t max_plain_run)
@@ -81,9 +100,9 @@ TraceSnapshot::record(InstructionSource &source, uint64_t length,
     TraceSnapshot snap;
     // Up to ~20-25% of dynamic instructions are control (paper Table
     // 3), so reserve one record per 4 instructions. Each record is
-    // written once, into the buffer the snapshot keeps: a large
+    // written once, into the pages the snapshot keeps: the
     // reservation's untouched tail is address space, not resident
-    // memory, so it is not trimmed by a copy.
+    // memory (PageAllocator), so it is not trimmed by a copy.
     snap.recs.reserve(static_cast<size_t>(length / 4 + 1));
 
     DynInst inst;

@@ -25,6 +25,7 @@
 #ifndef SPECFETCH_TRACE_SNAPSHOT_HH_
 #define SPECFETCH_TRACE_SNAPSHOT_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,6 +34,44 @@
 #include "workload/executor.hh"
 
 namespace specfetch {
+
+/** A fresh anonymous mapping of @p bytes; throws std::bad_alloc. */
+void *mapAnonymousPages(size_t bytes);
+/** Return a mapAnonymousPages() mapping of @p bytes to the kernel. */
+void unmapAnonymousPages(void *pages, size_t bytes);
+
+/**
+ * Gives every allocation its own anonymous mapping. A snapshot's
+ * records then cost only the pages record() writes (its reservation's
+ * untouched tail is address space), and the pages go back to the
+ * kernel when the snapshot dies, however long it lived: a snapshot a
+ * service keeps across requests leaves no hole in a malloc arena, and
+ * none depends on malloc's mmap threshold, which glibc raises after
+ * the first large free.
+ */
+template <typename T>
+struct PageAllocator
+{
+    using value_type = T;
+
+    PageAllocator() = default;
+    template <typename U>
+    PageAllocator(const PageAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(mapAnonymousPages(n * sizeof(T)));
+    }
+    void deallocate(T *p, size_t n) { unmapAnonymousPages(p, n * sizeof(T)); }
+
+    friend bool operator==(const PageAllocator &, const PageAllocator &)
+    {
+        return true;
+    }
+};
 
 /**
  * Immutable packed encoding of a finite correct-path prefix. Record
@@ -100,6 +139,8 @@ class TraceSnapshot
     };
     static_assert(sizeof(ControlRecord) == 8,
                   "records are packed for cache-friendly replay");
+    /** The packed stream, in pages of its own. */
+    using Records = std::vector<ControlRecord, PageAllocator<ControlRecord>>;
 
     /** Serialized-form magic: 'SFSN' little-endian. */
     static constexpr uint32_t kMagic = 0x4E534653;
@@ -136,7 +177,7 @@ class TraceSnapshot
         return static_cast<uint64_t>(recs.size()) * sizeof(ControlRecord);
     }
 
-    const std::vector<ControlRecord> &records() const { return recs; }
+    const Records &records() const { return recs; }
 
     /**
      * xxhash-style digest of the packed stream (plus start PC and
@@ -196,7 +237,7 @@ class TraceSnapshot
   private:
     uint64_t computeHash() const;
 
-    std::vector<ControlRecord> recs;
+    Records recs;
     Addr start = 0;
     uint64_t count = 0;
     uint64_t hash = 0;

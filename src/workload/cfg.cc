@@ -1,5 +1,7 @@
 #include "workload/cfg.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 
 namespace specfetch {
@@ -21,6 +23,13 @@ Cfg::totalControlInstructions() const
         if (block.term != TermKind::FallThrough)
             ++n;
     return n;
+}
+
+void
+Cfg::setIndirect(uint32_t block, IndirectSuccessors successors)
+{
+    blocks.at(block).indirect = static_cast<uint32_t>(indirects.size());
+    indirects.push_back(std::move(successors));
 }
 
 void
@@ -85,32 +94,29 @@ Cfg::validate() const
             panic_if(block.func == 0,
                      "function 0 must not return (block %zu)", i);
             break;
-          case TermKind::IndirectJump: {
-            panic_if(block.indirectTargets.empty(),
-                     "block %zu indirect jump with no targets", i);
-            panic_if(block.indirectTargets.size() !=
-                         block.indirectWeights.size(),
-                     "block %zu indirect weights mismatch", i);
-            for (uint32_t t : block.indirectTargets) {
-                panic_if(t >= blocks.size(),
-                         "block %zu indirect target out of range", i);
-                panic_if(blocks[t].func != block.func,
-                         "block %zu indirect target across functions", i);
-            }
-            break;
-          }
+          case TermKind::IndirectJump:
           case TermKind::IndirectCall: {
-            panic_if(block.indirectTargets.empty(),
-                     "block %zu indirect call with no callees", i);
-            panic_if(block.indirectTargets.size() !=
-                         block.indirectWeights.size(),
-                     "block %zu indirect-call weights mismatch", i);
-            for (uint32_t callee : block.indirectTargets) {
-                panic_if(callee >= functions.size(),
-                         "block %zu indirect call to bad function", i);
-                panic_if(callee <= block.func,
-                         "block %zu indirect call would make the call "
-                         "graph cyclic", i);
+            panic_if(block.indirect >= indirects.size() ||
+                         indirectOf(block).targets.empty(),
+                     "block %zu indirect terminator with no successors", i);
+            const IndirectSuccessors &succ = indirectOf(block);
+            panic_if(succ.targets.size() != succ.weights.size(),
+                     "block %zu indirect weights mismatch", i);
+            for (uint32_t t : succ.targets) {
+                if (block.term == TermKind::IndirectJump) {
+                    panic_if(t >= blocks.size(),
+                             "block %zu indirect target out of range", i);
+                    panic_if(blocks[t].func != block.func,
+                             "block %zu indirect target across functions",
+                             i);
+                } else {
+                    panic_if(t >= functions.size(),
+                             "block %zu indirect call to bad function", i);
+                    panic_if(t <= block.func,
+                             "block %zu indirect call would make the call "
+                             "graph cyclic",
+                             i);
+                }
             }
             break;
           }
@@ -138,8 +144,10 @@ Cfg::validate() const
             blocks[b].target == functions[0].entryBlock()) {
             main_loops = true;
         }
-        for (uint32_t t : blocks[b].indirectTargets)
-            main_loops |= t == functions[0].entryBlock();
+        if (blocks[b].term == TermKind::IndirectJump) {
+            for (uint32_t t : indirectOf(blocks[b]).targets)
+                main_loops |= t == functions[0].entryBlock();
+        }
     }
     panic_if(!main_loops,
              "function 0 must contain a jump back to its own entry");

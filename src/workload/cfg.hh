@@ -36,6 +36,7 @@ namespace specfetch {
 /** Sentinel ids. */
 constexpr uint32_t kNoBlock = ~uint32_t{0};
 constexpr uint32_t kNoFunc = ~uint32_t{0};
+constexpr uint32_t kNoIndirect = ~uint32_t{0};
 
 /** Kinds of block terminators. */
 enum class TermKind : uint8_t
@@ -45,10 +46,10 @@ enum class TermKind : uint8_t
     Jump,         ///< unconditional direct jump to target
     Call,         ///< direct call; returns to the next block
     Return,       ///< return to the caller
-    IndirectJump, ///< computed jump among indirectTargets
-    IndirectCall, ///< virtual-dispatch call: callee chosen among
-                  ///< indirectTargets (function indices); returns to
-                  ///< the next block
+    IndirectJump, ///< computed jump among its IndirectSuccessors
+    IndirectCall, ///< virtual-dispatch call: callee chosen among its
+                  ///< IndirectSuccessors (function indices); returns
+                  ///< to the next block
 };
 
 /** How a conditional branch's dynamic direction is produced. */
@@ -63,25 +64,28 @@ enum class DirMode : uint8_t
                 ///< that history stale (paper Table 3, B1 vs B4)
 };
 
-/** Direction-generation parameters for one conditional branch. */
+/** Direction-generation parameters for one conditional branch. Members
+ *  are ordered by size, so the struct packs into 40 bytes. */
 struct BranchBehavior
 {
-    DirMode mode = DirMode::Biased;
     /** Biased: probability the branch is taken. */
     double takenProb = 0.5;
-    /** LoopBack: mean iterations per loop entry. */
-    uint32_t tripCount = 1;
     /** LoopBack: relative jitter applied to tripCount per entry. */
     double tripJitter = 0.0;
-    /** Pattern: period length (1..64) and the bits themselves
-     *  (bit k = direction of occurrence k mod period). */
-    uint16_t patternLen = 1;
+    /** Pattern: the bits of the period (bit k = direction of occurrence
+     *  k mod patternLen). */
     uint64_t patternBits = 0;
+    /** LoopBack: mean iterations per loop entry. */
+    uint32_t tripCount = 1;
+    /** Pattern: period length (1..64). */
+    uint16_t patternLen = 1;
+    DirMode mode = DirMode::Biased;
     /** Correlated: taken = outcome of the conditional branch executed
      *  correlationDepth conditionals ago, possibly inverted. */
     uint8_t correlationDepth = 1;
     bool correlationInvert = false;
 };
+static_assert(sizeof(BranchBehavior) <= 40, "behavior members by size");
 
 /** One basic block. */
 struct BasicBlock
@@ -95,10 +99,9 @@ struct BasicBlock
     uint32_t target = kNoBlock;
     /** Callee function index (Call). */
     uint32_t calleeFunc = kNoFunc;
-    /** IndirectJump successors (block ids) or IndirectCall callees
-     *  (function indices), with selection weights. */
-    std::vector<uint32_t> indirectTargets;
-    std::vector<double> indirectWeights;
+    /** IndirectJump/IndirectCall: index of the successor list in
+     *  Cfg::indirects. */
+    uint32_t indirect = kNoIndirect;
     /** Direction behavior (CondBranch). */
     BranchBehavior behavior;
     /** Assigned by the layout pass. */
@@ -119,6 +122,18 @@ struct BasicBlock
                term == TermKind::CondBranch || term == TermKind::Call ||
                term == TermKind::IndirectCall;
     }
+};
+static_assert(sizeof(BasicBlock) <= 80,
+              "a block holds its indirect successors by index");
+
+/**
+ * The successors of one indirect terminator with their selection
+ * weights: block ids (IndirectJump) or function indices (IndirectCall).
+ */
+struct IndirectSuccessors
+{
+    std::vector<uint32_t> targets;
+    std::vector<double> weights;
 };
 
 /** One function: a contiguous block range [firstBlock, lastBlock]. */
@@ -141,6 +156,21 @@ class Cfg
   public:
     std::vector<BasicBlock> blocks;
     std::vector<Function> functions;
+    /** The indirect terminators' successor lists, indexed by
+     *  BasicBlock::indirect. Few blocks have one (955 of the 13
+     *  profiles' 74,556), so a block holds an index, not the lists. */
+    std::vector<IndirectSuccessors> indirects;
+
+    /** Make @p block's indirect terminator choose among
+     *  @p successors. */
+    void setIndirect(uint32_t block, IndirectSuccessors successors);
+
+    /** The successor list of @p block's indirect terminator. */
+    const IndirectSuccessors &
+    indirectOf(const BasicBlock &block) const
+    {
+        return indirects[block.indirect];
+    }
 
     /** Static instruction count over all blocks. */
     uint64_t totalInstructions() const;

@@ -259,8 +259,7 @@ CfgBuilder::emitIndirectCall(uint32_t func)
     std::vector<double> weights;
     for (size_t c = 0; c < callees.size(); ++c)
         weights.push_back(1.0 / std::pow(static_cast<double>(c) + 1.0, 0.8));
-    cfg.blocks[site].indirectTargets = std::move(callees);
-    cfg.blocks[site].indirectWeights = std::move(weights);
+    cfg.setIndirect(site, {std::move(callees), std::move(weights)});
     appendGlueBlock(func);    // the return lands here
 }
 
@@ -294,8 +293,7 @@ CfgBuilder::emitSwitch(uint32_t func, uint32_t budget, unsigned depth,
     std::vector<double> weights;
     for (uint32_t a = 0; a < arms; ++a)
         weights.push_back(1.0 / std::pow(a + 1.0, 0.7));
-    cfg.blocks[dispatch].indirectTargets = std::move(arm_entries);
-    cfg.blocks[dispatch].indirectWeights = std::move(weights);
+    cfg.setIndirect(dispatch, {std::move(arm_entries), std::move(weights)});
 }
 
 void

@@ -122,8 +122,8 @@ Executor::next(DynInst &out)
       }
       case TermKind::IndirectJump: {
         ++indirectJumps;
-        size_t pick = rng.nextWeighted(block->indirectWeights);
-        uint32_t target_block = block->indirectTargets[pick];
+        const IndirectSuccessors &succ = cfg.indirectOf(*block);
+        uint32_t target_block = succ.targets[rng.nextWeighted(succ.weights)];
         Addr target = cfg.blocks[target_block].startAddr;
         out = DynInst{pc, InstClass::IndirectJump, true, target};
         curBlock = target_block;
@@ -131,9 +131,9 @@ Executor::next(DynInst &out)
       }
       case TermKind::IndirectCall: {
         ++indirectCalls;
-        size_t pick = rng.nextWeighted(block->indirectWeights);
+        const IndirectSuccessors &succ = cfg.indirectOf(*block);
         const Function &callee =
-            cfg.functions[block->indirectTargets[pick]];
+            cfg.functions[succ.targets[rng.nextWeighted(succ.weights)]];
         Addr target = cfg.blocks[callee.entryBlock()].startAddr;
         out = DynInst{pc, InstClass::IndirectCall, true, target};
         callStack.push_back(block->id + 1);

@@ -91,6 +91,7 @@ reorderBlocks(const Cfg &cfg, const std::vector<uint64_t> &visits)
     Cfg out;
     out.blocks.reserve(cfg.blocks.size());
     out.functions = cfg.functions;
+    out.indirects = cfg.indirects;
 
     uint32_t cursor = 0;
     size_t chain_index = 0;
@@ -122,7 +123,7 @@ reorderBlocks(const Cfg &cfg, const std::vector<uint64_t> &visits)
             block.target = new_id[block.target];
         }
         if (block.term == TermKind::IndirectJump) {
-            for (uint32_t &target : block.indirectTargets)
+            for (uint32_t &target : out.indirects[block.indirect].targets)
                 target = new_id[target];
         }
     }

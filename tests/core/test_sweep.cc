@@ -13,6 +13,8 @@
 #include "core/miss_classifier.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "fault/injector.hh"
+#include "trace/snapshot.hh"
 #include "workload/registry.hh"
 
 using namespace specfetch;
@@ -191,6 +193,60 @@ TEST(Sweep, ClassificationsMatchLiveClassifier)
     options.guard.emplace();
     runSweep(specs, options);
     EXPECT_EQ(guarded, classifications);
+}
+
+TEST(Sweep, KeptStreamsAreRecordedThenReplayed)
+{
+    // With a caller's map, even a single consumer's stream is recorded
+    // and kept. A later sweep replays it when it is long enough and
+    // records a longer one when it is not. Every run equals a live one.
+    SimConfig config;
+    config.instructionBudget = 30'000;
+    SimConfig resume = config;
+    resume.policy = FetchPolicy::Resume;
+    SimConfig longer = config;
+    longer.warmupInstructions = 10'000;
+
+    KeptStreams kept;
+    SweepOptions options;
+    options.streams = &kept;
+    auto runOne = [&](const SimConfig &spec) {
+        return runSweep({RunSpec{"li", spec}}, options).results.at(0);
+    };
+    EXPECT_EQ(runOne(config), runBenchmark("li", config));
+    ASSERT_EQ(kept.size(), 1u);
+    const std::shared_ptr<const TraceSnapshot> recorded =
+        kept.at(StreamKey{"li", config.runSeed});
+    EXPECT_EQ(recorded->instructionCount(), 30'000u);
+
+    EXPECT_EQ(runOne(resume), runBenchmark("li", resume));
+    EXPECT_EQ(kept.at(StreamKey{"li", config.runSeed}), recorded);
+
+    EXPECT_EQ(runOne(longer), runBenchmark("li", longer));
+    EXPECT_EQ(kept.at(StreamKey{"li", config.runSeed})->instructionCount(),
+              40'000u);
+}
+
+TEST(Sweep, RefusedKeptStreamIsDropped)
+{
+    // A guarded replay whose snapshot fails its digest runs live, and
+    // the sweep drops the kept stream instead of keeping a damaged one.
+    SimConfig config;
+    config.instructionBudget = 30'000;
+    KeptStreams kept;
+    SweepOptions options;
+    options.streams = &kept;
+    runSweep({RunSpec{"li", config}}, options);
+    ASSERT_EQ(kept.size(), 1u);
+
+    FaultInjector injector;
+    ASSERT_TRUE(FaultInjector::parse("corrupt@0", injector));
+    options.guard.emplace().injector = &injector;
+    config.policy = FetchPolicy::Decode;
+    SweepOutcome outcome = runSweep({RunSpec{"li", config}}, options);
+    ASSERT_TRUE(outcome.allCompleted());
+    EXPECT_EQ(outcome.results[0], runBenchmark("li", config));
+    EXPECT_TRUE(kept.empty());
 }
 
 TEST(Sweep, TimingCoversEverySpec)

@@ -595,6 +595,49 @@ TEST_F(ResultStoreTest, InjectedShortWriteResyncs)
     EXPECT_TRUE(reopened.close());
 }
 
+TEST_F(ResultStoreTest, QuarantineSidecarIsWrittenOnlyWhenItChanges)
+{
+    FaultInjector injector;
+    ASSERT_TRUE(FaultInjector::parse("shortwrite@1", injector));
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options(&injector)));
+        EXPECT_TRUE(store.put("a", record(1)));
+        EXPECT_FALSE(store.put("b", record(2)));
+        EXPECT_TRUE(store.put("b", record(2)));
+        ASSERT_TRUE(store.close());
+    }
+    const std::string sidecar = dir + "/" + kStoreQuarantineFile;
+    auto reopen = [&] {
+        ResultStore store;
+        ASSERT_TRUE(store.open(options()));
+        EXPECT_EQ(store.stats().corruptFrames, 1u);
+        ASSERT_TRUE(store.close());
+    };
+    reopen();
+    const std::string written = slurp(sidecar);
+    ASSERT_FALSE(written.empty());
+
+    // Stamp an old mtime: an open that rewrites the sidecar, even with
+    // the same bytes, moves it to now.
+    const struct timespec old[2] = {{1'000'000, 0}, {1'000'000, 0}};
+    ASSERT_EQ(utimensat(AT_FDCWD, sidecar.c_str(), old, 0), 0);
+    reopen();
+    struct stat info;
+    ASSERT_EQ(stat(sidecar.c_str(), &info), 0);
+    EXPECT_EQ(info.st_mtim.tv_sec, 1'000'000);
+    EXPECT_EQ(info.st_mtim.tv_nsec, 0);
+    EXPECT_EQ(slurp(sidecar), written);
+
+    // A sidecar that differs from what the open skipped is rewritten.
+    {
+        std::ofstream damaged(sidecar, std::ios::binary | std::ios::app);
+        damaged << "{\"stale\":true}\n";
+    }
+    reopen();
+    EXPECT_EQ(slurp(sidecar), written);
+}
+
 TEST_F(ResultStoreTest, ShortWriteBeforeRotationOrCloseIsFenced)
 {
     // Put a, short-write b, then put c (unless the store closes right

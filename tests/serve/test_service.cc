@@ -13,21 +13,29 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/miss_classifier.hh"
+#include "core/simulator.hh"
 #include "fault/injector.hh"
+#include "metrics/metrics.hh"
+#include "report/record.hh"
 #include "serve/result_store.hh"
 #include "serve/service.hh"
 #include "serve/socket.hh"
 #include "serve/store_test_support.hh"
+#include "workload/registry.hh"
+#include "workload/workload.hh"
 
 using namespace specfetch;
 
@@ -46,6 +54,30 @@ request(uint64_t id, const std::string &benchmark,
                          "}";
     return "{\"id\":" + std::to_string(id) + ",\"benchmark\":\"" +
            benchmark + "\",\"config\":" + config + "}";
+}
+
+/** A request for one cell: @p benchmark with exactly @p configMembers. */
+std::string
+cellRequest(uint64_t id, const std::string &benchmark,
+            const std::string &configMembers)
+{
+    return "{\"id\":" + std::to_string(id) + ",\"benchmark\":\"" +
+           benchmark + "\",\"config\":{" + configMembers + "}}";
+}
+
+/** The run record an out-of-service simulation of @p line writes. */
+std::string
+outOfServiceRecord(const std::string &line)
+{
+    ServiceRequest parsed;
+    ServiceError error;
+    EXPECT_TRUE(parseServiceRequest(line, parsed, error)) << line;
+    const Workload &workload = *sharedWorkload(parsed.benchmark);
+    const Classification classification =
+        classifyMisses(workload, parsed.config);
+    return makeRunRecord(runSimulation(workload, parsed.config),
+                         parsed.config, nullptr, &classification)
+        .dump();
 }
 
 /** Collects response lines, parsing each as it arrives; submit() may
@@ -633,6 +665,198 @@ TEST_F(ServiceTest, BatchGivesUpWithoutAListener)
     EXPECT_NE(error.find("connect"), std::string::npos) << error;
     EXPECT_NE(error.find("attempts"), std::string::npos) << error;
     EXPECT_TRUE(responses.empty());
+}
+
+/** Submits each of @p lines once its predecessor is answered and
+ *  checks every run's bytes against an out-of-service simulation. */
+void
+submitInTurn(SweepService &service, Collector &collector,
+             const std::vector<std::string> &lines,
+             const std::function<void()> &afterEach = {})
+{
+    size_t answered = collector.rawLines().size();
+    for (const std::string &line : lines) {
+        service.submit(line, collector.responder());
+        collector.waitFor(++answered);
+        EXPECT_EQ(lastMemberText(collector.rawLines().back(), "run"),
+                  outOfServiceRecord(line))
+            << line;
+        if (afterEach)
+            afterEach();
+    }
+}
+
+const char *const kPolicies[] = {"Oracle", "Optimistic", "Resume",
+                                 "Pessimistic", "Decode"};
+
+TEST_F(ServiceTest, RowRecordsItsStreamOnceAndReplaysIt)
+{
+    MetricsRegistry registry;
+    SweepService::Options options;
+    options.metrics = &registry;
+    SweepService service(store, options);
+    service.start();
+    Collector collector;
+    std::vector<std::string> row;
+    for (const char *policy : kPolicies) {
+        for (const char *prefetch : {"none", "next-line"}) {
+            row.push_back(cellRequest(
+                row.size(), "gcc",
+                "\"instruction_budget\":20000,\"run_seed\":7,"
+                "\"policy\":\"" + std::string(policy) +
+                    "\",\"prefetch_kind\":\"" + prefetch + "\""));
+        }
+    }
+    submitInTurn(service, collector, row);
+    service.drain();
+    EXPECT_EQ(service.statsSnapshot().executed, 10u);
+    EXPECT_EQ(registry.counter("service.stream_records").value(), 1u);
+    EXPECT_EQ(registry.counter("service.stream_replays").value(), 9u);
+}
+
+TEST_F(ServiceTest, TwoWorkersShareKeptStreams)
+{
+    // A row's cells submitted at once: the workers race to record its
+    // stream and replay what the other kept, and every answer still
+    // has an out-of-service run's bytes.
+    MetricsRegistry registry;
+    SweepService::Options options;
+    options.workers = 2;
+    options.metrics = &registry;
+    SweepService service(store, options);
+    service.start();
+    Collector collector;
+    std::vector<std::string> lines;
+    for (const char *policy : kPolicies) {
+        for (const char *benchmark : {"li", "tex"}) {
+            lines.push_back(cellRequest(
+                lines.size(), benchmark,
+                "\"instruction_budget\":20000,\"policy\":\"" +
+                    std::string(policy) + "\""));
+        }
+    }
+    for (const std::string &line : lines)
+        service.submit(line, collector.responder());
+    std::vector<JsonValue> responses = collector.waitFor(lines.size());
+    service.drain();
+    std::vector<std::string> answered = collector.rawLines();
+    for (size_t i = 0; i < responses.size(); ++i) {
+        const uint64_t id = responses[i].find("id")->asUint();
+        EXPECT_EQ(lastMemberText(answered[i], "run"),
+                  outOfServiceRecord(lines.at(id)))
+            << lines.at(id);
+    }
+    const uint64_t records =
+        registry.counter("service.stream_records").value();
+    EXPECT_GE(records, 2u);
+    EXPECT_EQ(records + registry.counter("service.stream_replays").value(),
+              lines.size());
+}
+
+TEST_F(ServiceTest, ShortKeptStreamIsRecordedAgain)
+{
+    MetricsRegistry registry;
+    SweepService::Options options;
+    options.metrics = &registry;
+    SweepService service(store, options);
+    service.start();
+    Collector collector;
+    auto records = [&] {
+        return registry.counter("service.stream_records").value();
+    };
+    auto replays = [&] {
+        return registry.counter("service.stream_replays").value();
+    };
+    submitInTurn(service, collector,
+                 {cellRequest(0, "li", "\"instruction_budget\":20000")});
+    EXPECT_EQ(records(), 1u);
+    // 10K warmup + 20K: the kept 20K stream is too short to replay.
+    submitInTurn(service, collector,
+                 {cellRequest(1, "li",
+                              "\"instruction_budget\":20000,"
+                              "\"warmup_instructions\":10000")});
+    EXPECT_EQ(records(), 2u);
+    EXPECT_EQ(replays(), 0u);
+    // The 30K stream that replaced it serves a 20K request.
+    submitInTurn(service, collector,
+                 {cellRequest(2, "li",
+                              "\"instruction_budget\":20000,"
+                              "\"policy\":\"Decode\"")});
+    EXPECT_EQ(records(), 2u);
+    EXPECT_EQ(replays(), 1u);
+    service.drain();
+}
+
+TEST_F(ServiceTest, CorruptKeptStreamDegradesToALiveRun)
+{
+    MetricsRegistry registry;
+    FaultInjector injector;
+    // The second execution's snapshot is bit-flipped before its replay.
+    ASSERT_TRUE(FaultInjector::parse("corrupt@1", injector));
+    SweepService::Options options;
+    options.metrics = &registry;
+    options.guard.injector = &injector;
+    SweepService service(store, options);
+    service.start();
+    Collector collector;
+    std::vector<std::string> lines;
+    for (const char *policy : {"Oracle", "Resume", "Decode"}) {
+        lines.push_back(cellRequest(lines.size(), "li",
+                                    "\"instruction_budget\":20000,"
+                                    "\"policy\":\"" +
+                                        std::string(policy) + "\""));
+    }
+    // Oracle records the stream; Resume refuses it, runs live and drops
+    // it; Decode records it again. Every answer has the same bytes as
+    // an out-of-service run.
+    submitInTurn(service, collector, lines);
+    service.drain();
+    EXPECT_EQ(service.statsSnapshot().executed, 3u);
+    EXPECT_EQ(registry.counter("service.stream_records").value(), 2u);
+    EXPECT_EQ(registry.counter("service.stream_replays").value(), 0u);
+}
+
+TEST_F(ServiceTest, KeptStreamsStayWithinTheirBound)
+{
+    // 3 seeds x 13 profiles at the 200K operating point keep about
+    // 7.4 MB of streams, so the bound must evict.
+    MetricsRegistry registry;
+    SweepService::Options options;
+    options.metrics = &registry;
+    SweepService service(store, options);
+    service.start();
+    Collector collector;
+    MetricGauge &bytes = registry.gauge("service.stream_bytes");
+    uint64_t peak = 0;
+    auto cell = [](uint64_t id, const std::string &benchmark, uint64_t seed,
+                   const char *policy) {
+        return cellRequest(id, benchmark,
+                           "\"instruction_budget\":200000,\"run_seed\":" +
+                               std::to_string(seed) + ",\"policy\":\"" +
+                               policy + "\"");
+    };
+    std::vector<std::string> lines;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const std::string &name : benchmarkNames())
+            lines.push_back(cell(lines.size(), name, seed, "Oracle"));
+    }
+    submitInTurn(service, collector, lines, [&] {
+        EXPECT_LE(bytes.value(), SweepService::kKeptStreamBytes);
+        peak = std::max(peak, bytes.value());
+    });
+    EXPECT_EQ(registry.counter("service.stream_records").value(), 39u);
+    EXPECT_GT(peak, SweepService::kKeptStreamBytes / 2);
+
+    // The first seed's first stream was evicted long ago; the last
+    // seed's last one is still kept.
+    const std::string &first = benchmarkNames().front();
+    const std::string &last = benchmarkNames().back();
+    submitInTurn(service, collector,
+                 {cell(100, first, 1, "Resume"), cell(101, last, 3, "Resume")});
+    service.drain();
+    EXPECT_EQ(registry.counter("service.stream_records").value(), 40u);
+    EXPECT_EQ(registry.counter("service.stream_replays").value(), 1u);
+    EXPECT_LE(bytes.value(), SweepService::kKeptStreamBytes);
 }
 
 } // namespace

@@ -207,11 +207,15 @@ TEST_F(ServiceMetricsTest, RequestPathPopulatesInstruments)
     EXPECT_EQ(histogramCount("store.put_us"), 1u);
     EXPECT_GE(histogramCount("store.get_us"), 2u); // hit + rider-free get
     EXPECT_GE(histogramCount("store.fsync_us"), 1u);
-    // Only what no record member carries is a gauge: the pool size
-    // and the append tail's bytes.
-    EXPECT_EQ(gauges.size(), 2u);
+    // Only what no record member carries is a gauge: the pool size,
+    // the append tail's bytes and the kept streams' bytes (the miss
+    // recorded li's stream and kept it).
+    EXPECT_EQ(gauges.size(), 3u);
     EXPECT_EQ(gauges["service.workers"], 1u);
     EXPECT_GT(gauges["store.tail_bytes"], 0u);
+    EXPECT_GT(gauges["service.stream_bytes"], 0u);
+    EXPECT_LE(gauges["service.stream_bytes"],
+              SweepService::kKeptStreamBytes);
 
     // The worker spent measurable time on both sides of the loop.
     uint64_t busy = 0;

@@ -152,13 +152,12 @@ TEST(CfgBuilder, IndirectJumpsHaveWeightedArms)
         if (block.term != TermKind::IndirectJump)
             continue;
         ++switches;
-        ASSERT_GE(block.indirectTargets.size(), 2u);
-        ASSERT_EQ(block.indirectTargets.size(),
-                  block.indirectWeights.size());
+        const IndirectSuccessors &arms = cfg.indirectOf(block);
+        ASSERT_GE(arms.targets.size(), 2u);
+        ASSERT_EQ(arms.targets.size(), arms.weights.size());
         // Weights descend (first arm hottest).
-        for (size_t i = 1; i < block.indirectWeights.size(); ++i)
-            EXPECT_LE(block.indirectWeights[i],
-                      block.indirectWeights[i - 1]);
+        for (size_t i = 1; i < arms.weights.size(); ++i)
+            EXPECT_LE(arms.weights[i], arms.weights[i - 1]);
     }
     EXPECT_GT(switches, 0u);
 }

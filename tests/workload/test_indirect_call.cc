@@ -26,13 +26,12 @@ dispatchCfg()
     Cfg cfg;
 
     auto add = [&](uint32_t func, uint32_t body, TermKind term) {
-        BasicBlock block;
-        block.id = static_cast<uint32_t>(cfg.blocks.size());
+        BasicBlock &block = cfg.blocks.emplace_back();
+        block.id = static_cast<uint32_t>(cfg.blocks.size() - 1);
         block.func = func;
         block.bodyLen = body;
         block.term = term;
-        cfg.blocks.push_back(block);
-        return cfg.blocks.back().id;
+        return block.id;
     };
 
     uint32_t site = add(0, 2, TermKind::IndirectCall);
@@ -40,8 +39,7 @@ dispatchCfg()
     uint32_t f1 = add(1, 3, TermKind::Return);
     uint32_t f2 = add(2, 5, TermKind::Return);
 
-    cfg.blocks[site].indirectTargets = {1, 2};    // function indices
-    cfg.blocks[site].indirectWeights = {2.0, 1.0};
+    cfg.setIndirect(site, {{1, 2}, {2.0, 1.0}});    // function indices
     cfg.blocks[seal].target = site;
 
     cfg.functions.push_back(Function{0, site, seal, "main"});
@@ -63,7 +61,7 @@ TEST(IndirectCallCfg, ValidatesAndLaysOut)
 TEST(IndirectCallCfgDeath, CyclicDispatchRejected)
 {
     Cfg cfg = dispatchCfg();
-    cfg.blocks[0].indirectTargets = {0, 1};    // calls itself
+    cfg.indirects[cfg.blocks[0].indirect].targets = {0, 1};    // calls itself
     EXPECT_DEATH(cfg.validate(), "cyclic");
 }
 
@@ -114,8 +112,8 @@ TEST(IndirectCallBuilder, EmitsSitesWhenWeighted)
     for (const BasicBlock &block : cfg.blocks) {
         if (block.term == TermKind::IndirectCall) {
             ++sites;
-            EXPECT_GE(block.indirectTargets.size(), 2u);
-            for (uint32_t callee : block.indirectTargets)
+            EXPECT_GE(cfg.indirectOf(block).targets.size(), 2u);
+            for (uint32_t callee : cfg.indirectOf(block).targets)
                 EXPECT_GT(callee, block.func);
         }
     }

@@ -14,6 +14,9 @@ cumulative, so the last record summarizes the whole run) and prints:
                   + poisoned + failed + rejected
   - a store summary from the "store_open" record, the open's time
     ("store.open_us") and final gauges;
+  - the kept streams: how many executions replayed a stream an
+    earlier miss kept ("service.stream_replays") and how many recorded
+    one ("service.stream_records"), and the bytes kept;
   - a percentile table per latency histogram (count, mean, p50, p90,
     p99, max). Percentiles are bucket lower bounds — the log-linear
     buckets keep them within 12.5% of the true value (DESIGN.md §16);
@@ -120,6 +123,19 @@ def chart(name, histogram, width=40):
     return lines
 
 
+def kept_streams_line(counters, gauges):
+    """One line on the kept streams, or None when the daemon kept
+    none."""
+    replays = counters.get("service.stream_replays", 0)
+    records = counters.get("service.stream_records", 0)
+    if replays + records == 0:
+        return None
+    return (f"kept streams: {replays} of {replays + records} executions "
+            f"replayed one ({replays / (replays + records):.1%}), "
+            f"{records} recorded; "
+            f"{gauges.get('service.stream_bytes', 0)} bytes kept")
+
+
 def render(records, charts=(), all_charts=False, out=sys.stdout):
     """Print the report; returns the process exit code."""
     store_open = None
@@ -168,6 +184,9 @@ def render(records, charts=(), all_charts=False, out=sys.stdout):
         print("gauges: " + ", ".join(
             f"{name}={value}" for name, value in sorted(gauges.items())),
             file=out)
+    line = kept_streams_line(last.get("counters", {}), gauges)
+    if line:
+        print(line, file=out)
     print(file=out)
 
     if histograms:
@@ -272,6 +291,14 @@ def self_test():
           and "store.put_us" in text)
     check("charts rendered with --charts", "####" in text)
     check("gauges rendered", "service.workers=2" in text)
+    check("no kept-streams line without the counters",
+          "kept streams" not in text)
+    check("kept streams share rendered",
+          kept_streams_line({"service.stream_replays": 117,
+                             "service.stream_records": 13},
+                            {"service.stream_bytes": 2450000})
+          == "kept streams: 117 of 130 executions replayed one (90.0%), "
+             "13 recorded; 2450000 bytes kept")
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):

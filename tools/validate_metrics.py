@@ -26,6 +26,11 @@ the service promises (DESIGN.md §16) actually held:
     its bucket lower bounds are strictly increasing
   - "store.open_us", when present, counts exactly 1: a daemon opens
     its store once, before its first flush
+  - the kept-stream gauge "service.stream_bytes" never exceeds the
+    service's bound, and on the final flush the counters
+    "service.stream_replays" + "service.stream_records" do not exceed
+    executed + failed runs: an execution replays or records its
+    stream at most once (the counters only grow, like every counter)
   - with --require-final, at least one metrics record is final: the CI
     chaos job uses this to assert the shutdown flush really ran
 
@@ -51,6 +56,11 @@ OUTCOMES = ("hits", "executed", "deduped", "shed", "expired",
 
 #: The store instrument observed once per ResultStore::open.
 OPEN_HISTOGRAM = "store.open_us"
+
+#: SweepService::kKeptStreamBytes (src/serve/service.hh): the most
+#: bytes of kept streams a daemon holds.
+KEPT_STREAM_BYTES = 3 << 20
+STREAM_COUNTERS = ("service.stream_replays", "service.stream_records")
 
 
 def is_uint(value):
@@ -165,8 +175,11 @@ def check_metrics_record(record, where, state, errors):
                               f"non-negative integer")
             else:
                 counts[("counter", name)] = value
-    if not isinstance(record.get("gauges"), dict):
+    gauges = record.get("gauges")
+    if not isinstance(gauges, dict):
         errors.append(f"{where}: 'gauges' must be an object")
+    else:
+        check_kept_streams(record, gauges, counts, where, errors, final)
     histograms = record.get("histograms")
     if not isinstance(histograms, dict):
         errors.append(f"{where}: 'histograms' must be an object")
@@ -194,6 +207,26 @@ def check_metrics_record(record, where, state, errors):
         state["seq"] = seq
     state["saw_final"] = state["saw_final"] or final
     state["metrics_records"] += 1
+
+
+def check_kept_streams(record, gauges, counts, where, errors, final):
+    """The service's kept streams stay within their bound, and no
+    execution replays or records its stream twice."""
+    kept = gauges.get("service.stream_bytes")
+    if kept is not None and (not is_uint(kept) or
+                             kept > KEPT_STREAM_BYTES):
+        errors.append(f"{where}: gauge 'service.stream_bytes' {kept!r} "
+                      f"exceeds the kept-stream bound "
+                      f"{KEPT_STREAM_BYTES}")
+    service = record.get("service")
+    if not final or not isinstance(service, dict):
+        return
+    streamed = sum(counts.get(("counter", name), 0)
+                   for name in STREAM_COUNTERS)
+    runs = service.get("executed", 0) + service.get("failed", 0)
+    if is_uint(runs) and streamed > runs:
+        errors.append(f"{where}: {streamed} stream replays + records "
+                      f"exceed the {runs} executed + failed runs")
 
 
 def check_store_open(record, where, errors):
@@ -378,6 +411,30 @@ def self_test():
     errors = validate_records([(1, bad)])
     check("negative counter rejected",
           any("socket.accepts" in e for e in errors))
+
+    bad = metrics(0, 0.0)
+    bad["gauges"]["service.stream_bytes"] = KEPT_STREAM_BYTES + 1
+    errors = validate_records([(1, bad)])
+    check("kept streams beyond their bound rejected",
+          any("stream_bytes" in e for e in errors))
+
+    kept = metrics(0, 0.0, final=True, counters={
+        "service.stream_replays": 1, "service.stream_records": 1})
+    kept["gauges"]["service.stream_bytes"] = KEPT_STREAM_BYTES
+    check("kept streams at their bound pass",
+          validate_records([(1, kept)]) == [])
+    kept["counters"]["service.stream_records"] = 2
+    errors = validate_records([(1, kept)])
+    check("more stream replays + records than runs rejected",
+          any("exceed the 2 executed" in e for e in errors))
+
+    errors = validate_records([(1, metrics(0, 0.0, counters={
+                                   "service.stream_replays": 2})),
+                               (2, metrics(1, 1.0, counters={
+                                   "service.stream_replays": 1}))])
+    check("decreasing stream replays rejected",
+          any("stream_replays" in e and "decreased" in e
+              for e in errors))
 
     bad_open = {"schema_version": 1, "record": "store_open",
                 "store": {"records": "two"}}

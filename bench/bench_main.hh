@@ -2,7 +2,7 @@
  * @file
  * Shared command-line entry for every benchmark harness: one option
  * parser (budget, parallelism, JSONL/CSV export paths) plus the
- * process-wide report sinks and sweep wrappers that feed them.
+ * process-wide report sinks and the sweep wrapper that feeds them.
  *
  * Usage pattern (every bench binary):
  *
@@ -285,8 +285,6 @@ class BenchMain
         return true;
     }
 
-    bool exporting() const { return !jsonPath.empty() || !csvPath.empty(); }
-
     /** Send one record to every sink. */
     void
     emit(const JsonValue &record)
@@ -300,16 +298,6 @@ class BenchMain
 
     /** JSONL records written so far. */
     size_t jsonRecords() const { return json ? json->recordsWritten() : 0; }
-
-    /** Export one run (record = results + manifest [+ timing]). */
-    void
-    emitRun(const SimResults &results, const SimConfig &config,
-            const RunTiming *timing = nullptr,
-            const Classification *classification = nullptr)
-    {
-        if (exporting())
-            emit(makeRunRecord(results, config, timing, classification));
-    }
 
     /** Print every exportable stat (the sampler/export surface). */
     static void
@@ -579,25 +567,19 @@ runSweepReported(const std::vector<RunSpec> &specs,
     std::vector<SimResults> results = runSweep(armed, options).results;
     bm.endProgress();
     TraceSpan span("emit", "bench");
-    for (size_t i = 0; i < armed.size(); ++i) {
+    bool exporting = !bm.jsonPath.empty() || !bm.csvPath.empty();
+    for (size_t i = 0; exporting && i < armed.size(); ++i) {
         RunTiming rt;
         rt.runSeconds = timing->perRunSeconds[i];
         rt.workloadBuildSeconds = timing->workloadBuildSeconds;
         rt.snapshotRecordSeconds = timing->snapshotRecordSeconds;
         rt.sweepTotalSeconds = timing->totalSeconds;
-        bm.emitRun(results[i], armed[i].config, &rt,
-                   classifications ? &(*classifications)[i] : nullptr);
+        bm.emit(makeRunRecord(
+            results[i], armed[i].config, &rt,
+            classifications ? &(*classifications)[i] : nullptr));
     }
     bm.emitObservations(armed, results, observations);
     return results;
-}
-
-/** Single-run convenience with the same export behavior. */
-inline SimResults
-runOneReported(const std::string &benchmark, const SimConfig &config)
-{
-    std::vector<RunSpec> specs{RunSpec{benchmark, config}};
-    return runSweepReported(specs)[0];
 }
 
 } // namespace bench

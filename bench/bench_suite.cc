@@ -412,7 +412,8 @@ main(int argc, char **argv)
     base.checkLevel = benchMain().checkLevel;
     base.checkpointInterval = benchMain().checkpointInterval;
     banner("Bench suite",
-           "13 profiles x 5 policies x {no prefetch, next-line}", base);
+           "13 profiles x 5 policies x {no prefetch, next-line}", base,
+           "bench_suite");
 
     const auto &names = benchmarkNames();
 

@@ -53,19 +53,12 @@ tableCounter()
 
 /**
  * Print a harness banner with the experiment identity. Tables emitted
- * after it go to <slug>_<n>.csv; an empty @p slug is @p experiment
- * lower-cased with '_' for ' '.
+ * after it go to <slug>_<n>.csv.
  */
 inline void
 banner(const std::string &experiment, const std::string &what,
-       const SimConfig &config, std::string slug = "")
+       const SimConfig &config, const std::string &slug)
 {
-    if (slug.empty()) {
-        for (char c : experiment)
-            slug.push_back(c == ' ' ? '_'
-                                    : static_cast<char>(std::tolower(
-                                          static_cast<unsigned char>(c))));
-    }
     detail::experimentSlug() = slug;
     detail::tableCounter() = 0;
     std::printf("=== %s: %s ===\n", experiment.c_str(), what.c_str());

@@ -1,12 +1,12 @@
 /**
  * @file
  * The paper's experiment table. A row is one table or figure of the
- * paper, or one of the two config-grid ablations: the cells it
- * simulates (a cell is one profile × SimConfig run), the renderer that
- * prints its tables, and its shape claims. A claim is a named check
- * over cells, its slack written in the check; DESIGN.md §5 and
- * EXPERIMENTS.md state each one. bench/paper runs the distinct cells
- * of the selected rows as one sweep.
+ * paper, one of the two config-grid ablations, or the §6 further-study
+ * ablation: the cells it simulates (a cell is one profile × SimConfig
+ * run), the renderer that prints its tables, and its shape claims. A
+ * claim is a named check over cells, its slack written in the check;
+ * DESIGN.md §5 and EXPERIMENTS.md state each one. bench/paper runs the
+ * distinct cells of the selected rows as one sweep.
  */
 
 #ifndef SPECFETCH_BENCH_EXPERIMENTS_HH_
@@ -21,6 +21,7 @@
 #include "bench_support.hh"
 #include "paper_data.hh"
 #include "serve/request.hh"
+#include "workload/reorder.hh"
 #include "workload/workload.hh"
 
 namespace specfetch {
@@ -65,9 +66,12 @@ withPolicy(SimConfig config, FetchPolicy policy, bool prefetch = false)
     return config;
 }
 
+/** A change to a machine, as the ablations state their columns. */
+using Edit = std::function<void(SimConfig &)>;
+
 /** @p config after @p edit. */
 inline SimConfig
-with(SimConfig config, const std::function<void(SimConfig &)> &edit)
+with(SimConfig config, const Edit &edit)
 {
     edit(config);
     return config;
@@ -102,6 +106,11 @@ struct View
     const SimResults &at(FetchPolicy policy, bool prefetch = false) const
     {
         return at(withPolicy(base, policy, prefetch));
+    }
+
+    const SimResults &at(const Edit &edit) const
+    {
+        return at(with(base, edit));
     }
 
     /** The profile's Table-4 classification (paper baseline). */
@@ -530,7 +539,7 @@ struct Ablation
 {
     std::string caption;
     std::vector<std::string> columns;
-    std::vector<std::function<void(SimConfig &)>> edits;
+    std::vector<Edit> edits;
     std::string (*other)(const SimResults &) = nullptr;
     bool otherFirst = false;
 };
@@ -557,7 +566,7 @@ printAblations(const View &v, const std::vector<std::string> &programs,
         for (const std::string &name : programs) {
             std::vector<std::string> row{name}, others;
             for (const auto &edit : ablation.edits) {
-                const SimResults &r = v.of(name).at(with(v.base, edit));
+                const SimResults &r = v.of(name).at(edit);
                 std::string ispi = formatFixed(r.ispi(), 3);
                 std::string other = ablation.other ? ablation.other(r) : "";
                 row.push_back(ablation.otherFirst ? other : ispi);
@@ -571,6 +580,12 @@ printAblations(const View &v, const std::vector<std::string> &programs,
     }
 }
 
+inline std::string
+missPercent(const SimResults &r)
+{
+    return formatFixed(r.missRatePercent(), 2);
+}
+
 inline const std::vector<std::string> kGeometryPrograms{"fpppp", "gcc",
                                                         "groff", "li"};
 inline const std::vector<Ablation> kGeometry{
@@ -580,8 +595,7 @@ inline const std::vector<Ablation> kGeometry{
      {[](SimConfig &c) { c.icache.ways = 1; },
       [](SimConfig &c) { c.icache.ways = 2; },
       [](SimConfig &c) { c.icache.ways = 4; }},
-     [](const SimResults &r) { return formatFixed(r.missRatePercent(), 2); },
-     true},
+     missPercent, true},
     {"\n--- line size (8K direct-mapped, Resume, prefetch on) ---\n",
      {"Program", "16B ISPI", "32B", "64B", "16B traffic", "32B", "64B"},
      {[](SimConfig &c) { c.nextLinePrefetch = true; c.icache.lineBytes = 16; },
@@ -629,6 +643,102 @@ inline const std::vector<Ablation> kBranchArch{
          return formatFixed(r.btbMispredictIspi(), 3);
      }},
 };
+
+/** The §6 further-study programs. */
+inline const std::vector<std::string> kFutureWorkPrograms{
+    "gcc", "li", "groff", "cfront", "fpppp"};
+
+/**
+ * The name of @p profile after profile-driven block reordering, built
+ * once (workload memo): trained on another input (run seed 7) than the
+ * runs evaluate, over 1M instructions at any budget.
+ */
+inline std::string
+reordered(const std::string &profile)
+{
+    std::string name = profile + "+reordered";
+    sharedWorkload(name, [&] {
+        return reorderWorkload(*sharedWorkload(profile), /*profile_seed=*/7,
+                               /*profile_budget=*/1'000'000);
+    });
+    return name;
+}
+
+/** Overlapping fills: @p n memory channels, 20-cycle fills, next-line
+ *  prefetch. */
+inline Edit
+channels(unsigned n)
+{
+    return [n](SimConfig &c) {
+        c.missPenaltyCycles = 20;
+        c.nextLinePrefetch = true;
+        c.memoryChannels = n;
+    };
+}
+
+inline Edit
+victims(unsigned entries)
+{
+    return [entries](SimConfig &c) { c.victimEntries = entries; };
+}
+
+/** An L2 of @p kb behind the I-cache (5-cycle hits, 20-cycle misses). */
+inline Edit
+l2KB(uint64_t kb)
+{
+    return [kb](SimConfig &c) {
+        c.l2Enabled = true;
+        c.l2Cache.sizeBytes = kb * 1024;
+    };
+}
+
+inline Edit
+prefetcher(PrefetchKind kind)
+{
+    return [kind](SimConfig &c) { c.prefetchKind = kind; };
+}
+
+inline const std::vector<Ablation> kFutureWork{
+    {"\n--- pipelined memory interface (overlapping fills, 20-cycle "
+     "penalty, next-line prefetch) ---\n",
+     {"Program", "1 channel", "2", "4", "bus ISPI @1", "@2", "@4"},
+     {channels(1), channels(2), channels(4)},
+     [](const SimResults &r) {
+         return formatFixed(r.ispiOf(PenaltyKind::Bus), 3);
+     }},
+    {"\n--- victim cache (Jouppi 90; recovers direct-mapped conflict "
+     "misses on-chip) ---\n",
+     {"Program", "no victim", "4 entries", "8 entries", "miss% base", "@4",
+      "@8"},
+     {victims(0), victims(4), victims(8)},
+     missPercent},
+    {"\n--- explicit L2 (the continuum between Figures 1 and 2) ---\n",
+     {"Program", "flat 5cyc", "L2 64K (5/20)", "L2 16K", "flat 20cyc"},
+     {[](SimConfig &) {}, l2KB(64), l2KB(16),
+      [](SimConfig &c) { c.missPenaltyCycles = 20; }}},
+    {"\n--- prefetch mechanism (Smith & Hsu comparison) ---\n",
+     {"Program", "none", "next-line (paper)", "target", "combined", "stream",
+      "miss% none", "next-line", "target", "combined", "stream"},
+     {prefetcher(PrefetchKind::None), prefetcher(PrefetchKind::NextLine),
+      prefetcher(PrefetchKind::Target), prefetcher(PrefetchKind::Combined),
+      prefetcher(PrefetchKind::Stream)},
+     missPercent},
+};
+
+/** The view's profile's relative miss% drop from 8 victim entries. */
+inline double
+victimDrop(const View &v)
+{
+    double none = v.at(victims(0)).missRatePercent();
+    return (none - v.at(victims(8)).missRatePercent()) / none;
+}
+
+/** The view's profile's ISPI under prefetch mechanism @p kind. */
+inline double
+prefetchIspi(const View &v, PrefetchKind kind)
+{
+    return v.at(prefetcher(kind)).ispi();
+}
 
 inline double
 speculative(const View &v)
@@ -1058,6 +1168,85 @@ experiments()
          [](const View &v) {
              printAblations(v, kBranchPrograms, kBranchArch);
          }},
+
+        {"ablation_future_work", "Ablation",
+         "paper §6 further-study features", withPolicy(baseline, Resume),
+         [](const SimConfig &base) {
+             std::vector<std::string> after;
+             for (const std::string &name : kFutureWorkPrograms)
+                 after.push_back(reordered(name));
+             return grid(kFutureWorkPrograms, {base}) + grid(after, {base}) +
+                    ablationCells(base, kFutureWorkPrograms, kFutureWork);
+         },
+         [](const View &v) {
+             std::printf("--- profile-driven basic-block reordering ---\n");
+             TextTable table;
+             table.setColumns({"Program", "miss% before", "after",
+                               "ISPI before", "after", "delta%"});
+             for (const std::string &name : kFutureWorkPrograms) {
+                 const SimResults &before = v.of(name).at(Resume);
+                 const SimResults &after = v.of(reordered(name)).at(Resume);
+                 double delta =
+                     100.0 * (after.ispi() - before.ispi()) / before.ispi();
+                 table.addRow({name, missPercent(before), missPercent(after),
+                               formatFixed(before.ispi(), 3),
+                               formatFixed(after.ispi(), 3),
+                               formatFixed(delta, 1)});
+             }
+             emitTable(table);
+             printAblations(v, kFutureWorkPrograms, kFutureWork);
+         },
+         {{"reordering_lowers_ispi", {"li", "cfront"}, [](const View &v) {
+               return less(v.of(reordered(v.profile)).ispi(Resume),
+                           v.ispi(Resume));
+           }},
+          {"reordering_raises_ispi", {"groff", "fpppp"}, [](const View &v) {
+               return less(v.ispi(Resume),
+                           v.of(reordered(v.profile)).ispi(Resume));
+           }},
+          {"channels_overlap_bus", kFutureWorkPrograms, [](const View &v) {
+               auto bus = [&](unsigned n) {
+                   return v.at(channels(n)).ispiOf(PenaltyKind::Bus);
+               };
+               return all(
+                   {less(bus(2), 0.5 * bus(1)), atMost(bus(4), bus(2))});
+           }},
+          {"victim_cuts_misses", kFutureWorkPrograms, [](const View &v) {
+               return less(v.at(victims(8)).missRatePercent(),
+                           v.at(victims(0)).missRatePercent());
+           }},
+          {"victim_favors_conflicts", {}, [](const View &v) {
+               // fpppp's misses are capacity misses, a cyclic sweep far
+               // wider than the buffer; li's are conflicts it recovers.
+               return less(victimDrop(v.of("fpppp")),
+                           victimDrop(v.of("li")));
+           }},
+          {"l2_between_flat_latencies", kFutureWorkPrograms,
+           [](const View &v) {
+               auto l2 = [&](uint64_t kb) { return v.at(l2KB(kb)).ispi(); };
+               return all({less(v.ispi(Resume), l2(64)), less(l2(64), l2(16)),
+                           less(l2(16), v.at(penalty(v.base, 20)).ispi())});
+           }},
+          {"combined_prefetch_best", kFutureWorkPrograms, [](const View &v) {
+               using enum PrefetchKind;
+               return each(std::vector{None, NextLine, Target, Stream},
+                           [&](PrefetchKind kind) {
+                               return less(prefetchIspi(v, Combined),
+                                           prefetchIspi(v, kind));
+                           });
+           }},
+          {"next_line_beats_stream", kFutureWorkPrograms, [](const View &v) {
+               using enum PrefetchKind;
+               return all({less(prefetchIspi(v, NextLine),
+                                prefetchIspi(v, Stream)),
+                           less(prefetchIspi(v, Stream),
+                                prefetchIspi(v, None))});
+           }},
+          {"target_near_none", kFutureWorkPrograms, [](const View &v) {
+               using enum PrefetchKind;
+               return near(prefetchIspi(v, Target), prefetchIspi(v, None),
+                           0.03);
+           }}}},
     };
     return rows;
 }

@@ -1,43 +1,18 @@
 #include "workload/layout.hh"
 
-#include "util/bit_ops.hh"
-#include "util/logging.hh"
-
 namespace specfetch {
 
 ProgramImage
-layoutProgram(Cfg &cfg, Addr base)
+layoutProgram(Cfg &cfg)
 {
-    LayoutOptions options;
-    options.base = base;
-    return layoutProgram(cfg, options);
-}
-
-ProgramImage
-layoutProgram(Cfg &cfg, const LayoutOptions &options)
-{
-    Addr base = options.base;
-    unsigned align = options.functionAlign;
-    fatal_if(align != 0 &&
-                 (!isPowerOfTwo(align) || align % kInstBytes != 0),
-             "function alignment must be a power-of-two multiple of "
-             "the instruction size");
-
-    // Pass 1: place blocks back to back in id order, padding each
-    // function start to the requested alignment. Gaps decode as
-    // Plain instructions.
-    Addr cursor = base;
-    std::vector<bool> is_entry(cfg.blocks.size(), false);
-    for (const Function &fn : cfg.functions)
-        is_entry[fn.entryBlock()] = true;
+    // Pass 1: place blocks back to back in id order.
+    Addr cursor = kTextBase;
     for (BasicBlock &block : cfg.blocks) {
-        if (align > kInstBytes && is_entry[block.id])
-            cursor = alignUp(cursor, align);
         block.startAddr = cursor;
         cursor += static_cast<Addr>(block.numInsts()) * kInstBytes;
     }
 
-    ProgramImage image(base, (cursor - base) / kInstBytes);
+    ProgramImage image(kTextBase, (cursor - kTextBase) / kInstBytes);
 
     // Pass 2: emit instructions now that every target address exists.
     for (const BasicBlock &block : cfg.blocks) {

@@ -22,32 +22,15 @@ namespace specfetch {
 /** Base address of the text segment (instruction aligned). */
 constexpr Addr kTextBase = 0x10000;
 
-/** Placement options. */
-struct LayoutOptions
-{
-    Addr base = kTextBase;
-    /**
-     * Align every function entry to this many bytes (0 or 4 = packed,
-     * the default; 32 = line-aligned entries, as linkers commonly do).
-     * Alignment trades padding footprint for fewer lines straddled by
-     * hot entry blocks. Must be a power of two multiple of the
-     * instruction size. Padding decodes as Plain instructions.
-     */
-    unsigned functionAlign = 0;
-};
-
 /**
- * Assign startAddr to every block of @p cfg (mutating it) and build
- * the matching program image.
+ * Assign startAddr to every block of @p cfg (mutating it), back to
+ * back in id order from kTextBase, and build the matching program
+ * image.
  *
  * @param cfg Validated control-flow graph; block addresses are
  *            written back into it.
- * @param base Text base address.
  */
-ProgramImage layoutProgram(Cfg &cfg, Addr base = kTextBase);
-
-/** Layout with explicit options. */
-ProgramImage layoutProgram(Cfg &cfg, const LayoutOptions &options);
+ProgramImage layoutProgram(Cfg &cfg);
 
 } // namespace specfetch
 

@@ -6,6 +6,7 @@
 #ifndef SPECFETCH_WORKLOAD_WORKLOAD_HH_
 #define SPECFETCH_WORKLOAD_WORKLOAD_HH_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -39,6 +40,17 @@ Workload buildWorkload(const WorkloadProfile &profile);
  * without rebuilding the CFG. Thread-safe.
  */
 std::shared_ptr<const Workload> sharedWorkload(const std::string &benchmark);
+
+/**
+ * The same memo for a workload no profile describes (a rewritten
+ * layout, say): @p name's first call builds it with @p build and makes
+ * @p name its profile name; later calls of either overload return that
+ * build. Sweeps then treat @p name like a benchmark. A registered
+ * benchmark's name panics.
+ */
+std::shared_ptr<const Workload>
+sharedWorkload(const std::string &name,
+               const std::function<Workload()> &build);
 
 } // namespace specfetch
 

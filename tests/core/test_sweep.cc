@@ -2,8 +2,10 @@
  * @file
  * runSweep contract tests: serial and parallel sweeps must produce
  * identical results in submission order, timing capture must cover
- * every spec, and benchBudget must honour the SPECFETCH_BUDGET
- * environment variable (K/M/G suffixes, garbage rejected).
+ * every spec, a caller-built workload (sharedWorkload(name, build))
+ * sweeps like a profile, and benchBudget must honour the
+ * SPECFETCH_BUDGET environment variable (K/M/G suffixes, garbage
+ * rejected).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "fault/injector.hh"
 #include "trace/snapshot.hh"
 #include "workload/registry.hh"
+#include "workload/reorder.hh"
 
 using namespace specfetch;
 
@@ -271,6 +274,64 @@ TEST(Sweep, TimingResetBetweenCalls)
     timing.perRunSeconds.assign(99, 1.0); // stale garbage
     runSweep(one, 1, &timing);
     EXPECT_EQ(timing.perRunSeconds.size(), 1u);
+}
+
+namespace {
+
+/** A workload no profile describes: li after block reordering. */
+Workload
+reorderedLi()
+{
+    return reorderWorkload(*sharedWorkload("li"), /*profile_seed=*/7,
+                           /*profile_budget=*/100'000);
+}
+
+} // namespace
+
+TEST(SharedWorkload, BuiltWorkloadSweepsLikeItsLiveRun)
+{
+    // Each test names its own workload: the memo is process-wide.
+    const std::string name = "li+reordered-sweep";
+    std::shared_ptr<const Workload> workload =
+        sharedWorkload(name, reorderedLi);
+    EXPECT_EQ(workload->profile.name, name);
+    SimConfig config;
+    config.instructionBudget = 50'000;
+    SimConfig pessimistic = config;
+    pessimistic.policy = FetchPolicy::Pessimistic;
+
+    // One consumer runs live; two share one recorded stream.
+    for (const std::vector<RunSpec> &specs :
+         {std::vector<RunSpec>{{name, config}},
+          std::vector<RunSpec>{{name, config}, {name, pessimistic}}}) {
+        std::vector<SimResults> swept = runSweep(specs, /*parallelism=*/2);
+        for (size_t i = 0; i < specs.size(); ++i) {
+            EXPECT_EQ(swept[i], runSimulation(*workload, specs[i].config))
+                << specs.size() << " consumers, spec " << i;
+            EXPECT_EQ(swept[i].workload, name);
+        }
+    }
+    EXPECT_NE(runSimulation(*workload, config), runBenchmark("li", config))
+        << "the reordered layout should change the run";
+}
+
+TEST(SharedWorkload, LaterCallsReturnTheFirstBuild)
+{
+    const std::string name = "li+reordered-once";
+    unsigned builds = 0;
+    auto build = [&] {
+        ++builds;
+        return reorderedLi();
+    };
+    std::shared_ptr<const Workload> first = sharedWorkload(name, build);
+    EXPECT_EQ(sharedWorkload(name, build), first);
+    EXPECT_EQ(sharedWorkload(name), first);
+    EXPECT_EQ(builds, 1u);
+}
+
+TEST(SharedWorkloadDeath, RegisteredBenchmarkNamePanics)
+{
+    EXPECT_DEATH(sharedWorkload("li", reorderedLi), "registered benchmark");
 }
 
 class BenchBudgetEnv : public ::testing::Test

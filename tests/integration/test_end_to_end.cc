@@ -10,6 +10,8 @@
 #include "core/miss_classifier.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "experiments.hh"
+#include "report/record.hh"
 #include "workload/registry.hh"
 
 namespace specfetch {
@@ -108,6 +110,43 @@ TEST(EndToEnd, SummaryRendersForHumanConsumption)
     EXPECT_NE(text.find("ISPI"), std::string::npos);
     EXPECT_NE(text.find("rt_icache"), std::string::npos);
     EXPECT_NE(text.find("miss rate"), std::string::npos);
+}
+
+TEST(EndToEnd, ReorderedCellsRecordTheirOwnWorkload)
+{
+    // The §6 row's reordering table: each program at the row's machine,
+    // before and after profile-driven block reordering.
+    const bench::Experiment &row = *std::find_if(
+        bench::experiments().begin(), bench::experiments().end(),
+        [](const bench::Experiment &r) {
+            return r.name == "ablation_future_work";
+        });
+    SimConfig base = row.base;
+    base.instructionBudget = 30'000;
+    std::vector<RunSpec> specs;
+    for (const RunSpec &spec : bench::distinct(row.cells(base)))
+        if (toJson(spec.config) == toJson(base))
+            specs.push_back(spec);
+    ASSERT_EQ(specs.size(), 2 * bench::kFutureWorkPrograms.size());
+
+    std::vector<Classification> classifications;
+    SweepOptions options;
+    options.classifications = &classifications;
+    std::vector<SimResults> results = runSweep(specs, options).results;
+    std::map<std::string, SimResults> byWorkload;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        JsonValue record = makeRunRecord(results[i], specs[i].config,
+                                         nullptr, &classifications[i]);
+        EXPECT_EQ(record.find("workload")->asString(), specs[i].benchmark);
+        EXPECT_EQ(classifications[i].workload, specs[i].benchmark);
+        byWorkload.emplace(specs[i].benchmark, results[i]);
+    }
+    for (const std::string &name : bench::kFutureWorkPrograms) {
+        ASSERT_TRUE(byWorkload.count(name)) << name;
+        ASSERT_TRUE(byWorkload.count(name + "+reordered")) << name;
+        EXPECT_NE(byWorkload.at(name), byWorkload.at(name + "+reordered"))
+            << name;
+    }
 }
 
 TEST(EndToEnd, BenchBudgetEnvOverride)

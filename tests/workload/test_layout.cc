@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "workload/cfg_builder.hh"
-#include "workload/executor.hh"
 
 namespace specfetch {
 namespace {
@@ -90,73 +89,6 @@ TEST(Layout, BodyInstructionsArePlain)
         EXPECT_EQ(image.at(block.startAddr + i * kInstBytes).cls,
                   InstClass::Plain);
     }
-}
-
-TEST(Layout, CustomBaseRespected)
-{
-    Cfg cfg = builtCfg();
-    ProgramImage image = layoutProgram(cfg, 0x40000);
-    EXPECT_EQ(image.base(), 0x40000u);
-    EXPECT_EQ(cfg.blocks[0].startAddr, 0x40000u);
-}
-
-TEST(Layout, FunctionAlignmentPadsEntries)
-{
-    Cfg cfg = builtCfg();
-    LayoutOptions options;
-    options.functionAlign = 32;
-    ProgramImage image = layoutProgram(cfg, options);
-    for (const Function &fn : cfg.functions) {
-        EXPECT_EQ(cfg.blocks[fn.entryBlock()].startAddr % 32, 0u)
-            << fn.name;
-    }
-    // Padding decodes as Plain and enlarges the image.
-    Cfg packed = builtCfg();
-    ProgramImage packed_image = layoutProgram(packed);
-    EXPECT_GE(image.size(), packed_image.size());
-}
-
-TEST(Layout, AlignmentGapsDecodePlain)
-{
-    Cfg cfg = builtCfg();
-    LayoutOptions options;
-    options.functionAlign = 64;
-    ProgramImage image = layoutProgram(cfg, options);
-    // Probe every address in the image: must decode without panicking
-    // and all control instructions must belong to some block.
-    size_t control = 0;
-    for (size_t i = 0; i < image.size(); ++i)
-        control += isControl(image[i].cls);
-    EXPECT_EQ(control, cfg.totalControlInstructions());
-}
-
-TEST(Layout, AlignedProgramExecutesIdentically)
-{
-    Cfg packed = builtCfg();
-    layoutProgram(packed);
-    Cfg aligned = builtCfg();
-    LayoutOptions options;
-    options.functionAlign = 32;
-    layoutProgram(aligned, options);
-
-    Executor a(packed, 42);
-    Executor b(aligned, 42);
-    DynInst inst_a, inst_b;
-    for (int i = 0; i < 50000; ++i) {
-        a.next(inst_a);
-        b.next(inst_b);
-        ASSERT_EQ(inst_a.cls, inst_b.cls) << i;
-        ASSERT_EQ(inst_a.taken, inst_b.taken) << i;
-    }
-}
-
-TEST(LayoutDeath, RejectsBadAlignment)
-{
-    Cfg cfg = builtCfg();
-    LayoutOptions options;
-    options.functionAlign = 48;    // not a power of two
-    EXPECT_EXIT(layoutProgram(cfg, options),
-                ::testing::ExitedWithCode(1), "alignment");
 }
 
 } // namespace

@@ -187,32 +187,6 @@ TEST(Reorder, PreservesIndirectCallSemantics)
     }
 }
 
-TEST(Reorder, ComposesWithAlignedLayout)
-{
-    // Reordering then aligned layout: both passes preserve semantics.
-    Workload w = smallWorkload();
-    BlockProfile profile = profileWorkload(w, 42, 100000);
-    Cfg reordered = reorderBlocks(w.cfg, profile.visits);
-    LayoutOptions options;
-    options.functionAlign = 32;
-    layoutProgram(reordered, options);
-
-    for (const Function &fn : reordered.functions) {
-        EXPECT_EQ(
-            reordered.blocks[fn.entryBlock()].startAddr % 32, 0u);
-    }
-
-    Executor original(w.cfg, 42);
-    Executor permuted(reordered, 42);
-    DynInst a, b;
-    for (int i = 0; i < 50000; ++i) {
-        original.next(a);
-        permuted.next(b);
-        ASSERT_EQ(a.cls, b.cls) << i;
-        ASSERT_EQ(a.taken, b.taken) << i;
-    }
-}
-
 TEST(ReorderDeath, ProfileSizeMismatchPanics)
 {
     Workload w = smallWorkload();

@@ -3,22 +3,38 @@
  * Self-timed perf-regression harness for the simulator itself. It
  * times the stages the sweep pipeline is built from — workload
  * construction, the live executor, snapshot record, snapshot replay,
- * a live and a replayed full simulation, and a 10-spec policy grid —
- * and reports each as a throughput (work units per second, best of
- * --repeats wall-clock measurements).
+ * a live and a replayed full simulation, a 10-spec policy grid and the
+ * sweep service's store-hit path — and reports each as a throughput
+ * (work units per second).
  *
- * With --json it appends one schema-v1 "perf" record per stage:
+ * Some stages are *twins*: a base stage's work with one thing armed —
+ * the interval sampler (sim_live_sampled, sim_replay_sampled,
+ * grid_sampled), the adaptive decision point (sim_adaptive) or the
+ * service's telemetry (serve_hit_metrics). A twin runs in the same
+ * process as its base, once per repeat beside it, alternating which of
+ * the two runs first, so its overhead is read from pairs timed moments
+ * apart rather than from two processes.
+ *
+ * With --json it writes (truncating the file) one "perf_meta" record
+ * naming the benchmark, budget, repeat count and statistic, then one
+ * schema-v1 "perf" record per stage:
  *
  *   {"schema_version":1,"record":"perf","stage":"sim_replay",
  *    "unit":"instructions","work":2000000,"seconds":0.05,
  *    "rate":4.0e7}
  *
- * preceded by one "perf_meta" record naming the benchmark, budget and
- * repeat count so a comparison (tools/perf_compare.py) can refuse to
- * diff runs measured under different settings. These guard the
- * "hundreds of millions of instructions per experiment" wall-clock
- * budget the table harnesses rely on; CI runs this as a warn-only
- * smoke check against bench/perf_baseline.json.
+ * A twin's record also names its base stage, its overhead bound and
+ * the median over repeats of its rate divided by the base's rate in
+ * the same repeat:
+ *
+ *   {..."stage":"sim_replay_sampled",...,"base":"sim_replay",
+ *    "bound":0.05,"ratio":0.998}
+ *
+ * tools/perf_compare.py reads one such file as the pair check (each
+ * twin's overhead, 1 - ratio, against its bound) and two as the
+ * throughput gate. CI's perf-gate job builds this harness from HEAD and
+ * from its merge base, runs the two alternately and gates HEAD's
+ * medians against the base's.
  *
  * Timing methodology (README "Performance methodology"): every stage
  * runs --repeats times and one statistic is kept — the minimum by
@@ -33,12 +49,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -57,6 +73,15 @@
 using namespace specfetch;
 
 namespace {
+
+/** The sampled twins' epoch length, in instructions. */
+constexpr uint64_t kSampleInterval = 10'000;
+/** Overhead bounds, as a fraction of the base stage's rate: the
+ *  sampler (DESIGN.md §11), the adaptive decision point (§12) and the
+ *  service's telemetry (§16). */
+constexpr double kSamplerBound = 0.05;
+constexpr double kAdaptiveBound = 0.03;
+constexpr double kMetricsBound = 0.03;
 
 /** Seconds elapsed running @p fn once. */
 template <typename Fn>
@@ -81,22 +106,27 @@ enum class Stat
     Median,
 };
 
-/** The chosen statistic over @p repeats timed runs of @p fn. */
-template <typename Fn>
+/** Median of @p values (the mean of the middle two for an even
+ *  count). */
 double
-measure(unsigned repeats, Stat stat, Fn &&fn)
+median(std::vector<double> values)
 {
-    std::vector<double> samples;
-    samples.reserve(repeats);
-    for (unsigned i = 0; i < repeats; ++i)
-        samples.push_back(timeOnce(fn));
-    std::sort(samples.begin(), samples.end());
-    if (stat == Stat::Best)
-        return samples.front();
-    const size_t n = samples.size();
-    return n % 2 == 1 ? samples[n / 2]
-                      : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
+
+/** A stage to time: its name, what one run of @p body does, and for a
+ *  twin its overhead bound. */
+struct Stage
+{
+    std::string name;
+    std::string unit;
+    uint64_t work = 0;
+    std::function<void()> body;
+    double bound = 0.0;
+};
 
 /** One measured stage, ready to print and export. */
 struct StageResult
@@ -105,6 +135,11 @@ struct StageResult
     std::string unit;
     uint64_t work = 0;
     double seconds = 0.0;
+    /** A twin's base stage; empty for a stage of its own. */
+    std::string base;
+    double bound = 0.0;
+    /** Median over repeats of this twin's rate / its base's rate. */
+    double ratio = 0.0;
 
     double
     rate() const
@@ -112,6 +147,40 @@ struct StageResult
         return seconds > 0.0 ? static_cast<double>(work) / seconds : 0.0;
     }
 };
+
+/**
+ * Time @p base and each of its @p twins once per repeat, reversing
+ * their order every other repeat so no side always runs first, and
+ * append their results, base first, to @p out.
+ */
+void
+measure(unsigned repeats, Stat stat, const Stage &base,
+        const std::vector<Stage> &twins, std::vector<StageResult> &out)
+{
+    std::vector<const Stage *> group{&base};
+    for (const Stage &twin : twins)
+        group.push_back(&twin);
+    std::vector<std::vector<double>> samples(group.size());
+    for (unsigned r = 0; r < repeats; ++r) {
+        for (size_t k = 0; k < group.size(); ++k) {
+            const size_t i = r % 2 == 0 ? k : group.size() - 1 - k;
+            samples[i].push_back(timeOnce(group[i]->body));
+        }
+    }
+    for (size_t i = 0; i < group.size(); ++i) {
+        const Stage &stage = *group[i];
+        const double seconds =
+            stat == Stat::Best
+                ? *std::min_element(samples[i].begin(), samples[i].end())
+                : median(samples[i]);
+        std::vector<double> ratios;
+        for (unsigned k = 0; i > 0 && k < repeats; ++k)
+            ratios.push_back(samples[0][k] / samples[i][k]);
+        out.push_back({stage.name, stage.unit, stage.work, seconds,
+                       i > 0 ? base.name : "", stage.bound,
+                       i > 0 ? median(ratios) : 0.0});
+    }
+}
 
 JsonValue
 toRecord(const StageResult &r)
@@ -124,11 +193,96 @@ toRecord(const StageResult &r)
     rec.set("work", JsonValue::integer(r.work));
     rec.set("seconds", JsonValue::number(r.seconds));
     rec.set("rate", JsonValue::number(r.rate()));
+    if (!r.base.empty()) {
+        rec.set("base", JsonValue::string(r.base));
+        rec.set("bound", JsonValue::number(r.bound));
+        rec.set("ratio", JsonValue::number(r.ratio));
+    }
     return rec;
 }
 
 /** Defeat dead-code elimination without a compiler intrinsic. */
 volatile uint64_t gSink = 0;
+
+/**
+ * A sweep service over a scratch store of its own that holds one
+ * record, so every submit of its request line is a store hit answered
+ * inline from submit(): parse, lookup and building the response line.
+ * With a registry, the store and the service both report to it.
+ */
+class HitServer
+{
+  public:
+    HitServer(std::string requestLine, MetricsRegistry *registry)
+        : line(std::move(requestLine)), metrics(registry)
+    {}
+
+    HitServer(const HitServer &) = delete;
+    HitServer &operator=(const HitServer &) = delete;
+
+    ~HitServer()
+    {
+        if (service)
+            service->drain();
+        store.close(nullptr);
+        std::error_code ignored;
+        if (!dir.empty())
+            std::filesystem::remove_all(dir, ignored);
+    }
+
+    /** Open the store and answer the one miss that fills it. */
+    bool
+    start(std::string *error)
+    {
+        char dirTemplate[] = "/tmp/specfetch-perf-serve-XXXXXX";
+        if (!::mkdtemp(dirTemplate)) {
+            *error = "mkdtemp failed";
+            return false;
+        }
+        dir = dirTemplate;
+        ResultStore::Options storeOptions;
+        storeOptions.dir = dir;
+        storeOptions.metrics = metrics;
+        if (!store.open(storeOptions, error))
+            return false;
+        SweepService::Options serviceOptions;
+        serviceOptions.workers = 1;
+        serviceOptions.metrics = metrics;
+        service = std::make_unique<SweepService>(store, serviceOptions);
+        service->start();
+        submit(1);
+        waitAnswered(1);
+        return true;
+    }
+
+    void
+    submit(uint64_t requests)
+    {
+        for (uint64_t i = 0; i < requests; ++i)
+            service->submit(line, [this](const std::string &) {
+                std::lock_guard<std::mutex> lock(mutex);
+                ++answered;
+                wake.notify_all();
+            });
+    }
+
+    void
+    waitAnswered(uint64_t requests)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        wake.wait(lock, [&] { return answered >= requests; });
+    }
+
+  private:
+    const std::string line;
+    MetricsRegistry *const metrics;
+    std::string dir;
+    ResultStore store;
+    std::unique_ptr<SweepService> service;
+    std::mutex mutex;
+    std::condition_variable wake;
+    uint64_t answered = 0;
+};
 
 } // namespace
 
@@ -136,7 +290,8 @@ int
 main(int argc, char **argv)
 {
     OptionParser opts("perf_microbench",
-                      "Time the simulator's pipeline stages and emit "
+                      "Time the simulator's pipeline stages, each "
+                      "overhead beside its base stage, and emit "
                       "schema-v1 perf records for regression tracking");
     opts.addCount("budget", benchBudget(2'000'000),
                   "instructions per stage (default honours "
@@ -146,19 +301,9 @@ main(int argc, char **argv)
                    "statistic over the repeats: 'best' (minimum; local "
                    "A/B runs) or 'median' (the gated CI comparison)");
     opts.addString("benchmark", "gcc", "workload profile to measure");
-    opts.addString("json", "", "append schema-v1 perf records to this path");
-    opts.addCount("sample-interval", 0,
-                  "arm the interval sampler on the simulation stages "
-                  "(0 = off; measures its overhead, see "
-                  "tools/perf_compare.py --overhead)");
-    opts.addFlag("serve-stage",
-                 "also time the sweep service's store-hit path "
-                 "(stage serve_hit; kept off the default stage list so "
-                 "historical baselines keep their shape)");
-    opts.addFlag("metrics",
-                 "arm a MetricsRegistry on the serve stage (measures "
-                 "instrumentation overhead, see tools/perf_compare.py "
-                 "--metrics-overhead)");
+    opts.addString("json", "",
+                   "write schema-v1 perf records to this path "
+                   "(truncating it)");
     if (!opts.parse(argc, argv))
         return 1;
 
@@ -166,7 +311,6 @@ main(int argc, char **argv)
     const unsigned repeats = static_cast<unsigned>(
         std::max<uint64_t>(1, opts.getCount("repeats")));
     const std::string benchmark = opts.getString("benchmark");
-    const uint64_t sampleInterval = opts.getCount("sample-interval");
     const std::string statName = opts.getString("stat");
     if (statName != "best" && statName != "median") {
         std::fprintf(stderr, "error: --stat must be 'best' or 'median', "
@@ -189,215 +333,151 @@ main(int argc, char **argv)
     const Workload &workload = *sharedWorkload(benchmark);
     SimConfig base;
     base.instructionBudget = budget;
-    // Arms the sampler on sim_live/sim_replay/grid only; the epochs
-    // are collected and dropped — this harness measures cost, not
-    // content.
-    base.sampleInterval = sampleInterval;
+    // The sampled twins collect their epochs and drop them: this
+    // harness measures cost, not content.
+    SimConfig sampled = base;
+    sampled.sampleInterval = kSampleInterval;
+    // A StaticSelector always re-picks the base policy, so the
+    // adaptive twin's delta is pure epoch-ticker and choice-log
+    // bookkeeping, not policy-behavior differences.
+    SimConfig adaptive = base;
+    adaptive.adaptiveSelector = SelectorKind::Static;
+    adaptive.adaptiveInterval = 50'000;
 
     std::vector<StageResult> results;
+    auto run = [&](const Stage &stage,
+                   const std::vector<Stage> &twins = {}) {
+        measure(repeats, stat, stage, twins, results);
+    };
 
     // Stage: build the workload CFG from its profile (what sweeps pay
     // once per benchmark thanks to sharedWorkload()).
-    {
-        StageResult r{"workload_build", "builds", 1, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            Workload w = buildWorkload(getProfile(benchmark));
-            gSink = gSink + w.image.size();
-        });
-        results.push_back(r);
-    }
+    run({"workload_build", "builds", 1, [&] {
+             Workload w = buildWorkload(getProfile(benchmark));
+             gSink = gSink + w.image.size();
+         }});
 
     // Stage: the live architectural executor alone, stepped through
     // next() (live runs and the recorder take its block bodies in
     // bulk and step only the terminators).
-    {
-        StageResult r{"executor_step", "instructions", budget, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            Executor executor(workload.cfg, base.runSeed);
-            DynInst inst;
-            uint64_t sum = 0;
-            for (uint64_t i = 0; i < budget; ++i) {
-                executor.next(inst);
-                sum += inst.pc;
-            }
-            gSink = gSink + sum;
-        });
-        results.push_back(r);
-    }
+    run({"executor_step", "instructions", budget, [&] {
+             Executor executor(workload.cfg, base.runSeed);
+             DynInst inst;
+             uint64_t sum = 0;
+             for (uint64_t i = 0; i < budget; ++i) {
+                 executor.next(inst);
+                 sum += inst.pc;
+             }
+             gSink = gSink + sum;
+         }});
 
     // Stage: recording a correct-path snapshot from the executor.
-    {
-        StageResult r{"snapshot_record", "instructions", budget, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            Executor executor(workload.cfg, base.runSeed);
-            TraceSnapshot snap = TraceSnapshot::record(executor, budget);
-            gSink = gSink + snap.byteSize();
-        });
-        results.push_back(r);
-    }
+    run({"snapshot_record", "instructions", budget, [&] {
+             Executor executor(workload.cfg, base.runSeed);
+             TraceSnapshot snap = TraceSnapshot::record(executor, budget);
+             gSink = gSink + snap.byteSize();
+         }});
 
     // Stage: replaying that snapshot through the replay cursor alone
     // (upper bound on how fast any replayed simulation can consume
     // its stream).
     Executor recorder(workload.cfg, base.runSeed);
     const TraceSnapshot snapshot = TraceSnapshot::record(recorder, budget);
-    {
-        StageResult r{"snapshot_replay", "instructions", budget, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            SnapshotReplaySource source(snapshot);
-            DynInst inst;
-            uint64_t sum = 0;
-            while (source.next(inst))
-                sum += inst.pc;
-            gSink = gSink + sum;
-        });
-        results.push_back(r);
-    }
+    run({"snapshot_replay", "instructions", budget, [&] {
+             SnapshotReplaySource source(snapshot);
+             DynInst inst;
+             uint64_t sum = 0;
+             while (source.next(inst))
+                 sum += inst.pc;
+             gSink = gSink + sum;
+         }});
 
-    // Stage: one full simulation fed by the live executor.
-    {
-        StageResult r{"sim_live", "instructions", budget, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            SimResults res = runSimulation(workload, base);
+    // Stage: one full simulation fed by the live executor, beside its
+    // sampled and adaptive twins.
+    auto live = [&](const SimConfig &config) {
+        return [&workload, config] {
+            SimResults res = runSimulation(workload, config);
             gSink = gSink + res.finalSlot;
-        });
-        results.push_back(r);
-    }
+        };
+    };
+    run({"sim_live", "instructions", budget, live(base)},
+        {{"sim_live_sampled", "instructions", budget, live(sampled),
+          kSamplerBound},
+         {"sim_adaptive", "instructions", budget, live(adaptive),
+          kAdaptiveBound}});
 
     // Stage: the same simulation fed by the recorded snapshot (the
     // sweep fast path; results are bit-identical to sim_live).
-    {
-        StageResult r{"sim_replay", "instructions", budget, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            SimResults res = runSimulation(workload, base, snapshot);
+    auto replayed = [&](const SimConfig &config) {
+        return [&workload, &snapshot, config] {
+            SimResults res = runSimulation(workload, config, snapshot);
             gSink = gSink + res.finalSlot;
-        });
-        results.push_back(r);
-    }
-
-    // Stage: sim_live with the adaptive decision point armed via a
-    // StaticSelector — the selector always re-picks the base policy,
-    // so the wall-clock delta against sim_live is pure epoch-ticker
-    // and choice-log bookkeeping, not policy-behavior differences
-    // (tools/perf_compare.py --adaptive-overhead bounds it).
-    {
-        SimConfig adaptive = base;
-        adaptive.adaptiveSelector = SelectorKind::Static;
-        adaptive.adaptiveInterval = 50'000;
-        StageResult r{"sim_adaptive", "instructions", budget, 0.0};
-        r.seconds = measure(repeats, stat, [&] {
-            SimResults res = runSimulation(workload, adaptive);
-            gSink = gSink + res.finalSlot;
-        });
-        results.push_back(r);
-    }
+        };
+    };
+    run({"sim_replay", "instructions", budget, replayed(base)},
+        {{"sim_replay_sampled", "instructions", budget, replayed(sampled),
+          kSamplerBound}});
 
     // Stage: a serial 10-spec grid (5 policies x prefetch off/on) on
     // one benchmark — the record-once/replay-many sweep path end to
     // end, including the snapshot-record stage it amortizes.
-    {
+    auto grid = [&](const SimConfig &config) {
         std::vector<RunSpec> specs;
         for (int p = 0; p < 5; ++p) {
             for (int pf = 0; pf < 2; ++pf) {
-                SimConfig config = base;
-                config.policy = static_cast<FetchPolicy>(p);
-                config.nextLinePrefetch = pf != 0;
-                specs.push_back(RunSpec{benchmark, config});
+                SimConfig spec = config;
+                spec.policy = static_cast<FetchPolicy>(p);
+                spec.nextLinePrefetch = pf != 0;
+                specs.push_back(RunSpec{benchmark, spec});
             }
         }
-        StageResult r{"grid", "instructions", budget * specs.size(), 0.0};
-        r.seconds = measure(repeats, stat, [&] {
+        return [specs] {
             std::vector<SimResults> res = runSweep(specs, 1);
             gSink = gSink + res.back().finalSlot;
-        });
-        results.push_back(r);
-    }
+        };
+    };
+    run({"grid", "instructions", budget * 10, grid(base)},
+        {{"grid_sampled", "instructions", budget * 10, grid(sampled),
+          kSamplerBound}});
 
-    // Stage (opt-in): the sweep service's hot request path — a store
-    // hit answered inline from submit(). One miss pre-populates the
-    // store; the timed loop then measures parse + lookup + building
-    // the response line per request, with or without telemetry armed
-    // (--metrics), which is exactly the delta the ≤3% overhead gate
-    // bounds.
-    if (opts.getFlag("serve-stage")) {
+    // Stage: the sweep service's hot request path — a store hit —
+    // beside the same path with telemetry armed.
+    {
         constexpr uint64_t kServeRequests = 2000;
+        const std::string line =
+            "{\"benchmark\":\"" + benchmark +
+            "\",\"config\":{\"instruction_budget\":" +
+            std::to_string(std::min<uint64_t>(budget, 50'000)) + "}}";
         MetricsRegistry registry;
-        MetricsRegistry *metricsPtr =
-            opts.getFlag("metrics") ? &registry : nullptr;
-        char dirTemplate[] = "/tmp/specfetch-perf-serve-XXXXXX";
-        if (!::mkdtemp(dirTemplate)) {
-            std::fprintf(stderr, "error: mkdtemp failed\n");
+        HitServer plain(line, nullptr);
+        HitServer metered(line, &registry);
+        std::string error;
+        if (!plain.start(&error) || !metered.start(&error)) {
+            std::fprintf(stderr, "error: %s\n", error.c_str());
             return 1;
         }
-        const std::string storeDir = dirTemplate;
-        {
-            ResultStore store;
-            ResultStore::Options storeOptions;
-            storeOptions.dir = storeDir;
-            storeOptions.metrics = metricsPtr;
-            std::string error;
-            if (!store.open(storeOptions, &error)) {
-                std::fprintf(stderr, "error: %s\n", error.c_str());
-                return 1;
-            }
-            SweepService::Options serviceOptions;
-            serviceOptions.workers = 1;
-            serviceOptions.metrics = metricsPtr;
-            SweepService service(store, serviceOptions);
-            service.start();
-
-            const std::string line =
-                "{\"benchmark\":\"" + benchmark +
-                "\",\"config\":{\"instruction_budget\":" +
-                std::to_string(std::min<uint64_t>(budget, 50'000)) +
-                "}}";
-            std::mutex doneMutex;
-            std::condition_variable doneWake;
-            uint64_t answered = 0;
-            auto responder = [&](const std::string &) {
-                std::lock_guard<std::mutex> lock(doneMutex);
-                ++answered;
-                doneWake.notify_all();
-            };
-            service.submit(line, responder); // miss: populate the store
-            {
-                std::unique_lock<std::mutex> lock(doneMutex);
-                doneWake.wait(lock, [&] { return answered >= 1; });
-            }
-
-            StageResult r{"serve_hit", "requests", kServeRequests, 0.0};
-            r.seconds = measure(repeats, stat, [&] {
-                for (uint64_t i = 0; i < kServeRequests; ++i)
-                    service.submit(line, responder);
-            });
-            {
-                std::unique_lock<std::mutex> lock(doneMutex);
-                doneWake.wait(lock, [&] {
-                    return answered >= 1 + kServeRequests * repeats;
-                });
-            }
-            gSink = gSink + answered;
-            results.push_back(r);
-            service.drain();
-            store.close(nullptr);
-        }
-        // Best-effort cleanup of the scratch store.
-        std::string cleanup = "rm -rf '" + storeDir + "'";
-        if (std::system(cleanup.c_str()) != 0)
-            std::fprintf(stderr, "warning: could not remove %s\n",
-                         storeDir.c_str());
+        run({"serve_hit", "requests", kServeRequests,
+             [&] { plain.submit(kServeRequests); }},
+            {{"serve_hit_metrics", "requests", kServeRequests,
+              [&] { metered.submit(kServeRequests); }, kMetricsBound}});
+        plain.waitAnswered(1 + kServeRequests * repeats);
+        metered.waitAnswered(1 + kServeRequests * repeats);
     }
 
     std::printf("perf_microbench: %s, budget %llu, %s of %u\n",
                 benchmark.c_str(),
                 static_cast<unsigned long long>(budget),
                 statName.c_str(), repeats);
-    std::printf("%-16s %14s %12s %16s\n", "stage", "work", "seconds",
-                "rate/s");
+    std::printf("%-20s %14s %12s %16s %9s\n", "stage", "work", "seconds",
+                "rate/s", "overhead");
     for (const StageResult &r : results) {
-        std::printf("%-16s %14llu %12.6f %16.0f\n", r.stage.c_str(),
+        std::printf("%-20s %14llu %12.6f %16.0f", r.stage.c_str(),
                     static_cast<unsigned long long>(r.work), r.seconds,
                     r.rate());
+        if (r.base.empty())
+            std::printf("\n");
+        else
+            std::printf(" %+8.1f%%\n", 100.0 * (1.0 - r.ratio));
     }
 
     if (writer) {
@@ -408,16 +488,6 @@ main(int argc, char **argv)
         meta.set("budget", JsonValue::integer(budget));
         meta.set("repeats", JsonValue::integer(repeats));
         meta.set("stat", JsonValue::string(statName));
-        // Kept conditional so baselines measured without the sampler
-        // keep their historical shape.
-        if (sampleInterval > 0)
-            meta.set("sample_interval", JsonValue::integer(sampleInterval));
-        // Same contract for the serve stage: the overhead comparison
-        // (tools/perf_compare.py --metrics-overhead) demands proof of
-        // which side had telemetry armed.
-        if (opts.getFlag("serve-stage"))
-            meta.set("metrics",
-                     JsonValue::boolean(opts.getFlag("metrics")));
         writer->write(meta);
         for (const StageResult &r : results)
             writer->write(toRecord(r));

@@ -54,20 +54,6 @@ bits(uint64_t value, unsigned first, unsigned count)
     return (value >> first) & mask(count);
 }
 
-/** Round @p value up to the next multiple of power-of-two @p align. */
-constexpr uint64_t
-alignUp(uint64_t value, uint64_t align)
-{
-    return (value + align - 1) & ~(align - 1);
-}
-
-/** Round @p value down to a multiple of power-of-two @p align. */
-constexpr uint64_t
-alignDown(uint64_t value, uint64_t align)
-{
-    return value & ~(align - 1);
-}
-
 } // namespace specfetch
 
 #endif // SPECFETCH_UTIL_BIT_OPS_HH_

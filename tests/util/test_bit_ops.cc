@@ -68,17 +68,5 @@ TEST(BitOps, Bits)
     EXPECT_EQ(bits(0xff, 4, 0), 0u);
 }
 
-TEST(BitOps, AlignUpDown)
-{
-    EXPECT_EQ(alignUp(0, 32), 0u);
-    EXPECT_EQ(alignUp(1, 32), 32u);
-    EXPECT_EQ(alignUp(32, 32), 32u);
-    EXPECT_EQ(alignUp(33, 32), 64u);
-    EXPECT_EQ(alignDown(0, 32), 0u);
-    EXPECT_EQ(alignDown(31, 32), 0u);
-    EXPECT_EQ(alignDown(32, 32), 32u);
-    EXPECT_EQ(alignDown(63, 32), 32u);
-}
-
 } // namespace
 } // namespace specfetch

@@ -1,68 +1,47 @@
 #!/usr/bin/env python3
-"""Compare a perf_microbench run against a checked-in baseline.
+"""Check perf_microbench records: the pair check and the throughput gate.
 
-Both inputs are JSONL files produced by `perf_microbench --json`: one
-"perf_meta" record (benchmark, budget, repeats) followed by one "perf"
-record per stage carrying its throughput ("rate", work units per
-second). The comparison prints a per-stage table of the rate ratio
-current/baseline and flags stages whose throughput dropped by more
-than --tolerance (default 25%).
+Inputs are JSONL files produced by `perf_microbench --json`: one
+"perf_meta" record (benchmark, budget, repeats, statistic) followed by
+one "perf" record per stage carrying its throughput ("rate", work
+units per second). A file may hold several runs of one binary, each
+its own perf_meta and perf records concatenated; each stage then
+stands for the median of its runs. Runs whose benchmark or budget
+disagree are refused: their median would mix settings.
+
+Given ONE file, the pair check: a twin stage (one whose record names a
+"base" stage, a "bound" and a "ratio") timed its base stage's work with
+one thing armed — the sampler, the adaptive decision point or the
+service's telemetry — beside that base in the same process, and its
+"ratio" is the median over repeats of twin rate / base rate. Its
+overhead, 1 - ratio, is held to its own bound. A twin whose base stage
+has no record is an error naming the base.
+
+Given TWO files, BASELINE and CURRENT, the throughput gate: a per-stage
+table of the rate ratio current/baseline, flagging stages whose
+throughput dropped by more than --tolerance (default 25%) or a
+--stage-tolerance of their own. CI's perf-gate job runs it on three
+alternating runs of the merge base's binary and of HEAD's, with
+--strict, so a flagged drop fails the build; --diff-out writes the
+comparison as JSONL (one "perf_diff" record per stage plus a
+"perf_diff_meta" summary) for artifact upload.
 
 Damaged inputs degrade instead of crashing: a perf record without a
-usable "stage" or "rate" member is skipped with a warning naming the
-file and line, and a stage present on only one side is reported as a
-warning naming the stage (MISSING / new in the table) — never a
-KeyError. Mismatched measurement settings (different benchmark or
-budget in the two meta records) remain a hard error in both modes:
-the ratio would be meaningless.
+usable "stage" or "rate" (or a twin without a usable "base", "bound"
+or "ratio") is skipped with a warning naming the file and line. A
+stage present on only one side of the gate is reported, not gated, as
+a warning naming the stage (MISSING / new in the table): HEAD's
+harness may add or drop a stage its merge base has.
+Mismatched measurement settings (different benchmark or budget) are a
+hard error in both uses.
 
-By default the exit code is 0 even when stages regressed, for
-exploratory local runs. CI's perf-gate job passes --strict, which
-turns any flagged regression into exit code 1: the gated stages
-(sim_replay, grid) carry a tightened --stage-tolerance and the
-per-stage ratios land in the perf_diff.jsonl artifact via --diff-out.
-
---overhead switches to the observability cost check (DESIGN.md §11):
-BASELINE is a perf_microbench run with the sampler off and CURRENT
-the same binary with --sample-interval armed. Only the simulation
-stages that actually execute the sampler (sim_live, sim_replay, grid)
-are held to the bound — default 5% instead of 25% — while the
-untouched stages are printed as a machine-noise floor. The CURRENT
-meta must carry "sample_interval" (proof the flag was really on);
-benchmark and budget must still match.
-
---adaptive-overhead takes ONE perf file and bounds the adaptive
-decision point's cost within it (DESIGN.md §12): the sim_adaptive
-stage runs the same simulation as sim_live with a StaticSelector
-armed, so any throughput difference is pure epoch-ticker and
-choice-log bookkeeping. The bound defaults to 3%.
-
---metrics-overhead bounds the service-telemetry cost (DESIGN.md §16):
-OFF is a `perf_microbench --serve-stage` run without --metrics and ON
-the same run with it, so the serve_hit stage measures the full
-submit -> hit -> respond path with and without the registry armed.
-Only serve_hit is held to the bound — default 3% — and the ON meta
-must carry "metrics": true (and the OFF meta must not), proof the
-flag really differed between the two runs.
-
---stage-tolerance overrides the global tolerance per stage (repeatable,
-e.g. --stage-tolerance sim_replay=0.15 --stage-tolerance grid=0.15):
-the gated CI job holds the two simulation-throughput stages to a tight
-bound while leaving the global default for the noisier fixed-cost
-stages. --diff-out writes the comparison as machine-readable JSONL
-(one "perf_diff" record per stage plus a "perf_diff_meta" summary) for
-artifact upload. When a stage is flagged and the baseline's meta
-record carries a "provenance" object (written by
-tools/perf_baseline.py: git sha, compiler, CPU model, repeats), it is
-printed so the failure names exactly which measurement it was judged
-against.
+By default the exit code is 0 even when a stage is flagged, for
+exploratory local runs; --strict turns any flag into exit code 1.
 
 Usage:
+    tools/perf_compare.py PERF [--strict]
     tools/perf_compare.py BASELINE CURRENT [--tolerance 0.25] [--strict]
         [--stage-tolerance STAGE=FRAC ...] [--diff-out DIFF.json]
-    tools/perf_compare.py --overhead OFF.json ON.json [--strict]
-    tools/perf_compare.py --adaptive-overhead PERF.json [--strict]
-    tools/perf_compare.py --metrics-overhead OFF.json ON.json [--strict]
     tools/perf_compare.py --self-test
 """
 
@@ -76,31 +55,65 @@ from common.jsonl import iter_records, warn  # noqa: E402
 from common.selftest import Checker  # noqa: E402
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def median(values):
+    """Median of @p values (the mean of the middle two for an even
+    count), as perf_microbench computes it."""
+    values = sorted(values)
+    middle = len(values) // 2
+    if len(values) % 2:
+        return values[middle]
+    return 0.5 * (values[middle - 1] + values[middle])
+
+
 def load_perf(path):
-    """Return (meta, {stage: record}) from a perf JSONL file."""
-    meta = None
-    stages = {}
+    """Return (meta, {stage: record}) from a perf JSONL file of one or
+    more runs; a stage's record carries the median of its runs' rates
+    and, for a twin, of their ratios."""
+    metas = []
+    runs = {}
     for lineno, record in iter_records(path, kinds=("perf_meta", "perf")):
         if record["record"] == "perf_meta":
-            meta = record
+            for key in ("benchmark", "budget"):
+                if metas and record.get(key) != metas[0].get(key):
+                    raise SystemExit(
+                        f"error: {path}:{lineno}: a run with {key} "
+                        f"{record.get(key)!r} follows runs with {key} "
+                        f"{metas[0].get(key)!r}; a file holds runs of "
+                        f"one setting")
+            metas.append(record)
             continue
         stage = record.get("stage")
-        rate = record.get("rate")
         if not isinstance(stage, str) or stage == "":
             warn(f"{path}:{lineno}: perf record without a "
                  f"usable 'stage'; skipping it")
             continue
-        if not isinstance(rate, (int, float)) \
-                or isinstance(rate, bool):
+        if not is_number(record.get("rate")):
             warn(f"{path}:{lineno}: stage '{stage}' has no "
                  f"numeric 'rate'; skipping it")
             continue
-        stages[stage] = record
-    if meta is None:
+        if "base" in record and not (
+                isinstance(record["base"], str)
+                and is_number(record.get("bound"))
+                and is_number(record.get("ratio"))):
+            warn(f"{path}:{lineno}: twin stage '{stage}' has no usable "
+                 f"'base', 'bound' and 'ratio'; skipping it")
+            continue
+        runs.setdefault(stage, []).append(record)
+    if not metas:
         raise SystemExit(f"{path}: no perf_meta record found")
-    if not stages:
+    if not runs:
         raise SystemExit(f"{path}: no usable perf records found")
-    return meta, stages
+    stages = {}
+    for stage, records in runs.items():
+        stages[stage] = dict(records[0],
+                             rate=median(r["rate"] for r in records))
+        if "base" in stages[stage]:
+            stages[stage]["ratio"] = median(r["ratio"] for r in records)
+    return metas[0], stages
 
 
 def parse_stage_tolerances(pairs):
@@ -126,17 +139,6 @@ def parse_stage_tolerances(pairs):
     return table
 
 
-def print_provenance(meta, name):
-    """Show where a baseline came from, so a flagged regression names
-    the measurement it was judged against."""
-    provenance = meta.get("provenance")
-    if not isinstance(provenance, dict):
-        return
-    print(f"baseline provenance ({name}):")
-    for key in sorted(provenance):
-        print(f"  {key}: {provenance[key]}")
-
-
 def write_diff(path, records):
     """Write the comparison as JSONL for artifact upload."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -160,20 +162,19 @@ def compare(base_meta, base, cur_meta, cur, baseline_name, current_name,
     stage_tolerance = stage_tolerance or {}
     flagged = []
     diff = []
-    print(f"{'stage':<16} {'baseline/s':>14} {'current/s':>14} "
+    print(f"{'stage':<20} {'baseline/s':>14} {'current/s':>14} "
           f"{'ratio':>7}")
     for stage in base:
         bound = stage_tolerance.get(stage, tolerance)
         if stage not in cur:
-            flagged.append(stage)
             warn(f"stage '{stage}' is in {baseline_name} but missing "
                  f"from {current_name}")
-            print(f"{stage:<16} {base[stage]['rate']:>14.0f} "
+            print(f"{stage:<20} {base[stage]['rate']:>14.0f} "
                   f"{'MISSING':>14} {'-':>7}")
             diff.append({"record": "perf_diff", "stage": stage,
                          "baseline_rate": base[stage]["rate"],
                          "current_rate": None, "ratio": None,
-                         "tolerance": bound, "flagged": True})
+                         "tolerance": None, "flagged": False})
             continue
         base_rate = base[stage]["rate"]
         cur_rate = cur[stage]["rate"]
@@ -183,7 +184,7 @@ def compare(base_meta, base, cur_meta, cur, baseline_name, current_name,
         if over:
             flagged.append(stage)
             mark = f"  << regressed (>{bound:.0%})"
-        print(f"{stage:<16} {base_rate:>14.0f} {cur_rate:>14.0f} "
+        print(f"{stage:<20} {base_rate:>14.0f} {cur_rate:>14.0f} "
               f"{ratio:>7.2f}{mark}")
         diff.append({"record": "perf_diff", "stage": stage,
                      "baseline_rate": base_rate,
@@ -194,7 +195,7 @@ def compare(base_meta, base, cur_meta, cur, baseline_name, current_name,
         if stage not in base:
             warn(f"stage '{stage}' is new in {current_name} (not in "
                  f"{baseline_name})")
-            print(f"{stage:<16} {'(new)':>14} {cur[stage]['rate']:>14.0f} "
+            print(f"{stage:<20} {'(new)':>14} {cur[stage]['rate']:>14.0f} "
                   f"{'-':>7}")
             diff.append({"record": "perf_diff", "stage": stage,
                          "baseline_rate": None,
@@ -210,152 +211,41 @@ def compare(base_meta, base, cur_meta, cur, baseline_name, current_name,
                    "tolerance": tolerance,
                    "stage_tolerance": stage_tolerance,
                    "flagged": flagged}
-        if isinstance(base_meta.get("provenance"), dict):
-            summary["baseline_provenance"] = base_meta["provenance"]
         write_diff(diff_out, [summary] + diff)
 
     if flagged:
         drops = ", ".join(flagged)
-        warn(f"throughput dropped past its tolerance or stage missing "
-             f"on: {drops}")
-        print_provenance(base_meta, baseline_name)
+        warn(f"throughput dropped past its tolerance on: {drops}")
         if strict:
             return 1
     return 0
 
 
-#: Stages whose inner loop runs the interval sampler; only these are
-#: held to the --overhead bound.
-SAMPLED_STAGES = ("sim_live", "sim_replay", "grid")
-
-
-def compare_overhead(base_meta, base, cur_meta, cur, baseline_name,
-                     current_name, tolerance, strict):
-    """Bound the slowdown the armed sampler causes on the sim stages."""
-    for key in ("benchmark", "budget"):
-        if base_meta.get(key) != cur_meta.get(key):
+def check_twins(stages, name, strict):
+    """Hold each twin's overhead over its base stage to its bound."""
+    twins = [stage for stage, record in stages.items() if "base" in record]
+    if not twins:
+        raise SystemExit(f"error: {name} has no twin perf records (a "
+                         f"twin names its 'base' stage)")
+    for stage in twins:
+        if stages[stage]["base"] not in stages:
             raise SystemExit(
-                f"error: measurement settings differ: {key} is "
-                f"{base_meta.get(key)!r} in {baseline_name} but "
-                f"{cur_meta.get(key)!r} in {current_name}")
-    if not cur_meta.get("sample_interval"):
-        raise SystemExit(
-            f"error: {current_name} was not measured with "
-            f"--sample-interval; its meta record has no "
-            f"'sample_interval'")
-    if base_meta.get("sample_interval"):
-        raise SystemExit(
-            f"error: {baseline_name} was measured with the sampler "
-            f"armed (sample_interval "
-            f"{base_meta['sample_interval']!r}); the overhead "
-            f"baseline must have it off")
+                f"error: {name}: twin '{stage}' names base stage "
+                f"'{stages[stage]['base']}', which has no perf record")
 
     flagged = []
-    print(f"sampler overhead at interval "
-          f"{cur_meta['sample_interval']} (bound {tolerance:.0%} on "
-          f"sampled stages)")
-    print(f"{'stage':<16} {'off/s':>14} {'on/s':>14} {'overhead':>9}")
-    for stage in base:
-        if stage not in cur:
-            warn(f"stage '{stage}' is in {baseline_name} but missing "
-                 f"from {current_name}")
-            continue
-        base_rate = base[stage]["rate"]
-        cur_rate = cur[stage]["rate"]
-        overhead = 1.0 - cur_rate / base_rate if base_rate > 0 else 0.0
-        sampled = stage in SAMPLED_STAGES
-        mark = "" if sampled else "  (noise floor)"
-        if sampled and overhead > tolerance:
+    print(f"{'twin':<20} {'base':<12} {'overhead':>9} {'bound':>6}")
+    for stage in twins:
+        record = stages[stage]
+        overhead = 1.0 - record["ratio"]
+        mark = ""
+        if overhead > record["bound"]:
             flagged.append(stage)
-            mark = "  << over budget"
-        print(f"{stage:<16} {base_rate:>14.0f} {cur_rate:>14.0f} "
-              f"{overhead:>8.1%}{mark}")
-
+            mark = "  << over its bound"
+        print(f"{stage:<20} {record['base']:<12} {overhead:>+9.1%} "
+              f"{record['bound']:>6.0%}{mark}")
     if flagged:
-        drops = ", ".join(flagged)
-        warn(f"sampler overhead exceeds {tolerance:.0%} on: {drops}")
-        if strict:
-            return 1
-    return 0
-
-
-def compare_adaptive(stages, name, tolerance, strict):
-    """Bound the adaptive decision point's bookkeeping cost within one
-    perf file: sim_adaptive (StaticSelector armed) vs sim_live."""
-    for stage in ("sim_live", "sim_adaptive"):
-        if stage not in stages:
-            raise SystemExit(
-                f"error: {name} has no '{stage}' perf record; run a "
-                f"perf_microbench that measures both")
-    live = stages["sim_live"]["rate"]
-    adaptive = stages["sim_adaptive"]["rate"]
-    overhead = 1.0 - adaptive / live if live > 0 else 0.0
-    print(f"adaptive decision-point overhead (bound {tolerance:.0%})")
-    print(f"{'stage':<16} {'rate/s':>14}")
-    print(f"{'sim_live':<16} {live:>14.0f}")
-    print(f"{'sim_adaptive':<16} {adaptive:>14.0f}")
-    print(f"overhead: {overhead:.1%}")
-    if overhead > tolerance:
-        warn(f"adaptive selector overhead {overhead:.1%} exceeds "
-             f"{tolerance:.0%}")
-        if strict:
-            return 1
-    return 0
-
-
-#: The one stage whose inner loop runs the instrumented request path;
-#: only it is held to the --metrics-overhead bound.
-METRICS_STAGE = "serve_hit"
-
-
-def compare_metrics_overhead(base_meta, base, cur_meta, cur,
-                             baseline_name, current_name, tolerance,
-                             strict):
-    """Bound the slowdown the armed metrics registry causes on the
-    service's hit-serving path (the serve_hit stage)."""
-    for key in ("benchmark", "budget"):
-        if base_meta.get(key) != cur_meta.get(key):
-            raise SystemExit(
-                f"error: measurement settings differ: {key} is "
-                f"{base_meta.get(key)!r} in {baseline_name} but "
-                f"{cur_meta.get(key)!r} in {current_name}")
-    if not cur_meta.get("metrics"):
-        raise SystemExit(
-            f"error: {current_name} was not measured with --metrics; "
-            f"its meta record has no 'metrics': true")
-    if base_meta.get("metrics"):
-        raise SystemExit(
-            f"error: {baseline_name} was measured with the metrics "
-            f"registry armed; the overhead baseline must have it off")
-    for name, stages in ((baseline_name, base), (current_name, cur)):
-        if METRICS_STAGE not in stages:
-            raise SystemExit(
-                f"error: {name} has no '{METRICS_STAGE}' perf record; "
-                f"run perf_microbench with --serve-stage")
-
-    flagged = []
-    print(f"service telemetry overhead (bound {tolerance:.0%} on "
-          f"{METRICS_STAGE})")
-    print(f"{'stage':<16} {'off/s':>14} {'on/s':>14} {'overhead':>9}")
-    for stage in base:
-        if stage not in cur:
-            warn(f"stage '{stage}' is in {baseline_name} but missing "
-                 f"from {current_name}")
-            continue
-        base_rate = base[stage]["rate"]
-        cur_rate = cur[stage]["rate"]
-        overhead = 1.0 - cur_rate / base_rate if base_rate > 0 else 0.0
-        gated = stage == METRICS_STAGE
-        mark = "" if gated else "  (noise floor)"
-        if gated and overhead > tolerance:
-            flagged.append(stage)
-            mark = "  << over budget"
-        print(f"{stage:<16} {base_rate:>14.0f} {cur_rate:>14.0f} "
-              f"{overhead:>8.1%}{mark}")
-
-    if flagged:
-        warn(f"telemetry overhead exceeds {tolerance:.0%} on: "
-             f"{', '.join(flagged)}")
+        warn(f"overhead exceeds its bound on: {', '.join(flagged)}")
         if strict:
             return 1
     return 0
@@ -365,7 +255,6 @@ def self_test():
     """Exercise the degradation paths without external fixtures."""
     import contextlib
     import io
-    import os
     import tempfile
 
     def write_jsonl(directory, name, records):
@@ -374,6 +263,14 @@ def self_test():
             for record in records:
                 handle.write(json.dumps(record) + "\n")
         return path
+
+    def quiet(fn, *args):
+        """(fn's result, stdout, stderr) with both captured."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            result = fn(*args)
+        return result, out.getvalue(), err.getvalue()
 
     meta = {"record": "perf_meta", "benchmark": "gcc", "budget": 1000}
     checker = Checker()
@@ -387,6 +284,8 @@ def self_test():
             {"record": "perf", "rate": 5.0},
             {"record": "perf", "stage": "no_rate"},
             {"record": "perf", "stage": "bool_rate", "rate": True},
+            {"record": "perf", "stage": "bad_twin", "rate": 1.0,
+             "base": "good", "bound": 0.05},
             {"record": "perf", "stage": "good", "rate": 100.0},
         ])
         err = io.StringIO()
@@ -396,32 +295,29 @@ def self_test():
         check("skip warnings name the problem",
               "usable 'stage'" in err.getvalue()
               and "no_rate" in err.getvalue()
-              and "bool_rate" in err.getvalue())
+              and "bool_rate" in err.getvalue()
+              and "bad_twin" in err.getvalue())
 
-        # 2. A stage missing from one side warns by name and flags.
+        # 2. A stage only one side has is reported by name, not gated,
+        #    even under --strict: HEAD's harness may add or drop a
+        #    stage its merge base has.
         base = {"a": {"stage": "a", "rate": 100.0},
                 "gone": {"stage": "gone", "rate": 50.0}}
         cur = {"a": {"stage": "a", "rate": 100.0},
                "fresh": {"stage": "fresh", "rate": 10.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare(meta, base, meta, cur, "base", "cur",
-                           0.25, False)
-        check("missing stage is warn-only by default", code == 0)
+        code, out, err = quiet(compare, meta, base, meta, cur, "base",
+                               "cur", 0.25, True)
+        check("one-sided stages are not gated", code == 0)
         check("missing stage named in warning",
-              "'gone'" in err.getvalue() and "missing" in err.getvalue())
-        check("new stage named in warning", "'fresh'" in err.getvalue())
-        check("missing stage rendered in table",
-              "MISSING" in out.getvalue())
+              "'gone'" in err and "missing" in err)
+        check("new stage named in warning", "'fresh'" in err)
+        check("missing stage rendered in table", "MISSING" in out)
 
-        # 3. --strict turns the same situation into exit 1.
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare(meta, base, meta, cur, "base", "cur",
-                           0.25, True)
-        check("missing stage fails under --strict", code == 1)
+        # 3. --strict turns a drop past the tolerance into exit 1.
+        code, _, _ = quiet(compare, meta, base, meta,
+                           dict(cur, a={"stage": "a", "rate": 70.0}),
+                           "base", "cur", 0.25, True)
+        check("a 30% drop fails under --strict", code == 1)
 
         # 4. Regression math: a 50% drop is flagged, a 10% drop is not
         #    at the default tolerance.
@@ -429,34 +325,20 @@ def self_test():
                 "y": {"stage": "y", "rate": 100.0}}
         cur = {"x": {"stage": "x", "rate": 50.0},
                "y": {"stage": "y", "rate": 90.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare(meta, base, meta, cur, "base", "cur",
-                           0.25, True)
+        code, out, err = quiet(compare, meta, base, meta, cur, "base",
+                               "cur", 0.25, True)
         check("50% drop flagged strictly", code == 1)
-        check("regression marked in table",
-              "<< regressed" in out.getvalue())
-        check("10% drop not flagged", "y" not in err.getvalue())
+        check("regression marked in table", "<< regressed" in out)
+        check("10% drop not flagged", "y" not in err)
 
         # 4b. Per-stage tolerance: the same 10% drop passes globally
         #     but fails a 5% stage bound; the bound applies only to
         #     its stage. The diff JSONL mirrors the verdicts.
         diff_path = os.path.join(tmp, "diff.json")
-        prov_meta = dict(meta, provenance={"git_sha": "abc1234",
-                                           "cpu": "TestCPU"})
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare(prov_meta, base, meta, cur, "base", "cur",
-                           0.25, True,
-                           stage_tolerance={"y": 0.05},
-                           diff_out=diff_path)
+        code, _, err = quiet(compare, meta, base, meta, cur, "base",
+                             "cur", 0.25, True, {"y": 0.05}, diff_path)
         check("stage tolerance tightens its stage", code == 1
-              and "y" in err.getvalue())
-        check("provenance printed on flagged regression",
-              "abc1234" in out.getvalue()
-              and "TestCPU" in out.getvalue())
+              and "y" in err)
         with open(diff_path, encoding="utf-8") as handle:
             diff = [json.loads(line) for line in handle]
         by_stage = {d.get("stage"): d for d in diff
@@ -464,21 +346,14 @@ def self_test():
         check("diff meta lists flagged stages",
               diff[0]["record"] == "perf_diff_meta"
               and set(diff[0]["flagged"]) == {"x", "y"})
-        check("diff meta carries baseline provenance",
-              diff[0].get("baseline_provenance", {}).get("git_sha")
-              == "abc1234")
         check("diff records carry per-stage verdicts",
               by_stage["x"]["flagged"] and by_stage["y"]["flagged"]
               and by_stage["x"]["tolerance"] == 0.25
               and by_stage["y"]["tolerance"] == 0.05)
 
         # 4c. Loose per-stage tolerance relaxes below the global bound.
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare(meta, base, meta, cur, "base", "cur",
-                           0.25, True,
-                           stage_tolerance={"x": 0.60})
+        code, _, _ = quiet(compare, meta, base, meta, cur, "base", "cur",
+                           0.25, True, {"x": 0.60})
         check("loose stage tolerance passes its stage", code == 0)
 
         # 4d. Malformed --stage-tolerance inputs are hard errors.
@@ -493,175 +368,123 @@ def self_test():
               == {"a": 0.15, "b": 0.0})
 
         # 4e. Differing statistics warn but do not abort.
-        median_meta = dict(meta, stat="median")
         ok = {"x": {"stage": "x", "rate": 100.0},
               "y": {"stage": "y", "rate": 100.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare(meta, ok, median_meta, ok, "base", "cur",
-                           0.25, True)
+        code, _, err = quiet(compare, meta, ok, dict(meta, stat="median"),
+                             ok, "base", "cur", 0.25, True)
         check("stat mismatch warns but passes", code == 0
-              and "statistic differs" in err.getvalue())
+              and "statistic differs" in err)
 
         # 5. Mismatched measurement settings stay a hard error.
-        other_meta = dict(meta, budget=2000)
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare(meta, base, other_meta, cur, "base", "cur",
-                        0.25, False)
+            quiet(compare, meta, base, dict(meta, budget=2000), cur,
+                  "base", "cur", 0.25, False)
             check("meta mismatch raises", False)
         except SystemExit as err:
-            check("meta mismatch raises",
-                  "budget" in str(err))
+            check("meta mismatch raises", "budget" in str(err))
 
-        # 6. Overhead mode: only sampled stages are held to the bound.
-        on_meta = dict(meta, sample_interval=10000)
-        base = {"sim_live": {"stage": "sim_live", "rate": 100.0},
-                "sim_replay": {"stage": "sim_replay", "rate": 100.0},
-                "executor_step": {"stage": "executor_step",
-                                  "rate": 100.0}}
-        cur = {"sim_live": {"stage": "sim_live", "rate": 90.0},
-               "sim_replay": {"stage": "sim_replay", "rate": 97.0},
-               "executor_step": {"stage": "executor_step",
-                                 "rate": 80.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_overhead(meta, base, on_meta, cur,
-                                    "off", "on", 0.05, True)
-        check("10% sampler slowdown flagged strictly", code == 1)
-        check("over-budget stage named",
-              "'sim_live'" in err.getvalue()
-              or "sim_live" in err.getvalue())
-        check("3% slowdown within the bound",
-              "sim_replay" not in err.getvalue())
-        check("unsampled stage is noise floor, never flagged",
-              "executor_step" not in err.getvalue()
-              and "noise floor" in out.getvalue())
+        # 6. Several runs in one file: each stage is the median of its
+        #    runs (mean of the middle two for an even count), a twin's
+        #    ratio likewise; runs of another benchmark or budget are
+        #    refused by name.
+        def run(rate, extra_rate, ratio):
+            return [meta,
+                    {"record": "perf", "stage": "sim_replay",
+                     "rate": rate},
+                    {"record": "perf", "stage": "sim_replay_sampled",
+                     "rate": rate, "base": "sim_replay", "bound": 0.05,
+                     "ratio": ratio}] + (
+                [{"record": "perf", "stage": "extra",
+                  "rate": extra_rate}] if extra_rate else [])
+        path = write_jsonl(tmp, "runs.json", run(100.0, 10.0, 0.99)
+                           + run(300.0, 0, 0.90) + run(200.0, 20.0, 0.98))
+        _, stages = load_perf(path)
+        check("each stage is the median of its runs",
+              stages["sim_replay"]["rate"] == 200.0
+              and stages["extra"]["rate"] == 15.0)
+        check("a twin's ratio is the median of its runs",
+              stages["sim_replay_sampled"]["ratio"] == 0.98)
+        for key, value in (("benchmark", "li"), ("budget", 2000)):
+            path = write_jsonl(tmp, f"mixed_{key}.json",
+                               run(100.0, 0, 1.0)
+                               + [dict(meta, **{key: value})])
+            try:
+                load_perf(path)
+                check(f"runs of another {key} refused", False)
+            except SystemExit as err:
+                check(f"runs of another {key} refused",
+                      key in str(err) and repr(value) in str(err))
 
-        cur = {"sim_live": {"stage": "sim_live", "rate": 97.0},
-               "sim_replay": {"stage": "sim_replay", "rate": 98.0},
-               "executor_step": {"stage": "executor_step",
-                                 "rate": 99.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_overhead(meta, base, on_meta, cur,
-                                    "off", "on", 0.05, True)
-        check("in-budget overhead passes strictly", code == 0)
+        # 7. The pair check: a twin within its bound passes, one over
+        #    it is flagged (exit 1 only under --strict), and a twin
+        #    whose base stage is missing is an error naming the base.
+        def twins(ratio, metrics_ratio):
+            return {"sim_live": {"stage": "sim_live", "rate": 100.0},
+                    "sim_live_sampled": {"stage": "sim_live_sampled",
+                                         "base": "sim_live",
+                                         "bound": 0.05, "ratio": ratio},
+                    "serve_hit": {"stage": "serve_hit", "rate": 10.0},
+                    "serve_hit_metrics": {"stage": "serve_hit_metrics",
+                                          "base": "serve_hit",
+                                          "bound": 0.03,
+                                          "ratio": metrics_ratio}}
+        code, out, err = quiet(check_twins, twins(0.97, 0.98), "perf",
+                               True)
+        check("twins within their bounds pass strictly", code == 0
+              and "sim_live_sampled" in out and err == "")
+        code, out, err = quiet(check_twins, twins(0.97, 0.95), "perf",
+                               True)
+        check("a twin over its bound fails strictly", code == 1
+              and "serve_hit_metrics" in err
+              and "sim_live_sampled" not in err
+              and "<< over its bound" in out)
+        code, _, _ = quiet(check_twins, twins(0.97, 0.95), "perf", False)
+        check("a twin over its bound is warn-only by default", code == 0)
+        orphan = twins(0.97, 0.98)
+        del orphan["serve_hit"]
+        try:
+            quiet(check_twins, orphan, "perf", False)
+            check("a twin's missing base stage raises", False)
+        except SystemExit as err:
+            check("a twin's missing base stage raises",
+                  "'serve_hit'" in str(err))
+        try:
+            quiet(check_twins, base, "perf", False)
+            check("a file without twins raises", False)
+        except SystemExit as err:
+            check("a file without twins raises", "twin" in str(err))
 
-        # 7. Overhead mode refuses runs measured the wrong way round.
+        # 8. One file on the command line is the pair check; the
+        #    gate's options are refused there.
+        path = write_jsonl(tmp, "pair.json", [meta] + [
+            dict(s, record="perf", rate=s.get("rate", 10.0))
+            for s in twins(0.97, 0.95).values()])
+        code, _, _ = quiet(main, [path])
+        check("one file runs the pair check, warn-only", code == 0)
+        code, _, _ = quiet(main, [path, "--strict"])
+        check("the pair check fails strictly over a bound", code == 1)
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_overhead(meta, base, meta, cur, "off", "on",
-                                 0.05, False)
-            check("sampler-off CURRENT raises", False)
+            quiet(main, [path, "--tolerance", "0.1"])
+            check("gate options refused with one file", False)
         except SystemExit as err:
-            check("sampler-off CURRENT raises",
-                  "sample_interval" in str(err))
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_overhead(on_meta, base, on_meta, cur,
-                                 "off", "on", 0.05, False)
-            check("sampler-on BASELINE raises", False)
-        except SystemExit as err:
-            check("sampler-on BASELINE raises",
-                  "baseline" in str(err) or "off" in str(err))
-
-        # 8. Adaptive-overhead mode: bounded within one file.
-        stages = {"sim_live": {"stage": "sim_live", "rate": 100.0},
-                  "sim_adaptive": {"stage": "sim_adaptive",
-                                   "rate": 98.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_adaptive(stages, "perf", 0.03, True)
-        check("2% adaptive overhead within the 3% bound", code == 0)
-        stages["sim_adaptive"]["rate"] = 90.0
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_adaptive(stages, "perf", 0.03, True)
-        check("10% adaptive overhead flagged strictly", code == 1)
-        check("adaptive overhead named in warning",
-              "adaptive" in err.getvalue())
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_adaptive({"sim_live": {"stage": "sim_live",
-                                               "rate": 100.0}},
-                                 "perf", 0.03, False)
-            check("missing sim_adaptive raises", False)
-        except SystemExit as err:
-            check("missing sim_adaptive raises",
-                  "sim_adaptive" in str(err))
-
-        # 9. Metrics-overhead mode: serve_hit gated, others noise floor.
-        metrics_meta = dict(meta, metrics=True)
-        base = {"serve_hit": {"stage": "serve_hit", "rate": 1000.0},
-                "sim_live": {"stage": "sim_live", "rate": 100.0}}
-        cur = {"serve_hit": {"stage": "serve_hit", "rate": 985.0},
-               "sim_live": {"stage": "sim_live", "rate": 80.0}}
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_metrics_overhead(meta, base, metrics_meta,
-                                            cur, "off", "on", 0.03,
-                                            True)
-        check("1.5% telemetry overhead within the 3% bound", code == 0)
-        check("ungated stage is noise floor, never flagged",
-              "sim_live" not in err.getvalue()
-              and "noise floor" in out.getvalue())
-        cur["serve_hit"]["rate"] = 900.0
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = compare_metrics_overhead(meta, base, metrics_meta,
-                                            cur, "off", "on", 0.03,
-                                            True)
-        check("10% telemetry overhead flagged strictly", code == 1)
-        check("over-budget serve_hit named",
-              "serve_hit" in err.getvalue())
-
-        # 10. Metrics-overhead refuses mismeasured inputs.
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_metrics_overhead(meta, base, meta, cur,
-                                         "off", "on", 0.03, False)
-            check("metrics-off CURRENT raises", False)
-        except SystemExit as err:
-            check("metrics-off CURRENT raises", "metrics" in str(err))
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_metrics_overhead(metrics_meta, base,
-                                         metrics_meta, cur,
-                                         "off", "on", 0.03, False)
-            check("metrics-on BASELINE raises", False)
-        except SystemExit as err:
-            check("metrics-on BASELINE raises", "off" in str(err))
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                compare_metrics_overhead(
-                    meta, {"sim_live": {"stage": "sim_live",
-                                        "rate": 100.0}},
-                    metrics_meta, cur, "off", "on", 0.03, False)
-            check("missing serve_hit raises", False)
-        except SystemExit as err:
-            check("missing serve_hit raises", "serve_hit" in str(err))
+            check("gate options refused with one file", err.code == 2)
 
     return checker.finish()
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Compare perf_microbench output against a baseline")
+        description="Check perf_microbench records: one file holds each "
+                    "twin stage to its overhead bound, two gate "
+                    "CURRENT's throughput against BASELINE's")
     parser.add_argument("baseline", nargs="?",
-                        help="baseline perf JSONL")
+                        help="baseline perf JSONL, or the one file of "
+                             "the pair check")
     parser.add_argument("current", nargs="?",
                         help="current perf JSONL")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="flag throughput drops beyond this fraction "
-                             "(default 0.25, or 0.05 with --overhead)")
+                             "(default 0.25)")
     parser.add_argument("--stage-tolerance", action="append",
                         metavar="STAGE=FRACTION",
                         help="per-stage override of --tolerance "
@@ -669,18 +492,6 @@ def main(argv=None):
     parser.add_argument("--diff-out", metavar="PATH",
                         help="write the comparison as JSONL diff records "
                              "(for CI artifact upload)")
-    parser.add_argument("--overhead", action="store_true",
-                        help="check sampler overhead: BASELINE measured "
-                             "with the sampler off, CURRENT with "
-                             "--sample-interval armed")
-    parser.add_argument("--adaptive-overhead", action="store_true",
-                        help="bound sim_adaptive vs sim_live within ONE "
-                             "perf file (default tolerance 0.03)")
-    parser.add_argument("--metrics-overhead", action="store_true",
-                        help="check service telemetry overhead: OFF "
-                             "and ON are --serve-stage runs without "
-                             "and with --metrics (default tolerance "
-                             "0.03)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 when any stage is flagged "
                              "(default: warn only)")
@@ -690,38 +501,24 @@ def main(argv=None):
 
     if args.self_test:
         return self_test()
-    if args.adaptive_overhead:
-        if args.baseline is None:
-            parser.error("--adaptive-overhead needs one perf JSONL file")
-        if args.current is not None:
-            parser.error("--adaptive-overhead compares stages within "
-                         "ONE file; drop the second path")
-        tolerance = args.tolerance if args.tolerance is not None else 0.03
-        _, stages = load_perf(args.baseline)
-        return compare_adaptive(stages, args.baseline, tolerance,
-                                args.strict)
-    if args.baseline is None or args.current is None:
-        parser.error("BASELINE and CURRENT are required "
+    if args.baseline is None:
+        parser.error("give PERF (the pair check) or BASELINE CURRENT "
                      "(or use --self-test)")
-    if args.tolerance is None:
-        args.tolerance = 0.25
-        if args.overhead:
-            args.tolerance = 0.05
-        elif args.metrics_overhead:
-            args.tolerance = 0.03
+    if args.current is None:
+        if args.tolerance is not None or args.stage_tolerance \
+                or args.diff_out:
+            parser.error("--tolerance, --stage-tolerance and --diff-out "
+                         "need BASELINE CURRENT; the pair check holds "
+                         "each twin to its own bound")
+        _, stages = load_perf(args.baseline)
+        return check_twins(stages, args.baseline, args.strict)
 
     base_meta, base = load_perf(args.baseline)
     cur_meta, cur = load_perf(args.current)
-    if args.metrics_overhead:
-        return compare_metrics_overhead(base_meta, base, cur_meta, cur,
-                                        args.baseline, args.current,
-                                        args.tolerance, args.strict)
-    if args.overhead:
-        return compare_overhead(base_meta, base, cur_meta, cur,
-                                args.baseline, args.current,
-                                args.tolerance, args.strict)
     return compare(base_meta, base, cur_meta, cur, args.baseline,
-                   args.current, args.tolerance, args.strict,
+                   args.current,
+                   0.25 if args.tolerance is None else args.tolerance,
+                   args.strict,
                    stage_tolerance=parse_stage_tolerances(
                        args.stage_tolerance),
                    diff_out=args.diff_out)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared command-line entry for every benchmark harness: one option
- * parser (budget, parallelism, JSONL/CSV export paths) plus the
- * process-wide report sinks and the sweep wrapper that feeds them.
+ * parser (budget, parallelism, JSONL export path) plus the
+ * process-wide record sink and the sweep wrapper that feeds it.
  *
  * Usage pattern (every bench binary):
  *
@@ -15,11 +15,10 @@
  *       auto results = runSweepReported(specs);   // exports per run
  *   }
  *
- * `--json <path>` writes one schema-v1 record per run as JSON Lines;
- * `--csv <path>` writes the same records flattened. Each file is
- * checked at parse time but opened (and truncated) at its first
- * record, so a run that fails before then leaves it as it was.
- * Without either flag the harness prints its tables on stdout only.
+ * `--json <path>` writes one schema-v1 record per run as JSON Lines.
+ * The file is checked at parse time but opened (and truncated) at its
+ * first record, so a run that fails before then leaves it as it was.
+ * Without the flag the harness prints its tables on stdout only.
  */
 
 #ifndef SPECFETCH_BENCH_BENCH_MAIN_HH_
@@ -80,13 +79,13 @@ addGuardOptions(OptionParser &opts)
     opts.addString("fault-inject", "",
                    "fault-injection spec, e.g. throw@5x2,crash@9; run "
                    "faults index the runs executed, store faults the "
-                   "puts (default honours SPECFETCH_FAULT_INJECT)");
+                   "puts");
 }
 
 /**
  * Read the options addGuardOptions() registered into @p guard. The
- * fault spec (or SPECFETCH_FAULT_INJECT) is parsed into @p injector,
- * which the guard borrows unless it is empty. Returns the error of a
+ * fault spec is parsed into @p injector, which the guard borrows
+ * unless it is empty. Returns the error of a
  * bad value, naming its option, or an empty string.
  */
 inline std::string
@@ -106,13 +105,9 @@ readGuardOptions(const OptionParser &opts, SweepGuard &guard,
                               guard.runTimeoutSeconds);
     }
     std::string error;
-    if (opts.wasSet("fault-inject")) {
-        if (!FaultInjector::parse(opts.getString("fault-inject"), injector,
-                                  &error))
-            return "--fault-inject: " + error;
-    } else if (!FaultInjector::fromEnv(injector, &error)) {
-        return std::string(kFaultInjectEnv) + ": " + error;
-    }
+    if (!FaultInjector::parse(opts.getString("fault-inject"), injector,
+                              &error))
+        return "--fault-inject: " + error;
     guard.injector = injector.empty() ? nullptr : &injector;
     return "";
 }
@@ -167,8 +162,6 @@ class BenchMain
                       "sweep worker threads (0 = hardware concurrency)");
         opts.addString("json", "",
                        "write one JSONL record per run to this path");
-        opts.addString("csv", "",
-                       "write flattened per-run records to this CSV path");
         opts.addString("check", "off",
                        "invariant-audit level: off, cheap or paranoid");
         opts.addCount("checkpoint-interval", 100'000,
@@ -251,16 +244,8 @@ class BenchMain
         jsonPath = opts.getString("json");
         if (suite && jsonPath.empty())
             jsonPath = kSuiteRecords;
-        csvPath = opts.getString("csv");
-        if (!jsonPath.empty() && jsonPath == csvPath) {
-            return reject("--json and --csv name the same path (%s); the "
-                          "sinks would interleave",
-                          jsonPath.c_str());
-        }
-        for (const std::string *path : {&jsonPath, &csvPath}) {
-            if (!path->empty() && !writablePath(*path))
-                return reject("cannot write %s", path->c_str());
-        }
+        if (!jsonPath.empty() && !writablePath(jsonPath))
+            return reject("cannot write %s", jsonPath.c_str());
         if (opts.getFlag("list-stats")) {
             listStats();
             return false;    // exit 0, like --help
@@ -285,16 +270,21 @@ class BenchMain
         return true;
     }
 
-    /** Send one record to every sink. */
+    /** Send one record to the JSONL sink (a no-op without --json),
+     *  opening it on the first record. */
     void
     emit(const JsonValue &record)
     {
-        write(json, jsonPath, record);
-        write(csv, csvPath, record);
+        if (jsonPath.empty())
+            return;
+        if (!json) {
+            json = std::make_unique<JsonlWriter>(jsonPath);
+            if (!json->ok())
+                warn("cannot write %s; its records are lost",
+                     jsonPath.c_str());
+        }
+        json->write(record);
     }
-
-    /** Send one record to the JSONL sink only. */
-    void writeJson(const JsonValue &record) { write(json, jsonPath, record); }
 
     /** JSONL records written so far. */
     size_t jsonRecords() const { return json ? json->recordsWritten() : 0; }
@@ -365,10 +355,8 @@ class BenchMain
         ProgressReporter::global().end();
     }
 
-    /**
-     * Export the observation rows of a sweep (timeseries + heatmap
-     * records, JSONL only — their arrays have no sensible CSV form).
-     */
+    /** Export the observation rows of a sweep (timeseries, heatmap
+     *  and adaptive records). */
     void
     emitObservations(const std::vector<RunSpec> &specs,
                      const std::vector<SimResults> &results,
@@ -384,16 +372,16 @@ class BenchMain
         for (size_t i = 0; i < observations.size(); ++i) {
             const RunObservations &obs = observations[i];
             if (!obs.epochs.empty()) {
-                writeJson(makeTimeseriesRecord(obs, results[i],
-                                               specs[i].config));
+                emit(makeTimeseriesRecord(obs, results[i],
+                                          specs[i].config));
             }
             if (obs.heatmap) {
-                writeJson(makeHeatmapRecord(*obs.heatmap, results[i],
-                                            specs[i].config));
+                emit(makeHeatmapRecord(*obs.heatmap, results[i],
+                                       specs[i].config));
             }
             if (obs.adaptive.enabled() && !obs.adaptive.choices.empty()) {
-                writeJson(makeAdaptiveRecord(obs.adaptive, results[i],
-                                             specs[i].config));
+                emit(makeAdaptiveRecord(obs.adaptive, results[i],
+                                        specs[i].config));
             }
         }
     }
@@ -403,9 +391,8 @@ class BenchMain
     CheckLevel checkLevel = CheckLevel::Off;
     uint64_t checkpointInterval = 100'000;
     bool parseFailed = false;
-    /** --json and --csv: record files, empty when not given. */
+    /** --json: the record file, empty when not given. */
     std::string jsonPath;
-    std::string csvPath;
     /** @name bench_suite's store, guard and adaptive options
      *  (DESIGN.md §10, §12, §15) @{ */
     /** Result store directory, or a sweep_serve daemon's socket. */
@@ -431,25 +418,8 @@ class BenchMain
     std::string experiment;
 
   private:
-    /** The record sinks, opened (truncating) at their first record. */
+    /** The record sink, opened (truncating) at its first record. */
     std::unique_ptr<JsonlWriter> json;
-    std::unique_ptr<CsvReportWriter> csv;
-
-    /** Send @p record to @p sink, opening it on @p path first. */
-    template <typename Writer>
-    static void
-    write(std::unique_ptr<Writer> &sink, const std::string &path,
-          const JsonValue &record)
-    {
-        if (path.empty())
-            return;
-        if (!sink) {
-            sink = std::make_unique<Writer>(path);
-            if (!sink->ok())
-                warn("cannot write %s; its records are lost", path.c_str());
-        }
-        sink->write(record);
-    }
 
     /** Read and check the options parse(suite) registered. */
     bool
@@ -567,8 +537,7 @@ runSweepReported(const std::vector<RunSpec> &specs,
     std::vector<SimResults> results = runSweep(armed, options).results;
     bm.endProgress();
     TraceSpan span("emit", "bench");
-    bool exporting = !bm.jsonPath.empty() || !bm.csvPath.empty();
-    for (size_t i = 0; exporting && i < armed.size(); ++i) {
+    for (size_t i = 0; !bm.jsonPath.empty() && i < armed.size(); ++i) {
         RunTiming rt;
         rt.runSeconds = timing->perRunSeconds[i];
         rt.workloadBuildSeconds = timing->workloadBuildSeconds;

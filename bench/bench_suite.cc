@@ -374,7 +374,7 @@ runAdaptiveColumn(const std::vector<std::string> &names,
         for (size_t k = 0; k < 2; ++k) {
             size_t i = firstAdaptive + b * 2 + k;
             AdaptiveRegret regret = computeRegret(results[i].ispi(), oracle);
-            benchMain().writeJson(makeAdaptiveRecord(
+            benchMain().emit(makeAdaptiveRecord(
                 observations[i].adaptive, results[i], specs[i].config,
                 &regret));
             columnIspi[k] = regret.adaptiveIspi;

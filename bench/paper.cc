@@ -80,7 +80,7 @@ main(int argc, char **argv)
     BenchMain &bm = benchMain();
     if (!bm.parse(argc, argv, "paper",
                   "the paper's tables and figures, with their shape claims",
-                  kDefaultBudget, /*persistence=*/false, names)) {
+                  kDefaultBudget, /*suite=*/false, names)) {
         return parseExitCode();
     }
 

@@ -41,7 +41,6 @@ FetchEngine::FetchEngine(const SimConfig &_config, const ProgramImage &_image)
         sampler = std::make_unique<IntervalSampler>(config.sampleInterval);
     if (config.setHeatmap)
         heatmap = std::make_unique<SetHeatmap>(config.icache);
-    basePolicy = config.policy;
     if (config.adaptiveSelector != SelectorKind::Off) {
         selector = makeSelector(config);
         adaptiveTicker =
@@ -60,37 +59,6 @@ FetchEngine::setObserver(AccessObserver *obs)
 {
     observer = obs;
     walker.setObserver(obs);
-}
-
-void
-FetchEngine::reset()
-{
-    predictor = BranchPredictor(config.predictor);
-    cache.reset();
-    bus.reset();
-    resumeBuffer.clear();
-    hierarchy.reset();
-    victimCache.reset();
-    prefetcher.reset();
-    branchUnit.reset();
-    pendingResolves.clear();
-    now = 0;
-    lastIssue = -1;
-    curLine = kNoLine;
-    stats = SimResults{};
-    prefetchBaseline = prefetcher.issuedCount();
-    statsBaseSlot = now;
-    busBaseline = bus.transactions.value();
-    if (heatmap)
-        heatmap->reset();
-    // A previous adaptive run may have left config.policy on whatever
-    // the selector last chose; a reset run starts over from the base.
-    config.policy = basePolicy;
-    if (selector) {
-        selector->reset();
-        adaptiveLog = AdaptiveLog{};
-    }
-    walker.setStats(&stats);
 }
 
 void

@@ -43,7 +43,7 @@ class PolicySelector;
 
 /**
  * One simulated front end. Construct per run (state is not reusable
- * across runs unless reset() is called).
+ * across runs).
  */
 class FetchEngine
 {
@@ -73,9 +73,6 @@ class FetchEngine
      */
     template <typename Source>
     SimResults runWith(Source &source);
-
-    /** Reset all machine state (cache, predictor, clocks, stats). */
-    void reset();
 
     /**
      * Move whatever the armed collectors gathered (epoch series,
@@ -235,9 +232,6 @@ class FetchEngine
     /** Non-null iff config.setHeatmap (src/obs). */
     std::unique_ptr<SetHeatmap> heatmap;
     /** @name Adaptive selection (src/adaptive) @{ */
-    /** The configured base policy; runWith mutates config.policy at
-     *  epoch boundaries and reset() restores it from here. */
-    FetchPolicy basePolicy;
     /** Non-null iff config.adaptiveSelector != Off. */
     std::unique_ptr<PolicySelector> selector;
     /** Epoch ticker of the decision point: reuses the interval

@@ -1,7 +1,5 @@
 #include "fault/injector.hh"
 
-#include <cstdlib>
-
 #include "util/checksum.hh"
 #include "util/string_utils.hh"
 
@@ -127,17 +125,6 @@ FaultInjector::parse(const std::string &spec, FaultInjector &out,
         out.directives.push_back(directive);
     }
     return true;
-}
-
-bool
-FaultInjector::fromEnv(FaultInjector &out, std::string *error)
-{
-    const char *env = std::getenv(kFaultInjectEnv);
-    if (!env) {
-        out = FaultInjector{};
-        return true;
-    }
-    return parse(env, out, error);
 }
 
 bool

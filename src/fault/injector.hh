@@ -29,9 +29,7 @@
  * functions of (kind, index, attempt): no internal state mutates while
  * firing, so concurrent sweep workers can consult one shared injector.
  *
- * Activation: pass a spec via --fault-inject, or set the
- * SPECFETCH_FAULT_INJECT environment variable (CI uses the latter so
- * the grid command line stays identical between clean and faulty runs).
+ * Activation: pass a spec via --fault-inject.
  */
 
 #ifndef SPECFETCH_FAULT_INJECTOR_HH_
@@ -60,9 +58,6 @@ const char *toString(FaultKind kind);
 /** Exit code of an injected crash/tear (mirrors SIGKILL's 128+9). */
 constexpr int kCrashExitCode = 137;
 
-/** Environment variable consulted by fromEnv(). */
-constexpr const char *kFaultInjectEnv = "SPECFETCH_FAULT_INJECT";
-
 class FaultInjector
 {
   public:
@@ -86,13 +81,6 @@ class FaultInjector
      */
     static bool parse(const std::string &spec, FaultInjector &out,
                       std::string *error = nullptr);
-
-    /**
-     * Build from $SPECFETCH_FAULT_INJECT. Returns false only when the
-     * variable is set but malformed (@p error filled); an unset
-     * variable yields true with an empty (never-firing) injector.
-     */
-    static bool fromEnv(FaultInjector &out, std::string *error = nullptr);
 
     /** True when no directive can ever fire. */
     bool empty() const { return directives.empty() && flakyDen == 0; }

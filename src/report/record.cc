@@ -381,44 +381,4 @@ makeRunRecord(const SimResults &results, const SimConfig &config,
     return record;
 }
 
-namespace {
-
-void
-flattenInto(const JsonValue &value, const std::string &prefix,
-            std::vector<std::pair<std::string, std::string>> &out)
-{
-    switch (value.kind()) {
-      case JsonValue::Kind::Object:
-        for (const auto &[name, member] : value.members()) {
-            flattenInto(member,
-                        prefix.empty() ? name : prefix + "." + name, out);
-        }
-        break;
-      case JsonValue::Kind::Array:
-        break; // records never carry arrays; nothing sensible in CSV
-      case JsonValue::Kind::String:
-        out.emplace_back(prefix, value.asString());
-        break;
-      case JsonValue::Kind::Bool:
-        out.emplace_back(prefix, value.asBool() ? "true" : "false");
-        break;
-      case JsonValue::Kind::Null:
-        out.emplace_back(prefix, "");
-        break;
-      default:
-        out.emplace_back(prefix, value.dump());
-        break;
-    }
-}
-
-} // namespace
-
-std::vector<std::pair<std::string, std::string>>
-flattenRecord(const JsonValue &record)
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    flattenInto(record, "", out);
-    return out;
-}
-
 } // namespace specfetch

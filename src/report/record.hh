@@ -91,14 +91,6 @@ JsonValue makeRunRecord(const SimResults &results, const SimConfig &config,
                         const RunTiming *timing = nullptr,
                         const Classification *classification = nullptr);
 
-/**
- * Flatten a record for CSV: nested objects become dotted column
- * names; scalars render as unquoted text. Arrays are not supported in
- * records and are skipped.
- */
-std::vector<std::pair<std::string, std::string>>
-flattenRecord(const JsonValue &record);
-
 } // namespace specfetch
 
 #endif // SPECFETCH_REPORT_RECORD_HH_

@@ -18,39 +18,6 @@ JsonlWriter::write(const JsonValue &record)
     ++records;
 }
 
-CsvReportWriter::CsvReportWriter(const std::string &path)
-    : filePath(path), out(path, std::ios::trunc), csv(out)
-{}
-
-void
-CsvReportWriter::write(const JsonValue &record)
-{
-    if (!out)
-        return;
-    std::vector<std::pair<std::string, std::string>> flat =
-        flattenRecord(record);
-    if (columns.empty()) {
-        for (const auto &[key, value] : flat)
-            columns.push_back(key);
-        csv.writeRow(columns);
-    }
-    std::vector<std::string> row;
-    row.reserve(columns.size());
-    for (const std::string &column : columns) {
-        std::string cell;
-        for (const auto &[key, value] : flat) {
-            if (key == column) {
-                cell = value;
-                break;
-            }
-        }
-        row.push_back(std::move(cell));
-    }
-    csv.writeRow(row);
-    out.flush();
-    ++records;
-}
-
 bool
 readJsonl(const std::string &path, std::vector<JsonValue> &out,
           std::string *error)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Record sinks for the results-export layer: JSON Lines (one record
- * per line, append-friendly, the `BENCH_*.json` trajectory format) and
- * CSV (flattened dotted columns, header from the first record).
+ * The results-export layer's record sink: JSON Lines (one record per
+ * line, append-friendly, the `BENCH_*.json` trajectory format), and
+ * its reader.
  */
 
 #ifndef SPECFETCH_REPORT_REPORT_HH_
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "report/json.hh"
-#include "util/csv.hh"
 
 namespace specfetch {
 
@@ -34,30 +33,6 @@ class JsonlWriter
   private:
     std::string filePath;
     std::ofstream out;
-    size_t records = 0;
-};
-
-/**
- * Writes flattened records as CSV. The first record fixes the column
- * set (its dotted flattened keys, in order); later records fill
- * matching columns and leave missing ones empty.
- */
-class CsvReportWriter
-{
-  public:
-    explicit CsvReportWriter(const std::string &path);
-
-    bool ok() const { return static_cast<bool>(out); }
-    const std::string &path() const { return filePath; }
-    size_t recordsWritten() const { return records; }
-
-    void write(const JsonValue &record);
-
-  private:
-    std::string filePath;
-    std::ofstream out;
-    CsvWriter csv;
-    std::vector<std::string> columns;
     size_t records = 0;
 };
 

@@ -2,13 +2,10 @@
  * @file
  * FaultInjector contract tests: spec parsing (including every
  * malformed shape), firing semantics as a pure function of
- * (kind, index, attempt), the environment-variable entry point, and
- * determinism of the seeded flaky mode.
+ * (kind, index, attempt), and determinism of the seeded flaky mode.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "fault/injector.hh"
 
@@ -124,37 +121,6 @@ TEST(FaultInjectorFlaky, DeterministicAndSeeded)
     EXPECT_GT(fired, 256u / 8);
     EXPECT_LT(fired, 256u / 2);
     EXPECT_TRUE(seeds_differ) << "seed does not influence the draw";
-}
-
-class FaultInjectorEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override { unsetenv(kFaultInjectEnv); }
-    void TearDown() override { unsetenv(kFaultInjectEnv); }
-};
-
-TEST_F(FaultInjectorEnv, UnsetYieldsEmptyInjector)
-{
-    FaultInjector injector;
-    ASSERT_TRUE(FaultInjector::fromEnv(injector));
-    EXPECT_TRUE(injector.empty());
-}
-
-TEST_F(FaultInjectorEnv, SetSpecIsParsed)
-{
-    setenv(kFaultInjectEnv, "crash@7", 1);
-    FaultInjector injector;
-    ASSERT_TRUE(FaultInjector::fromEnv(injector));
-    EXPECT_TRUE(injector.fires(FaultKind::Crash, 7));
-}
-
-TEST_F(FaultInjectorEnv, MalformedSpecIsReported)
-{
-    setenv(kFaultInjectEnv, "nonsense@@", 1);
-    FaultInjector injector;
-    std::string error;
-    EXPECT_FALSE(FaultInjector::fromEnv(injector, &error));
-    EXPECT_FALSE(error.empty());
 }
 
 TEST(FaultInjectorAppendKinds, ShortWriteAndEnospcParse)

@@ -318,28 +318,6 @@ TEST(Record, ManifestReaderRefusesMalformedMembers)
     }
 }
 
-TEST(Record, FlattenUsesDottedKeys)
-{
-    JsonValue record = makeRunRecord(sampleResults(), sampleConfig());
-    auto flat = flattenRecord(record);
-
-    auto lookup = [&](const std::string &key) -> const std::string * {
-        for (const auto &[name, value] : flat) {
-            if (name == key)
-                return &value;
-        }
-        return nullptr;
-    };
-    ASSERT_NE(lookup("counters.instructions"), nullptr);
-    EXPECT_EQ(*lookup("counters.instructions"), "100000");
-    ASSERT_NE(lookup("config.icache.size_bytes"), nullptr);
-    EXPECT_EQ(*lookup("config.icache.size_bytes"), "8192");
-    ASSERT_NE(lookup("workload"), nullptr);
-    EXPECT_EQ(*lookup("workload"), "gcc");
-    ASSERT_NE(lookup("config.l2_enabled"), nullptr);
-    EXPECT_EQ(*lookup("config.l2_enabled"), "false");
-}
-
 TEST(Record, JsonlWriterRoundTrip)
 {
     std::string path = test::tempPath("records.jsonl");
@@ -361,29 +339,6 @@ TEST(Record, JsonlWriterRoundTrip)
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0], first);
     EXPECT_EQ(records[1], second);
-    std::remove(path.c_str());
-}
-
-TEST(Record, CsvWriterEmitsHeaderAndRows)
-{
-    std::string path = test::tempPath("records.csv");
-    {
-        CsvReportWriter writer(path);
-        ASSERT_TRUE(writer.ok());
-        writer.write(makeRunRecord(sampleResults(), sampleConfig()));
-        writer.write(makeRunRecord(sampleResults(), sampleConfig()));
-        EXPECT_EQ(writer.recordsWritten(), 2u);
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string header, row1, row2;
-    ASSERT_TRUE(std::getline(in, header));
-    ASSERT_TRUE(std::getline(in, row1));
-    ASSERT_TRUE(std::getline(in, row2));
-    EXPECT_NE(header.find("counters.instructions"), std::string::npos);
-    EXPECT_NE(header.find("config.icache.size_bytes"), std::string::npos);
-    EXPECT_NE(row1.find("100000"), std::string::npos);
-    EXPECT_EQ(row1, row2);
     std::remove(path.c_str());
 }
 
